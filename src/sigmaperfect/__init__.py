@@ -12,25 +12,22 @@ from .classify import (
     CrossCheckError,
     DivisibilityConditions,
     check_lemma_f,
+    SearchOutcome,
     classify_point,
-    classify_theorem_main0,
-    classify_theorem_main1,
     derive_conditions,
     equivalence_scan,
     expected_even_perfect,
-    explore_conjecture,
     forward_implication,
     scan_special_forms,
+    search,
     verify_lemma410,
 )
 from .exactint import (
     DEFAULT_BIT_CAP,
     OperandSizeError,
-    Rational,
     Valuation,
     checked_pow,
     geometric_sum,
-    modpow,
     v_exact,
 )
 from .polyrem import (
@@ -60,7 +57,6 @@ from .sigma import (
     sigma_k_special,
 )
 from .valuations import (
-    AlphaSplit,
     BetaSplit,
     LemmaGrid,
     PSplit,

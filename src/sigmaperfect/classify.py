@@ -15,10 +15,9 @@ of assuming it.
 from __future__ import annotations
 
 import multiprocessing
-import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .exactint import checked_pow, geometric_sum
 from .polyrem import lemma41_scaled_remainder
@@ -45,22 +44,20 @@ __all__ = [
     "DivisibilityConditions",
     "GridRow",
     "GridStats",
+    "SearchOutcome",
     "check_lemma_f",
     "classify_point",
-    "classify_theorem_main0",
-    "classify_theorem_main1",
     "derive_conditions",
     "equivalence_scan",
     "expected_even_perfect",
-    "explore_conjecture",
     "forward_implication",
     "lemma41_candidates",
     "run_lemma_grid",
     "scan_special_forms",
+    "search",
+    "search_mode",
     "verify_lemma410",
 ]
-
-LEMMA_TAGS = ("vs1", "cando", "appr", "appr2", "tv", "tv2", "sl3", "f", "v10", "u1", "v3", "trichotomy")
 
 # Tags a pruner may stamp on a grid point, in the order they are tried.
 PRUNE_ORDER = ("parity", "f", "u1", "v3", "trichotomy", "v10")
@@ -97,18 +94,13 @@ def derive_conditions(f: SpecialForm, bit_cap: int | None = None) -> Divisibilit
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Per-point verdict. elapsed is wall-clock metadata, excluded from equality."""
+    """Per-point verdict of classify_point."""
 
     form: SpecialForm
     divides: bool
     perfect: bool
     excluded_perfect: bool
     pruned_by: str | None = None
-    elapsed: float = field(default=0.0, compare=False)
-
-
-def _excluded_perfect_value(k: int) -> int:
-    return (1 << (k - 1)) * ((1 << k) - 1)
 
 
 def _pruned_by(f: SpecialForm) -> str | None:
@@ -139,7 +131,6 @@ def _pruned_by(f: SpecialForm) -> str | None:
 
 def classify_point(f: SpecialForm, bit_cap: int | None = None) -> ClassificationReport:
     """Evaluate one grid point along all routes, raising on any disagreement."""
-    t0 = time.perf_counter()
     conditions = derive_conditions(f, bit_cap)
     divides = divides_sigma(f, bit_cap)
     if divides != (conditions.cond_k1_holds and conditions.cond_k2_holds):
@@ -155,9 +146,8 @@ def classify_point(f: SpecialForm, bit_cap: int | None = None) -> Classification
         form=f,
         divides=divides,
         perfect=perfect,
-        excluded_perfect=n == _excluded_perfect_value(f.k),
+        excluded_perfect=n == (1 << (f.k - 1)) * ((1 << f.k) - 1),
         pruned_by=pruned,
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -173,14 +163,16 @@ def _require_search_k(k: int) -> None:
         raise ValueError(f"k must be a prime > 2 with 2**k - 1 prime, got {k}")
 
 
+def _p_bound_primes(alpha: int) -> list[int]:
+    """The odd primes p < 3 * 2**(alpha-1) - 1, for alpha >= 2."""
+    return primes_upto(3 * (1 << (alpha - 1)) - 2)[1:]
+
+
 def _scan_alpha(task: tuple[int, int, int, int | None]):
     k, alpha, beta_max, bit_cap = task
-    bound = 3 * (1 << (alpha - 1)) - 1
     solutions: list[ClassificationReport] = []
     points = pruned = scenario1 = 0
-    for p in primes_upto(bound - 1):
-        if p == 2:
-            continue
+    for p in _p_bound_primes(alpha):
         for beta in range(2, beta_max + 1):
             report = classify_point(SpecialForm.trusted(alpha, p, beta, k), bit_cap)
             points += 1
@@ -244,54 +236,49 @@ def expected_even_perfect(k: int, alpha_max: int) -> list[int]:
     ]
 
 
-def classify_theorem_main0(
-    k: int, alpha_max: int, workers: int = 1, bit_cap: int | None = None
-) -> list[ClassificationReport]:
-    """beta = 2 search asserting solutions are exactly the even perfect
-    numbers in range other than 2**(k-1) * (2**k - 1)."""
-    reports, _ = scan_special_forms(k, alpha_max, beta_max=2, workers=workers, bit_cap=bit_cap)
-    _assert_solutions_perfect(reports, expected_even_perfect(k, alpha_max), k)
-    return reports
+def search_mode(k: int, beta_max: int) -> str:
+    """The mode of a search: "theorem" where it is proved, else "conjecture".
 
-
-def classify_theorem_main1(
-    alpha_max: int, beta_max: int, workers: int = 1, bit_cap: int | None = None
-) -> list[ClassificationReport]:
-    """Full (alpha, p, beta) search at k = 5, asserting solutions are exactly
-    the even perfect numbers in range other than 496, all with beta = 2."""
-    reports, _ = scan_special_forms(5, alpha_max, beta_max=beta_max, workers=workers, bit_cap=bit_cap)
-    _assert_solutions_perfect(reports, expected_even_perfect(5, alpha_max), 5)
-    for r in reports:
-        if r.form.beta != 2:
-            raise CrossCheckError(f"solution with beta != 2 at {r.form}")
-    return reports
-
-
-def explore_conjecture(
-    k: int, alpha_max: int, beta_max: int, workers: int = 1, bit_cap: int | None = None
-) -> list[ClassificationReport]:
-    """Same grid as classify_theorem_main1 for an arbitrary Mersenne k.
-
-    Solutions outside the even-perfect prediction are returned for
-    inspection, never asserted away: the statement is open for k not in
-    {3, 5}, so a violation here would be a finding, not a bug. Internal
-    route disagreements still raise.
+    beta = 2 is proved for every Mersenne k > 2, and every beta for
+    k in {3, 5}; elsewhere the statement is open, so a mismatch would be a
+    finding about it rather than a bug.
     """
-    reports, _ = scan_special_forms(k, alpha_max, beta_max=beta_max, workers=workers, bit_cap=bit_cap)
-    return reports
+    return "theorem" if k in (3, 5) or beta_max == 2 else "conjecture"
 
 
-def _assert_solutions_perfect(
-    reports: Sequence[ClassificationReport], expected: Sequence[int], k: int
-) -> None:
-    got = [r.form.n() for r in reports]
-    if got != list(expected):
-        raise CrossCheckError(
-            f"solution set {got} differs from predicted even perfect set {list(expected)} for k={k}"
-        )
-    for r in reports:
-        if not r.perfect or r.excluded_perfect:
-            raise CrossCheckError(f"non-perfect or excluded solution reported: {r}")
+@dataclass(frozen=True)
+class SearchOutcome:
+    """One exponent's search: the solutions sorted by n, the scan
+    statistics, the predicted even perfect set, the mode from search_mode
+    and whether the solutions are exactly the predicted set."""
+
+    k: int
+    reports: list[ClassificationReport]
+    stats: GridStats
+    expected: list[int]
+    mode: str
+    matches: bool
+
+
+def search(
+    k: int, alpha_max: int, beta_max: int, workers: int = 1, bit_cap: int | None = None
+) -> SearchOutcome:
+    """Scan the grid for one exponent and compare with the prediction.
+
+    A mismatch is returned, never raised: the caller decides whether it is
+    an implementation bug (theorem mode) or a finding (conjecture mode).
+    Internal route disagreements still raise CrossCheckError.
+    """
+    reports, stats = scan_special_forms(k, alpha_max, beta_max, workers, bit_cap)
+    expected = expected_even_perfect(k, alpha_max)
+    return SearchOutcome(
+        k=k,
+        reports=reports,
+        stats=stats,
+        expected=expected,
+        mode=search_mode(k, beta_max),
+        matches=[r.form.n() for r in reports] == expected,
+    )
 
 
 def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> bool:
@@ -338,17 +325,7 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
     """No n = 2**(alpha-1) * p**3 with p = 3 (mod 4) under the p-bound
     divides sigma_5(n), over 2 <= alpha <= alpha_max; the remainder-table
     candidates are re-checked explicitly as well."""
-    for form in lemma41_candidates():
-        if divides_sigma(form, bit_cap):
-            return False
-    for alpha in range(2, alpha_max + 1):
-        bound = 3 * (1 << (alpha - 1)) - 1
-        for p in primes_upto(bound - 1):
-            if p == 2 or p % 4 != 3:
-                continue
-            if divides_sigma(SpecialForm.trusted(alpha, p, 4, 5), bit_cap):
-                return False
-    return True
+    return all(ok for _, ok in _v10_rows(LemmaGrid(alpha_max=alpha_max, bit_cap=bit_cap)))
 
 
 def forward_implication(q: int, k: int, bit_cap: int | None = None) -> bool:
@@ -445,12 +422,105 @@ class GridRow:
     ok: bool | None
 
 
-def _bool_row(label: str, passed: bool) -> GridRow:
-    return GridRow(label=label, outcome="pass" if passed else "FAIL", ok=passed)
+def _odd_values(limit: int) -> range:
+    return range(1, limit + 1, 2)
 
 
-def _odd_values(limit: int) -> list[int]:
-    return list(range(1, limit + 1, 2))
+def _residue_primes(p_max: int, residue: int) -> list[int]:
+    return [p for p in primes_upto(p_max - 1) if p % 4 == residue]
+
+
+# Row generators: each yields (label, value) per grid point, value a bool
+# for proved tags and an outcome string for informational ones.
+
+
+def _cando_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+    for k in g.k_values:
+        for v in range(1, g.v_max + 1):
+            for beta1 in _odd_values(g.beta1_max):
+                beta = (1 << v) * beta1
+                yield f"k={k} beta={beta}", check_cando(k, beta, g.bit_cap)
+
+
+def _appr_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+    for k in g.k_values:
+        for u in range(g.u_max + 1):
+            for alpha1 in range(1, g.alpha1_max + 1):
+                if alpha1 % ((1 << k) - 1):
+                    yield f"k={k} u={u} alpha1={alpha1}", check_appr(k, u, alpha1, g.bit_cap)
+
+
+def _tv_rows(g: LemmaGrid, residue: int, check) -> Iterator[tuple[str, bool]]:
+    for p in _residue_primes(g.p_max, residue):
+        for k in g.k_values:
+            for v in range(1, g.v_max + 1):
+                for beta1 in _odd_values(g.beta1_max):
+                    yield f"p={p} k={k} v={v} beta1={beta1}", check(p, k, v, beta1, g.bit_cap)
+
+
+def _sl3_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+    for lam in range(2, g.lambda_max + 1):
+        for p1 in _odd_values(g.p1_max):
+            for v in range(1, g.v_max + 1):
+                for beta1 in _odd_values(g.beta1_max):
+                    yield (
+                        f"lam={lam} p1={p1} v={v} beta1={beta1}",
+                        check_sl3(lam, p1, v, beta1, g.bit_cap),
+                    )
+
+
+def _f_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+    for k in g.k_values:
+        if not is_mersenne_prime_exponent(k):
+            continue
+        for alpha in range(2, g.alpha_max + 1):
+            for beta in range(2, g.beta_max + 1):
+                yield f"k={k} alpha={alpha} beta={beta}", check_lemma_f(k, alpha, beta, g.bit_cap)
+
+
+def _v10_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+    for form in lemma41_candidates():
+        yield f"candidate alpha={form.alpha} p={form.p}", not divides_sigma(form, g.bit_cap)
+    for alpha in range(2, g.alpha_max + 1):
+        for p in _p_bound_primes(alpha):
+            if p % 4 == 3:
+                form = SpecialForm.trusted(alpha, p, 4, 5)
+                yield f"alpha={alpha} p={p}", not divides_sigma(form, g.bit_cap)
+
+
+def _bound_rows(g: LemmaGrid, residue: int, bound) -> Iterator[tuple[str, str]]:
+    for p in _residue_primes(g.p_max, residue):
+        for k in g.k_values:
+            for v in range(1, g.v_max + 1):
+                yield f"p={p} k={k} v={v}", "holds" if bound(p, k, v) else "fails"
+
+
+def _trichotomy_rows(g: LemmaGrid) -> Iterator[tuple[str, str]]:
+    for p in _residue_primes(g.p_max, 3):
+        for k in g.k_values:
+            for v in range(1, g.v_max + 1):
+                scenarios = trichotomy_3mod4(p, k, 1 << v, g.bit_cap)
+                outcome = ",".join(sorted(s.value for s in scenarios)) or "NONE"
+                yield f"p={p} k={k} beta={1 << v}", outcome
+
+
+# tag -> (row generator, proved). The lambdas look checkers up at call
+# time, so rebinding a module global reaches them.
+_LEMMAS = {
+    "vs1": (lambda g: ((f"k={k}", check_vs1(k)) for k in g.k_values), True),
+    "cando": (_cando_rows, True),
+    "appr": (_appr_rows, True),
+    "appr2": (lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values), True),
+    "tv": (lambda g: _tv_rows(g, 1, check_tv), True),
+    "tv2": (lambda g: _tv_rows(g, 3, check_tv2), True),
+    "sl3": (_sl3_rows, True),
+    "f": (_f_rows, True),
+    "v10": (_v10_rows, True),
+    "u1": (lambda g: _bound_rows(g, 1, bound_u1), False),
+    "v3": (lambda g: _bound_rows(g, 3, bound_v3), False),
+    "trichotomy": (_trichotomy_rows, False),
+}
+LEMMA_TAGS = tuple(_LEMMAS)
 
 
 def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
@@ -460,130 +530,9 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
     statements: every row must pass. Tags u1, v3 and trichotomy evaluate
     parameter-dependent bounds and are informational.
     """
-    if tag not in LEMMA_TAGS:
+    if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
-    rows: list[GridRow] = []
-    cap = grid.bit_cap
-
-    if tag == "vs1":
-        for k in grid.k_values:
-            rows.append(_bool_row(f"k={k}", check_vs1(k)))
-    elif tag == "cando":
-        for k in grid.k_values:
-            for v in range(1, grid.v_max + 1):
-                for beta1 in _odd_values(grid.beta1_max):
-                    beta = (1 << v) * beta1
-                    rows.append(
-                        _bool_row(f"k={k} beta={beta}", check_cando(k, beta, cap))
-                    )
-    elif tag == "appr":
-        for k in grid.k_values:
-            mersenne = (1 << k) - 1
-            for u in range(grid.u_max + 1):
-                for alpha1 in range(1, grid.alpha1_max + 1):
-                    if alpha1 % mersenne == 0:
-                        continue
-                    rows.append(
-                        _bool_row(
-                            f"k={k} u={u} alpha1={alpha1}", check_appr(k, u, alpha1, cap)
-                        )
-                    )
-    elif tag == "appr2":
-        for k in grid.k_values:
-            rows.append(_bool_row(f"k={k}", check_appr2_bound(k, cap)))
-    elif tag in ("tv", "tv2"):
-        residue = 1 if tag == "tv" else 3
-        checker = check_tv if tag == "tv" else check_tv2
-        for p in primes_upto(grid.p_max - 1):
-            if p == 2 or p % 4 != residue:
-                continue
-            for k in grid.k_values:
-                for v in range(1, grid.v_max + 1):
-                    for beta1 in _odd_values(grid.beta1_max):
-                        rows.append(
-                            _bool_row(
-                                f"p={p} k={k} v={v} beta1={beta1}",
-                                checker(p, k, v, beta1, cap),
-                            )
-                        )
-    elif tag == "sl3":
-        for lam in range(2, grid.lambda_max + 1):
-            for p1 in _odd_values(grid.p1_max):
-                for v in range(1, grid.v_max + 1):
-                    for beta1 in _odd_values(grid.beta1_max):
-                        rows.append(
-                            _bool_row(
-                                f"lam={lam} p1={p1} v={v} beta1={beta1}",
-                                check_sl3(lam, p1, v, beta1, cap),
-                            )
-                        )
-    elif tag == "f":
-        for k in grid.k_values:
-            if not is_mersenne_prime_exponent(k):
-                continue
-            for alpha in range(2, grid.alpha_max + 1):
-                for beta in range(2, grid.beta_max + 1):
-                    rows.append(
-                        _bool_row(
-                            f"k={k} alpha={alpha} beta={beta}",
-                            check_lemma_f(k, alpha, beta, cap),
-                        )
-                    )
-    elif tag == "v10":
-        for form in lemma41_candidates():
-            rows.append(
-                _bool_row(
-                    f"candidate alpha={form.alpha} p={form.p}",
-                    not divides_sigma(form, cap),
-                )
-            )
-        for alpha in range(2, grid.alpha_max + 1):
-            bound = 3 * (1 << (alpha - 1)) - 1
-            for p in primes_upto(bound - 1):
-                if p == 2 or p % 4 != 3:
-                    continue
-                ok = not divides_sigma(SpecialForm.trusted(alpha, p, 4, 5), cap)
-                rows.append(_bool_row(f"alpha={alpha} p={p}", ok))
-    elif tag == "u1":
-        for p in primes_upto(grid.p_max - 1):
-            if p == 2 or p % 4 != 1:
-                continue
-            for k in grid.k_values:
-                for v in range(1, grid.v_max + 1):
-                    holds = bound_u1(p, k, v)
-                    rows.append(
-                        GridRow(
-                            label=f"p={p} k={k} v={v}",
-                            outcome="holds" if holds else "fails",
-                            ok=None,
-                        )
-                    )
-    elif tag == "v3":
-        for p in primes_upto(grid.p_max - 1):
-            if p == 2 or p % 4 != 3:
-                continue
-            for k in grid.k_values:
-                for v in range(1, grid.v_max + 1):
-                    holds = bound_v3(p, k, v)
-                    rows.append(
-                        GridRow(
-                            label=f"p={p} k={k} v={v}",
-                            outcome="holds" if holds else "fails",
-                            ok=None,
-                        )
-                    )
-    else:  # trichotomy
-        for p in primes_upto(grid.p_max - 1):
-            if p == 2 or p % 4 != 3:
-                continue
-            for k in grid.k_values:
-                for v in range(1, grid.v_max + 1):
-                    beta = 1 << v
-                    scenarios = trichotomy_3mod4(p, k, beta, cap)
-                    outcome = (
-                        ",".join(sorted(s.value for s in scenarios)) if scenarios else "NONE"
-                    )
-                    rows.append(
-                        GridRow(label=f"p={p} k={k} beta={beta}", outcome=outcome, ok=None)
-                    )
-    return rows
+    rows_of, proved = _LEMMAS[tag]
+    if proved:
+        return [GridRow(label, "pass" if ok else "FAIL", ok) for label, ok in rows_of(grid)]
+    return [GridRow(label, outcome, None) for label, outcome in rows_of(grid)]

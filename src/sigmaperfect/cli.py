@@ -13,20 +13,19 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
 from .classify import (
+    LEMMA_TAGS,
     ClassificationReport,
     CrossCheckError,
-    classify_theorem_main0,
-    classify_theorem_main1,
-    expected_even_perfect,
-    explore_conjecture,
+    SearchOutcome,
     run_lemma_grid,
-    scan_special_forms,
-    LEMMA_TAGS,
+    search,
+    search_mode,
 )
 from .exactint import DEFAULT_BIT_CAP, OperandSizeError
 from .primality import mersenne_exponents_upto
@@ -58,7 +57,8 @@ class SearchConfig:
             raise ValueError("workers must be >= 1")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {', '.join(FORMATS)}")
-        self.exponents()  # fail fast on an unparsable k
+        if not self.exponents():  # also fails fast on an unparsable k
+            raise ValueError(f"k={self.k} selects no exponent > 2")
 
     def exponents(self) -> list[int]:
         if self.k.startswith(_ALL_MERSENNE_PREFIX):
@@ -81,15 +81,19 @@ class SearchConfig:
             if not sep:
                 raise ValueError(f"malformed config line: {raw!r}")
             values[key.strip()] = value.strip()
-        kwargs = {}
-        for f in fields(cls):
-            if f.name not in values:
-                continue
-            raw_value = values.pop(f.name)
-            kwargs[f.name] = int(raw_value) if f.type == "int" else raw_value
-        if values:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(values))}")
-        return cls(**kwargs)
+        unknown = values.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        return cls.from_strings(values)
+
+    @classmethod
+    def from_strings(cls, values: dict[str, str]) -> "SearchConfig":
+        """Build from field name -> text; missing fields keep their defaults."""
+        return cls(**{
+            f.name: int(values[f.name]) if f.type == "int" else values[f.name]
+            for f in fields(cls)
+            if f.name in values
+        })
 
 
 @dataclass
@@ -164,18 +168,8 @@ def parse_run_record(text: str) -> RunRecord:
             reports.append(_report_from_fields(obj))
     if header is None:
         raise ValueError("no header line found")
-    cfg = header["config"]
-    config = SearchConfig(
-        k=cfg["k"],
-        alpha_max=int(cfg["alpha_max"]),
-        beta_max=int(cfg["beta_max"]),
-        workers=int(cfg["workers"]),
-        bit_cap=int(cfg["bit_cap"]),
-        output_path=cfg["output_path"],
-        format=cfg["format"],
-    )
     return RunRecord(
-        config=config,
+        config=SearchConfig.from_strings(header["config"]),
         reports=reports,
         tool_version=header["tool_version"],
         started=header["started"],
@@ -244,122 +238,101 @@ def _load_search_config(args: argparse.Namespace) -> SearchConfig:
         with open(path, encoding="utf-8") as fh:
             config = SearchConfig.parse(fh.read())
     overrides = {}
-    for flag, name in (
-        ("k", "k"),
-        ("alpha_max", "alpha_max"),
-        ("beta_max", "beta_max"),
-        ("workers", "workers"),
-        ("bit_cap", "bit_cap"),
-        ("out", "output_path"),
-        ("format", "format"),
-    ):
-        value = getattr(args, flag, None)
+    for f in fields(SearchConfig):
+        value = getattr(args, "out" if f.name == "output_path" else f.name, None)
         if value is not None:
-            overrides[name] = value
+            overrides[f.name] = value
     return replace(config, **overrides) if overrides else config
+
+
+def _summary(outcome: SearchOutcome) -> dict:
+    return {
+        "k": str(outcome.k),
+        "solutions": [str(r.form.n()) for r in outcome.reports],
+        "expected": [str(n) for n in outcome.expected],
+        "matches_expected": outcome.matches,
+        "mode": outcome.mode,
+        "points_scanned": str(outcome.stats.points_scanned),
+        "pruned_points": str(outcome.stats.pruned_points),
+        "scenario1_points": str(outcome.stats.scenario1_points),
+    }
 
 
 def cmd_search(args: argparse.Namespace) -> int:
     config = _load_search_config(args)
     started = _utcnow()
-    reports: list[ClassificationReport] = []
-    summaries: list[dict] = []
-    all_match = True
-    for k in config.exponents():
-        found, stats = scan_special_forms(
-            k, config.alpha_max, config.beta_max, config.workers, config.bit_cap
-        )
-        expected = expected_even_perfect(k, config.alpha_max)
-        got = [r.form.n() for r in found]
-        matches = got == expected
-        all_match = all_match and matches
-        mode = "theorem" if k in (3, 5) or config.beta_max == 2 else "conjecture"
-        summaries.append(
-            {
-                "k": str(k),
-                "solutions": [str(n) for n in got],
-                "expected": [str(n) for n in expected],
-                "matches_expected": matches,
-                "mode": mode,
-                "points_scanned": str(stats.points_scanned),
-                "pruned_points": str(stats.pruned_points),
-                "scenario1_points": str(stats.scenario1_points),
-            }
-        )
-        reports.extend(found)
-    reports.sort(key=lambda r: (r.form.n(), r.form.k))
-    record = RunRecord(
-        config=config,
-        reports=reports,
-        tool_version=__version__,
-        started=started,
-        finished=_utcnow(),
-    )
-    if config.format == "json-lines":
-        text = render_json_lines(record, summaries)
-    elif config.format == "csv":
-        text = render_csv(record)
-    else:
-        text = render_human(record, summaries)
+    # Open --out before scanning so a bad path fails fast; append mode
+    # leaves an existing file intact until the record is ready.
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        sink = open(config.output_path, "a", encoding="utf-8")
     else:
-        sys.stdout.write(text)
-    if not all_match:
-        for s in summaries:
-            if not s["matches_expected"]:
-                blame = (
-                    "implementation bug" if s["mode"] == "theorem" else "conjecture finding"
-                )
-                print(
-                    f"discrepancy at k={s['k']} ({blame}): got {s['solutions']}, "
-                    f"expected {s['expected']}",
-                    file=sys.stderr,
-                )
-        return 2
-    return 0
+        sink = nullcontext(sys.stdout)
+    with sink as out:
+        outcomes = [
+            search(k, config.alpha_max, config.beta_max, config.workers, config.bit_cap)
+            for k in config.exponents()
+        ]
+        record = RunRecord(
+            config=config,
+            reports=sorted(
+                (r for o in outcomes for r in o.reports), key=lambda r: (r.form.n(), r.form.k)
+            ),
+            tool_version=__version__,
+            started=started,
+            finished=_utcnow(),
+        )
+        summaries = [_summary(o) for o in outcomes]
+        if config.format == "json-lines":
+            text = render_json_lines(record, summaries)
+        elif config.format == "csv":
+            text = render_csv(record)
+        else:
+            text = render_human(record, summaries)
+        if config.output_path and out.seekable():  # a pipe cannot be truncated
+            out.truncate(0)
+        out.write(text)
+    for s in summaries:
+        if not s["matches_expected"]:
+            blame = "implementation bug" if s["mode"] == "theorem" else "conjecture finding"
+            print(
+                f"discrepancy at k={s['k']} ({blame}): got {s['solutions']}, "
+                f"expected {s['expected']}",
+                file=sys.stderr,
+            )
+    return 0 if all(o.matches for o in outcomes) else 2
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
+    """search plus the theorem-mode assertion: the solutions must be
+    exactly the predicted even perfect numbers, all flagged as such."""
     k = args.k
-    workers = args.workers or 1
-    if args.beta_max is None or args.beta_max == 2:
-        reports = classify_theorem_main0(k, args.alpha_max, workers=workers)
-        label = f"beta=2 classification at k={k}"
-    elif k == 5:
-        reports = classify_theorem_main1(args.alpha_max, args.beta_max, workers=workers)
-        label = f"full classification at k=5, beta up to {args.beta_max}"
-    elif k == 3:
-        reports = explore_conjecture(3, args.alpha_max, args.beta_max, workers=workers)
-        got = [r.form.n() for r in reports]
-        if got != expected_even_perfect(3, args.alpha_max):
-            raise CrossCheckError(f"k=3 full classification mismatch: {got}")
-        label = f"full classification at k=3, beta up to {args.beta_max}"
-    else:
+    beta_max = 2 if args.beta_max is None else args.beta_max
+    if search_mode(k, beta_max) != "theorem":
         raise ValueError(
             f"the full-beta statement is only proved for k in (3, 5); "
             f"use 'search' to gather evidence for k={k}"
         )
-    ns = ", ".join(str(r.form.n()) for r in reports)
-    print(f"verified: {label}; solutions = {{{ns}}}")
+    outcome = search(k, args.alpha_max, beta_max, workers=args.workers or 1)
+    got = [r.form.n() for r in outcome.reports]
+    if not outcome.matches:
+        raise CrossCheckError(
+            f"solution set {got} differs from predicted even perfect set {outcome.expected} for k={k}"
+        )
+    for r in outcome.reports:
+        if not r.perfect or r.excluded_perfect:
+            raise CrossCheckError(f"non-perfect or excluded solution reported: {r}")
+    if beta_max == 2:
+        label = f"beta=2 classification at k={k}"
+    else:
+        label = f"full classification at k={k}, beta up to {beta_max}"
+    print(f"verified: {label}; solutions = {{{', '.join(map(str, got))}}}")
     return 0
 
 
 def cmd_check_lemma(args: argparse.Namespace) -> int:
-    grid = LemmaGrid(
-        k_values=args.k,
-        p_max=args.p_max,
-        v_max=args.v_max,
-        beta1_max=args.beta1_max,
-        u_max=args.u_max,
-        alpha1_max=args.alpha1_max,
-        lambda_max=args.lambda_max,
-        p1_max=args.p1_max,
-        alpha_max=args.alpha_max,
-        beta_max=args.beta_max,
-        bit_cap=args.bit_cap,
-    )
+    grid = LemmaGrid(**{
+        f.name: getattr(args, "k" if f.name == "k_values" else f.name) for f in fields(LemmaGrid)
+    })
     rows = run_lemma_grid(args.tag, grid)
     for row in rows:
         print(f"{args.tag}  {row.label}: {row.outcome}")

@@ -15,22 +15,17 @@ hanging.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .primality import is_prime
 
 __all__ = [
     "DEFAULT_BIT_CAP",
     "OperandSizeError",
-    "Rational",
     "Valuation",
     "checked_pow",
     "geometric_sum",
-    "modpow",
     "v_exact",
 ]
-
-Rational = Fraction
 
 DEFAULT_BIT_CAP = 1_000_000
 
@@ -109,12 +104,3 @@ def geometric_sum(b: int, m: int, bit_cap: int | None = None) -> int:
     if m < 1:
         raise ValueError(f"term count must be >= 1, got {m}")
     return (checked_pow(b, m, bit_cap) - 1) // (b - 1)
-
-
-def modpow(b: int, e: int, m: int) -> int:
-    """b**e mod m for m >= 2 (three-argument pow, kept behind a checked front)."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if b < 0 or e < 0:
-        raise ValueError("modpow is defined for non-negative base and exponent")
-    return pow(b, e, m)

@@ -60,32 +60,6 @@ class RationalPoly:
             raise ValueError(f"polynomial of degree {self.degree} is not constant")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPoly.of(
-            *(self._coeff(i) + other._coeff(i) for i in range(n))
-        )
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RationalPoly.of(
-            *(self._coeff(i) - other._coeff(i) for i in range(n))
-        )
-
-    def __mul__(self, other: "RationalPoly") -> "RationalPoly":
-        if self.is_zero or other.is_zero:
-            return RationalPoly.of()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly.of(*out)
-
-    def _coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
-
 
 @dataclass(frozen=True)
 class DivisionResult:

@@ -24,7 +24,6 @@ from .exactint import checked_pow, geometric_sum, v_exact
 from .primality import is_prime
 
 __all__ = [
-    "AlphaSplit",
     "BetaSplit",
     "LemmaGrid",
     "PSplit",
@@ -64,60 +63,26 @@ class BetaSplit:
 
 @dataclass(frozen=True)
 class PSplit:
-    """2-adic decompositions attached to an odd prime p.
+    """2-adic valuations attached to an odd prime p.
 
-    p = 1 (mod 4):  p - 1 = 2**t * t_odd with t >= 2.
-    p = 3 (mod 4):  p**2 - 1 = 2**s * s_odd with s >= 3, and
-                    p + 1 = 2**lam * lam_odd with lam >= 2.
+    p = 1 (mod 4):  t = v2(p - 1) >= 2.
+    p = 3 (mod 4):  s = v2(p**2 - 1) >= 3 and lam = v2(p + 1) >= 2.
 
     Only the fields matching p mod 4 are populated; the others are None.
     """
 
     p: int
     t: int | None = None
-    t_odd: int | None = None
     s: int | None = None
-    s_odd: int | None = None
     lam: int | None = None
-    lam_odd: int | None = None
 
     @classmethod
     def of_prime(cls, p: int) -> "PSplit":
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         if p % 4 == 1:
-            t = v_exact(2, p - 1).exponent
-            return cls(p=p, t=t, t_odd=(p - 1) >> t)
-        s = v_exact(2, p * p - 1).exponent
-        lam = v_exact(2, p + 1).exponent
-        return cls(p=p, s=s, s_odd=(p * p - 1) >> s, lam=lam, lam_odd=(p + 1) >> lam)
-
-
-@dataclass(frozen=True)
-class AlphaSplit:
-    """alpha = (2**k - 1)**u * alpha1 with gcd(2**k - 1, alpha1) = 1.
-
-    m is the exact exponent with (2**k - 1)**m || 2**((2**k - 1) * k) - 1,
-    which is always >= 2.
-    """
-
-    k: int
-    u: int
-    alpha1: int
-    m: int
-
-    @classmethod
-    def of_alpha(cls, alpha: int, k: int, bit_cap: int | None = None) -> "AlphaSplit":
-        if alpha < 1:
-            raise ValueError(f"alpha must be >= 1, got {alpha}")
-        _require_odd_k(k)
-        d = (1 << k) - 1
-        u = 0
-        a = alpha
-        while a % d == 0:
-            a //= d
-            u += 1
-        return cls(k=k, u=u, alpha1=a, m=appr_exponent(k, bit_cap))
+            return cls(p=p, t=v_exact(2, p - 1).exponent)
+        return cls(p=p, s=v_exact(2, p * p - 1).exponent, lam=v_exact(2, p + 1).exponent)
 
 
 def _require_odd_k(k: int) -> None:

@@ -5,20 +5,17 @@ import pytest
 
 import sigmaperfect.classify as classify
 from sigmaperfect.classify import (
-    ClassificationReport,
     CrossCheckError,
     classify_point,
-    classify_theorem_main0,
-    classify_theorem_main1,
     check_lemma_f,
     derive_conditions,
     equivalence_scan,
     expected_even_perfect,
-    explore_conjecture,
     forward_implication,
     lemma41_candidates,
     run_lemma_grid,
     scan_special_forms,
+    search,
     verify_lemma410,
 )
 from sigmaperfect.exactint import geometric_sum
@@ -61,6 +58,17 @@ def test_equivalence_scan_small():
         equivalence_scan(4)
 
 
+def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
+    monkeypatch.setattr(classify, "divides_sigma", lambda f, bit_cap=None: True)
+    with pytest.raises(CrossCheckError, match="equivalence failed"):
+        equivalence_scan(100, ks=(5,))
+
+
+def test_equivalence_scan_trips_on_odd_beta_first_condition(odd_beta_first_condition):
+    with pytest.raises(CrossCheckError, match="odd beta"):
+        equivalence_scan(100, ks=(5,))
+
+
 def test_classify_point_cross_check_trips_on_bad_oracle(monkeypatch):
     # force the direct route to lie; the engine must refuse to continue
     monkeypatch.setattr(classify, "divides_sigma", lambda f, bit_cap=None: True)
@@ -101,21 +109,28 @@ def test_expected_even_perfect():
 
 
 def test_theorem_beta2_searches():
-    assert [r.form.n() for r in classify_theorem_main0(5, 13)] == [6, 28, 8128, 33550336]
-    assert [r.form.n() for r in classify_theorem_main0(3, 13)] == [6, 496, 8128, 33550336]
-    assert [r.form.n() for r in classify_theorem_main0(7, 10)] == [6, 28, 496]
+    for k, alpha_max, ns in (
+        (5, 13, [6, 28, 8128, 33550336]),
+        (3, 13, [6, 496, 8128, 33550336]),
+        (7, 10, [6, 28, 496]),
+    ):
+        outcome = search(k, alpha_max, 2)
+        assert outcome.mode == "theorem" and outcome.matches
+        assert [r.form.n() for r in outcome.reports] == ns
     with pytest.raises(ValueError):
-        classify_theorem_main0(11, 8)  # k must give a Mersenne prime
+        search(11, 8, 2)  # k must give a Mersenne prime
 
 
 def test_excluded_perfect_never_reported_for_own_k():
     for k, alpha_max in ((3, 8), (5, 8), (7, 8)):
-        ns = {r.form.n() for r in classify_theorem_main0(k, alpha_max)}
+        ns = {r.form.n() for r in search(k, alpha_max, 2).reports}
         assert (1 << (k - 1)) * ((1 << k) - 1) not in ns
 
 
 def test_theorem_full_beta_search_small():
-    reports = classify_theorem_main1(8, 8)
+    outcome = search(5, 8, 8)
+    assert outcome.mode == "theorem" and outcome.matches
+    reports = outcome.reports
     assert [r.form.n() for r in reports] == [6, 28, 8128]
     assert all(r.form.beta == 2 for r in reports)
     assert all(r.perfect and not r.excluded_perfect for r in reports)
@@ -134,13 +149,15 @@ def test_full_scan_statistics_and_slices():
 
 
 def test_explore_conjecture_small_grids():
-    ns7 = [r.form.n() for r in explore_conjecture(7, 8, 6)]
-    assert ns7 == expected_even_perfect(7, 8)
-    ns13 = [r.form.n() for r in explore_conjecture(13, 6, 4)]
-    assert ns13 == expected_even_perfect(13, 6)
-    # reproduces the proven k = 3 statement on its grid
-    ns3 = [r.form.n() for r in explore_conjecture(3, 8, 6)]
-    assert ns3 == expected_even_perfect(3, 8)
+    # k = 3 reproduces the proven statement on its grid
+    for k, alpha_max, beta_max, mode in (
+        (7, 8, 6, "conjecture"),
+        (13, 6, 4, "conjecture"),
+        (3, 8, 6, "theorem"),
+    ):
+        outcome = search(k, alpha_max, beta_max)
+        assert outcome.mode == mode and outcome.matches
+        assert [r.form.n() for r in outcome.reports] == expected_even_perfect(k, alpha_max)
 
 
 def test_worker_count_does_not_change_results():
@@ -154,7 +171,7 @@ def test_worker_count_does_not_change_results():
             ]
         )
     assert dump(solo) == dump(duo)
-    assert solo == duo  # elapsed is excluded from report equality
+    assert solo == duo
     assert stats_solo == stats_duo
 
 
@@ -212,9 +229,3 @@ def test_run_lemma_grid_smoke_and_unknown_tag():
     with pytest.raises(ValueError):
         run_lemma_grid("nope", small)
 
-
-def test_report_equality_ignores_elapsed():
-    f = SpecialForm(alpha=2, p=3, beta=2, k=5)
-    a = ClassificationReport(form=f, divides=True, perfect=True, excluded_perfect=False, elapsed=1.0)
-    b = ClassificationReport(form=f, divides=True, perfect=True, excluded_perfect=False, elapsed=2.0)
-    assert a == b

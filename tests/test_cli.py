@@ -1,9 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
+import sigmaperfect.classify as classify
 import sigmaperfect.cli as cli
-from sigmaperfect.cli import SearchConfig, main, parse_run_record
+from sigmaperfect.classify import PRUNE_ORDER, ClassificationReport
+from sigmaperfect.cli import RunRecord, SearchConfig, main, parse_run_record
+from sigmaperfect.sigma import SpecialForm
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +140,7 @@ def test_search_human_format(capsys):
 
 def test_search_out_file(tmp_path, capsys):
     target = tmp_path / "run.jsonl"
+    target.write_text("a longer stale record that the new one must fully replace\n" * 50)
     code, out, _ = run_cli(
         capsys,
         "search", "--k", "5", "--alpha-max", "6", "--beta-max", "2", "--out", str(target),
@@ -146,7 +151,7 @@ def test_search_out_file(tmp_path, capsys):
 
 
 def test_search_reports_internal_discrepancy(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "expected_even_perfect", lambda k, amax: [6, 28, 999])
+    monkeypatch.setattr(classify, "expected_even_perfect", lambda k, amax: [6, 28, 999])
     code, _, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"
     )
@@ -154,15 +159,71 @@ def test_search_reports_internal_discrepancy(monkeypatch, capsys):
     assert "discrepancy" in err and "implementation bug" in err
 
 
+def test_search_reports_conjecture_finding(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "expected_even_perfect", lambda k, amax: [6, 28, 999])
+    code, out, err = run_cli(
+        capsys, "search", "--k", "7", "--alpha-max", "6", "--beta-max", "4"
+    )
+    assert code == 2
+    assert "discrepancy at k=7 (conjecture finding)" in err
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["mode"] == "conjecture" and summary["matches_expected"] is False
+
+
 def test_search_exits_nonzero_on_route_disagreement(monkeypatch, capsys):
     # a lying divisibility route must force a nonzero exit, whatever the solutions
-    import sigmaperfect.classify as classify
-
     monkeypatch.setattr(classify, "divides_sigma", lambda f, bit_cap=None: False)
     code, _, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"
     )
     assert code == 2 and "cross-check failure" in err
+
+
+def test_search_exits_nonzero_on_odd_beta_first_condition(odd_beta_first_condition, capsys):
+    code, _, err = run_cli(
+        capsys, "search", "--k", "5", "--alpha-max", "4", "--beta-max", "3"
+    )
+    assert code == 2 and "cross-check failure" in err and "odd beta" in err
+
+
+def test_search_exits_nonzero_on_pruned_solution(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "_pruned_by", lambda f: "parity")
+    code, _, err = run_cli(
+        capsys, "search", "--k", "5", "--alpha-max", "4", "--beta-max", "2"
+    )
+    assert code == 2 and "cross-check failure" in err and "contradicts" in err
+
+
+def test_search_rejects_empty_exponent_selection(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "search", "--k", "all-mersenne-upto-2")
+    assert code == 2 and out == "" and "error:" in err
+    config = tmp_path / "empty.conf"
+    config.write_text("k=all-mersenne-upto-2\n")
+    code, out, err = run_cli(capsys, "search", "--config", str(config))
+    assert code == 2 and out == "" and "error:" in err
+
+
+def _refuse_scan(*args, **kwargs):
+    raise AssertionError("the grid must not be scanned")
+
+
+def test_search_unwritable_out_fails_before_scanning(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(classify, "scan_special_forms", _refuse_scan)
+    target = tmp_path / "missing" / "run.jsonl"
+    code, out, err = run_cli(capsys, "search", "--k", "5", "--out", str(target))
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_search_failure_keeps_existing_out_file(tmp_path, monkeypatch, capsys):
+    def failing_scan(*args, **kwargs):
+        raise classify.CrossCheckError("injected")
+
+    monkeypatch.setattr(classify, "scan_special_forms", failing_scan)
+    target = tmp_path / "run.jsonl"
+    target.write_text("previous record\n")
+    code, _, err = run_cli(capsys, "search", "--k", "5", "--out", str(target))
+    assert code == 2 and "cross-check failure" in err
+    assert target.read_text() == "previous record\n"
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -197,6 +258,45 @@ def test_search_config_round_trip():
         SearchConfig(format="yaml")
 
 
+search_configs = st.builds(
+    SearchConfig,
+    k=st.one_of(
+        st.integers(min_value=-10, max_value=10**6).map(str),
+        st.integers(min_value=3, max_value=40).map(lambda n: f"all-mersenne-upto-{n}"),
+    ),
+    alpha_max=st.integers(min_value=2, max_value=10**6),
+    beta_max=st.integers(min_value=2, max_value=10**6),
+    workers=st.integers(min_value=1, max_value=64),
+    bit_cap=st.integers(min_value=-(10**12), max_value=10**12),
+    output_path=st.text(),
+    format=st.sampled_from(cli.FORMATS),
+)
+
+reports = st.builds(
+    ClassificationReport,
+    form=st.builds(
+        SpecialForm,
+        alpha=st.integers(min_value=2, max_value=200),
+        p=st.sampled_from([3, 5, 7, 31, 127, 8191]),
+        beta=st.integers(min_value=2, max_value=200),
+        k=st.sampled_from([2, 3, 5, 7, 13]),
+    ),
+    divides=st.booleans(),
+    perfect=st.booleans(),
+    excluded_perfect=st.booleans(),
+    pruned_by=st.sampled_from([None, *PRUNE_ORDER]),
+)
+
+
+@given(search_configs, st.lists(reports, max_size=5), st.text(), st.text(), st.text())
+def test_run_record_round_trip(config, report_list, version, started, finished):
+    record = RunRecord(
+        config=config, reports=report_list, tool_version=version, started=started,
+        finished=finished,
+    )
+    assert parse_run_record(cli.render_json_lines(record, [])) == record
+
+
 def test_verify_theorem_command(capsys):
     code, out, _ = run_cli(capsys, "verify-theorem", "--k", "5", "--alpha-max", "8")
     assert code == 0 and "{6, 28, 8128}" in out
@@ -212,6 +312,20 @@ def test_verify_theorem_command(capsys):
         capsys, "verify-theorem", "--k", "7", "--alpha-max", "6", "--beta-max", "4"
     )
     assert code != 0 and "only proved" in err
+
+
+def test_verify_theorem_trips_on_solution_set_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "expected_even_perfect", lambda k, amax: [6, 28, 999])
+    code, out, err = run_cli(capsys, "verify-theorem", "--k", "5", "--alpha-max", "6")
+    assert code == 2 and out == ""
+    assert "cross-check failure" in err and "differs from predicted" in err
+
+
+def test_verify_theorem_trips_on_non_perfect_solution(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "is_even_perfect", lambda n: False)
+    code, out, err = run_cli(capsys, "verify-theorem", "--k", "5", "--alpha-max", "6")
+    assert code == 2 and out == ""
+    assert "cross-check failure" in err and "non-perfect or excluded" in err
 
 
 def test_check_lemma_command(capsys):

@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 
 from sigmaperfect.exactint import (
     OperandSizeError,
-    Rational,
     Valuation,
     checked_pow,
     geometric_sum,
-    modpow,
     v_exact,
 )
 
@@ -26,13 +24,6 @@ def naive_valuation(q: int, x: int) -> int:
 
 def naive_geometric(b: int, m: int) -> int:
     return sum(b**i for i in range(m))
-
-
-def naive_modpow(b: int, e: int, m: int) -> int:
-    out = 1 % m
-    for _ in range(e):
-        out = out * b % m
-    return out
 
 
 def test_v_exact_frozen_values():
@@ -88,28 +79,6 @@ def test_geometric_sum_rejects_bad_inputs():
         geometric_sum(2, 0)
 
 
-def test_modpow_frozen_values():
-    assert modpow(2, 10, 1000) == 24
-    assert modpow(7, 0, 5) == 1
-    assert modpow(31, 5, 496) == naive_modpow(31, 5, 496) == 31
-
-
-@given(
-    st.integers(min_value=0, max_value=500),
-    st.integers(min_value=0, max_value=200),
-    st.integers(min_value=2, max_value=500),
-)
-def test_modpow_matches_naive(b, e, m):
-    assert modpow(b, e, m) == naive_modpow(b, e, m)
-
-
-def test_modpow_rejects_small_modulus():
-    with pytest.raises(ValueError):
-        modpow(3, 4, 1)
-    with pytest.raises(ValueError):
-        modpow(3, 4, 0)
-
-
 def test_checked_pow_guard():
     assert checked_pow(2, 100) == 2**100
     with pytest.raises(OperandSizeError):
@@ -122,10 +91,11 @@ def test_checked_pow_guard():
 
 
 def test_rational_is_reduced_eagerly():
-    r = Rational(6, 4)
+    # the properties the package relies on from fractions.Fraction
+    r = Fraction(6, 4)
     assert (r.numerator, r.denominator) == (3, 2)
-    assert Rational(-6, 4).denominator == 2  # denominator stays positive
-    assert Rational(8, 4) == 2 and Rational(8, 4).denominator == 1
+    assert Fraction(-6, 4).denominator == 2  # denominator stays positive
+    assert Fraction(8, 4) == 2 and Fraction(8, 4).denominator == 1
 
 
 @given(

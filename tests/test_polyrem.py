@@ -65,9 +65,14 @@ def test_division_reconstructs_dividend(fc, gc):
     if g.is_zero:
         return
     result = divmod_poly(f, g)
-    assert g * result.quotient + result.remainder == f
-    if not result.remainder.is_zero:
-        assert result.remainder.degree < g.degree
+    q, r = result.quotient, result.remainder
+    # deg(g*q + r) <= max(deg f, deg g - 1), so agreeing at this many
+    # distinct points makes f and g*q + r the same polynomial
+    assert q.is_zero or q.degree == f.degree - g.degree
+    if not r.is_zero:
+        assert r.degree < g.degree
+    for x in range(max(len(f.coeffs), len(g.coeffs))):
+        assert eval_poly(f, x) == eval_poly(g, x) * eval_poly(q, x) + eval_poly(r, x)
 
 
 def test_eval_poly():

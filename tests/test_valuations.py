@@ -4,7 +4,6 @@ import pytest
 
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
-    AlphaSplit,
     BetaSplit,
     PSplit,
     Scenario,
@@ -47,12 +46,12 @@ def test_beta_split():
 
 def test_p_split_residue_classes():
     s5 = PSplit.of_prime(5)
-    assert (s5.t, s5.t_odd) == (2, 1)
+    assert s5.t == 2
     assert s5.s is None and s5.lam is None
     s7 = PSplit.of_prime(7)
     assert s7.t is None
-    assert (s7.s, s7.s_odd) == (4, 3)  # 48 = 16 * 3
-    assert (s7.lam, s7.lam_odd) == (3, 1)
+    assert s7.s == 4  # 48 = 16 * 3
+    assert s7.lam == 3
     with pytest.raises(ValueError):
         PSplit.of_prime(9)
     for p in primes_upto(500):
@@ -60,21 +59,10 @@ def test_p_split_residue_classes():
             continue
         s = PSplit.of_prime(p)
         if p % 4 == 1:
-            assert s.t >= 2 and (1 << s.t) * s.t_odd == p - 1 and s.t_odd % 2 == 1
+            assert s.t >= 2 and divide_out_twos(p - 1) == s.t
         else:
-            assert s.s >= 3 and (1 << s.s) * s.s_odd == p * p - 1 and s.s_odd % 2 == 1
-            assert s.lam >= 2 and (1 << s.lam) * s.lam_odd == p + 1 and s.lam_odd % 2 == 1
-
-
-def test_alpha_split():
-    s = AlphaSplit.of_alpha(49, 3)  # 49 = 7^2
-    assert (s.u, s.alpha1) == (2, 1)
-    assert s.m >= 2
-    s = AlphaSplit.of_alpha(21, 3)  # 21 = 7 * 3
-    assert (s.u, s.alpha1) == (1, 3)
-    assert ((1 << s.k) - 1) ** s.u * s.alpha1 == 21
-    for k in (3, 5, 7):
-        assert AlphaSplit.of_alpha(10, k).m >= 2
+            assert s.s >= 3 and divide_out_twos(p * p - 1) == s.s
+            assert s.lam >= 2 and divide_out_twos(p + 1) == s.lam
 
 
 def test_exactly_divides_handles_composite_divisors():
@@ -139,7 +127,7 @@ def test_appr_small_grid():
 def test_appr2_bound():
     for k in (3, 5, 7):
         assert check_appr2_bound(k)
-        assert appr_exponent(k) < (1 << k)
+        assert 2 <= appr_exponent(k) < (1 << k)
 
 
 def test_tv_frozen_values():
