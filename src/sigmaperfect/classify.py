@@ -17,6 +17,8 @@ from __future__ import annotations
 import multiprocessing
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 from typing import Iterable, Iterator
 
 from .exactint import checked_pow, geometric_sum
@@ -168,21 +170,160 @@ def _p_bound_primes(alpha: int) -> list[int]:
     return primes_upto(3 * (1 << (alpha - 1)) - 2)[1:]
 
 
-def _scan_alpha(task: tuple[int, int, int, int | None]):
-    k, alpha, beta_max, bit_cap = task
+def _first_alpha(p: int) -> int:
+    """The least alpha >= 2 whose p-bound admits the odd prime p, i.e. the
+    least alpha with 3 * 2**(alpha-1) > p + 1."""
+    return ((p + 1) // 3).bit_length() + 1
+
+
+# The exhaustive scan sieves every prime under the p-bound of alpha_max:
+# at 24 that is a 25 MB sieve, and each further alpha doubles it.
+MAX_SCAN_ALPHA = 24
+
+# Contiguous prime-index ranges of about equal point count per scan; the
+# split depends only on the grid, never on the worker count.
+_SCAN_CHUNKS = 32
+
+
+def _pool_map(fn, tasks, workers, initializer=None, initargs=()):
+    """fn over tasks, in order; in-process at workers=1, else on a spawned
+    pool handing out one task at a time."""
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(workers, initializer, initargs) as pool:
+        return pool.map(fn, tasks, chunksize=1)
+
+
+def _point(alpha: int, p: int, beta: int, k: int) -> str:
+    return f"(alpha, p, beta, k) = ({alpha}, {p}, {beta}, {k})"
+
+
+def _direct_row(
+    two_parts: list[int], p_part: int, p_power: int, alphas: range
+) -> list[bool]:
+    """Direct route over one row: n | sigma_k(n) at each alpha, where
+    sigma_k(n) = two_parts[alpha] * p_part and n = p_power * 2**(alpha-1)."""
+    return [two_parts[a] * p_part % (p_power << (a - 1)) == 0 for a in alphas]
+
+
+def _conditions_row(
+    p: int, k: int, beta: int, p_power: int, alphas: range
+) -> tuple[list[bool], list[bool]]:
+    """Condition route over one row, by modular exponentiation only:
+    condition 1 is p**(beta*k) = 1 (mod (p**k - 1) * 2**(alpha-1)) and
+    condition 2 is 2**(alpha*k) = 1 (mod (2**k - 1) * p**(beta-1)). Both
+    moduli exceed 1, so pow(...) == 1 is exact divisibility."""
+    m1 = p**k - 1
+    m2 = ((1 << k) - 1) * p_power
+    cond1 = [pow(p, beta * k, m1 << (a - 1)) == 1 for a in alphas]
+    cond2 = [pow(2, a * k, m2) == 1 for a in alphas]
+    return cond1, cond2
+
+
+def _verdict_row(
+    p: int, k: int, beta: int, v: int | None, bounds: dict[int, bool]
+) -> str | None:
+    """_pruned_by for every point of row (p, beta) of the scan.
+
+    v is v2(beta) for even beta. bounds caches bound_u1 or bound_v3 by v
+    for this p. The quartic pruner needs no alpha: every scanned point
+    satisfies the p-bound.
+    """
+    if beta % 2:
+        return "parity"
+    if p == (1 << k) - 1:
+        return "f"
+    if v not in bounds:
+        bounds[v] = bound_u1(p, k, v) if p % 4 == 1 else bound_v3(p, k, v)
+    if p % 4 == 1:
+        return None if bounds[v] else "u1"
+    if not bounds[v]:
+        return "v3"
+    if not trichotomy_3mod4(p, k, beta):
+        return "trichotomy"
+    if k == 5 and beta == 4:
+        return "v10"
+    return None
+
+
+def _raise_route_failure(
+    p: int, beta: int, k: int, alphas: range,
+    divides: list[bool], cond1: list[bool], cond2: list[bool],
+) -> None:
+    """Raise for the first point of a row failing a route check, in
+    classify_point's order: routes disagree, then condition 1 at odd beta."""
+    for alpha, d, c1, c2 in zip(alphas, divides, cond1, cond2):
+        if d != (c1 and c2):
+            raise CrossCheckError(
+                f"conditions disagree with direct divisibility at "
+                f"{_point(alpha, p, beta, k)}: divides={d}, cond1={c1}, cond2={c2}"
+            )
+        if c1 and beta % 2:
+            raise CrossCheckError(
+                f"first condition held with odd beta at "
+                f"{_point(alpha, p, beta, k)}: cond1={c1}, cond2={c2}"
+            )
+
+
+def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
+    """Scan the rows of one prime range. A row is one prime p and one beta,
+    over every alpha whose p-bound admits p; the p-part and p**(beta-1) are
+    extended across beta, the pruner verdict is taken once per row, and
+    every point still goes through all three routes and cross-checks."""
+    k, alpha_max, beta_max, two_parts, primes = task
     solutions: list[ClassificationReport] = []
     points = pruned = scenario1 = 0
-    for p in _p_bound_primes(alpha):
+    excluded = (1 << (k - 1)) * ((1 << k) - 1)
+    v_of = {beta: BetaSplit.of_beta(beta).v for beta in range(2, beta_max + 1, 2)}
+    for p in primes:
+        alphas = range(_first_alpha(p), alpha_max + 1)
+        q = p**k
+        p_part = p_power = 1
+        bounds: dict[int, bool] = {}
         for beta in range(2, beta_max + 1):
-            report = classify_point(SpecialForm.trusted(alpha, p, beta, k), bit_cap)
-            points += 1
-            if report.pruned_by is not None:
-                pruned += 1
+            p_part = p_part * q + 1  # 1 + q + ... + q**(beta-1), by Horner
+            p_power *= p
+            divides = _direct_row(two_parts, p_part, p_power, alphas)
+            cond1, cond2 = _conditions_row(p, k, beta, p_power, alphas)
+            if divides != list(map(and_, cond1, cond2)) or (beta % 2 and True in cond1):
+                _raise_route_failure(p, beta, k, alphas, divides, cond1, cond2)
+            verdict = _verdict_row(p, k, beta, v_of.get(beta), bounds)
+            points += len(alphas)
+            if verdict is not None:
+                pruned += len(alphas)
             if p == k and beta % 2 == 0 and p % 4 == 3:
-                scenario1 += 1
-            if report.divides:
-                solutions.append(report)
+                scenario1 += len(alphas)
+            for alpha in compress(alphas, divides):
+                if verdict is not None:
+                    raise CrossCheckError(
+                        f"pruner {verdict!r} contradicts a found solution at "
+                        f"{_point(alpha, p, beta, k)}: divides=True"
+                    )
+                f = SpecialForm.trusted(alpha, p, beta, k)
+                n = f.n()
+                solutions.append(
+                    ClassificationReport(
+                        form=f, divides=True, perfect=is_even_perfect(n),
+                        excluded_perfect=n == excluded,
+                    )
+                )
     return solutions, points, pruned, scenario1
+
+
+def _prime_ranges(primes: list[int], alpha_max: int, parts: int) -> list[list[int]]:
+    """Split the ascending primes into at most parts contiguous ranges of
+    about equal point count (a prime has one point per admitted alpha)."""
+    weights = [alpha_max - _first_alpha(p) + 1 for p in primes]
+    total = sum(weights)
+    ranges: list[list[int]] = []
+    start = acc = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if acc * parts >= total * (len(ranges) + 1):
+            ranges.append(primes[start : i + 1])
+            start = i + 1
+    return ranges
 
 
 def scan_special_forms(
@@ -196,21 +337,34 @@ def scan_special_forms(
     prime under the p-bound, 2 <= beta <= beta_max; return the solutions
     sorted by n, plus scan statistics.
 
-    The grid is partitioned by alpha across workers; each worker is pure
-    on its slice and the merge is a deterministic sort, so worker count
-    never changes the result.
+    Every point is checked along the direct route, the two conditions and
+    the pruners, with the same cross-checks as classify_point, which stays
+    as the tested reference. The operand cap is checked up front on the
+    grid's largest operands: the checks are monotone in alpha, p and beta,
+    so this refuses exactly when some point would. The grid is split by
+    prime ranges that do not depend on the worker count, and the merge is
+    a sort, so worker count never changes the result.
     """
     _require_search_k(k)
     if alpha_max < 2 or beta_max < 2:
         raise ValueError("alpha_max and beta_max must be >= 2")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    tasks = [(k, alpha, beta_max, bit_cap) for alpha in range(2, alpha_max + 1)]
-    if workers == 1:
-        chunks = [_scan_alpha(t) for t in tasks]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            chunks = pool.map(_scan_alpha, tasks)
+    if alpha_max > MAX_SCAN_ALPHA:
+        raise ValueError(
+            f"alpha_max={alpha_max} exceeds the exhaustive scan's limit of {MAX_SCAN_ALPHA}: "
+            f"its p-bound sieve would hold {3 << (alpha_max - 1)} entries"
+        )
+    primes = _p_bound_primes(alpha_max)
+    two_parts = [0, 0] + [geometric_sum(1 << k, a, bit_cap) for a in range(2, alpha_max + 1)]
+    # The widest p-part, built as classify_point would; the kernel builds
+    # the others with unchecked arithmetic.
+    geometric_sum(checked_pow(primes[-1], k, bit_cap), beta_max, bit_cap)
+    tasks = [
+        (k, alpha_max, beta_max, two_parts, chunk)
+        for chunk in _prime_ranges(primes, alpha_max, _SCAN_CHUNKS)
+    ]
+    chunks = _pool_map(_scan_rows, tasks, workers)
     reports = sorted(
         (r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n()
     )
@@ -398,14 +552,7 @@ def equivalence_scan(
             for start in range(lo_idx, hi_idx, chunk):
                 tasks.append((k, alpha, start, min(start + chunk, hi_idx), n_limit))
         alpha += 1
-    if workers == 1:
-        counts = [_equivalence_chunk(t) for t in tasks]
-    else:
-        with multiprocessing.Pool(
-            workers, initializer=_equivalence_init, initargs=(prime_limit,)
-        ) as pool:
-            counts = pool.map(_equivalence_chunk, tasks)
-    return sum(counts)
+    return sum(_pool_map(_equivalence_chunk, tasks, workers, _equivalence_init, (prime_limit,)))
 
 
 # ---------------------------------------------------------------------------

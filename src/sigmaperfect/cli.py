@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from . import __version__
@@ -36,6 +36,9 @@ ENV_CONFIG = "SIGMAPERFECT_CONFIG"
 FORMATS = ("json-lines", "csv", "human")
 
 _ALL_MERSENNE_PREFIX = "all-mersenne-upto-"
+# all-mersenne-upto-K runs Lucas-Lehmer on every prime up to K: about half
+# a second at K = 1279 (a Mersenne exponent), seven times that at K = 2203.
+MAX_MERSENNE_BOUND = 1279
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,23 @@ class SearchConfig:
             raise ValueError("workers must be >= 1")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {', '.join(FORMATS)}")
-        if not self.exponents():  # also fails fast on an unparsable k
+        # Selected once per config; also fails fast on an unparsable k.
+        object.__setattr__(self, "_exponents", tuple(self._select_exponents()))
+        if not self._exponents:
             raise ValueError(f"k={self.k} selects no exponent > 2")
 
-    def exponents(self) -> list[int]:
+    def _select_exponents(self) -> list[int]:
         if self.k.startswith(_ALL_MERSENNE_PREFIX):
             bound = int(self.k[len(_ALL_MERSENNE_PREFIX):])
+            if bound > MAX_MERSENNE_BOUND:
+                raise ValueError(
+                    f"k={self.k}: all-mersenne-upto-K is limited to K <= {MAX_MERSENNE_BOUND}"
+                )
             return [q for q in mersenne_exponents_upto(bound) if q > 2]
         return [int(self.k)]
+
+    def exponents(self) -> list[int]:
+        return list(self._exponents)
 
     def render(self) -> str:
         """Flat key=value text, one field per line; parse() inverts it."""
@@ -72,28 +84,33 @@ class SearchConfig:
 
     @classmethod
     def parse(cls, text: str) -> "SearchConfig":
-        values: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"malformed config line: {raw!r}")
-            values[key.strip()] = value.strip()
-        unknown = values.keys() - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls.from_strings(values)
+        return cls.from_strings(_config_values(text))
 
     @classmethod
-    def from_strings(cls, values: dict[str, str]) -> "SearchConfig":
-        """Build from field name -> text; missing fields keep their defaults."""
+    def from_strings(cls, values: dict[str, str | int]) -> "SearchConfig":
+        """Build from field name -> text (or int); missing fields keep their defaults."""
         return cls(**{
             f.name: int(values[f.name]) if f.type == "int" else values[f.name]
             for f in fields(cls)
             if f.name in values
         })
+
+
+def _config_values(text: str) -> dict[str, str]:
+    """Field name -> text from flat key=value config text."""
+    values: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ValueError(f"malformed config line: {raw!r}")
+        values[key.strip()] = value.strip()
+    unknown = values.keys() - {f.name for f in fields(SearchConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return values
 
 
 @dataclass
@@ -232,17 +249,18 @@ def cmd_sigma(args: argparse.Namespace) -> int:
 
 
 def _load_search_config(args: argparse.Namespace) -> SearchConfig:
-    config = SearchConfig()
+    """Defaults, then the config file, then flags, merged before the one
+    SearchConfig is built, so its exponents are selected once."""
+    values: dict[str, str | int] = {}
     path = args.config or os.environ.get(ENV_CONFIG)
     if path:
         with open(path, encoding="utf-8") as fh:
-            config = SearchConfig.parse(fh.read())
-    overrides = {}
+            values.update(_config_values(fh.read()))
     for f in fields(SearchConfig):
         value = getattr(args, "out" if f.name == "output_path" else f.name, None)
         if value is not None:
-            overrides[f.name] = value
-    return replace(config, **overrides) if overrides else config
+            values[f.name] = value
+    return SearchConfig.from_strings(values)
 
 
 def _summary(outcome: SearchOutcome) -> dict:

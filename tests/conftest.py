@@ -19,3 +19,20 @@ def odd_beta_first_condition(monkeypatch):
         return conditions
 
     monkeypatch.setattr(classify, "derive_conditions", lying)
+
+
+@pytest.fixture
+def odd_beta_first_condition_row(monkeypatch):
+    """The row kernel's counterpart of odd_beta_first_condition: condition 1
+    holds and condition 2 fails on every odd-beta row. No odd-beta point
+    divides, so the direct and condition routes still agree and only the
+    odd-beta check can fire."""
+    real = classify._conditions_row
+
+    def lying(p, k, beta, p_power, alphas):
+        cond1, cond2 = real(p, k, beta, p_power, alphas)
+        if beta % 2:
+            return [True] * len(cond1), [False] * len(cond2)
+        return cond1, cond2
+
+    monkeypatch.setattr(classify, "_conditions_row", lying)

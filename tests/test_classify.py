@@ -2,10 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sigmaperfect.classify as classify
 from sigmaperfect.classify import (
+    PRUNE_ORDER,
     CrossCheckError,
+    GridStats,
     classify_point,
     check_lemma_f,
     derive_conditions,
@@ -18,7 +21,7 @@ from sigmaperfect.classify import (
     search,
     verify_lemma410,
 )
-from sigmaperfect.exactint import geometric_sum
+from sigmaperfect.exactint import OperandSizeError, geometric_sum
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.sigma import SpecialForm, divides_sigma, is_even_perfect, sigma_k
 from sigmaperfect.valuations import LemmaGrid
@@ -162,7 +165,6 @@ def test_explore_conjecture_small_grids():
 
 def test_worker_count_does_not_change_results():
     solo, stats_solo = scan_special_forms(5, 7, beta_max=6, workers=1)
-    duo, stats_duo = scan_special_forms(5, 7, beta_max=6, workers=2)
     def dump(reports):
         return json.dumps(
             [
@@ -170,9 +172,129 @@ def test_worker_count_does_not_change_results():
                 for r in reports
             ]
         )
-    assert dump(solo) == dump(duo)
-    assert solo == duo
-    assert stats_solo == stats_duo
+    for workers in (2, 3):
+        many, stats_many = scan_special_forms(5, 7, beta_max=6, workers=workers)
+        assert dump(solo) == dump(many)
+        assert solo == many
+        assert stats_solo == stats_many
+
+
+def _grid(alpha_max, beta_max):
+    """(alpha, p, beta) over the scan grid, p under the p-bound of alpha."""
+    for alpha in range(2, alpha_max + 1):
+        for p in primes_upto(3 * (1 << (alpha - 1)) - 2)[1:]:
+            for beta in range(2, beta_max + 1):
+                yield alpha, p, beta
+
+
+def reference_scan(k, alpha_max, beta_max, bit_cap=None):
+    """scan_special_forms as a plain classify_point loop: the reference."""
+    reports = []
+    points = pruned = scenario1 = 0
+    for alpha, p, beta in _grid(alpha_max, beta_max):
+        report = classify_point(SpecialForm(alpha=alpha, p=p, beta=beta, k=k), bit_cap)
+        points += 1
+        pruned += report.pruned_by is not None
+        scenario1 += p == k and beta % 2 == 0 and p % 4 == 3
+        if report.divides:
+            reports.append(report)
+    return sorted(reports, key=lambda r: r.form.n()), GridStats(points, pruned, scenario1)
+
+
+@settings(max_examples=50, deadline=None)
+@example(k=3, alpha_max=6, beta_max=6)  # f row p = 7, scenario-1 points p = k = 3
+@example(k=5, alpha_max=7, beta_max=5)  # f row p = 31, the v10 row beta = 4
+@example(k=7, alpha_max=8, beta_max=4)  # f row p = 127, scenario-1 points p = k = 7
+@given(
+    k=st.sampled_from((3, 5, 7, 13)),
+    alpha_max=st.integers(min_value=2, max_value=9),
+    beta_max=st.integers(min_value=2, max_value=8),
+)
+def test_scan_matches_classify_point_reference(k, alpha_max, beta_max):
+    assert scan_special_forms(k, alpha_max, beta_max) == reference_scan(k, alpha_max, beta_max)
+
+
+def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch):
+    calls = {"_direct_row": [], "_conditions_row": [], "_verdict_row": []}
+    for name, log in calls.items():
+        def recording(*args, _real=getattr(classify, name), _log=log):
+            result = _real(*args)
+            _log.append((args, result))
+            return result
+        monkeypatch.setattr(classify, name, recording)
+    alpha_max, beta_max = 11, 10
+    tags = set()
+    for k in (3, 5, 7):
+        for log in calls.values():
+            log.clear()
+        scan_special_forms(k, alpha_max, beta_max)
+        grid = list(_grid(alpha_max, beta_max))
+        rows = {(p, beta) for _, p, beta in grid}
+        verdicts = {(args[0], args[2]): verdict for args, verdict in calls["_verdict_row"]}
+        assert len(calls["_verdict_row"]) == len(verdicts) == len(rows)
+        assert len(calls["_direct_row"]) == len(calls["_conditions_row"]) == len(rows)
+        for alpha, p, beta in grid:
+            assert verdicts[p, beta] == classify._pruned_by(SpecialForm(alpha, p, beta, k))
+        tags |= set(verdicts.values())
+    assert tags == {None, *PRUNE_ORDER}
+
+
+def _refuses(scan, *args) -> bool:
+    try:
+        scan(*args)
+    except OperandSizeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("k, alpha_max, beta_max", [(3, 6, 6), (5, 7, 5), (13, 5, 3)])
+def test_bit_cap_preflight_refuses_exactly_when_reference_does(k, alpha_max, beta_max):
+    # the widest operand a point builds: p**k, (p**k)**beta and (2**k)**alpha
+    widest = max(
+        max(k * p.bit_length(), beta * (p**k).bit_length(), alpha * (k + 1))
+        for alpha, p, beta in _grid(alpha_max, beta_max)
+    )
+    for cap in (widest // 2, widest - 1, widest, widest + 1):
+        refused = _refuses(reference_scan, k, alpha_max, beta_max, cap)
+        assert refused == (cap < widest)
+        assert _refuses(scan_special_forms, k, alpha_max, beta_max, 1, cap) == refused
+
+
+def test_bit_cap_preflight_on_the_k5_benchmark_grid(monkeypatch):
+    # refused without scanning at 1000 and 1200; accepted at 1300, where
+    # the scan itself is stubbed out
+    for cap in (1000, 1200):
+        with pytest.raises(OperandSizeError):
+            scan_special_forms(5, 15, 16, bit_cap=cap)
+    monkeypatch.setattr(classify, "_scan_rows", lambda task: ([], 0, 0, 0))
+    assert scan_special_forms(5, 15, 16, bit_cap=1300) == ([], GridStats(0, 0, 0))
+
+
+def test_kernel_cross_checks_name_point_and_values(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(classify, "_direct_row", lambda *args: [False] * len(args[-1]))
+        with pytest.raises(
+            CrossCheckError,
+            match=r"disagree .* \(alpha, p, beta, k\) = \(2, 3, 2, 5\): "
+            r"divides=False, cond1=True, cond2=True",
+        ):
+            scan_special_forms(5, 4, 2)
+    with monkeypatch.context() as m:
+        m.setattr(classify, "_verdict_row", lambda *args: "u1")
+        with pytest.raises(
+            CrossCheckError,
+            match=r"pruner 'u1' contradicts .* \(alpha, p, beta, k\) = \(2, 3, 2, 5\): divides=True",
+        ):
+            scan_special_forms(5, 4, 2)
+
+
+def test_kernel_odd_beta_check_names_point_and_values(odd_beta_first_condition_row):
+    with pytest.raises(
+        CrossCheckError,
+        match=r"odd beta at \(alpha, p, beta, k\) = \(2, 3, 3, 5\): cond1=True, cond2=False",
+    ):
+        scan_special_forms(5, 4, 3)
+
 
 
 def test_verify_lemma410_and_candidates():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import sigmaperfect.classify as classify
 import sigmaperfect.cli as cli
+import sigmaperfect.primality as primality
 from sigmaperfect.classify import PRUNE_ORDER, ClassificationReport
 from sigmaperfect.cli import RunRecord, SearchConfig, main, parse_run_record
 from sigmaperfect.sigma import SpecialForm
@@ -172,14 +173,14 @@ def test_search_reports_conjecture_finding(monkeypatch, capsys):
 
 def test_search_exits_nonzero_on_route_disagreement(monkeypatch, capsys):
     # a lying divisibility route must force a nonzero exit, whatever the solutions
-    monkeypatch.setattr(classify, "divides_sigma", lambda f, bit_cap=None: False)
+    monkeypatch.setattr(classify, "_direct_row", lambda *args: [False] * len(args[-1]))
     code, _, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"
     )
     assert code == 2 and "cross-check failure" in err
 
 
-def test_search_exits_nonzero_on_odd_beta_first_condition(odd_beta_first_condition, capsys):
+def test_search_exits_nonzero_on_odd_beta_first_condition(odd_beta_first_condition_row, capsys):
     code, _, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "4", "--beta-max", "3"
     )
@@ -187,7 +188,7 @@ def test_search_exits_nonzero_on_odd_beta_first_condition(odd_beta_first_conditi
 
 
 def test_search_exits_nonzero_on_pruned_solution(monkeypatch, capsys):
-    monkeypatch.setattr(classify, "_pruned_by", lambda f: "parity")
+    monkeypatch.setattr(classify, "_verdict_row", lambda *args: "parity")
     code, _, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "4", "--beta-max", "2"
     )
@@ -201,6 +202,57 @@ def test_search_rejects_empty_exponent_selection(tmp_path, capsys):
     config.write_text("k=all-mersenne-upto-2\n")
     code, out, err = run_cli(capsys, "search", "--config", str(config))
     assert code == 2 and out == "" and "error:" in err
+
+
+def test_search_refuses_oversized_grid_before_sieving(monkeypatch, capsys):
+    def no_sieve(n):
+        raise AssertionError("the p-bound primes must not be sieved")
+
+    monkeypatch.setattr(classify, "primes_upto", no_sieve)
+    code, out, err = run_cli(capsys, "search", "--k", "5", "--alpha-max", "30")
+    assert code == 2 and out == ""
+    assert "error:" in err and f"limit of {classify.MAX_SCAN_ALPHA}" in err
+    code, _, err = run_cli(capsys, "verify-theorem", "--k", "5", "--alpha-max", "25")
+    assert code == 2 and "error:" in err
+
+
+def test_search_bit_cap_refused_before_scanning(monkeypatch, capsys):
+    # the p-part of the grid's largest point is 16 * 78 = 1248 bits wide
+    monkeypatch.setattr(classify, "_scan_rows", _refuse_scan)
+    code, out, err = run_cli(
+        capsys, "search", "--k", "5", "--alpha-max", "15", "--beta-max", "16", "--bit-cap", "1200"
+    )
+    assert code == 2 and out == "" and "operand size cap exceeded" in err
+
+
+def test_search_refuses_large_mersenne_bound_before_lucas_lehmer(monkeypatch, capsys):
+    def no_lucas_lehmer(k):
+        raise AssertionError("no Lucas-Lehmer run may start")
+
+    monkeypatch.setattr(primality, "lucas_lehmer", no_lucas_lehmer)
+    bound = cli.MAX_MERSENNE_BOUND + 1
+    code, out, err = run_cli(capsys, "search", "--k", f"all-mersenne-upto-{bound}")
+    assert code == 2 and out == "" and "error:" in err and f"K <= {cli.MAX_MERSENNE_BOUND}" in err
+    code, _, err = run_cli(capsys, "search", "--k", "all-mersenne-upto-10000")
+    assert code == 2 and "error:" in err
+
+
+def test_search_config_selects_mersenne_exponents_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = cli.mersenne_exponents_upto
+
+    def counting(bound):
+        calls.append(bound)
+        return real(bound)
+
+    monkeypatch.setattr(cli, "mersenne_exponents_upto", counting)
+    config = tmp_path / "search.conf"
+    config.write_text("k=all-mersenne-upto-7\nalpha_max=5\nbeta_max=2\n")
+    code, out, _ = run_cli(capsys, "search", "--config", str(config), "--alpha-max", "6")
+    assert code == 0
+    summaries = [json.loads(l) for l in out.splitlines() if json.loads(l)["record"] == "summary"]
+    assert [s["k"] for s in summaries] == ["3", "5", "7"]
+    assert calls == [7]
 
 
 def _refuse_scan(*args, **kwargs):
