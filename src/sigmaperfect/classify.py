@@ -15,7 +15,7 @@ of assuming it.
 from __future__ import annotations
 
 import multiprocessing
-from bisect import bisect_right
+import sys
 from dataclasses import dataclass
 from itertools import compress
 from operator import and_
@@ -185,13 +185,22 @@ MAX_SCAN_ALPHA = 24
 _SCAN_CHUNKS = 32
 
 
-def _pool_map(fn, tasks, workers, initializer=None, initargs=()):
-    """fn over tasks, in order; in-process at workers=1, else on a spawned
-    pool handing out one task at a time."""
+def _pool_map(fn, tasks, workers):
+    """fn over tasks, in order; in-process at workers=1, else on a forked
+    pool handing out one task at a time.
+
+    A forked pool starts no helper process (a spawned one starts a
+    resource tracker that lives until the interpreter exits), and leaving
+    the with-block ends every worker. Fork copies only the calling
+    thread, and the package starts no threads. Output still buffered at
+    the fork is flushed first, so that no worker can write it a second
+    time.
+    """
     if workers == 1:
         return [fn(t) for t in tasks]
-    context = multiprocessing.get_context("spawn")
-    with context.Pool(workers, initializer, initargs) as pool:
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
         return pool.map(fn, tasks, chunksize=1)
 
 
@@ -266,6 +275,19 @@ def _raise_route_failure(
             )
 
 
+def _check_row(
+    p: int, k: int, beta: int, two_parts: list[int], p_part: int, p_power: int,
+    alphas: range,
+) -> list[bool]:
+    """Run the direct and condition routes over one row and cross-check
+    them at every point; return the direct route's divides flags."""
+    divides = _direct_row(two_parts, p_part, p_power, alphas)
+    cond1, cond2 = _conditions_row(p, k, beta, p_power, alphas)
+    if divides != list(map(and_, cond1, cond2)) or (beta % 2 and True in cond1):
+        _raise_route_failure(p, beta, k, alphas, divides, cond1, cond2)
+    return divides
+
+
 def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
     """Scan the rows of one prime range. A row is one prime p and one beta,
     over every alpha whose p-bound admits p; the p-part and p**(beta-1) are
@@ -284,10 +306,7 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
         for beta in range(2, beta_max + 1):
             p_part = p_part * q + 1  # 1 + q + ... + q**(beta-1), by Horner
             p_power *= p
-            divides = _direct_row(two_parts, p_part, p_power, alphas)
-            cond1, cond2 = _conditions_row(p, k, beta, p_power, alphas)
-            if divides != list(map(and_, cond1, cond2)) or (beta % 2 and True in cond1):
-                _raise_route_failure(p, beta, k, alphas, divides, cond1, cond2)
+            divides = _check_row(p, k, beta, two_parts, p_part, p_power, alphas)
             verdict = _verdict_row(p, k, beta, v_of.get(beta), bounds)
             points += len(alphas)
             if verdict is not None:
@@ -498,30 +517,26 @@ def forward_implication(q: int, k: int, bit_cap: int | None = None) -> bool:
 # Equivalence sweep: conditions vs direct divisibility over all small forms.
 # ---------------------------------------------------------------------------
 
-_EQ_PRIMES: list[int] = []
+# Odd primes per equivalence task; tasks depend only on n_limit and ks.
+_EQ_CHUNK = 20_000
 
 
-def _equivalence_init(limit: int) -> None:
-    global _EQ_PRIMES
-    _EQ_PRIMES = primes_upto(limit)
-
-
-def _equivalence_chunk(task: tuple[int, int, int, int, int]) -> int:
-    k, alpha, lo, hi, n_limit = task
-    odd_limit = n_limit >> (alpha - 1)
+def _equivalence_rows(task: tuple[int, int, list[int], list[int]]) -> int:
+    """Check the rows of one prime range on the row kernel; return the
+    number of points. A row is one prime p and one beta with
+    p**(beta-1) <= n_limit // 2, over alpha = 2 .. bit_length(n_limit //
+    p**(beta-1)): exactly the forms with n <= n_limit. No pruners, no
+    p-bound."""
+    k, n_limit, two_parts, primes = task
     count = 0
-    for p in _EQ_PRIMES[lo:hi]:
-        p_power = p
-        beta = 2
-        while p_power <= odd_limit:
-            f = SpecialForm.trusted(alpha, p, beta, k)
-            conditions = derive_conditions(f)
-            divides = divides_sigma(f)
-            if divides != (conditions.cond_k1_holds and conditions.cond_k2_holds):
-                raise CrossCheckError(f"equivalence failed at {f}")
-            if conditions.cond_k1_holds and beta % 2:
-                raise CrossCheckError(f"first condition held with odd beta at {f}")
-            count += 1
+    for p in primes:
+        q = p**k
+        p_part, p_power, beta = 1 + q, p, 2
+        while p_power <= n_limit >> 1:
+            alphas = range(2, (n_limit // p_power).bit_length() + 1)
+            _check_row(p, k, beta, two_parts, p_part, p_power, alphas)
+            count += len(alphas)
+            p_part = p_part * q + 1  # the p-part at beta + 1, by Horner
             p_power *= p
             beta += 1
     return count
@@ -530,29 +545,34 @@ def _equivalence_chunk(task: tuple[int, int, int, int, int]) -> int:
 def equivalence_scan(
     n_limit: int, ks: Iterable[int] = (3, 5, 7), workers: int = 1
 ) -> int:
-    """Check derive_conditions against divides_sigma on every special form
-    with n <= n_limit, once per exponent in ks. Returns the number of
-    (form, k) pairs checked; raises CrossCheckError on any disagreement.
+    """Check n | sigma_k(n) against the pair of derived conditions on every
+    special form with n <= n_limit, once per exponent in ks, on the row
+    kernel: the direct route, the modular condition route and their
+    cross-checks, without pruners. derive_conditions and divides_sigma are
+    the reference it is tested against. Returns the number of (form, k)
+    pairs checked; raises CrossCheckError on any disagreement.
 
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.
+    n_limit above 3 * 2**MAX_SCAN_ALPHA is refused before sieving, since
+    its sieve of n_limit // 2 entries would exceed the exhaustive scan's.
     """
     ks = tuple(ks)
     if n_limit < 6 or not ks:
         raise ValueError("need n_limit >= 6 and at least one exponent")
-    prime_limit = n_limit >> 1
-    _equivalence_init(prime_limit)
+    if n_limit > 3 << MAX_SCAN_ALPHA:
+        raise ValueError(
+            f"n_limit={n_limit} exceeds the equivalence scan's limit of "
+            f"{3 << MAX_SCAN_ALPHA}: its sieve would hold {n_limit >> 1} entries"
+        )
+    primes = primes_upto(n_limit >> 1)[1:]
+    alphas = range(2, (n_limit // 3).bit_length() + 1)
     tasks = []
-    chunk = 20_000
-    alpha = 2
-    while (1 << (alpha - 1)) * 3 <= n_limit:
-        hi_idx = bisect_right(_EQ_PRIMES, n_limit >> (alpha - 1))
-        lo_idx = 1  # skip the prime 2
-        for k in ks:
-            for start in range(lo_idx, hi_idx, chunk):
-                tasks.append((k, alpha, start, min(start + chunk, hi_idx), n_limit))
-        alpha += 1
-    return sum(_pool_map(_equivalence_chunk, tasks, workers, _equivalence_init, (prime_limit,)))
+    for k in ks:
+        two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in alphas]
+        for start in range(0, len(primes), _EQ_CHUNK):
+            tasks.append((k, n_limit, two_parts, primes[start : start + _EQ_CHUNK]))
+    return sum(_pool_map(_equivalence_rows, tasks, workers))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +29,19 @@ from sigmaperfect.exactint import OperandSizeError, geometric_sum
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.sigma import SpecialForm, divides_sigma, is_even_perfect, sigma_k
 from sigmaperfect.valuations import LemmaGrid
+
+SRC = str(Path(classify.__file__).resolve().parents[1])
+
+
+def _run_python(code: str) -> str:
+    """Run code in a fresh interpreter that imports this sigmaperfect;
+    return its stdout, which goes to a pipe and so is block-buffered."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return proc.stdout
 
 
 def test_derive_conditions_frozen_values():
@@ -62,14 +79,121 @@ def test_equivalence_scan_small():
 
 
 def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
-    monkeypatch.setattr(classify, "divides_sigma", lambda f, bit_cap=None: True)
-    with pytest.raises(CrossCheckError, match="equivalence failed"):
+    monkeypatch.setattr(classify, "_direct_row", lambda *args: [True] * len(args[-1]))
+    with pytest.raises(
+        CrossCheckError,
+        match=r"disagree .* \(alpha, p, beta, k\) = \(3, 3, 2, 5\): "
+        r"divides=True, cond1=True, cond2=False",
+    ):
         equivalence_scan(100, ks=(5,))
 
 
-def test_equivalence_scan_trips_on_odd_beta_first_condition(odd_beta_first_condition):
-    with pytest.raises(CrossCheckError, match="odd beta"):
+def test_equivalence_scan_trips_on_odd_beta_first_condition(odd_beta_first_condition_row):
+    with pytest.raises(
+        CrossCheckError,
+        match=r"odd beta at \(alpha, p, beta, k\) = \(2, 3, 3, 5\): cond1=True, cond2=False",
+    ):
         equivalence_scan(100, ks=(5,))
+
+
+def test_equivalence_scan_refuses_oversized_limit_before_sieving(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(classify, "primes_upto", no_sieve)
+    for n_limit in ((3 << classify.MAX_SCAN_ALPHA) + 1, 10**10):
+        with pytest.raises(ValueError, match="equivalence scan's limit"):
+            equivalence_scan(n_limit)
+
+
+def _forms_upto(n_limit, ks):
+    """Every (alpha, p, beta, k) with n = 2**(alpha-1) * p**(beta-1) <= n_limit."""
+    forms = set()
+    for k in ks:
+        for p in primes_upto(n_limit)[1:]:
+            beta, p_power = 2, p
+            while 2 * p_power <= n_limit:
+                alpha = 2
+                while (1 << (alpha - 1)) * p_power <= n_limit:
+                    forms.add((alpha, p, beta, k))
+                    alpha += 1
+                beta, p_power = beta + 1, p_power * p
+    return forms
+
+
+@settings(max_examples=25, deadline=None)
+@example(n_limit=28, ks=[5])  # exactly on n = 28 = 2**2 * 7
+@example(n_limit=27, ks=[5])
+@example(n_limit=496, ks=[3])  # exactly on n = 496 = 2**4 * 31
+@example(n_limit=495, ks=[3])
+@example(n_limit=8128, ks=[2, 13])  # exactly on n = 8128 = 2**6 * 127
+@example(n_limit=8127, ks=[2, 13])
+@given(
+    n_limit=st.integers(min_value=6, max_value=30_000),
+    ks=st.lists(st.sampled_from((2, 3, 5, 7, 13)), min_size=1, max_size=5, unique=True),
+)
+def test_equivalence_rows_match_reference(n_limit, ks):
+    rows = []
+    real_direct, real_conditions = classify._direct_row, classify._conditions_row
+
+    def direct(*args):
+        divides = real_direct(*args)
+        rows.append([divides])
+        return divides
+
+    def conditions(p, k, beta, p_power, alphas):
+        cond1, cond2 = real_conditions(p, k, beta, p_power, alphas)
+        rows[-1] += [p, k, beta, alphas, cond1, cond2]
+        return cond1, cond2
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_direct_row", direct)
+        m.setattr(classify, "_conditions_row", conditions)
+        count = equivalence_scan(n_limit, ks)
+    visited = []
+    for divides, p, k, beta, alphas, cond1, cond2 in rows:
+        for alpha, d, c1, c2 in zip(alphas, divides, cond1, cond2, strict=True):
+            f = SpecialForm(alpha=alpha, p=p, beta=beta, k=k)
+            reference = derive_conditions(f)
+            assert (d, c1, c2) == (
+                divides_sigma(f), reference.cond_k1_holds, reference.cond_k2_holds
+            ), f
+            visited.append((alpha, p, beta, k))
+    forms = _forms_upto(n_limit, ks)
+    assert len(visited) == len(set(visited)) and set(visited) == forms
+    assert count == len(forms)
+
+
+def test_equivalence_scan_worker_count_does_not_change_count(monkeypatch):
+    solo = equivalence_scan(10**5, ks=(3, 5))
+    monkeypatch.setattr(classify, "_EQ_CHUNK", 1000)  # ten tasks per exponent
+    for workers in (1, 2, 3):
+        assert equivalence_scan(10**5, ks=(3, 5), workers=workers) == solo
+
+
+def test_worker_pool_leaves_no_child_process():
+    code = """
+import os
+from sigmaperfect.classify import equivalence_scan
+equivalence_scan(10**4, workers=2)
+try:
+    print(os.waitpid(-1, os.WNOHANG))  # a live or unreaped child
+except ChildProcessError:
+    print("no child")
+"""
+    out = _run_python(code)
+    assert out.splitlines()[-1] == "no child"
+
+
+def test_output_before_a_pooled_search_is_written_once():
+    code = """
+from sigmaperfect.cli import main
+print("before the search")
+main(["search", "--k", "5", "--alpha-max", "7", "--beta-max", "6", "--workers", "2"])
+"""
+    lines = _run_python(code).splitlines()
+    assert lines.count("before the search") == 1
+    assert json.loads(lines[-1])["record"] == "summary"
 
 
 def test_classify_point_cross_check_trips_on_bad_oracle(monkeypatch):
@@ -77,6 +201,17 @@ def test_classify_point_cross_check_trips_on_bad_oracle(monkeypatch):
     monkeypatch.setattr(classify, "divides_sigma", lambda f, bit_cap=None: True)
     with pytest.raises(CrossCheckError):
         classify_point(SpecialForm(alpha=3, p=5, beta=2, k=5))
+
+
+def test_classify_point_trips_on_odd_beta_first_condition(odd_beta_first_condition):
+    with pytest.raises(CrossCheckError, match="first condition held with odd beta"):
+        classify_point(SpecialForm(alpha=3, p=7, beta=3, k=5))
+
+
+def test_classify_point_trips_on_pruned_solution(monkeypatch):
+    monkeypatch.setattr(classify, "_pruned_by", lambda f: "u1")
+    with pytest.raises(CrossCheckError, match="pruner 'u1' contradicts"):
+        classify_point(SpecialForm(alpha=3, p=7, beta=2, k=5))
 
 
 def test_classify_point_outside_p_bound_is_sound():
