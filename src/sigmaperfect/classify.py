@@ -26,7 +26,6 @@ from .polyrem import lemma41_scaled_remainder
 from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
-    BetaSplit,
     LemmaGrid,
     bound_u1,
     bound_v3,
@@ -38,6 +37,7 @@ from .valuations import (
     check_tv2,
     check_vs1,
     trichotomy_3mod4,
+    v2,
 )
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "derive_conditions",
     "equivalence_scan",
     "expected_even_perfect",
-    "forward_implication",
     "lemma41_candidates",
     "run_lemma_grid",
     "scan_special_forms",
@@ -117,7 +116,7 @@ def _pruned_by(f: SpecialForm) -> str | None:
         return "parity"
     if f.p == (1 << f.k) - 1:
         return "f"
-    v = BetaSplit.of_beta(f.beta).v
+    v = v2(f.beta)
     if f.p % 4 == 1:
         if not bound_u1(f.p, f.k, v):
             return "u1"
@@ -297,7 +296,7 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
     solutions: list[ClassificationReport] = []
     points = pruned = scenario1 = 0
     excluded = (1 << (k - 1)) * ((1 << k) - 1)
-    v_of = {beta: BetaSplit.of_beta(beta).v for beta in range(2, beta_max + 1, 2)}
+    v_of = {beta: v2(beta) for beta in range(2, beta_max + 1, 2)}
     for p in primes:
         alphas = range(_first_alpha(p), alpha_max + 1)
         q = p**k
@@ -501,18 +500,6 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
     return all(ok for _, ok in _v10_rows(LemmaGrid(alpha_max=alpha_max, bit_cap=bit_cap)))
 
 
-def forward_implication(q: int, k: int, bit_cap: int | None = None) -> bool:
-    """Does the even perfect number 2**(q-1) * (2**q - 1) divide its own
-    k-th divisor-power sum? True whenever q != k and both exponents give
-    Mersenne primes."""
-    if not is_mersenne_prime_exponent(q):
-        raise ValueError(f"2**{q} - 1 must be prime")
-    _require_search_k(k)
-    if q == k:
-        raise ValueError("q = k is the excluded perfect number; the claim needs q != k")
-    return divides_sigma(SpecialForm(alpha=q, p=(1 << q) - 1, beta=2, k=k), bit_cap)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence sweep: conditions vs direct divisibility over all small forms.
 # ---------------------------------------------------------------------------
@@ -695,10 +682,21 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
 
     Tags vs1, cando, appr, appr2, tv, tv2, sl3, f and v10 are proved
     statements: every row must pass. Tags u1, v3 and trichotomy evaluate
-    parameter-dependent bounds and are informational.
+    parameter-dependent bounds and are informational. Grids whose prime
+    sieves would pass the scans' limits are refused before any sieving.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
+    if grid.alpha_max > MAX_SCAN_ALPHA:
+        raise ValueError(
+            f"alpha_max={grid.alpha_max} exceeds the lemma grid's limit of {MAX_SCAN_ALPHA}: "
+            f"its p-bound sieve would hold {3 << (grid.alpha_max - 1)} entries"
+        )
+    if grid.p_max > 3 << MAX_SCAN_ALPHA:
+        raise ValueError(
+            f"p_max={grid.p_max} exceeds the lemma grid's limit of {3 << MAX_SCAN_ALPHA}: "
+            f"its sieve would hold {grid.p_max} entries"
+        )
     rows_of, proved = _LEMMAS[tag]
     if proved:
         return [GridRow(label, "pass" if ok else "FAIL", ok) for label, ok in rows_of(grid)]

@@ -28,17 +28,20 @@ from .classify import (
     search_mode,
 )
 from .exactint import DEFAULT_BIT_CAP, OperandSizeError
-from .primality import mersenne_exponents_upto
-from .sigma import PerfectWitness, SpecialForm, sigma_k
+from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto
+from .sigma import SpecialForm, sigma_k
 from .valuations import LemmaGrid
 
 ENV_CONFIG = "SIGMAPERFECT_CONFIG"
 FORMATS = ("json-lines", "csv", "human")
 
 _ALL_MERSENNE_PREFIX = "all-mersenne-upto-"
-# all-mersenne-upto-K runs Lucas-Lehmer on every prime up to K: about half
-# a second at K = 1279 (a Mersenne exponent), seven times that at K = 2203.
-MAX_MERSENNE_BOUND = 1279
+
+# perfect checks sigma(n) = 2n through sigma_k, which trial-divides the odd
+# part 2**q - 1 up to its square root: under 0.1 s at q = 40 even for a
+# prime odd part, but about 2**10 times that at q = 61, the next Mersenne
+# exponent after 31.
+MAX_PERFECT_EXPONENT = 40
 
 
 @dataclass(frozen=True)
@@ -68,23 +71,11 @@ class SearchConfig:
     def _select_exponents(self) -> list[int]:
         if self.k.startswith(_ALL_MERSENNE_PREFIX):
             bound = int(self.k[len(_ALL_MERSENNE_PREFIX):])
-            if bound > MAX_MERSENNE_BOUND:
-                raise ValueError(
-                    f"k={self.k}: all-mersenne-upto-K is limited to K <= {MAX_MERSENNE_BOUND}"
-                )
             return [q for q in mersenne_exponents_upto(bound) if q > 2]
         return [int(self.k)]
 
     def exponents(self) -> list[int]:
         return list(self._exponents)
-
-    def render(self) -> str:
-        """Flat key=value text, one field per line; parse() inverts it."""
-        return "".join(f"{f.name}={getattr(self, f.name)}\n" for f in fields(self))
-
-    @classmethod
-    def parse(cls, text: str) -> "SearchConfig":
-        return cls.from_strings(_config_values(text))
 
     @classmethod
     def from_strings(cls, values: dict[str, str | int]) -> "SearchConfig":
@@ -371,10 +362,18 @@ def cmd_mersenne(args: argparse.Namespace) -> int:
 
 def cmd_perfect(args: argparse.Namespace) -> int:
     exponents = [args.exponent] if args.exponent else mersenne_exponents_upto(args.upto)
+    q_max = max(exponents)
+    if q_max > MAX_PERFECT_EXPONENT:
+        raise ValueError(
+            f"exponent {q_max} exceeds the limit of {MAX_PERFECT_EXPONENT}: "
+            f"sigma(n) would trial-divide 2**{q_max} - 1"
+        )
     for q in exponents:
-        witness = PerfectWitness.from_exponent(q)
-        verified = sigma_k(witness.n, 1) == 2 * witness.n
-        print(f"q={q}  n={witness.n}  sigma(n)=2n: {_yn(verified)}")
+        if not is_mersenne_prime_exponent(q):
+            raise ValueError(f"2**{q} - 1 is not prime")
+        n = (1 << (q - 1)) * ((1 << q) - 1)
+        verified = sigma_k(n, 1) == 2 * n
+        print(f"q={q}  n={n}  sigma(n)=2n: {_yn(verified)}")
         if not verified:
             return 2
     return 0

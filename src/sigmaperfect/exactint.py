@@ -14,14 +14,11 @@ hanging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .primality import is_prime
 
 __all__ = [
     "DEFAULT_BIT_CAP",
     "OperandSizeError",
-    "Valuation",
     "checked_pow",
     "geometric_sum",
     "v_exact",
@@ -53,26 +50,7 @@ def checked_pow(base: int, exp: int, bit_cap: int | None = None) -> int:
     return base**exp
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """The exact-divisibility statement base**exponent || subject.
-
-    Invariant: base**exponent divides subject while base**(exponent + 1)
-    does not. Instances built by v_exact satisfy it by construction;
-    holds() rechecks it by direct division so tests can treat it as an
-    independent witness.
-    """
-
-    base: int
-    exponent: int
-    subject: int
-
-    def holds(self) -> bool:
-        q = self.base**self.exponent
-        return self.subject % q == 0 and self.subject % (q * self.base) != 0
-
-
-def v_exact(q: int, x: int) -> Valuation:
+def v_exact(q: int, x: int) -> int:
     """The q-adic valuation of x: the unique e with q**e | x, q**(e+1) ∤ x.
 
     q must be prime and x >= 1 (the valuation of 0 is undefined).
@@ -94,7 +72,7 @@ def v_exact(q: int, x: int) -> Valuation:
                 break
             y = d
             e += 1
-    return Valuation(base=q, exponent=e, subject=x)
+    return e
 
 
 def geometric_sum(b: int, m: int, bit_cap: int | None = None) -> int:

@@ -1,8 +1,7 @@
 """Exact rational polynomial division and the quartic remainder table.
 
 Polynomials are dense ascending-degree tuples of fractions; degrees here
-never exceed 5, so no sparse cleverness. The zero polynomial reports
-degree minus-infinity (a sentinel only, never arithmetic).
+never exceed 5, so no sparse cleverness.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ __all__ = [
     "lemma41_scaled_remainder",
     "remainder_at_half",
 ]
-
-NEG_INF_DEGREE = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -47,17 +44,13 @@ class RationalPoly:
         return cls(tuple(cs))
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF_DEGREE
-
-    @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def constant_value(self) -> Fraction:
         """The value of a constant (degree <= 0) polynomial."""
         if len(self.coeffs) > 1:
-            raise ValueError(f"polynomial of degree {self.degree} is not constant")
+            raise ValueError(f"polynomial of degree {len(self.coeffs) - 1} is not constant")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
 

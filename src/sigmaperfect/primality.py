@@ -9,11 +9,10 @@ than answered probabilistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 __all__ = [
-    "MersenneCandidate",
+    "MAX_MERSENNE_BOUND",
     "is_mersenne_prime_exponent",
     "is_prime",
     "lucas_lehmer",
@@ -28,6 +27,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _TRIAL_LIMIT = 1 << 20
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _U64 = 1 << 64
+
+# mersenne_exponents_upto(K) runs Lucas-Lehmer on every prime up to K: about
+# half a second at K = 1279 (a Mersenne exponent), seven times that at 2203.
+MAX_MERSENNE_BOUND = 1279
 
 
 def is_prime(x: int) -> bool:
@@ -50,7 +53,7 @@ def is_prime(x: int) -> bool:
         j = x.bit_length()  # x = 2**j - 1
         if not is_prime(j):
             return False
-        return lucas_lehmer(j).is_prime
+        return lucas_lehmer(j)
     raise ValueError(
         f"is_prime: {x.bit_length()}-bit non-Mersenne input is beyond the supported range"
     )
@@ -89,21 +92,8 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MersenneCandidate:
-    """Verdict on 2**k - 1 for a prime exponent k."""
-
-    k: int
-    value: int
-    is_prime: bool
-
-    def __post_init__(self) -> None:
-        if self.value != (1 << self.k) - 1:
-            raise ValueError(f"value must equal 2**{self.k} - 1")
-
-
-def lucas_lehmer(k: int) -> MersenneCandidate:
-    """Lucas-Lehmer verdict on 2**k - 1 for an odd prime k.
+def lucas_lehmer(k: int) -> bool:
+    """Whether 2**k - 1 is prime, by Lucas-Lehmer, for an odd prime k.
 
     The recurrence s(0) = 4, s(i+1) = s(i)**2 - 2 (mod 2**k - 1) reaches 0
     at step k - 2 exactly when 2**k - 1 is prime. k = 2 is rejected; handle
@@ -117,7 +107,7 @@ def lucas_lehmer(k: int) -> MersenneCandidate:
     s = 4
     for _ in range(k - 2):
         s = (s * s - 2) % m
-    return MersenneCandidate(k=k, value=m, is_prime=s == 0)
+    return s == 0
 
 
 def is_mersenne_prime_exponent(q: int) -> bool:
@@ -126,16 +116,18 @@ def is_mersenne_prime_exponent(q: int) -> bool:
         return True
     if q < 3 or q % 2 == 0 or not is_prime(q):
         return False
-    return lucas_lehmer(q).is_prime
+    return lucas_lehmer(q)
 
 
 def mersenne_exponents_upto(K: int) -> list[int]:
-    """All prime k <= K with 2**k - 1 prime, ascending."""
+    """All prime k <= K with 2**k - 1 prime, ascending, for 2 <= K <= MAX_MERSENNE_BOUND."""
     if K < 2:
         raise ValueError(f"bound must be >= 2, got {K}")
+    if K > MAX_MERSENNE_BOUND:
+        raise ValueError(f"Mersenne exponent bound {K} is beyond the limit K <= {MAX_MERSENNE_BOUND}")
     out = [2]
     for k in range(3, K + 1, 2):
-        if is_prime(k) and lucas_lehmer(k).is_prime:
+        if is_prime(k) and lucas_lehmer(k):
             out.append(k)
     return out
 

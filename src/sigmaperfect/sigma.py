@@ -18,7 +18,6 @@ from .exactint import checked_pow, geometric_sum
 from .primality import is_mersenne_prime_exponent, is_prime
 
 __all__ = [
-    "PerfectWitness",
     "SpecialForm",
     "divides_sigma",
     "factorize",
@@ -132,21 +131,3 @@ def is_even_perfect(n: int) -> bool:
     if (n >> a) != (1 << q) - 1:
         return False
     return is_mersenne_prime_exponent(q)
-
-
-@dataclass(frozen=True)
-class PerfectWitness:
-    """An even perfect number n = 2**(q-1) * (2**q - 1) and its exponent q."""
-
-    q: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not is_mersenne_prime_exponent(self.q):
-            raise ValueError(f"2**{self.q} - 1 is not prime")
-        if self.n != (1 << (self.q - 1)) * ((1 << self.q) - 1):
-            raise ValueError("n must equal 2**(q-1) * (2**q - 1)")
-
-    @classmethod
-    def from_exponent(cls, q: int) -> "PerfectWitness":
-        return cls(q=q, n=(1 << (q - 1)) * ((1 << q) - 1))

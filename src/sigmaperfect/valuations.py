@@ -17,16 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from .exactint import checked_pow, geometric_sum, v_exact
 from .primality import is_prime
 
 __all__ = [
-    "BetaSplit",
     "LemmaGrid",
-    "PSplit",
     "Scenario",
     "appr_exponent",
     "bound_u1",
@@ -40,49 +37,20 @@ __all__ = [
     "check_vs1",
     "exactly_divides",
     "trichotomy_3mod4",
+    "v2",
 ]
 
 
-@dataclass(frozen=True)
-class BetaSplit:
-    """beta = 2**v * beta1 with v >= 1 and beta1 odd (beta must be even)."""
-
-    v: int
-    beta1: int
-
-    @classmethod
-    def of_beta(cls, beta: int) -> "BetaSplit":
-        if beta < 2 or beta % 2:
-            raise ValueError(f"beta must be even and >= 2, got {beta}")
-        v = v_exact(2, beta).exponent
-        return cls(v=v, beta1=beta >> v)
-
-    def beta(self) -> int:
-        return (1 << self.v) * self.beta1
+def v2(beta: int) -> int:
+    """v in beta = 2**v * beta1 with beta1 odd; beta must be even and >= 2."""
+    if beta < 2 or beta % 2:
+        raise ValueError(f"beta must be even and >= 2, got {beta}")
+    return v_exact(2, beta)
 
 
-@dataclass(frozen=True)
-class PSplit:
-    """2-adic valuations attached to an odd prime p.
-
-    p = 1 (mod 4):  t = v2(p - 1) >= 2.
-    p = 3 (mod 4):  s = v2(p**2 - 1) >= 3 and lam = v2(p + 1) >= 2.
-
-    Only the fields matching p mod 4 are populated; the others are None.
-    """
-
-    p: int
-    t: int | None = None
-    s: int | None = None
-    lam: int | None = None
-
-    @classmethod
-    def of_prime(cls, p: int) -> "PSplit":
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if p % 4 == 1:
-            return cls(p=p, t=v_exact(2, p - 1).exponent)
-        return cls(p=p, s=v_exact(2, p * p - 1).exponent, lam=v_exact(2, p + 1).exponent)
+def _require_prime_mod4(p: int, r: int) -> None:
+    if p % 4 != r or not is_prime(p):
+        raise ValueError(f"p must be a prime that is {r} mod 4, got {p}")
 
 
 def _require_odd_k(k: int) -> None:
@@ -102,7 +70,7 @@ def check_vs1(k: int) -> bool:
     """The exact power of 2 dividing (2**k - 1)**(2k) - 1 is 2**(k+1), k odd >= 3."""
     _require_odd_k(k)
     x = checked_pow((1 << k) - 1, 2 * k) - 1
-    return v_exact(2, x).exponent == k + 1
+    return v_exact(2, x) == k + 1
 
 
 def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
@@ -111,9 +79,9 @@ def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
     Odd beta is rejected; the search context always forces 2 | beta.
     """
     _require_odd_k(k)
-    split = BetaSplit.of_beta(beta)
+    v = v2(beta)
     x = checked_pow((1 << k) - 1, beta * k, bit_cap) - 1
-    return v_exact(2, x).exponent == split.v + k
+    return v_exact(2, x) == v + k
 
 
 def appr_exponent(k: int, bit_cap: int | None = None) -> int:
@@ -164,11 +132,9 @@ def check_tv(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> 
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     _require_odd_positive("beta1", beta1)
-    split = PSplit.of_prime(p)
-    if split.t is None:
-        raise ValueError(f"p must be 1 mod 4, got {p}")
+    _require_prime_mod4(p, 1)
     x = checked_pow(p, (1 << v) * beta1 * k, bit_cap) - 1
-    return v_exact(2, x).exponent == split.t + v
+    return v_exact(2, x) == v_exact(2, p - 1) + v
 
 
 def check_tv2(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> bool:
@@ -177,11 +143,9 @@ def check_tv2(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) ->
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     _require_odd_positive("beta1", beta1)
-    split = PSplit.of_prime(p)
-    if split.s is None:
-        raise ValueError(f"p must be 3 mod 4, got {p}")
+    _require_prime_mod4(p, 3)
     x = checked_pow(p, k * (1 << v) * beta1, bit_cap) - 1
-    return v_exact(2, x).exponent == v + split.s - 1
+    return v_exact(2, x) == v + v_exact(2, p * p - 1) - 1
 
 
 def check_sl3(lam: int, p1: int, v: int, beta1: int, bit_cap: int | None = None) -> bool:
@@ -198,7 +162,7 @@ def check_sl3(lam: int, p1: int, v: int, beta1: int, bit_cap: int | None = None)
     _require_odd_positive("beta1", beta1)
     base = (1 << lam) * p1 - 1
     x = checked_pow(base, (1 << v) * beta1, bit_cap) - 1
-    return v_exact(2, x).exponent == lam + v
+    return v_exact(2, x) == lam + v
 
 
 def bound_u1(p: int, k: int, v: int) -> bool:
@@ -208,8 +172,7 @@ def bound_u1(p: int, k: int, v: int) -> bool:
     and v = v2(beta) divides its own k-th divisor-power sum; a failure
     therefore prunes (p, v) for good.
     """
-    if p % 4 != 1 or not is_prime(p):
-        raise ValueError(f"p must be a prime that is 1 mod 4, got {p}")
+    _require_prime_mod4(p, 1)
     _require_odd_k(k)
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
@@ -217,20 +180,21 @@ def bound_u1(p: int, k: int, v: int) -> bool:
 
 
 def bound_v3(p: int, k: int, v: int) -> bool:
-    """p**(2**v - 2k - 1) < 2**(k(v-1)) / (2**k - 1), exactly over rationals.
+    """p**(2**v - 2k - 1) < 2**(k(v-1)) / (2**k - 1), exactly in integers.
 
-    The exponent on the left goes negative for small v; both sides are
-    evaluated as exact fractions, never floats. Same pruning contract as
-    bound_u1, for p = 3 (mod 4).
+    The exponent e on the left goes negative for small v, so the sides are
+    cross-multiplied: p**e * (2**k - 1) < 2**(k(v-1)) for e >= 0, and
+    2**k - 1 < p**(-e) * 2**(k(v-1)) for e < 0. Powers of p go through the
+    operand cap. Same pruning contract as bound_u1, for p = 3 (mod 4).
     """
-    if p % 4 != 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime that is 3 mod 4, got {p}")
+    _require_prime_mod4(p, 3)
     _require_odd_k(k)
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    lhs = Fraction(p) ** ((1 << v) - 2 * k - 1)
-    rhs = Fraction(1 << (k * (v - 1)), (1 << k) - 1)
-    return lhs < rhs
+    e = (1 << v) - 2 * k - 1
+    if e >= 0:
+        return checked_pow(p, e) * ((1 << k) - 1) < 1 << (k * (v - 1))
+    return (1 << k) - 1 < checked_pow(p, -e) << (k * (v - 1))
 
 
 class Scenario(Enum):
@@ -255,17 +219,16 @@ def trichotomy_3mod4(
     """
     if not is_prime(k):
         raise ValueError(f"k must be prime, got {k}")
-    split = PSplit.of_prime(p)
-    if split.lam is None:
-        raise ValueError(f"p must be 3 mod 4, got {p}")
-    v = BetaSplit.of_beta(beta).v
+    _require_prime_mod4(p, 3)
+    lam = v_exact(2, p + 1)
+    v = v2(beta)
     out = set()
     if p == k:
         out.add(Scenario.P_EQUALS_K)
-    lhs = checked_pow((1 << split.lam) - 1, beta - 1, bit_cap)
-    if lhs <= (1 << (split.lam + v)) - 1:
+    lhs = checked_pow((1 << lam) - 1, beta - 1, bit_cap)
+    if lhs <= (1 << (lam + v)) - 1:
         out.add(Scenario.SCENARIO_2)
-    if lhs <= geometric_sum(1 << (split.lam + v), k, bit_cap):
+    if lhs <= geometric_sum(1 << (lam + v), k, bit_cap):
         out.add(Scenario.SCENARIO_3)
     return frozenset(out)
 

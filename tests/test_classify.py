@@ -18,7 +18,6 @@ from sigmaperfect.classify import (
     derive_conditions,
     equivalence_scan,
     expected_even_perfect,
-    forward_implication,
     lemma41_candidates,
     run_lemma_grid,
     scan_special_forms,
@@ -443,14 +442,14 @@ def test_verify_lemma410_and_candidates():
 
 
 def test_forward_implication_frozen_values():
-    assert forward_implication(2, 5)  # 6 | sigma_5(6) = 8052 = 6 * 1342
+    def perfect_form(q, k):
+        return SpecialForm(alpha=q, p=(1 << q) - 1, beta=2, k=k)
+
+    assert divides_sigma(perfect_form(2, 5))  # 6 | sigma_5(6) = 8052 = 6 * 1342
     assert sigma_k(6, 5) == 8052
-    assert forward_implication(3, 5)
-    assert forward_implication(5, 3)  # 496 is included at k = 3
-    with pytest.raises(ValueError):
-        forward_implication(5, 5)
-    with pytest.raises(ValueError):
-        forward_implication(4, 5)
+    assert divides_sigma(perfect_form(3, 5))
+    assert divides_sigma(perfect_form(5, 3))  # 496 is included at k = 3
+    assert not divides_sigma(perfect_form(5, 5))  # and excluded at k = 5
 
 
 def test_counterexample_localization():

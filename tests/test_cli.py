@@ -225,16 +225,26 @@ def test_search_bit_cap_refused_before_scanning(monkeypatch, capsys):
     assert code == 2 and out == "" and "operand size cap exceeded" in err
 
 
-def test_search_refuses_large_mersenne_bound_before_lucas_lehmer(monkeypatch, capsys):
-    def no_lucas_lehmer(k):
-        raise AssertionError("no Lucas-Lehmer run may start")
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} must not be called")
 
-    monkeypatch.setattr(primality, "lucas_lehmer", no_lucas_lehmer)
-    bound = cli.MAX_MERSENNE_BOUND + 1
+    return refuse
+
+
+def test_search_refuses_large_mersenne_bound_before_lucas_lehmer(monkeypatch, capsys):
+    monkeypatch.setattr(primality, "lucas_lehmer", _refuse("lucas_lehmer"))
+    bound = primality.MAX_MERSENNE_BOUND + 1
     code, out, err = run_cli(capsys, "search", "--k", f"all-mersenne-upto-{bound}")
-    assert code == 2 and out == "" and "error:" in err and f"K <= {cli.MAX_MERSENNE_BOUND}" in err
+    assert code == 2 and out == "" and "error:" in err
+    assert f"K <= {primality.MAX_MERSENNE_BOUND}" in err
     code, _, err = run_cli(capsys, "search", "--k", "all-mersenne-upto-10000")
     assert code == 2 and "error:" in err
+    # mersenne and perfect share the cap, and perfect calls sigma_k only after it
+    monkeypatch.setattr(cli, "sigma_k", _refuse("sigma_k"))
+    for command in ("mersenne", "perfect"):
+        code, out, err = run_cli(capsys, command, "--upto", str(bound))
+        assert code == 2 and out == "" and f"K <= {primality.MAX_MERSENNE_BOUND}" in err
 
 
 def test_search_config_selects_mersenne_exponents_once(tmp_path, monkeypatch, capsys):
@@ -300,12 +310,15 @@ def test_config_env_var(tmp_path, monkeypatch, capsys):
     assert [s["n"] for s in solutions] == ["6", "28"]
 
 
-def test_search_config_round_trip():
+def test_search_config_round_trip(tmp_path, capsys):
     config = SearchConfig(k="all-mersenne-upto-13", alpha_max=9, beta_max=4, workers=2)
-    assert SearchConfig.parse(config.render()) == config
+    record = RunRecord(config=config, reports=[], tool_version="v", started="s", finished="f")
+    assert parse_run_record(cli.render_json_lines(record, [])).config == config
     assert config.exponents() == [3, 5, 7, 13]
-    with pytest.raises(ValueError):
-        SearchConfig.parse("nonsense_key=1\n")
+    bad = tmp_path / "bad.conf"
+    bad.write_text("nonsense_key=1\n")
+    code, out, err = run_cli(capsys, "search", "--config", str(bad))
+    assert code == 2 and out == "" and "unknown config keys" in err
     with pytest.raises(ValueError):
         SearchConfig(format="yaml")
 
@@ -418,3 +431,40 @@ def test_perfect_command(capsys):
     assert code == 0 and "n=8128" in out
     code, _, err = run_cli(capsys, "perfect", "--exponent", "11")
     assert code != 0 and "not prime" in err
+    # 61 is the first Mersenne exponent past the exponent cap
+    code, out, _ = run_cli(capsys, "perfect", "--upto", "60")
+    assert code == 0 and out.count("sigma(n)=2n: yes") == 8 and "q=31" in out
+
+
+def test_perfect_refuses_exponent_past_trial_division(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "sigma_k", _refuse("sigma_k"))
+    code, out, err = run_cli(capsys, "perfect", "--upto", "61")
+    assert code == 2 and out == ""
+    assert f"limit of {cli.MAX_PERFECT_EXPONENT}" in err and "2**61 - 1" in err
+    monkeypatch.setattr(primality, "lucas_lehmer", _refuse("lucas_lehmer"))
+    code, out, err = run_cli(capsys, "perfect", "--exponent", "61")
+    assert code == 2 and out == "" and f"limit of {cli.MAX_PERFECT_EXPONENT}" in err
+    code, out, err = run_cli(capsys, "perfect", "--exponent", "100003")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_check_lemma_refuses_oversized_grid_before_sieving(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "primes_upto", _refuse("primes_upto"))
+    alpha = str(classify.MAX_SCAN_ALPHA + 1)
+    for tag in ("v10", "f", "vs1"):
+        code, out, err = run_cli(capsys, "check-lemma", tag, "--alpha-max", alpha)
+        assert code == 2 and out == ""
+        assert f"limit of {classify.MAX_SCAN_ALPHA}" in err
+    p_max = str((3 << classify.MAX_SCAN_ALPHA) + 1)
+    for tag in ("tv", "tv2", "u1", "v3", "trichotomy"):
+        code, out, err = run_cli(capsys, "check-lemma", tag, "--p-max", p_max)
+        assert code == 2 and out == ""
+        assert f"limit of {3 << classify.MAX_SCAN_ALPHA}" in err
+
+
+def test_check_lemma_v3_refuses_past_operand_cap(capsys):
+    # bound_v3(3, 3, 19) would raise 3 to 2**19 - 7, past the 1M-bit cap
+    code, out, err = run_cli(
+        capsys, "check-lemma", "v3", "--k", "3", "--p-max", "4", "--v-max", "22"
+    )
+    assert code == 2 and out == "" and "operand size cap exceeded" in err

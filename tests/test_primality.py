@@ -3,7 +3,7 @@ from math import isqrt
 import pytest
 
 from sigmaperfect.primality import (
-    MersenneCandidate,
+    MAX_MERSENNE_BOUND,
     is_mersenne_prime_exponent,
     is_prime,
     lucas_lehmer,
@@ -55,18 +55,16 @@ def test_is_prime_refuses_large_general_input():
 
 
 def test_lucas_lehmer_frozen_values():
-    assert lucas_lehmer(3).is_prime and lucas_lehmer(3).value == 7
-    res11 = lucas_lehmer(11)
-    assert not res11.is_prime and res11.value == 2047 and 2047 == 23 * 89
-    res13 = lucas_lehmer(13)
-    assert res13.is_prime and trial_prime(res13.value)
+    assert lucas_lehmer(3)  # 7
+    assert not lucas_lehmer(11) and 2047 == 23 * 89
+    assert lucas_lehmer(13) and trial_prime(8191)
 
 
 def test_lucas_lehmer_agrees_with_trial_division_upto_31():
     for k in range(3, 32, 2):
         if not trial_prime(k):
             continue
-        assert lucas_lehmer(k).is_prime == trial_prime((1 << k) - 1)
+        assert lucas_lehmer(k) == trial_prime((1 << k) - 1)
 
 
 def test_lucas_lehmer_rejects_bad_exponents():
@@ -75,17 +73,14 @@ def test_lucas_lehmer_rejects_bad_exponents():
             lucas_lehmer(k)
 
 
-def test_mersenne_candidate_value_invariant():
-    with pytest.raises(ValueError):
-        MersenneCandidate(k=5, value=30, is_prime=True)
-
-
 def test_mersenne_exponents_frozen_values():
     assert mersenne_exponents_upto(10) == [2, 3, 5, 7]
     assert mersenne_exponents_upto(2) == [2]
     assert mersenne_exponents_upto(15) == [2, 3, 5, 7, 13]
     with pytest.raises(ValueError):
         mersenne_exponents_upto(1)
+    with pytest.raises(ValueError, match=f"K <= {MAX_MERSENNE_BOUND}"):
+        mersenne_exponents_upto(MAX_MERSENNE_BOUND + 1)
 
 
 def test_mersenne_exponents_complete_upto_31():

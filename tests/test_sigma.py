@@ -5,7 +5,6 @@ import pytest
 
 from sigmaperfect.primality import mersenne_exponents_upto, primes_upto
 from sigmaperfect.sigma import (
-    PerfectWitness,
     SpecialForm,
     divides_sigma,
     factorize,
@@ -179,13 +178,11 @@ def test_forward_implication_all_perfect_upto_1e8():
 
 
 def test_perfect_witness():
-    w = PerfectWitness.from_exponent(5)
-    assert w.n == 496
-    assert sigma_k(w.n, 1) == 2 * w.n
+    # n = 2**(q-1) * (2**q - 1) is perfect exactly when 2**q - 1 is prime
+    assert sigma_k(496, 1) == 2 * 496 and is_even_perfect(496)
     for q in mersenne_exponents_upto(13):
-        witness = PerfectWitness.from_exponent(q)
-        assert sigma_k(witness.n, 1) == 2 * witness.n
-    with pytest.raises(ValueError):
-        PerfectWitness.from_exponent(11)
-    with pytest.raises(ValueError):
-        PerfectWitness(q=5, n=497)
+        n = (1 << (q - 1)) * ((1 << q) - 1)
+        assert sigma_k(n, 1) == 2 * n and is_even_perfect(n)
+    n11 = (1 << 10) * ((1 << 11) - 1)
+    assert sigma_k(n11, 1) != 2 * n11 and not is_even_perfect(n11)
+    assert not is_even_perfect(497)

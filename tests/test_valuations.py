@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from sigmaperfect.exactint import OperandSizeError
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
-    BetaSplit,
-    PSplit,
     Scenario,
     appr_exponent,
     bound_u1,
@@ -19,6 +18,7 @@ from sigmaperfect.valuations import (
     check_vs1,
     exactly_divides,
     trichotomy_3mod4,
+    v2,
 )
 
 
@@ -35,34 +35,35 @@ def divide_out_twos(x: int) -> int:
 
 
 def test_beta_split():
-    s = BetaSplit.of_beta(12)
-    assert (s.v, s.beta1) == (2, 3) and s.beta() == 12
-    assert BetaSplit.of_beta(2) == BetaSplit(v=1, beta1=1)
+    assert v2(12) == 2 and 12 >> v2(12) == 3
+    assert v2(2) == 1
+    for beta in range(2, 200, 2):
+        assert v2(beta) == divide_out_twos(beta)
     with pytest.raises(ValueError):
-        BetaSplit.of_beta(7)
+        v2(7)
     with pytest.raises(ValueError):
-        BetaSplit.of_beta(0)
+        v2(0)
 
 
 def test_p_split_residue_classes():
-    s5 = PSplit.of_prime(5)
-    assert s5.t == 2
-    assert s5.s is None and s5.lam is None
-    s7 = PSplit.of_prime(7)
-    assert s7.t is None
-    assert s7.s == 4  # 48 = 16 * 3
-    assert s7.lam == 3
-    with pytest.raises(ValueError):
-        PSplit.of_prime(9)
-    for p in primes_upto(500):
-        if p == 2:
-            continue
-        s = PSplit.of_prime(p)
-        if p % 4 == 1:
-            assert s.t >= 2 and divide_out_twos(p - 1) == s.t
-        else:
-            assert s.s >= 3 and divide_out_twos(p * p - 1) == s.s
-            assert s.lam >= 2 and divide_out_twos(p + 1) == s.lam
+    # each p-dependent check takes only primes of its own class mod 4
+    by_class = {
+        1: (lambda p: check_tv(p, 3, 1, 1), lambda p: bound_u1(p, 3, 1)),
+        3: (
+            lambda p: check_tv2(p, 3, 1, 1),
+            lambda p: bound_v3(p, 3, 1),
+            lambda p: trichotomy_3mod4(p, 3, 2),
+        ),
+    }
+    composites = [9, 21, 25, 45]
+    for p in primes_upto(500)[1:] + composites:
+        for r, checks in by_class.items():
+            for check in checks:
+                if p % 4 == r and p not in composites:
+                    check(p)
+                else:
+                    with pytest.raises(ValueError):
+                        check(p)
 
 
 def test_exactly_divides_handles_composite_divisors():
@@ -177,7 +178,7 @@ def test_tv2_agrees_with_vs1_on_overlap():
         p = (1 << k) - 1
         assert check_vs1(k)
         assert check_tv2(p, k, 1, 1)
-        s = PSplit.of_prime(p).s
+        s = divide_out_twos(p * p - 1)
         assert 1 + s - 1 == k + 1  # both predict the same exponent
 
 
@@ -241,22 +242,28 @@ def test_bound_v3_valid_v_range_at_k5():
     assert holds == [1, 2, 3, 4]
 
 
+def _bound_v3_fraction(p, k, v):
+    # reference: the bound as stated, over exact rationals
+    return Fraction(p) ** ((1 << v) - 2 * k - 1) < Fraction(1 << (k * (v - 1)), (1 << k) - 1)
+
+
 def test_bound_v3_crossmul_oracle():
-    # rational comparison must agree with integer cross-multiplication
-    for p in (3, 7, 11, 19):
-        for k in (3, 5):
-            for v in range(1, 6):
+    # the bound as stated over rationals, and by integer cross-multiplication
+    for p in [p for p in primes_upto(3000) if p % 4 == 3]:
+        for k in range(3, 32, 2):
+            for v in range(1, 9):
                 e = (1 << v) - 2 * k - 1
                 d = (1 << k) - 1
                 r = 1 << (k * (v - 1))
-                if e >= 0:
-                    expected = p**e * d < r
-                else:
-                    expected = d < r * p ** (-e)
-                assert bound_v3(p, k, v) == expected
-                assert bound_v3(p, k, v) == (
-                    Fraction(p) ** e < Fraction(r, d)
-                )
+                expected = p**e * d < r if e >= 0 else d < r * p ** (-e)
+                assert bound_v3(p, k, v) == expected == _bound_v3_fraction(p, k, v), (p, k, v)
+
+
+def test_bound_v3_refuses_past_operand_cap():
+    # 3**(2**22 - 7) would be about 8.4 million bits wide
+    with pytest.raises(OperandSizeError):
+        bound_v3(3, 3, 22)
+    assert bound_v3(3, 3, 18) == _bound_v3_fraction(3, 3, 18)
 
 
 def test_trichotomy_frozen_values():
