@@ -179,6 +179,26 @@ def _first_alpha(p: int) -> int:
 # at 24 that is a 25 MB sieve, and each further alpha doubles it.
 MAX_SCAN_ALPHA = 24
 
+# Grid parameter -> (its limit, the sieve it sizes, that sieve's entries
+# at a given value). Each limit keeps its sieve near the exhaustive scan's.
+_SIEVE_LIMITS = {
+    "alpha_max": (MAX_SCAN_ALPHA, "p-bound sieve", lambda alpha: 3 << (alpha - 1)),
+    "n_limit": (3 << MAX_SCAN_ALPHA, "sieve", lambda n: n >> 1),
+    "p_max": (3 << MAX_SCAN_ALPHA, "sieve", lambda p: p),
+}
+
+
+def _refuse_oversized_sieve(scope: str, name: str, value: int) -> None:
+    """Raise ValueError, before any sieving, when grid parameter name is
+    past its limit in _SIEVE_LIMITS."""
+    limit, sieve, entries = _SIEVE_LIMITS[name]
+    if value > limit:
+        raise ValueError(
+            f"{name}={value} exceeds the {scope}'s limit of {limit}: "
+            f"its {sieve} would hold {entries(value)} entries"
+        )
+
+
 # Contiguous prime-index ranges of about equal point count per scan; the
 # split depends only on the grid, never on the worker count.
 _SCAN_CHUNKS = 32
@@ -318,7 +338,7 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
                         f"pruner {verdict!r} contradicts a found solution at "
                         f"{_point(alpha, p, beta, k)}: divides=True"
                     )
-                f = SpecialForm.trusted(alpha, p, beta, k)
+                f = SpecialForm(alpha, p, beta, k)
                 n = f.n()
                 solutions.append(
                     ClassificationReport(
@@ -368,11 +388,7 @@ def scan_special_forms(
         raise ValueError("alpha_max and beta_max must be >= 2")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if alpha_max > MAX_SCAN_ALPHA:
-        raise ValueError(
-            f"alpha_max={alpha_max} exceeds the exhaustive scan's limit of {MAX_SCAN_ALPHA}: "
-            f"its p-bound sieve would hold {3 << (alpha_max - 1)} entries"
-        )
+    _refuse_oversized_sieve("exhaustive scan", "alpha_max", alpha_max)
     primes = _p_bound_primes(alpha_max)
     two_parts = [0, 0] + [geometric_sum(1 << k, a, bit_cap) for a in range(2, alpha_max + 1)]
     # The widest p-part, built as classify_point would; the kernel builds
@@ -459,8 +475,7 @@ def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> 
     Always true when 2**k - 1 is prime; a False return is an
     implementation bug.
     """
-    if k <= 2 or not is_mersenne_prime_exponent(k):
-        raise ValueError(f"2**{k} - 1 must be a Mersenne prime with k > 2, got k={k}")
+    _require_search_k(k)
     f = SpecialForm(alpha=alpha, p=(1 << k) - 1, beta=beta, k=k)
     return not divides_sigma(f, bit_cap)
 
@@ -485,8 +500,6 @@ def lemma41_candidates() -> list[SpecialForm]:
             if power_of_two < 1 or power_of_two & (power_of_two - 1):
                 continue
             alpha = power_of_two.bit_length() + 1
-            if alpha <= 1:
-                continue
             form = SpecialForm(alpha=alpha, p=p, beta=4, k=5)
             if form.satisfies_p_bound():
                 out.append(form)
@@ -547,11 +560,7 @@ def equivalence_scan(
     ks = tuple(ks)
     if n_limit < 6 or not ks:
         raise ValueError("need n_limit >= 6 and at least one exponent")
-    if n_limit > 3 << MAX_SCAN_ALPHA:
-        raise ValueError(
-            f"n_limit={n_limit} exceeds the equivalence scan's limit of "
-            f"{3 << MAX_SCAN_ALPHA}: its sieve would hold {n_limit >> 1} entries"
-        )
+    _refuse_oversized_sieve("equivalence scan", "n_limit", n_limit)
     primes = primes_upto(n_limit >> 1)[1:]
     alphas = range(2, (n_limit // 3).bit_length() + 1)
     tasks = []
@@ -638,7 +647,7 @@ def _v10_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
     for alpha in range(2, g.alpha_max + 1):
         for p in _p_bound_primes(alpha):
             if p % 4 == 3:
-                form = SpecialForm.trusted(alpha, p, 4, 5)
+                form = SpecialForm(alpha, p, 4, 5)
                 yield f"alpha={alpha} p={p}", not divides_sigma(form, g.bit_cap)
 
 
@@ -687,16 +696,8 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
-    if grid.alpha_max > MAX_SCAN_ALPHA:
-        raise ValueError(
-            f"alpha_max={grid.alpha_max} exceeds the lemma grid's limit of {MAX_SCAN_ALPHA}: "
-            f"its p-bound sieve would hold {3 << (grid.alpha_max - 1)} entries"
-        )
-    if grid.p_max > 3 << MAX_SCAN_ALPHA:
-        raise ValueError(
-            f"p_max={grid.p_max} exceeds the lemma grid's limit of {3 << MAX_SCAN_ALPHA}: "
-            f"its sieve would hold {grid.p_max} entries"
-        )
+    _refuse_oversized_sieve("lemma grid", "alpha_max", grid.alpha_max)
+    _refuse_oversized_sieve("lemma grid", "p_max", grid.p_max)
     rows_of, proved = _LEMMAS[tag]
     if proved:
         return [GridRow(label, "pass" if ok else "FAIL", ok) for label, ok in rows_of(grid)]

@@ -1,21 +1,16 @@
-"""Exact rational polynomial division and the quartic remainder table.
+"""Exact remainders of geometric polynomials by linear divisors, and the
+quartic remainder table.
 
-Polynomials are dense ascending-degree tuples of fractions; degrees here
-never exceed 5, so no sparse cleverness.
+Every division the package needs is of 1 + x + ... + x**(m-1) by c*x - 1,
+so one synthetic division at the root x = 1/c serves them all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 __all__ = [
-    "DivisionResult",
-    "RationalPoly",
-    "divmod_poly",
-    "eval_poly",
-    "geometric_poly",
     "lemma41_division",
     "lemma41_remainder",
     "lemma41_scaled_remainder",
@@ -23,80 +18,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalPoly:
-    """Rational-coefficient polynomial, coefficients ascending by degree."""
+def _divide_geometric(m: int, c: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Divide 1 + x + ... + x**(m-1) by c*x - 1, for m >= 2 and c != 0.
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero; build with RationalPoly.of")
-        for c in self.coeffs:
-            if not isinstance(c, Fraction):
-                raise TypeError("coefficients must be Fractions; build with RationalPoly.of")
-
-    @classmethod
-    def of(cls, *coeffs) -> "RationalPoly":
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant (degree <= 0) polynomial."""
-        if len(self.coeffs) > 1:
-            raise ValueError(f"polynomial of degree {len(self.coeffs) - 1} is not constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-
-@dataclass(frozen=True)
-class DivisionResult:
-    """Quotient and remainder with dividend = divisor * quotient + remainder."""
-
-    quotient: RationalPoly
-    remainder: RationalPoly
-
-
-def divmod_poly(f: RationalPoly, g: RationalPoly) -> DivisionResult:
-    """Exact division of f by g over the rationals; deg(remainder) < deg(g)."""
-    if g.is_zero:
-        raise ZeroDivisionError("polynomial division by the zero polynomial")
-    rem = list(f.coeffs)
-    dg = len(g.coeffs) - 1
-    lead = g.coeffs[-1]
-    quot = [Fraction(0)] * max(0, len(rem) - dg)
-    for i in range(len(rem) - 1, dg - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        q = c / lead
-        quot[i - dg] = q
-        for j, gc in enumerate(g.coeffs):
-            rem[i - dg + j] -= q * gc
-    return DivisionResult(
-        quotient=RationalPoly.of(*quot),
-        remainder=RationalPoly.of(*rem[:dg]),
-    )
-
-
-def eval_poly(f: RationalPoly, x) -> Fraction:
-    """Exact evaluation at a rational (or integer) point, by Horner."""
-    acc = Fraction(0)
-    for c in reversed(f.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def geometric_poly(k: int) -> RationalPoly:
-    """1 + x + ... + x**(k-1)."""
-    if k < 1:
-        raise ValueError(f"term count must be >= 1, got {k}")
-    return RationalPoly.of(*([1] * k))
+    Horner's rule at the root x = 1/c: its partial values are the
+    coefficients of the quotient by x - 1/c, highest degree first, and its
+    final value, the dividend at the root, is the remainder. Since
+    c*x - 1 = c * (x - 1/c), dividing those coefficients by c gives the
+    quotient by c*x - 1. Returns (quotient ascending by degree, remainder).
+    """
+    root = 1 / c
+    partial = [Fraction(1)]
+    for _ in range(m - 1):
+        partial.append(partial[-1] * root + 1)
+    remainder = partial.pop()
+    return tuple(b / c for b in reversed(partial)), remainder
 
 
 def remainder_at_half(k: int) -> Fraction:
@@ -107,16 +43,15 @@ def remainder_at_half(k: int) -> Fraction:
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    g = RationalPoly.of(-1, Fraction(1, 2))
-    return divmod_poly(geometric_poly(k), g).remainder.constant_value()
+    return _divide_geometric(k, Fraction(1, 2))[1]
 
 
-def lemma41_division(k1: int) -> DivisionResult:
-    """Division of x**4 + x**3 + x**2 + x + 1 by k1*x/4 - 1, for k1 in 1..5."""
+def lemma41_division(k1: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(quotient ascending by degree, remainder) of x**4 + x**3 + x**2 + x + 1
+    by k1*x/4 - 1, for k1 in 1..5."""
     if not 1 <= k1 <= 5:
         raise ValueError(f"k1 must be in 1..5, got {k1}")
-    g = RationalPoly.of(-1, Fraction(k1, 4))
-    return divmod_poly(geometric_poly(5), g)
+    return _divide_geometric(5, Fraction(k1, 4))
 
 
 def lemma41_remainder(k1: int) -> Fraction:
@@ -124,7 +59,7 @@ def lemma41_remainder(k1: int) -> Fraction:
 
     The five values, in order of k1, are 341, 31, 781/81, 5, 2101/625.
     """
-    return lemma41_division(k1).remainder.constant_value()
+    return lemma41_division(k1)[1]
 
 
 def lemma41_scaled_remainder(k1: int) -> tuple[int, int]:
@@ -135,9 +70,6 @@ def lemma41_scaled_remainder(k1: int) -> tuple[int, int]:
     the integer remainder directly (e.g. 81 f(x0) = 781 mod g(x0) for
     k1 = 3).
     """
-    division = lemma41_division(k1)
-    denominators = [c.denominator for c in division.quotient.coeffs]
-    denominators.append(division.remainder.constant_value().denominator)
-    scale = lcm(*denominators)
-    scaled = division.remainder.constant_value() * scale
-    return scale, int(scaled)
+    quotient, remainder = lemma41_division(k1)
+    scale = lcm(*(c.denominator for c in quotient), remainder.denominator)
+    return scale, int(remainder * scale)

@@ -87,16 +87,6 @@ class SpecialForm:
         if not is_prime(self.k):
             raise ValueError(f"k must be prime, got {self.k}")
 
-    @classmethod
-    def trusted(cls, alpha: int, p: int, beta: int, k: int) -> "SpecialForm":
-        """Skip validation. For sieving loops whose parameters are prevalidated."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "alpha", alpha)
-        object.__setattr__(f, "p", p)
-        object.__setattr__(f, "beta", beta)
-        object.__setattr__(f, "k", k)
-        return f
-
     def n(self) -> int:
         return (1 << (self.alpha - 1)) * self.p ** (self.beta - 1)
 

@@ -126,11 +126,11 @@ def test_sigma_k_special_agrees_with_divisor_enumeration_to_1e6():
                 divisors = [
                     (1 << i) * p**j for i in range(alpha) for j in range(beta)
                 ]
-                f5 = SpecialForm.trusted(alpha, p, beta, 5)
+                f5 = SpecialForm(alpha, p, beta, 5)
                 assert sigma_k_special(f5) == sum(d**5 for d in divisors)
                 if rng.random() < 0.03:  # spot-check the other exponents
                     k = rng.choice((2, 3, 7, 13))
-                    fk = SpecialForm.trusted(alpha, p, beta, k)
+                    fk = SpecialForm(alpha, p, beta, k)
                     assert sigma_k_special(fk) == sum(d**k for d in divisors)
                 checked += 1
                 p_power *= p
