@@ -179,24 +179,36 @@ def _first_alpha(p: int) -> int:
 # at 24 that is a 25 MB sieve, and each further alpha doubles it.
 MAX_SCAN_ALPHA = 24
 
-# Grid parameter -> (its limit, the sieve it sizes, that sieve's entries
-# at a given value). Each limit keeps its sieve near the exhaustive scan's.
-_SIEVE_LIMITS = {
-    "alpha_max": (MAX_SCAN_ALPHA, "p-bound sieve", lambda alpha: 3 << (alpha - 1)),
-    "n_limit": (3 << MAX_SCAN_ALPHA, "sieve", lambda n: n >> 1),
-    "p_max": (3 << MAX_SCAN_ALPHA, "sieve", lambda p: p),
+# beta_max, and check-lemma's beta1_max and lambda_max, set both how many
+# rows a grid has and how wide their operands grow (to about beta * k *
+# log2(p) bits), while the operand cap bounds only single operands. At 64,
+# search --k 5 --alpha-max 13 takes about 1.7 s and check-lemma sl3 with
+# --beta1-max and --lambda-max at 64 about 4 s.
+MAX_SCAN_BETA = 64
+
+_ROW_WORK = "no operand cap bounds the work it adds to every row"
+
+# Grid parameter -> (its limit, why the limit is there at a given value).
+# Each sieve limit keeps its sieve near the exhaustive scan's.
+_GRID_LIMITS = {
+    "alpha_max": (MAX_SCAN_ALPHA, lambda a: f"its p-bound sieve would hold {3 << (a - 1)} entries"),
+    "n_limit": (3 << MAX_SCAN_ALPHA, lambda n: f"its sieve would hold {n >> 1} entries"),
+    "p_max": (3 << MAX_SCAN_ALPHA, lambda p: f"its sieve would hold {p} entries"),
+    "beta_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
+    "beta1_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
+    "lambda_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
 }
 
 
-def _refuse_oversized_sieve(scope: str, name: str, value: int) -> None:
-    """Raise ValueError, before any sieving, when grid parameter name is
-    past its limit in _SIEVE_LIMITS."""
-    limit, sieve, entries = _SIEVE_LIMITS[name]
-    if value > limit:
-        raise ValueError(
-            f"{name}={value} exceeds the {scope}'s limit of {limit}: "
-            f"its {sieve} would hold {entries(value)} entries"
-        )
+def _refuse_oversized(scope: str, **values: int) -> None:
+    """Raise ValueError, before any sieving or scanning, when a grid
+    parameter is past its limit in _GRID_LIMITS."""
+    for name, value in values.items():
+        limit, why = _GRID_LIMITS[name]
+        if value > limit:
+            raise ValueError(
+                f"{name}={value} exceeds the {scope}'s limit of {limit}: {why(value)}"
+            )
 
 
 # Contiguous prime-index ranges of about equal point count per scan; the
@@ -388,7 +400,7 @@ def scan_special_forms(
         raise ValueError("alpha_max and beta_max must be >= 2")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _refuse_oversized_sieve("exhaustive scan", "alpha_max", alpha_max)
+    _refuse_oversized("exhaustive scan", alpha_max=alpha_max, beta_max=beta_max)
     primes = _p_bound_primes(alpha_max)
     two_parts = [0, 0] + [geometric_sum(1 << k, a, bit_cap) for a in range(2, alpha_max + 1)]
     # The widest p-part, built as classify_point would; the kernel builds
@@ -560,7 +572,7 @@ def equivalence_scan(
     ks = tuple(ks)
     if n_limit < 6 or not ks:
         raise ValueError("need n_limit >= 6 and at least one exponent")
-    _refuse_oversized_sieve("equivalence scan", "n_limit", n_limit)
+    _refuse_oversized("equivalence scan", n_limit=n_limit)
     primes = primes_upto(n_limit >> 1)[1:]
     alphas = range(2, (n_limit // 3).bit_length() + 1)
     tasks = []
@@ -691,13 +703,20 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
 
     Tags vs1, cando, appr, appr2, tv, tv2, sl3, f and v10 are proved
     statements: every row must pass. Tags u1, v3 and trichotomy evaluate
-    parameter-dependent bounds and are informational. Grids whose prime
-    sieves would pass the scans' limits are refused before any sieving.
+    parameter-dependent bounds and are informational. Grids past the
+    limits in _GRID_LIMITS (prime sieves, and beta1_max, lambda_max and
+    beta_max) are refused before any sieving.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
-    _refuse_oversized_sieve("lemma grid", "alpha_max", grid.alpha_max)
-    _refuse_oversized_sieve("lemma grid", "p_max", grid.p_max)
+    _refuse_oversized(
+        "lemma grid",
+        alpha_max=grid.alpha_max,
+        p_max=grid.p_max,
+        beta_max=grid.beta_max,
+        beta1_max=grid.beta1_max,
+        lambda_max=grid.lambda_max,
+    )
     rows_of, proved = _LEMMAS[tag]
     if proved:
         return [GridRow(label, "pass" if ok else "FAIL", ok) for label, ok in rows_of(grid)]

@@ -37,10 +37,10 @@ FORMATS = ("json-lines", "csv", "human")
 
 _ALL_MERSENNE_PREFIX = "all-mersenne-upto-"
 
-# perfect checks sigma(n) = 2n through sigma_k, which trial-divides the odd
-# part 2**q - 1 up to its square root: under 0.1 s at q = 40 even for a
-# prime odd part, but about 2**10 times that at q = 61, the next Mersenne
-# exponent after 31.
+# perfect checks sigma(n) = 2n through sigma_k. sigma_k no longer
+# trial-divides the odd part 2**q - 1 but proves it prime with is_prime
+# (Miller-Rabin below 2**64, Lucas-Lehmer past it), so this cap no longer
+# guards any cost. It stays so that perfect --upto 61 and up keep exit 2.
 MAX_PERFECT_EXPONENT = 40
 
 
@@ -366,7 +366,7 @@ def cmd_perfect(args: argparse.Namespace) -> int:
     if q_max > MAX_PERFECT_EXPONENT:
         raise ValueError(
             f"exponent {q_max} exceeds the limit of {MAX_PERFECT_EXPONENT}: "
-            f"sigma(n) would trial-divide 2**{q_max} - 1"
+            f"2**{q_max} - 1 is past the perfect command's range"
         )
     for q in exponents:
         if not is_mersenne_prime_exponent(q):

@@ -6,16 +6,20 @@ the exponent they produce, so beta = 2 means n = 2**(alpha-1) * p. Every
 field named alpha or beta in this package follows it; SpecialForm.n() is
 the single place the shift is applied.
 
-sigma_k on general n factors by trial division and exists for fixtures and
-cross-checks; the special-form path never factors anything.
+sigma_k on general n factors with trial division by small primes, then
+Brent's variant of Pollard's rho, proving every prime factor with
+primality.is_prime. A cofactor past 64 bits that is neither a Mersenne
+number nor proved composite is refused rather than guessed prime. The
+special-form path never factors anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .exactint import checked_pow, geometric_sum
-from .primality import is_mersenne_prime_exponent, is_prime
+from .primality import _miller_rabin, is_mersenne_prime_exponent, is_prime
 
 __all__ = [
     "SpecialForm",
@@ -27,8 +31,29 @@ __all__ = [
 ]
 
 
+# Trial division tries the primes below this bound and no others.
+_TRIAL_BOUND = 1 << 10
+# Rho iterations allowed for splitting one composite cofactor, over all its
+# restarts. The least prime factor p takes about sqrt(p) of them: about 2**16
+# for any composite below 2**64, whose least factor is below 2**32. Running
+# out takes about 3 s on a 128-bit cofactor; an iteration costs more on wider
+# ones.
+_RHO_BUDGET = 1 << 22
+# Differences multiplied together per gcd in Brent's rho.
+_RHO_BATCH = 128
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division. Desk scale only."""
+    """Prime factorization {prime: exponent}, in ascending order of prime.
+
+    Primes below _TRIAL_BOUND come out by trial division. Every other
+    cofactor is proved prime by is_prime (Miller-Rabin below 2**64,
+    Lucas-Lehmer for 2**j - 1) or split by Brent's rho, and the parts go
+    round again. Raises ValueError, naming the cofactor's bit length, for a
+    cofactor past 64 bits that passes every Miller-Rabin base (a probable
+    prime nothing here can prove) and for a composite one that rho does not
+    split within _RHO_BUDGET iterations.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: dict[int, int] = {}
@@ -37,15 +62,80 @@ def factorize(n: int) -> dict[int, int]:
             out[q] = out.get(q, 0) + 1
             n //= q
     d = 5
-    while d * d <= n:
+    while d < _TRIAL_BOUND and d * d <= n:
         for q in (d, d + 2):
             while n % q == 0:
                 out[q] = out.get(q, 0) + 1
                 n //= q
         d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    # Every prime below d is divided out, so a cofactor below d**2 is prime.
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < d * d or _proved_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _brent_split(m)
+            pending += (f, m // f)
+    return dict(sorted(out.items()))
+
+
+def _proved_prime(m: int) -> bool:
+    """is_prime(m), where a non-Mersenne m past 64 bits must fail one of its
+    Miller-Rabin bases, a proof that m is composite."""
+    if m.bit_length() <= 64 or (m + 1) & m == 0:
+        return is_prime(m)
+    if _miller_rabin(m):
+        raise ValueError(
+            f"cannot factor: a {m.bit_length()}-bit cofactor passes every "
+            f"Miller-Rabin base but is beyond the range where it can be proved prime"
+        )
+    return False
+
+
+def _brent_split(n: int) -> int:
+    """A proper factor of the odd composite n with no prime factor below
+    _TRIAL_BOUND, by Brent's cycle-finding form of Pollard's rho on
+    y -> y**2 + c, trying c = 1, 2, ... in turn.
+
+    Each round steps x r times ahead, then multiplies up to _RHO_BATCH
+    differences per gcd over the next r steps, and doubles r. A batch whose
+    gcd reaches n is replayed one step at a time; a cycle that still gives n
+    moves on to the next c. Raises ValueError once a round would take the
+    iterations past _RHO_BUDGET.
+    """
+    spent = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1:
+            if spent + 2 * r > _RHO_BUDGET:
+                raise ValueError(
+                    f"cannot factor: a {n.bit_length()}-bit composite cofactor was not "
+                    f"split within {_RHO_BUDGET} rho iterations"
+                )
+            spent += 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                q = 1
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def sigma_k(n: int, k: int) -> int:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import sigmaperfect.classify as classify
 import sigmaperfect.cli as cli
 import sigmaperfect.primality as primality
+import sigmaperfect.sigma as sigma
 from sigmaperfect.classify import PRUNE_ORDER, ClassificationReport
 from sigmaperfect.cli import RunRecord, SearchConfig, main, parse_run_record
 from sigmaperfect.sigma import SpecialForm
@@ -39,6 +40,29 @@ def test_sigma_command_rejects_bad_input(capsys):
         main(["sigma", "twelve", "5"])
     code, _, err = run_cli(capsys, "sigma", "0", "5")
     assert code != 0 and "n must be" in err
+
+
+def test_sigma_command_past_trial_division(capsys):
+    n = 10**18 + 3  # prime, so sigma_5(n) = 1 + n**5
+    code, out, _ = run_cli(capsys, "sigma", str(n), "5")
+    assert code == 0
+    assert out == (
+        f"sigma_5({n}) = {1 + n**5}\n"
+        f"sigma_5({n}) mod {n} = 1\n"
+        f"{n} divides sigma_5({n}): no\n"
+    )
+    # 2**64 + 13 is prime, but nothing proves primes past 64 bits
+    code, out, err = run_cli(capsys, "sigma", str(2**64 + 13), "5")
+    assert code == 2 and out == "" and "65-bit cofactor" in err
+
+
+def test_sigma_command_refuses_once_rho_budget_runs_out(monkeypatch, capsys):
+    monkeypatch.setattr(sigma, "_RHO_BUDGET", 64)
+    n = (2**32 - 5) * (2**32 - 17)
+    with pytest.raises(ValueError, match="64-bit composite cofactor"):
+        sigma.factorize(n)
+    code, out, err = run_cli(capsys, "sigma", str(n), "5")
+    assert code == 2 and out == "" and "within 64 rho iterations" in err
 
 
 def test_search_json_lines_and_round_trip(capsys):
@@ -460,6 +484,27 @@ def test_check_lemma_refuses_oversized_grid_before_sieving(monkeypatch, capsys):
         code, out, err = run_cli(capsys, "check-lemma", tag, "--p-max", p_max)
         assert code == 2 and out == ""
         assert f"limit of {3 << classify.MAX_SCAN_ALPHA}" in err
+
+
+def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
+    at_limit = str(classify.MAX_SCAN_BETA)
+    code, _, _ = run_cli(capsys, "check-lemma", "f", "--k", "3", "--alpha-max", "2",
+                         "--beta-max", at_limit)
+    assert code == 0
+    for name in ("primes_upto", "_scan_rows", "check_lemma_f", "check_sl3", "check_tv"):
+        monkeypatch.setattr(classify, name, _refuse(name))
+    past_limit = str(classify.MAX_SCAN_BETA + 1)
+    for argv in (
+        ("search", "--k", "5", "--alpha-max", "2", "--beta-max", "100000"),
+        ("verify-theorem", "--k", "5", "--beta-max", past_limit),
+        ("check-lemma", "f", "--k", "3", "--beta-max", "100000"),
+        ("check-lemma", "sl3", "--beta1-max", past_limit),
+        ("check-lemma", "sl3", "--lambda-max", past_limit),
+        ("check-lemma", "tv", "--beta1-max", past_limit),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert f"limit of {classify.MAX_SCAN_BETA}" in err, argv
 
 
 def test_check_lemma_v3_refuses_past_operand_cap(capsys):

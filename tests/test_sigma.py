@@ -2,8 +2,9 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from sigmaperfect.primality import mersenne_exponents_upto, primes_upto
+from sigmaperfect.primality import is_prime, mersenne_exponents_upto, primes_upto
 from sigmaperfect.sigma import (
     SpecialForm,
     divides_sigma,
@@ -17,6 +18,59 @@ from sigmaperfect.sigma import (
 def sigma_by_enumeration(n: int, k: int) -> int:
     # independent oracle: walk every divisor
     return sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+
+def trial_division_factorize(n: int) -> dict[int, int]:
+    # the slow reference: trial division by 2, 3 and 6j +- 1 up to sqrt(n)
+    out: dict[int, int] = {}
+    for q in (2, 3):
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+    d = 5
+    while d * d <= n:
+        for q in (d, d + 2):
+            while n % q == 0:
+                out[q] = out.get(q, 0) + 1
+                n //= q
+        d += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+# products of two factors past the trial-division bound, where rho must split
+_rho_products = st.tuples(
+    st.integers(min_value=1025, max_value=99_999), st.integers(min_value=1025, max_value=99_999)
+).map(lambda t: t[0] * t[1])
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=10**10 - 1), _rho_products))
+@example(1031 * 1033)
+def test_factorize_matches_trial_division(n):
+    fac = factorize(n)
+    assert fac == trial_division_factorize(n)
+    assert list(fac) == sorted(fac)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        10**18 + 3,
+        (2**31 - 1) ** 2,
+        2**60 * (2**61 - 1),
+        (2**89 - 1) * 3,  # the cofactor is proved prime by Lucas-Lehmer
+        1000003 * 1000033 * (10**13 + 37),  # a composite cofactor past 2**64
+    ],
+)
+def test_factorize_frozen_cases(n):
+    fac = factorize(n)
+    assert list(fac) == sorted(fac)
+    assert all(is_prime(q) for q in fac)
+    prod = 1
+    for q, e in fac.items():
+        prod *= q**e
+    assert prod == n
 
 
 def test_factorize_round_trips():
