@@ -80,7 +80,6 @@ class DivisibilityConditions:
 
     cond_k1_holds: bool
     cond_k2_holds: bool
-    beta_even: bool
 
 
 def derive_conditions(f: SpecialForm, bit_cap: int | None = None) -> DivisibilityConditions:
@@ -89,7 +88,6 @@ def derive_conditions(f: SpecialForm, bit_cap: int | None = None) -> Divisibilit
     return DivisibilityConditions(
         cond_k1_holds=p_quotient % (1 << (f.alpha - 1)) == 0,
         cond_k2_holds=two_quotient % f.p ** (f.beta - 1) == 0,
-        beta_even=f.beta % 2 == 0,
     )
 
 
@@ -134,13 +132,13 @@ def classify_point(f: SpecialForm, bit_cap: int | None = None) -> Classification
     """Evaluate one grid point along all routes, raising on any disagreement."""
     conditions = derive_conditions(f, bit_cap)
     divides = divides_sigma(f, bit_cap)
-    if divides != (conditions.cond_k1_holds and conditions.cond_k2_holds):
-        raise CrossCheckError(f"conditions disagree with direct divisibility at {f}")
-    if conditions.cond_k1_holds and not conditions.beta_even:
-        raise CrossCheckError(f"first condition held with odd beta at {f}")
+    _raise_route_failure(
+        f.p, f.beta, f.k, range(f.alpha, f.alpha + 1),
+        [divides], [conditions.cond_k1_holds], [conditions.cond_k2_holds],
+    )
     pruned = _pruned_by(f)
     if pruned is not None and divides:
-        raise CrossCheckError(f"pruner {pruned!r} contradicts a found solution at {f}")
+        raise _pruned_solution(pruned, f.alpha, f.p, f.beta, f.k)
     n = f.n()
     perfect = is_even_perfect(n)
     return ClassificationReport(
@@ -291,8 +289,9 @@ def _raise_route_failure(
     p: int, beta: int, k: int, alphas: range,
     divides: list[bool], cond1: list[bool], cond2: list[bool],
 ) -> None:
-    """Raise for the first point of a row failing a route check, in
-    classify_point's order: routes disagree, then condition 1 at odd beta."""
+    """Raise for the first point of a row failing a route check: routes
+    disagree, then condition 1 at odd beta. classify_point passes a
+    one-point row."""
     for alpha, d, c1, c2 in zip(alphas, divides, cond1, cond2):
         if d != (c1 and c2):
             raise CrossCheckError(
@@ -304,6 +303,13 @@ def _raise_route_failure(
                 f"first condition held with odd beta at "
                 f"{_point(alpha, p, beta, k)}: cond1={c1}, cond2={c2}"
             )
+
+
+def _pruned_solution(verdict: str, alpha: int, p: int, beta: int, k: int) -> CrossCheckError:
+    return CrossCheckError(
+        f"pruner {verdict!r} contradicts a found solution at "
+        f"{_point(alpha, p, beta, k)}: divides=True"
+    )
 
 
 def _check_row(
@@ -346,10 +352,7 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
                 scenario1 += len(alphas)
             for alpha in compress(alphas, divides):
                 if verdict is not None:
-                    raise CrossCheckError(
-                        f"pruner {verdict!r} contradicts a found solution at "
-                        f"{_point(alpha, p, beta, k)}: divides=True"
-                    )
+                    raise _pruned_solution(verdict, alpha, p, beta, k)
                 f = SpecialForm(alpha, p, beta, k)
                 n = f.n()
                 solutions.append(
@@ -572,6 +575,8 @@ def equivalence_scan(
     ks = tuple(ks)
     if n_limit < 6 or not ks:
         raise ValueError("need n_limit >= 6 and at least one exponent")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _refuse_oversized("equivalence scan", n_limit=n_limit)
     primes = primes_upto(n_limit >> 1)[1:]
     alphas = range(2, (n_limit // 3).bit_length() + 1)

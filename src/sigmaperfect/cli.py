@@ -339,9 +339,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 
 
 def cmd_check_lemma(args: argparse.Namespace) -> int:
-    grid = LemmaGrid(**{
-        f.name: getattr(args, "k" if f.name == "k_values" else f.name) for f in fields(LemmaGrid)
-    })
+    grid = LemmaGrid(**{f.name: getattr(args, f.name) for f in fields(LemmaGrid)})
     rows = run_lemma_grid(args.tag, grid)
     for row in rows:
         print(f"{args.tag}  {row.label}: {row.outcome}")
@@ -424,17 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lemma = sub.add_parser("check-lemma", help="run one lemma oracle over a parameter grid")
     p_lemma.add_argument("tag", choices=LEMMA_TAGS)
-    p_lemma.add_argument("--k", type=_csv_ints, default=(3, 5, 7), help="comma-separated exponents")
-    p_lemma.add_argument("--p-max", dest="p_max", type=int, default=500)
-    p_lemma.add_argument("--v-max", dest="v_max", type=int, default=5)
-    p_lemma.add_argument("--beta1-max", dest="beta1_max", type=int, default=9)
-    p_lemma.add_argument("--u-max", dest="u_max", type=int, default=1)
-    p_lemma.add_argument("--alpha1-max", dest="alpha1_max", type=int, default=4)
-    p_lemma.add_argument("--lambda-max", dest="lambda_max", type=int, default=5)
-    p_lemma.add_argument("--p1-max", dest="p1_max", type=int, default=9)
-    p_lemma.add_argument("--alpha-max", dest="alpha_max", type=int, default=8)
-    p_lemma.add_argument("--beta-max", dest="beta_max", type=int, default=6)
-    p_lemma.add_argument("--bit-cap", dest="bit_cap", type=int, default=None)
+    for f in fields(LemmaGrid):  # one flag per grid field, with its default
+        flag = "--k" if f.name == "k_values" else "--" + f.name.replace("_", "-")
+        p_lemma.add_argument(
+            flag, dest=f.name, type=_csv_ints if flag == "--k" else int, default=f.default,
+            metavar=flag[2:].upper().replace("-", "_"),
+            help="comma-separated exponents" if flag == "--k" else None,
+        )
     p_lemma.set_defaults(func=cmd_check_lemma)
 
     p_mersenne = sub.add_parser("mersenne", help="list exponents k with 2^k - 1 prime")

@@ -1,11 +1,9 @@
-"""Exact integer and rational arithmetic primitives.
+"""Exact integer arithmetic primitives: guarded powers, valuations and
+geometric sums.
 
-Python's built-in int is the arbitrary-precision non-negative integer used
-throughout the package (canonical, value equality), and
-``fractions.Fraction`` supplies exact rationals: eagerly reduced,
-denominator always positive, denominator 1 exactly when the value is an
-integer. No mathematical claim anywhere in the package is ever evaluated
-in floating point.
+Python's built-in int is the arbitrary-precision integer used throughout
+the package. No mathematical claim anywhere in the package is ever
+evaluated in floating point.
 
 A configurable operand-size cap (default one million bits) guards the
 power computations so runaway parameter choices fail loudly instead of

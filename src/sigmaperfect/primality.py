@@ -1,10 +1,10 @@
 """Primality testing for search ranges and Mersenne exponent validation.
 
-Everything here is deterministic and exact: trial division for small
-inputs, a strong-pseudoprime battery whose base set is proven correct for
-the whole 64-bit range, and the Lucas-Lehmer recurrence for numbers of the
-form 2**k - 1 beyond that. General inputs past 64 bits are refused rather
-than answered probabilistically.
+Everything here is deterministic and exact: trial division by one table of
+the primes below 2**10, a strong-pseudoprime battery whose base set is
+proven correct for the whole 64-bit range, and the Lucas-Lehmer recurrence
+for numbers of the form 2**k - 1 beyond that. General inputs past 64 bits
+are refused rather than answered probabilistically.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ __all__ = [
     "primes_upto",
 ]
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-# Plain trial division below this; Miller-Rabin above it. The base set is
-# deterministic for every n < 2**64.
-_TRIAL_LIMIT = 1 << 20
+# _SMALL_PRIMES, the primes below this bound, is the one table every trial
+# division in the package walks; an x that none of them divides and that is
+# below _TRIAL_BOUND**2 is prime.
+_TRIAL_BOUND = 1 << 10
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _U64 = 1 << 64
 
@@ -33,41 +32,42 @@ _U64 = 1 << 64
 MAX_MERSENNE_BOUND = 1279
 
 
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, by sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+_SMALL_PRIMES = tuple(primes_upto(_TRIAL_BOUND))
+
+
 def is_prime(x: int) -> bool:
     """Exact primality for x below 2**64, plus Mersenne numbers of any size.
 
     Raises ValueError for inputs past 64 bits that are not of the form
-    2**k - 1 (no probabilistic answers; desk-scale searches never need
-    them).
+    2**k - 1 and have no factor in the small-prime table (no probabilistic
+    answers; desk-scale searches never need them).
     """
     if x < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if x % p == 0:
-            return x == p
-    if x < _TRIAL_LIMIT:
-        return _trial_division(x)
+    for q in _SMALL_PRIMES:
+        if q * q > x:
+            return True
+        if x % q == 0:
+            return x == q
     if x < _U64:
         return _miller_rabin(x)
     if (x + 1) & x == 0:
-        j = x.bit_length()  # x = 2**j - 1
-        if not is_prime(j):
-            return False
-        return lucas_lehmer(j)
+        return is_mersenne_prime_exponent(x.bit_length())  # x = 2**j - 1
     raise ValueError(
         f"is_prime: {x.bit_length()}-bit non-Mersenne input is beyond the supported range"
     )
-
-
-def _trial_division(x: int) -> bool:
-    # Small primes up to 47 were already screened out by the caller.
-    limit = isqrt(x)
-    d = 53
-    while d <= limit:
-        if x % d == 0 or x % (d + 2) == 0:
-            return False
-        d += 6
-    return True
 
 
 def _miller_rabin(n: int) -> bool:
@@ -101,7 +101,7 @@ def lucas_lehmer(k: int) -> bool:
     """
     if k == 2:
         raise ValueError("lucas_lehmer starts at k = 3; 2**2 - 1 = 3 is prime by inspection")
-    if k < 3 or k % 2 == 0 or not is_prime(k):
+    if not is_prime(k):
         raise ValueError(f"lucas_lehmer requires an odd prime exponent, got {k}")
     m = (1 << k) - 1
     s = 4
@@ -114,9 +114,7 @@ def is_mersenne_prime_exponent(q: int) -> bool:
     """True iff 2**q - 1 is prime (q = 2 included)."""
     if q == 2:
         return True
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        return False
-    return lucas_lehmer(q)
+    return is_prime(q) and lucas_lehmer(q)
 
 
 def mersenne_exponents_upto(K: int) -> list[int]:
@@ -125,20 +123,4 @@ def mersenne_exponents_upto(K: int) -> list[int]:
         raise ValueError(f"bound must be >= 2, got {K}")
     if K > MAX_MERSENNE_BOUND:
         raise ValueError(f"Mersenne exponent bound {K} is beyond the limit K <= {MAX_MERSENNE_BOUND}")
-    out = [2]
-    for k in range(3, K + 1, 2):
-        if is_prime(k) and lucas_lehmer(k):
-            out.append(k)
-    return out
-
-
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, by sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return [k for k in range(2, K + 1) if is_mersenne_prime_exponent(k)]

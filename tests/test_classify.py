@@ -45,14 +45,14 @@ def _run_python(code: str) -> str:
 
 def test_derive_conditions_frozen_values():
     both = derive_conditions(SpecialForm(alpha=3, p=7, beta=2, k=5))  # n = 28
-    assert both.cond_k1_holds and both.cond_k2_holds and both.beta_even
+    assert both.cond_k1_holds and both.cond_k2_holds
 
     failing = derive_conditions(SpecialForm(alpha=5, p=31, beta=2, k=5))  # n = 496
     assert failing.cond_k1_holds and not failing.cond_k2_holds
     assert geometric_sum(1 << 5, 5) % 31 == 5  # (2^25 - 1)/31 = 1082401 = 5 mod 31
 
     odd_beta = derive_conditions(SpecialForm(alpha=3, p=7, beta=3, k=5))
-    assert not odd_beta.cond_k1_holds and not odd_beta.beta_even
+    assert not odd_beta.cond_k1_holds
 
 
 def test_conditions_equal_direct_divisibility_sampled():
@@ -68,7 +68,7 @@ def test_conditions_equal_direct_divisibility_sampled():
         conditions = derive_conditions(f)
         assert (conditions.cond_k1_holds and conditions.cond_k2_holds) == divides_sigma(f)
         if conditions.cond_k1_holds:
-            assert conditions.beta_even
+            assert f.beta % 2 == 0
 
 
 def test_equivalence_scan_small():
@@ -103,6 +103,20 @@ def test_equivalence_scan_refuses_oversized_limit_before_sieving(monkeypatch):
     for n_limit in ((3 << classify.MAX_SCAN_ALPHA) + 1, 10**10):
         with pytest.raises(ValueError, match="equivalence scan's limit"):
             equivalence_scan(n_limit)
+
+
+def test_scans_refuse_bad_grids_and_worker_counts_before_sieving(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(classify, "primes_upto", no_sieve)
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        equivalence_scan(10**4, workers=0)
+    for alpha_max, beta_max in ((1, 4), (4, 1)):
+        with pytest.raises(ValueError, match="alpha_max and beta_max must be >= 2"):
+            scan_special_forms(5, alpha_max, beta_max)
+    with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+        scan_special_forms(5, 4, 2, workers=0)
 
 
 def _forms_upto(n_limit, ks):
@@ -198,18 +212,29 @@ main(["search", "--k", "5", "--alpha-max", "7", "--beta-max", "6", "--workers", 
 def test_classify_point_cross_check_trips_on_bad_oracle(monkeypatch):
     # force the direct route to lie; the engine must refuse to continue
     monkeypatch.setattr(classify, "divides_sigma", lambda f, bit_cap=None: True)
-    with pytest.raises(CrossCheckError):
+    with pytest.raises(
+        CrossCheckError,
+        match=r"disagree .* \(alpha, p, beta, k\) = \(3, 5, 2, 5\): "
+        r"divides=True, cond1=False, cond2=False",
+    ):
         classify_point(SpecialForm(alpha=3, p=5, beta=2, k=5))
 
 
 def test_classify_point_trips_on_odd_beta_first_condition(odd_beta_first_condition):
-    with pytest.raises(CrossCheckError, match="first condition held with odd beta"):
+    with pytest.raises(
+        CrossCheckError,
+        match=r"first condition held with odd beta at "
+        r"\(alpha, p, beta, k\) = \(3, 7, 3, 5\): cond1=True, cond2=False",
+    ):
         classify_point(SpecialForm(alpha=3, p=7, beta=3, k=5))
 
 
 def test_classify_point_trips_on_pruned_solution(monkeypatch):
     monkeypatch.setattr(classify, "_pruned_by", lambda f: "u1")
-    with pytest.raises(CrossCheckError, match="pruner 'u1' contradicts"):
+    with pytest.raises(
+        CrossCheckError,
+        match=r"pruner 'u1' contradicts .* \(alpha, p, beta, k\) = \(3, 7, 2, 5\): divides=True",
+    ):
         classify_point(SpecialForm(alpha=3, p=7, beta=2, k=5))
 
 

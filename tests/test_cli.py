@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ import sigmaperfect.sigma as sigma
 from sigmaperfect.classify import PRUNE_ORDER, ClassificationReport
 from sigmaperfect.cli import RunRecord, SearchConfig, main, parse_run_record
 from sigmaperfect.sigma import SpecialForm
+from sigmaperfect.valuations import LemmaGrid
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +65,14 @@ def test_sigma_command_refuses_once_rho_budget_runs_out(monkeypatch, capsys):
         sigma.factorize(n)
     code, out, err = run_cli(capsys, "sigma", str(n), "5")
     assert code == 2 and out == "" and "within 64 rho iterations" in err
+
+
+def test_sigma_command_charges_rho_by_cofactor_width(capsys):
+    # 1,128 bits: each iteration counts 81, so the budget runs out quickly
+    n = (2**521 - 1) * (2**607 - 1)
+    code, out, err = run_cli(capsys, "sigma", str(n), "5")
+    assert code == 2 and out == ""
+    assert "1128-bit composite cofactor" in err and "rho iterations (one at its width counts 81)" in err
 
 
 def test_search_json_lines_and_round_trip(capsys):
@@ -345,6 +355,11 @@ def test_search_config_round_trip(tmp_path, capsys):
     assert code == 2 and out == "" and "unknown config keys" in err
     with pytest.raises(ValueError):
         SearchConfig(format="yaml")
+    for bad_grid in ({"alpha_max": 1}, {"beta_max": 1}):
+        with pytest.raises(ValueError, match="alpha_max and beta_max must be >= 2"):
+            SearchConfig(**bad_grid)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        SearchConfig(workers=0)
 
 
 search_configs = st.builds(
@@ -437,6 +452,12 @@ def test_check_lemma_command(capsys):
 
     with pytest.raises(SystemExit):  # argparse usage error
         main(["check-lemma", "unknown-tag"])
+
+    # one flag per LemmaGrid field, defaulting to the field's default
+    args = cli.build_parser().parse_args(["check-lemma", "vs1"])
+    assert LemmaGrid(**{f.name: getattr(args, f.name) for f in fields(LemmaGrid)}) == LemmaGrid()
+    args = cli.build_parser().parse_args(["check-lemma", "vs1", "--k", "3,13", "--p1-max", "7"])
+    assert args.k_values == (3, 13) and args.p1_max == 7
 
 
 def test_mersenne_command(capsys):

@@ -36,9 +36,12 @@ def test_is_prime_small_range_against_sieve():
 
 
 def test_is_prime_across_miller_rabin_threshold():
-    # values straddling the trial-division/Miller-Rabin boundary
-    for n in range((1 << 20) - 600, (1 << 20) + 600):
-        assert is_prime(n) == trial_prime(n)
+    # 1021 is the small-prime table's last prime and 1031 the first past it:
+    # between their squares, around 2**20, trial division hands over to
+    # Miller-Rabin
+    primes = set(primes_upto(1031**2))
+    for n in range(1021**2, 1031**2 + 1):
+        assert is_prime(n) == (n in primes)
 
 
 def test_is_prime_large_mersenne_path():

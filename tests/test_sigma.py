@@ -61,6 +61,9 @@ def test_factorize_matches_trial_division(n):
         2**60 * (2**61 - 1),
         (2**89 - 1) * 3,  # the cofactor is proved prime by Lucas-Lehmer
         1000003 * 1000033 * (10**13 + 37),  # a composite cofactor past 2**64
+        1021**2,  # the table's last prime, squared
+        1021 * 1031,  # 1031 is the first prime past the table
+        (2**61 - 1) * 1031,  # rho must find the first prime past the table
     ],
 )
 def test_factorize_frozen_cases(n):
