@@ -27,6 +27,7 @@ from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, prim
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
     LemmaGrid,
+    _bound_holds,
     bound_u1,
     bound_v3,
     check_appr,
@@ -133,7 +134,7 @@ def classify_point(f: SpecialForm, bit_cap: int | None = None) -> Classification
     conditions = derive_conditions(f, bit_cap)
     divides = divides_sigma(f, bit_cap)
     _raise_route_failure(
-        f.p, f.beta, f.k, range(f.alpha, f.alpha + 1),
+        f.p, f.k, [(f.alpha, f.beta)],
         [divides], [conditions.cond_k1_holds], [conditions.cond_k2_holds],
     )
     pruned = _pruned_by(f)
@@ -237,48 +238,57 @@ def _point(alpha: int, p: int, beta: int, k: int) -> str:
     return f"(alpha, p, beta, k) = ({alpha}, {p}, {beta}, {k})"
 
 
-def _direct_row(
-    two_parts: list[int], p_part: int, p_power: int, alphas: range
-) -> list[bool]:
-    """Direct route over one row: n | sigma_k(n) at each alpha, where
+# A block is one prime's rows (beta, p_part, p_power, alphas), in consecutive ascending
+# beta, none past the first row's top alpha; routes flag each point flat in (row, alpha) order.
+_Block = list[tuple[int, int, int, range]]
+
+
+def _direct_block(two_parts: list[int], rows: _Block) -> list[bool]:
+    """Direct route over one block: n | sigma_k(n) at each point, where
     sigma_k(n) = two_parts[alpha] * p_part and n = p_power * 2**(alpha-1)."""
-    return [two_parts[a] * p_part % (p_power << (a - 1)) == 0 for a in alphas]
+    return [
+        two_parts[a] * p_part % (p_power << (a - 1)) == 0
+        for _, p_part, p_power, alphas in rows for a in alphas
+    ]
 
 
-def _conditions_row(
-    p: int, k: int, beta: int, p_power: int, alphas: range
-) -> tuple[list[bool], list[bool]]:
-    """Condition route over one row, by modular exponentiation only:
-    condition 1 is p**(beta*k) = 1 (mod (p**k - 1) * 2**(alpha-1)) and
-    condition 2 is 2**(alpha*k) = 1 (mod (2**k - 1) * p**(beta-1)). Both
-    moduli exceed 1, so pow(...) == 1 is exact divisibility."""
-    m1 = p**k - 1
-    m2 = ((1 << k) - 1) * p_power
-    cond1 = [pow(p, beta * k, m1 << (a - 1)) == 1 for a in alphas]
-    cond2 = [pow(2, a * k, m2) == 1 for a in alphas]
+def _conditions_block(p: int, k: int, rows: _Block) -> tuple[list[bool], list[bool]]:
+    """Condition route over one block, by modular arithmetic only: condition
+    1 is p**(beta*k) = 1 (mod (p**k - 1) * 2**(alpha-1)), stepped across beta
+    modulo the block's widest such modulus, which every other divides, and
+    condition 2 is 2**(alpha*k) = 1 (mod (2**k - 1) * p**(beta-1))."""
+    q = p**k
+    m1 = q - 1
+    widest = m1 << (rows[0][3][-1] - 1)
+    x = q ** (rows[0][0] - 1)
+    # Entering a row steps x to p**(beta*k) mod widest; x is never 0 (widest is even, q odd),
+    # so the if only binds it. Every modulus exceeds 1, so a residue of 1 is exact divisibility.
+    cond1 = [x % (m1 << (a - 1)) == 1 for row in rows if (x := x * q % widest) for a in row[3]]
+    m2 = (1 << k) - 1
+    cond2 = [pow(2, a * k, m2 * p_power) == 1 for _, _, p_power, alphas in rows for a in alphas]
     return cond1, cond2
 
 
 def _verdict_row(
-    p: int, k: int, beta: int, v: int | None, bounds: dict[int, bool]
+    p: int, k: int, beta: int, v: int | None, lam: int, bounds: dict, scenarios: dict
 ) -> str | None:
-    """_pruned_by for every point of row (p, beta) of the scan.
-
-    v is v2(beta) for even beta. bounds caches bound_u1 or bound_v3 by v
-    for this p. The quartic pruner needs no alpha: every scanned point
-    satisfies the p-bound.
-    """
+    """_pruned_by for every point of row (p, beta), all under the p-bound. v =
+    v2(beta) if even, lam = v2(p + 1); bounds caches the u1 or v3 bound by v for
+    this sieved p, not re-proved prime, and scenarios trichotomy_3mod4 by (lam, beta, p == k)."""
     if beta % 2:
         return "parity"
     if p == (1 << k) - 1:
         return "f"
     if v not in bounds:
-        bounds[v] = bound_u1(p, k, v) if p % 4 == 1 else bound_v3(p, k, v)
+        bounds[v] = _bound_holds(p, k, v)
     if p % 4 == 1:
         return None if bounds[v] else "u1"
     if not bounds[v]:
         return "v3"
-    if not trichotomy_3mod4(p, k, beta):
+    key = (lam, beta, p == k)
+    if key not in scenarios:
+        scenarios[key] = bool(trichotomy_3mod4(p, k, beta))
+    if not scenarios[key]:
         return "trichotomy"
     if k == 5 and beta == 4:
         return "v10"
@@ -286,13 +296,13 @@ def _verdict_row(
 
 
 def _raise_route_failure(
-    p: int, beta: int, k: int, alphas: range,
+    p: int, k: int, points: Iterable[tuple[int, int]],
     divides: list[bool], cond1: list[bool], cond2: list[bool],
 ) -> None:
-    """Raise for the first point of a row failing a route check: routes
-    disagree, then condition 1 at odd beta. classify_point passes a
-    one-point row."""
-    for alpha, d, c1, c2 in zip(alphas, divides, cond1, cond2):
+    """Raise for the first of the (alpha, beta) points failing a route
+    check: routes disagree, then condition 1 at odd beta. classify_point
+    passes one point."""
+    for (alpha, beta), d, c1, c2 in zip(points, divides, cond1, cond2):
         if d != (c1 and c2):
             raise CrossCheckError(
                 f"conditions disagree with direct divisibility at "
@@ -312,55 +322,63 @@ def _pruned_solution(verdict: str, alpha: int, p: int, beta: int, k: int) -> Cro
     )
 
 
-def _check_row(
-    p: int, k: int, beta: int, two_parts: list[int], p_part: int, p_power: int,
-    alphas: range,
-) -> list[bool]:
-    """Run the direct and condition routes over one row and cross-check
+def _check_block(p: int, k: int, two_parts: list[int], rows: _Block) -> list[bool]:
+    """Run the direct and condition routes over one block and cross-check
     them at every point; return the direct route's divides flags."""
-    divides = _direct_row(two_parts, p_part, p_power, alphas)
-    cond1, cond2 = _conditions_row(p, k, beta, p_power, alphas)
-    if divides != list(map(and_, cond1, cond2)) or (beta % 2 and True in cond1):
-        _raise_route_failure(p, beta, k, alphas, divides, cond1, cond2)
+    divides = _direct_block(two_parts, rows)
+    cond1, cond2 = _conditions_block(p, k, rows)
+    failed = divides != list(map(and_, cond1, cond2))
+    if len(rows) > 1 or rows[0][0] % 2:  # most equivalence blocks are one even-beta row
+        end = 0
+        for beta, _, _, alphas in rows:
+            start, end = end, end + len(alphas)
+            failed = failed or beta % 2 == 1 and True in cond1[start:end]
+    if failed:
+        points = ((a, beta) for beta, *_, alphas in rows for a in alphas)
+        _raise_route_failure(p, k, points, divides, cond1, cond2)
     return divides
 
 
 def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
-    """Scan the rows of one prime range. A row is one prime p and one beta,
-    over every alpha whose p-bound admits p; the p-part and p**(beta-1) are
-    extended across beta, the pruner verdict is taken once per row, and
-    every point still goes through all three routes and cross-checks."""
+    """Scan the blocks of one prime range: a prime's rows beta = 2 .. beta_max,
+    over every alpha whose p-bound admits p. The p-part and p**(beta-1) are
+    extended across beta, every point goes through all three routes and
+    cross-checks, and the pruner verdict is taken once per row."""
     k, alpha_max, beta_max, two_parts, primes = task
     solutions: list[ClassificationReport] = []
     points = pruned = scenario1 = 0
     excluded = (1 << (k - 1)) * ((1 << k) - 1)
+    betas = range(2, beta_max + 1)
     v_of = {beta: v2(beta) for beta in range(2, beta_max + 1, 2)}
+    scenarios: dict[tuple[int, int, bool], bool] = {}
     for p in primes:
         alphas = range(_first_alpha(p), alpha_max + 1)
         q = p**k
         p_part = p_power = 1
-        bounds: dict[int, bool] = {}
-        for beta in range(2, beta_max + 1):
+        rows = []
+        for beta in betas:
             p_part = p_part * q + 1  # 1 + q + ... + q**(beta-1), by Horner
             p_power *= p
-            divides = _check_row(p, k, beta, two_parts, p_part, p_power, alphas)
-            verdict = _verdict_row(p, k, beta, v_of.get(beta), bounds)
-            points += len(alphas)
+            rows.append((beta, p_part, p_power, alphas))
+        divides = _check_block(p, k, two_parts, rows)
+        lam = ((p + 1) & -(p + 1)).bit_length() - 1  # v2(p + 1)
+        bounds: dict[int, bool] = {}
+        verdicts = [_verdict_row(p, k, b, v_of.get(b), lam, bounds, scenarios) for b in betas]
+        width = len(alphas)
+        points += width * len(betas)
+        pruned += width * (len(verdicts) - verdicts.count(None))
+        scenario1 += width * len(v_of) * (p == k and p % 4 == 3)
+        for i in compress(range(len(divides)), divides):
+            alpha, beta, verdict = alphas[i % width], betas[i // width], verdicts[i // width]
             if verdict is not None:
-                pruned += len(alphas)
-            if p == k and beta % 2 == 0 and p % 4 == 3:
-                scenario1 += len(alphas)
-            for alpha in compress(alphas, divides):
-                if verdict is not None:
-                    raise _pruned_solution(verdict, alpha, p, beta, k)
-                f = SpecialForm(alpha, p, beta, k)
-                n = f.n()
-                solutions.append(
-                    ClassificationReport(
-                        form=f, divides=True, perfect=is_even_perfect(n),
-                        excluded_perfect=n == excluded,
-                    )
+                raise _pruned_solution(verdict, alpha, p, beta, k)
+            f = SpecialForm(alpha, p, beta, k)
+            n = f.n()
+            solutions.append(
+                ClassificationReport(
+                    form=f, divides=True, perfect=is_even_perfect(n), excluded_perfect=n == excluded
                 )
+            )
     return solutions, points, pruned, scenario1
 
 
@@ -392,11 +410,13 @@ def scan_special_forms(
 
     Every point is checked along the direct route, the two conditions and
     the pruners, with the same cross-checks as classify_point, which stays
-    as the tested reference. The operand cap is checked up front on the
-    grid's largest operands: the checks are monotone in alpha, p and beta,
-    so this refuses exactly when some point would. The grid is split by
-    prime ranges that do not depend on the worker count, and the merge is
-    a sort, so worker count never changes the result.
+    as the tested reference. Both routes run once per prime's block of
+    (beta, alpha) points, the verdict once per row, with the bounds cached
+    by (p, v2(beta)) and the trichotomy by (v2(p + 1), beta, p == k). The
+    operand cap is checked up front on the grid's largest operands: the
+    checks are monotone in alpha, p and beta, so this refuses exactly when
+    some point would. The split into prime ranges ignores the worker count
+    and the merge is a sort, so worker count never changes the result.
     """
     _require_search_k(k)
     if alpha_max < 2 or beta_max < 2:
@@ -537,23 +557,23 @@ _EQ_CHUNK = 20_000
 
 
 def _equivalence_rows(task: tuple[int, int, list[int], list[int]]) -> int:
-    """Check the rows of one prime range on the row kernel; return the
-    number of points. A row is one prime p and one beta with
-    p**(beta-1) <= n_limit // 2, over alpha = 2 .. bit_length(n_limit //
-    p**(beta-1)): exactly the forms with n <= n_limit. No pruners, no
-    p-bound."""
+    """Check the blocks of one prime range; return the number of points. A
+    prime's rows are beta = 2, 3, ... with p**(beta-1) <= n_limit // 2, over
+    alpha = 2 .. bit_length(n_limit // p**(beta-1)): exactly the forms with
+    n <= n_limit. No pruners, no p-bound."""
     k, n_limit, two_parts, primes = task
+    half = n_limit >> 1
     count = 0
     for p in primes:
         q = p**k
         p_part, p_power, beta = 1 + q, p, 2
-        while p_power <= n_limit >> 1:
-            alphas = range(2, (n_limit // p_power).bit_length() + 1)
-            _check_row(p, k, beta, two_parts, p_part, p_power, alphas)
-            count += len(alphas)
+        rows = []
+        while p_power <= half:
+            rows.append((beta, p_part, p_power, range(2, (n_limit // p_power).bit_length() + 1)))
             p_part = p_part * q + 1  # the p-part at beta + 1, by Horner
             p_power *= p
             beta += 1
+        count += len(_check_block(p, k, two_parts, rows))
     return count
 
 
@@ -561,11 +581,12 @@ def equivalence_scan(
     n_limit: int, ks: Iterable[int] = (3, 5, 7), workers: int = 1
 ) -> int:
     """Check n | sigma_k(n) against the pair of derived conditions on every
-    special form with n <= n_limit, once per exponent in ks, on the row
-    kernel: the direct route, the modular condition route and their
-    cross-checks, without pruners. derive_conditions and divides_sigma are
-    the reference it is tested against. Returns the number of (form, k)
-    pairs checked; raises CrossCheckError on any disagreement.
+    special form with n <= n_limit, once per exponent in ks, on the search's
+    block kernel (one block per prime, mostly one row of a few points): the
+    direct route, the modular condition route and their cross-checks,
+    without pruners. derive_conditions and divides_sigma are the reference
+    it is tested against. Returns the number of (form, k) pairs checked;
+    raises CrossCheckError on any disagreement.
 
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.

@@ -321,7 +321,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
             f"the full-beta statement is only proved for k in (3, 5); "
             f"use 'search' to gather evidence for k={k}"
         )
-    outcome = search(k, args.alpha_max, beta_max, workers=args.workers or 1)
+    outcome = search(k, args.alpha_max, beta_max, workers=args.workers)
     got = [r.form.n() for r in outcome.reports]
     if not outcome.matches:
         raise CrossCheckError(

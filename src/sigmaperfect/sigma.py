@@ -79,9 +79,11 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def _proved_prime(m: int) -> bool:
-    """is_prime(m), where a non-Mersenne m past 64 bits must fail one of its
-    Miller-Rabin bases, a proof that m is composite."""
-    if m.bit_length() <= 64 or (m + 1) & m == 0:
+    """is_prime(m) for m free of the small-prime table, where a non-Mersenne
+    m past 64 bits must fail a Miller-Rabin base, a proof that it is composite."""
+    if m.bit_length() <= 64:
+        return _miller_rabin(m)
+    if (m + 1) & m == 0:
         return is_prime(m)
     if _miller_rabin(m):
         raise ValueError(

@@ -176,7 +176,7 @@ def bound_u1(p: int, k: int, v: int) -> bool:
     _require_odd_k(k)
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    return checked_pow(p, (1 << v) - 1) <= geometric_sum(1 << k, v + 1)
+    return _bound_holds(p, k, v)
 
 
 def bound_v3(p: int, k: int, v: int) -> bool:
@@ -191,6 +191,13 @@ def bound_v3(p: int, k: int, v: int) -> bool:
     _require_odd_k(k)
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
+    return _bound_holds(p, k, v)
+
+
+def _bound_holds(p: int, k: int, v: int) -> bool:
+    """bound_u1 for p = 1 (mod 4), else bound_v3, on arguments known valid."""
+    if p % 4 == 1:
+        return checked_pow(p, (1 << v) - 1) <= geometric_sum(1 << k, v + 1)
     e = (1 << v) - 2 * k - 1
     if e >= 0:
         return checked_pow(p, e) * ((1 << k) - 1) < 1 << (k * (v - 1))

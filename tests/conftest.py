@@ -23,16 +23,18 @@ def odd_beta_first_condition(monkeypatch):
 
 @pytest.fixture
 def odd_beta_first_condition_row(monkeypatch):
-    """The row kernel's counterpart of odd_beta_first_condition: condition 1
-    holds and condition 2 fails on every odd-beta row. No odd-beta point
-    divides, so the direct and condition routes still agree and only the
-    odd-beta check can fire."""
-    real = classify._conditions_row
+    """The block kernel's counterpart of odd_beta_first_condition: condition
+    1 holds and condition 2 fails on every odd-beta row of a block. No
+    odd-beta point divides, so the direct and condition routes still agree
+    and only the odd-beta check can fire."""
+    real = classify._conditions_block
 
-    def lying(p, k, beta, p_power, alphas):
-        cond1, cond2 = real(p, k, beta, p_power, alphas)
-        if beta % 2:
-            return [True] * len(cond1), [False] * len(cond2)
-        return cond1, cond2
+    def lying(p, k, rows):
+        cond1, cond2 = real(p, k, rows)
+        odd = [beta % 2 == 1 for beta, _, _, alphas in rows for _ in alphas]
+        return (
+            [o or c for o, c in zip(odd, cond1)],
+            [not o and c for o, c in zip(odd, cond2)],
+        )
 
-    monkeypatch.setattr(classify, "_conditions_row", lying)
+    monkeypatch.setattr(classify, "_conditions_block", lying)

@@ -77,8 +77,15 @@ def test_equivalence_scan_small():
         equivalence_scan(4)
 
 
+def _block_points(rows):
+    """(alpha, beta) of every point of a kernel block, in its flag order."""
+    return [(alpha, beta) for beta, _, _, alphas in rows for alpha in alphas]
+
+
 def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
-    monkeypatch.setattr(classify, "_direct_row", lambda *args: [True] * len(args[-1]))
+    monkeypatch.setattr(
+        classify, "_direct_block", lambda two_parts, rows: [True] * len(_block_points(rows))
+    )
     with pytest.raises(
         CrossCheckError,
         match=r"disagree .* \(alpha, p, beta, k\) = \(3, 3, 2, 5\): "
@@ -146,26 +153,27 @@ def _forms_upto(n_limit, ks):
     ks=st.lists(st.sampled_from((2, 3, 5, 7, 13)), min_size=1, max_size=5, unique=True),
 )
 def test_equivalence_rows_match_reference(n_limit, ks):
-    rows = []
-    real_direct, real_conditions = classify._direct_row, classify._conditions_row
+    blocks = []
+    real_direct, real_conditions = classify._direct_block, classify._conditions_block
 
-    def direct(*args):
-        divides = real_direct(*args)
-        rows.append([divides])
+    def direct(two_parts, rows):
+        divides = real_direct(two_parts, rows)
+        blocks.append([divides])
         return divides
 
-    def conditions(p, k, beta, p_power, alphas):
-        cond1, cond2 = real_conditions(p, k, beta, p_power, alphas)
-        rows[-1] += [p, k, beta, alphas, cond1, cond2]
+    def conditions(p, k, rows):
+        cond1, cond2 = real_conditions(p, k, rows)
+        blocks[-1] += [p, k, rows, cond1, cond2]
         return cond1, cond2
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(classify, "_direct_row", direct)
-        m.setattr(classify, "_conditions_row", conditions)
+        m.setattr(classify, "_direct_block", direct)
+        m.setattr(classify, "_conditions_block", conditions)
         count = equivalence_scan(n_limit, ks)
     visited = []
-    for divides, p, k, beta, alphas, cond1, cond2 in rows:
-        for alpha, d, c1, c2 in zip(alphas, divides, cond1, cond2, strict=True):
+    for divides, p, k, rows, cond1, cond2 in blocks:
+        points = _block_points(rows)
+        for (alpha, beta), d, c1, c2 in zip(points, divides, cond1, cond2, strict=True):
             f = SpecialForm(alpha=alpha, p=p, beta=beta, k=k)
             reference = derive_conditions(f)
             assert (d, c1, c2) == (
@@ -374,7 +382,8 @@ def test_scan_matches_classify_point_reference(k, alpha_max, beta_max):
 
 
 def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch):
-    calls = {"_direct_row": [], "_conditions_row": [], "_verdict_row": []}
+    # the routes once per block (one prime's rows), the verdict once per row
+    calls = {"_direct_block": [], "_conditions_block": [], "_verdict_row": []}
     for name, log in calls.items():
         def recording(*args, _real=getattr(classify, name), _log=log):
             result = _real(*args)
@@ -391,7 +400,13 @@ def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch)
         rows = {(p, beta) for _, p, beta in grid}
         verdicts = {(args[0], args[2]): verdict for args, verdict in calls["_verdict_row"]}
         assert len(calls["_verdict_row"]) == len(verdicts) == len(rows)
-        assert len(calls["_direct_row"]) == len(calls["_conditions_row"]) == len(rows)
+        primes = sorted({p for p, _ in rows})
+        assert [args[0] for args, _ in calls["_conditions_block"]] == primes
+        assert len(calls["_direct_block"]) == len(primes)
+        for (args, _), (_, divides) in zip(calls["_conditions_block"], calls["_direct_block"]):
+            block = args[-1]
+            assert [beta for beta, *_ in block] == list(range(2, beta_max + 1))
+            assert len(divides) == len(_block_points(block))
         for alpha, p, beta in grid:
             assert verdicts[p, beta] == classify._pruned_by(SpecialForm(alpha, p, beta, k))
         tags |= set(verdicts.values())
@@ -431,7 +446,9 @@ def test_bit_cap_preflight_on_the_k5_benchmark_grid(monkeypatch):
 
 def test_kernel_cross_checks_name_point_and_values(monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(classify, "_direct_row", lambda *args: [False] * len(args[-1]))
+        m.setattr(
+            classify, "_direct_block", lambda two_parts, rows: [False] * len(_block_points(rows))
+        )
         with pytest.raises(
             CrossCheckError,
             match=r"disagree .* \(alpha, p, beta, k\) = \(2, 3, 2, 5\): "
@@ -453,6 +470,64 @@ def test_kernel_odd_beta_check_names_point_and_values(odd_beta_first_condition_r
         match=r"odd beta at \(alpha, p, beta, k\) = \(2, 3, 3, 5\): cond1=True, cond2=False",
     ):
         scan_special_forms(5, 4, 3)
+
+
+def _lie_at(m, route, point, values):
+    """Make one block route return values (one per flag list it returns) at
+    the single point (alpha, p, beta), leaving every other point as
+    computed. A block's first row is beta = 2, so its p-power is p."""
+    real = getattr(classify, route)
+    alpha, p, beta = point
+
+    def lying(*args):
+        rows = args[-1]
+        out = real(*args)
+        if rows[0][2] == p:
+            i = _block_points(rows).index((alpha, beta))
+            for flags, value in zip([out] if route == "_direct_block" else out, values):
+                flags[i] = value
+        return out
+
+    m.setattr(classify, route, lying)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [lambda: scan_special_forms(5, 4, 6), lambda: equivalence_scan(1000, ks=(5,))],
+    ids=["search", "equivalence"],
+)
+def test_kernel_names_a_fault_in_a_later_row_of_a_block(scan):
+    # p = 3's block holds rows beta = 2 .. 6 in both scans; each fault sits
+    # past the block's first row, the odd-beta one past its first odd row
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", (2, 3, 4), [True])
+        with pytest.raises(
+            CrossCheckError,
+            match=r"disagree .* \(alpha, p, beta, k\) = \(2, 3, 4, 5\): "
+            r"divides=True, cond1=True, cond2=False",
+        ):
+            scan()
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_conditions_block", (3, 3, 5), [True, False])
+        with pytest.raises(
+            CrossCheckError,
+            match=r"odd beta at \(alpha, p, beta, k\) = \(3, 3, 5, 5\): cond1=True, cond2=False",
+        ):
+            scan()
+
+
+def test_kernel_names_a_pruned_solution_in_a_later_row_of_a_block():
+    # both routes claim (alpha, p, beta) = (2, 3, 4) divides, so they agree,
+    # and the row's real verdict, the quartic pruner, contradicts them
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", (2, 3, 4), [True])
+        _lie_at(m, "_conditions_block", (2, 3, 4), [True, True])
+        with pytest.raises(
+            CrossCheckError,
+            match=r"pruner 'v10' contradicts .* \(alpha, p, beta, k\) = \(2, 3, 4, 5\): "
+            r"divides=True",
+        ):
+            scan_special_forms(5, 4, 6)
 
 
 

@@ -207,7 +207,11 @@ def test_search_reports_conjecture_finding(monkeypatch, capsys):
 
 def test_search_exits_nonzero_on_route_disagreement(monkeypatch, capsys):
     # a lying divisibility route must force a nonzero exit, whatever the solutions
-    monkeypatch.setattr(classify, "_direct_row", lambda *args: [False] * len(args[-1]))
+    monkeypatch.setattr(
+        classify,
+        "_direct_block",
+        lambda two_parts, rows: [False] * sum(len(alphas) for *_, alphas in rows),
+    )
     code, _, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"
     )
@@ -416,6 +420,18 @@ def test_verify_theorem_command(capsys):
         capsys, "verify-theorem", "--k", "7", "--alpha-max", "6", "--beta-max", "4"
     )
     assert code != 0 and "only proved" in err
+
+
+def test_search_and_verify_theorem_refuse_zero_workers_before_sieving(monkeypatch, capsys):
+    def no_sieve(n):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(classify, "primes_upto", no_sieve)
+    for command in ("search", "verify-theorem"):
+        code, out, err = run_cli(
+            capsys, command, "--k", "5", "--alpha-max", "4", "--workers", "0"
+        )
+        assert code == 2 and out == "" and "workers must be >= 1" in err, command
 
 
 def test_verify_theorem_trips_on_solution_set_mismatch(monkeypatch, capsys):

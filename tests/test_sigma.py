@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
+import sigmaperfect.sigma as sigma
 from sigmaperfect.primality import is_prime, mersenne_exponents_upto, primes_upto
 from sigmaperfect.sigma import (
     SpecialForm,
@@ -74,6 +75,18 @@ def test_factorize_frozen_cases(n):
     for q, e in fac.items():
         prod *= q**e
     assert prod == n
+
+
+def test_factorize_proves_cofactors_below_2_64_by_miller_rabin_alone(monkeypatch):
+    # factorize has divided out every prime in the small-prime table, so
+    # is_prime's trial division would walk that table a second time
+    def no_is_prime(x):
+        raise AssertionError(f"is_prime({x}) called on a trial-divided cofactor")
+
+    monkeypatch.setattr(sigma, "is_prime", no_is_prime)
+    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert factorize(1031 * 5000000000053) == {1031: 1, 5000000000053: 1}
+    assert factorize((2**61 - 1) * 1033) == {1033: 1, 2**61 - 1: 1}
 
 
 def test_factorize_round_trips():

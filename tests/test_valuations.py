@@ -6,6 +6,7 @@ from sigmaperfect.exactint import OperandSizeError
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
     Scenario,
+    _bound_holds,
     appr_exponent,
     bound_u1,
     bound_v3,
@@ -299,3 +300,29 @@ def test_trichotomy_matches_direct_inequalities():
                     lhs <= sum(1 << (i * (lam + v)) for i in range(k))
                 )
                 assert (Scenario.P_EQUALS_K in tags) == (p == k)
+
+
+def test_trusted_bounds_and_trichotomy_key_match_public_functions():
+    # the search's verdict trusts its sieved primes and caches the
+    # trichotomy by (v2(p + 1), beta, p == k); the public functions, which
+    # validate, are the reference
+    primes = primes_upto(3 << 12)[1:]
+    for k in (3, 5, 7, 13):
+        for v in range(1, 7):
+            for p in primes:
+                bound = bound_u1 if p % 4 == 1 else bound_v3
+                assert _bound_holds(p, k, v) == bound(p, k, v), (p, k, v)
+        for beta in range(2, 17, 2):
+            by_key = {}
+            for p in primes:
+                if p % 4 == 3:
+                    scenarios = trichotomy_3mod4(p, k, beta)
+                    key = (divide_out_twos(p + 1), p == k)
+                    assert by_key.setdefault(key, scenarios) == scenarios, (p, k, beta)
+    # the public functions keep their validation
+    for bound, p, k, v in (
+        (bound_u1, 21, 5, 1), (bound_u1, 5, 4, 1), (bound_u1, 5, 5, 0),
+        (bound_v3, 15, 5, 1), (bound_v3, 3, 4, 1), (bound_v3, 3, 5, 0),
+    ):
+        with pytest.raises(ValueError):
+            bound(p, k, v)
