@@ -134,7 +134,7 @@ def classify_point(f: SpecialForm, bit_cap: int | None = None) -> Classification
     conditions = derive_conditions(f, bit_cap)
     divides = divides_sigma(f, bit_cap)
     _raise_route_failure(
-        f.p, f.k, [(f.alpha, f.beta)],
+        f.k, [(f.alpha, f.p, f.beta)],
         [divides], [conditions.cond_k1_holds], [conditions.cond_k2_holds],
     )
     pruned = _pruned_by(f)
@@ -211,8 +211,14 @@ def _refuse_oversized(scope: str, **values: int) -> None:
 
 
 # Contiguous prime-index ranges of about equal point count per scan; the
-# split depends only on the grid, never on the worker count.
-_SCAN_CHUNKS = 32
+# split depends only on the grid, never on the worker count. A range is one
+# kernel batch, all its rows held at once, so a grid too large for
+# _SCAN_CHUNKS ranges of at most _BATCH_POINTS points gets more ranges. At
+# 64, search --k 5 --alpha-max 15 --beta-max 16 holds at most 172 primes
+# (2,580 rows) per batch. At --alpha-max 20 the cap splits that grid into
+# 930 ranges; 64 ranges there raised the search's peak RSS from 25 to 46 MiB.
+_SCAN_CHUNKS = 64
+_BATCH_POINTS = 4_096
 
 
 def _pool_map(fn, tasks, workers):
@@ -238,34 +244,43 @@ def _point(alpha: int, p: int, beta: int, k: int) -> str:
     return f"(alpha, p, beta, k) = ({alpha}, {p}, {beta}, {k})"
 
 
-# A block is one prime's rows (beta, p_part, p_power, alphas), in consecutive ascending
-# beta, none past the first row's top alpha; routes flag each point flat in (row, alpha) order.
-_Block = list[tuple[int, int, int, range]]
+# A batch is one task's rows, each (p, beta, p_part, p_power, m1, x, alphas) with q = p**k:
+# p_part = 1 + q + ... + q**(beta-1) and p_power = p**(beta-1) for the direct route, m1 = q - 1
+# and the residue x = q**beta mod the prime's widest modulus m1 * 2**(top alpha - 1) for
+# condition 1. A prime's rows are consecutive, in ascending beta, none past its first row's top
+# alpha, and x is stepped across them without building q**beta. Routes flag each point flat in
+# (row, alpha) order.
+_Batch = list[tuple[int, int, int, int, int, int, range]]
 
 
-def _direct_block(two_parts: list[int], rows: _Block) -> list[bool]:
-    """Direct route over one block: n | sigma_k(n) at each point, where
+def _direct_block(two_parts: list[int], rows: _Batch) -> list[bool]:
+    """Direct route over one batch: n | sigma_k(n) at each point, where
     sigma_k(n) = two_parts[alpha] * p_part and n = p_power * 2**(alpha-1)."""
     return [
         two_parts[a] * p_part % (p_power << (a - 1)) == 0
-        for _, p_part, p_power, alphas in rows for a in alphas
+        for _, _, p_part, p_power, _, _, alphas in rows for a in alphas
     ]
 
 
-def _conditions_block(p: int, k: int, rows: _Block) -> tuple[list[bool], list[bool]]:
-    """Condition route over one block, by modular arithmetic only: condition
-    1 is p**(beta*k) = 1 (mod (p**k - 1) * 2**(alpha-1)), stepped across beta
-    modulo the block's widest such modulus, which every other divides, and
-    condition 2 is 2**(alpha*k) = 1 (mod (2**k - 1) * p**(beta-1))."""
-    q = p**k
-    m1 = q - 1
-    widest = m1 << (rows[0][3][-1] - 1)
-    x = q ** (rows[0][0] - 1)
-    # Entering a row steps x to p**(beta*k) mod widest; x is never 0 (widest is even, q odd),
-    # so the if only binds it. Every modulus exceeds 1, so a residue of 1 is exact divisibility.
-    cond1 = [x % (m1 << (a - 1)) == 1 for row in rows if (x := x * q % widest) for a in row[3]]
-    m2 = (1 << k) - 1
-    cond2 = [pow(2, a * k, m2 * p_power) == 1 for _, _, p_power, alphas in rows for a in alphas]
+def _conditions_block(k: int, rows: _Batch) -> tuple[list[bool], list[bool]]:
+    """Condition route over one batch, the rows of every prime in a task, by
+    modular arithmetic only. Condition 1 is p**(beta*k) = 1 (mod m1 *
+    2**(alpha-1)): each row's residue x is p**(beta*k) modulo its prime's
+    widest such modulus, which every other one of the prime divides.
+    Condition 2 is 2**(alpha*k) = 1 (mod m2 * p**(beta-1)) with m2 = 2**k -
+    1, stepped across each row's alphas by one multiplication by 2**k."""
+    # Every modulus exceeds 1, so a residue of 1 is exact divisibility.
+    cond1 = [x % (m1 << (a - 1)) == 1 for _, _, _, _, m1, x, alphas in rows for a in alphas]
+    t = 1 << k
+    m2 = t - 1
+    # Entering a row sets y to 2**((alpha-1)*k) mod m at its first alpha; y is never 0 (m is
+    # odd and above 1), so the if only binds it.
+    cond2 = [
+        (y := y * t % m) == 1
+        for _, _, _, p_power, _, _, alphas in rows
+        if (y := (1 << (alphas[0] - 1) * k) % (m := m2 * p_power))
+        for _ in alphas
+    ]
     return cond1, cond2
 
 
@@ -296,13 +311,13 @@ def _verdict_row(
 
 
 def _raise_route_failure(
-    p: int, k: int, points: Iterable[tuple[int, int]],
+    k: int, points: Iterable[tuple[int, int, int]],
     divides: list[bool], cond1: list[bool], cond2: list[bool],
 ) -> None:
-    """Raise for the first of the (alpha, beta) points failing a route
+    """Raise for the first of the (alpha, p, beta) points failing a route
     check: routes disagree, then condition 1 at odd beta. classify_point
     passes one point."""
-    for (alpha, beta), d, c1, c2 in zip(points, divides, cond1, cond2):
+    for (alpha, p, beta), d, c1, c2 in zip(points, divides, cond1, cond2):
         if d != (c1 and c2):
             raise CrossCheckError(
                 f"conditions disagree with direct divisibility at "
@@ -322,71 +337,82 @@ def _pruned_solution(verdict: str, alpha: int, p: int, beta: int, k: int) -> Cro
     )
 
 
-def _check_block(p: int, k: int, two_parts: list[int], rows: _Block) -> list[bool]:
-    """Run the direct and condition routes over one block and cross-check
+def _check_block(k: int, two_parts: list[int], rows: _Batch) -> list[bool]:
+    """Run the direct and condition routes over one batch and cross-check
     them at every point; return the direct route's divides flags."""
     divides = _direct_block(two_parts, rows)
-    cond1, cond2 = _conditions_block(p, k, rows)
+    cond1, cond2 = _conditions_block(k, rows)
     failed = divides != list(map(and_, cond1, cond2))
-    if len(rows) > 1 or rows[0][0] % 2:  # most equivalence blocks are one even-beta row
-        end = 0
-        for beta, _, _, alphas in rows:
-            start, end = end, end + len(alphas)
-            failed = failed or beta % 2 == 1 and True in cond1[start:end]
+    if 1 in [row[1] % 2 for row in rows]:  # most equivalence batches have no odd-beta row
+        odd = [beta % 2 == 1 for _, beta, _, _, _, _, alphas in rows for _ in alphas]
+        failed = failed or True in map(and_, cond1, odd)
     if failed:
-        points = ((a, beta) for beta, *_, alphas in rows for a in alphas)
-        _raise_route_failure(p, k, points, divides, cond1, cond2)
+        points = ((a, p, beta) for p, beta, _, _, _, _, alphas in rows for a in alphas)
+        _raise_route_failure(k, points, divides, cond1, cond2)
     return divides
 
 
 def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
-    """Scan the blocks of one prime range: a prime's rows beta = 2 .. beta_max,
-    over every alpha whose p-bound admits p. The p-part and p**(beta-1) are
-    extended across beta, every point goes through all three routes and
-    cross-checks, and the pruner verdict is taken once per row."""
+    """Scan one prime range as one batch: each prime's rows beta = 2 ..
+    beta_max, over every alpha whose p-bound admits p. The p-part, p**(beta-1)
+    and condition 1's residue are extended across beta, every point goes
+    through all three routes and cross-checks, and the pruner verdict is
+    taken once per row."""
     k, alpha_max, beta_max, two_parts, primes = task
-    solutions: list[ClassificationReport] = []
     points = pruned = scenario1 = 0
-    excluded = (1 << (k - 1)) * ((1 << k) - 1)
     betas = range(2, beta_max + 1)
     v_of = {beta: v2(beta) for beta in range(2, beta_max + 1, 2)}
     scenarios: dict[tuple[int, int, bool], bool] = {}
+    rows: _Batch = []
+    verdicts: list[str | None] = []
     for p in primes:
         alphas = range(_first_alpha(p), alpha_max + 1)
         q = p**k
+        m1 = q - 1
+        widest = m1 << (alpha_max - 1)
         p_part = p_power = 1
-        rows = []
+        x = q
         for beta in betas:
             p_part = p_part * q + 1  # 1 + q + ... + q**(beta-1), by Horner
             p_power *= p
-            rows.append((beta, p_part, p_power, alphas))
-        divides = _check_block(p, k, two_parts, rows)
+            x = x * q % widest
+            rows.append((p, beta, p_part, p_power, m1, x, alphas))
         lam = ((p + 1) & -(p + 1)).bit_length() - 1  # v2(p + 1)
         bounds: dict[int, bool] = {}
-        verdicts = [_verdict_row(p, k, b, v_of.get(b), lam, bounds, scenarios) for b in betas]
+        row_verdicts = [_verdict_row(p, k, b, v_of.get(b), lam, bounds, scenarios) for b in betas]
+        verdicts += row_verdicts
         width = len(alphas)
         points += width * len(betas)
-        pruned += width * (len(verdicts) - verdicts.count(None))
+        pruned += width * (len(betas) - row_verdicts.count(None))
         scenario1 += width * len(v_of) * (p == k and p % 4 == 3)
-        for i in compress(range(len(divides)), divides):
-            alpha, beta, verdict = alphas[i % width], betas[i // width], verdicts[i // width]
-            if verdict is not None:
-                raise _pruned_solution(verdict, alpha, p, beta, k)
-            f = SpecialForm(alpha, p, beta, k)
-            n = f.n()
-            solutions.append(
-                ClassificationReport(
-                    form=f, divides=True, perfect=is_even_perfect(n), excluded_perfect=n == excluded
+    divides = _check_block(k, two_parts, rows)
+    excluded = (1 << (k - 1)) * ((1 << k) - 1)
+    solutions: list[ClassificationReport] = []
+    if True in divides:  # most batches hold no solution, and their rows need no second pass
+        end = 0
+        for (p, beta, _, _, _, _, alphas), verdict in zip(rows, verdicts):
+            start, end = end, end + len(alphas)
+            for alpha in compress(alphas, divides[start:end]):
+                if verdict is not None:
+                    raise _pruned_solution(verdict, alpha, p, beta, k)
+                f = SpecialForm(alpha, p, beta, k)
+                n = f.n()
+                solutions.append(
+                    ClassificationReport(
+                        form=f, divides=True, perfect=is_even_perfect(n),
+                        excluded_perfect=n == excluded,
+                    )
                 )
-            )
     return solutions, points, pruned, scenario1
 
 
-def _prime_ranges(primes: list[int], alpha_max: int, parts: int) -> list[list[int]]:
-    """Split the ascending primes into at most parts contiguous ranges of
-    about equal point count (a prime has one point per admitted alpha)."""
+def _prime_ranges(primes: list[int], alpha_max: int, rows: int) -> list[list[int]]:
+    """Split the ascending primes into contiguous ranges of about equal point
+    count (a prime has rows points per admitted alpha): _SCAN_CHUNKS ranges,
+    or as many more as keep each near _BATCH_POINTS points."""
     weights = [alpha_max - _first_alpha(p) + 1 for p in primes]
     total = sum(weights)
+    parts = max(_SCAN_CHUNKS, -(-total * rows // _BATCH_POINTS))
     ranges: list[list[int]] = []
     start = acc = 0
     for i, w in enumerate(weights):
@@ -410,9 +436,10 @@ def scan_special_forms(
 
     Every point is checked along the direct route, the two conditions and
     the pruners, with the same cross-checks as classify_point, which stays
-    as the tested reference. Both routes run once per prime's block of
-    (beta, alpha) points, the verdict once per row, with the bounds cached
-    by (p, v2(beta)) and the trichotomy by (v2(p + 1), beta, p == k). The
+    as the tested reference. Both routes run once per task, one flat pass
+    over the (beta, alpha) points of every prime in its range, the verdict
+    once per row, with the bounds cached by (p, v2(beta)) and the
+    trichotomy by (v2(p + 1), beta, p == k). The
     operand cap is checked up front on the grid's largest operands: the
     checks are monotone in alpha, p and beta, so this refuses exactly when
     some point would. The split into prime ranges ignores the worker count
@@ -431,7 +458,7 @@ def scan_special_forms(
     geometric_sum(checked_pow(primes[-1], k, bit_cap), beta_max, bit_cap)
     tasks = [
         (k, alpha_max, beta_max, two_parts, chunk)
-        for chunk in _prime_ranges(primes, alpha_max, _SCAN_CHUNKS)
+        for chunk in _prime_ranges(primes, alpha_max, beta_max - 1)
     ]
     chunks = _pool_map(_scan_rows, tasks, workers)
     reports = sorted(
@@ -552,29 +579,37 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
 # Equivalence sweep: conditions vs direct divisibility over all small forms.
 # ---------------------------------------------------------------------------
 
-# Odd primes per equivalence task; tasks depend only on n_limit and ks.
-_EQ_CHUNK = 20_000
+# Odd primes per equivalence task, about as many points as a search task
+# holds; tasks depend only on n_limit and ks.
+_EQ_CHUNK = 2_000
 
 
 def _equivalence_rows(task: tuple[int, int, list[int], list[int]]) -> int:
-    """Check the blocks of one prime range; return the number of points. A
+    """Check one prime range as one batch; return the number of points. A
     prime's rows are beta = 2, 3, ... with p**(beta-1) <= n_limit // 2, over
     alpha = 2 .. bit_length(n_limit // p**(beta-1)): exactly the forms with
     n <= n_limit. No pruners, no p-bound."""
     k, n_limit, two_parts, primes = task
     half = n_limit >> 1
-    count = 0
+    spans = [range(2, top + 1) for top in range(n_limit.bit_length() + 1)]
+    rows: _Batch = []
     for p in primes:
         q = p**k
-        p_part, p_power, beta = 1 + q, p, 2
-        rows = []
-        while p_power <= half:
-            rows.append((beta, p_part, p_power, range(2, (n_limit // p_power).bit_length() + 1)))
-            p_part = p_part * q + 1  # the p-part at beta + 1, by Horner
+        m1 = q - 1
+        top = (n_limit // p).bit_length()
+        alphas = spans[top]
+        widest = m1 << (top - 1)
+        p_part, p_power, x, beta = 1 + q, p, q * q % widest, 2
+        while True:
+            rows.append((p, beta, p_part, p_power, m1, x, alphas))
             p_power *= p
+            if p_power > half:
+                break
+            p_part = p_part * q + 1  # the p-part at beta + 1, by Horner
+            x = x * q % widest
             beta += 1
-        count += len(_check_block(p, k, two_parts, rows))
-    return count
+            alphas = spans[(n_limit // p_power).bit_length()]
+    return len(_check_block(k, two_parts, rows))
 
 
 def equivalence_scan(
@@ -582,11 +617,12 @@ def equivalence_scan(
 ) -> int:
     """Check n | sigma_k(n) against the pair of derived conditions on every
     special form with n <= n_limit, once per exponent in ks, on the search's
-    block kernel (one block per prime, mostly one row of a few points): the
-    direct route, the modular condition route and their cross-checks,
-    without pruners. derive_conditions and divides_sigma are the reference
-    it is tested against. Returns the number of (form, k) pairs checked;
-    raises CrossCheckError on any disagreement.
+    batch kernel (one call per task of _EQ_CHUNK primes, most of them one
+    row of a few points): the direct route, the modular condition route and
+    their cross-checks, without pruners. derive_conditions and
+    divides_sigma are the reference it is tested against. Returns the
+    number of (form, k) pairs checked; raises CrossCheckError on any
+    disagreement.
 
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.

@@ -359,7 +359,7 @@ def cmd_mersenne(args: argparse.Namespace) -> int:
 
 
 def cmd_perfect(args: argparse.Namespace) -> int:
-    exponents = [args.exponent] if args.exponent else mersenne_exponents_upto(args.upto)
+    exponents = [args.exponent] if args.exponent is not None else mersenne_exponents_upto(args.upto)
     q_max = max(exponents)
     if q_max > MAX_PERFECT_EXPONENT:
         raise ValueError(

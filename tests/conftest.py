@@ -23,15 +23,15 @@ def odd_beta_first_condition(monkeypatch):
 
 @pytest.fixture
 def odd_beta_first_condition_row(monkeypatch):
-    """The block kernel's counterpart of odd_beta_first_condition: condition
-    1 holds and condition 2 fails on every odd-beta row of a block. No
+    """The batch kernel's counterpart of odd_beta_first_condition: condition
+    1 holds and condition 2 fails on every odd-beta row of a batch. No
     odd-beta point divides, so the direct and condition routes still agree
     and only the odd-beta check can fire."""
     real = classify._conditions_block
 
-    def lying(p, k, rows):
-        cond1, cond2 = real(p, k, rows)
-        odd = [beta % 2 == 1 for beta, _, _, alphas in rows for _ in alphas]
+    def lying(k, rows):
+        cond1, cond2 = real(k, rows)
+        odd = [beta % 2 == 1 for _, beta, *_, alphas in rows for _ in alphas]
         return (
             [o or c for o, c in zip(odd, cond1)],
             [not o and c for o, c in zip(odd, cond2)],

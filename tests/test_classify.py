@@ -78,8 +78,8 @@ def test_equivalence_scan_small():
 
 
 def _block_points(rows):
-    """(alpha, beta) of every point of a kernel block, in its flag order."""
-    return [(alpha, beta) for beta, _, _, alphas in rows for alpha in alphas]
+    """(alpha, p, beta) of every point of a kernel batch, in its flag order."""
+    return [(alpha, p, beta) for p, beta, *_, alphas in rows for alpha in alphas]
 
 
 def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
@@ -142,38 +142,41 @@ def _forms_upto(n_limit, ks):
 
 
 @settings(max_examples=25, deadline=None)
-@example(n_limit=28, ks=[5])  # exactly on n = 28 = 2**2 * 7
-@example(n_limit=27, ks=[5])
-@example(n_limit=496, ks=[3])  # exactly on n = 496 = 2**4 * 31
-@example(n_limit=495, ks=[3])
-@example(n_limit=8128, ks=[2, 13])  # exactly on n = 8128 = 2**6 * 127
-@example(n_limit=8127, ks=[2, 13])
+@example(n_limit=28, ks=[5], eq_chunk=classify._EQ_CHUNK)  # exactly on n = 28 = 2**2 * 7
+@example(n_limit=27, ks=[5], eq_chunk=classify._EQ_CHUNK)
+@example(n_limit=496, ks=[3], eq_chunk=2)  # exactly on n = 496 = 2**4 * 31
+@example(n_limit=495, ks=[3], eq_chunk=classify._EQ_CHUNK)
+@example(n_limit=8128, ks=[2, 13], eq_chunk=classify._EQ_CHUNK)  # exactly on n = 8128 = 2**6 * 127
+@example(n_limit=8127, ks=[2, 13], eq_chunk=3)
 @given(
     n_limit=st.integers(min_value=6, max_value=30_000),
     ks=st.lists(st.sampled_from((2, 3, 5, 7, 13)), min_size=1, max_size=5, unique=True),
+    # a small chunk puts batch edges between the small primes, which have several rows
+    eq_chunk=st.integers(min_value=1, max_value=7) | st.just(classify._EQ_CHUNK),
 )
-def test_equivalence_rows_match_reference(n_limit, ks):
-    blocks = []
+def test_equivalence_rows_match_reference(n_limit, ks, eq_chunk):
+    batches = []
     real_direct, real_conditions = classify._direct_block, classify._conditions_block
 
     def direct(two_parts, rows):
         divides = real_direct(two_parts, rows)
-        blocks.append([divides])
+        batches.append([divides])
         return divides
 
-    def conditions(p, k, rows):
-        cond1, cond2 = real_conditions(p, k, rows)
-        blocks[-1] += [p, k, rows, cond1, cond2]
+    def conditions(k, rows):
+        cond1, cond2 = real_conditions(k, rows)
+        batches[-1] += [k, rows, cond1, cond2]
         return cond1, cond2
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(classify, "_direct_block", direct)
         m.setattr(classify, "_conditions_block", conditions)
+        m.setattr(classify, "_EQ_CHUNK", eq_chunk)
         count = equivalence_scan(n_limit, ks)
     visited = []
-    for divides, p, k, rows, cond1, cond2 in blocks:
+    for divides, k, rows, cond1, cond2 in batches:
         points = _block_points(rows)
-        for (alpha, beta), d, c1, c2 in zip(points, divides, cond1, cond2, strict=True):
+        for (alpha, p, beta), d, c1, c2 in zip(points, divides, cond1, cond2, strict=True):
             f = SpecialForm(alpha=alpha, p=p, beta=beta, k=k)
             reference = derive_conditions(f)
             assert (d, c1, c2) == (
@@ -187,7 +190,7 @@ def test_equivalence_rows_match_reference(n_limit, ks):
 
 def test_equivalence_scan_worker_count_does_not_change_count(monkeypatch):
     solo = equivalence_scan(10**5, ks=(3, 5))
-    monkeypatch.setattr(classify, "_EQ_CHUNK", 1000)  # ten tasks per exponent
+    monkeypatch.setattr(classify, "_EQ_CHUNK", 1000)  # six batches per exponent, not three
     for workers in (1, 2, 3):
         assert equivalence_scan(10**5, ks=(3, 5), workers=workers) == solo
 
@@ -381,8 +384,22 @@ def test_scan_matches_classify_point_reference(k, alpha_max, beta_max):
     assert scan_special_forms(k, alpha_max, beta_max) == reference_scan(k, alpha_max, beta_max)
 
 
+def test_search_batches_stay_near_the_point_cap_on_large_grids():
+    # the benchmark grid keeps _SCAN_CHUNKS ranges; larger grids get more,
+    # none past the cap by more than one prime's points
+    for alpha_max, beta_max in ((15, 16), (20, 16), (20, 64)):
+        primes = classify._p_bound_primes(alpha_max)
+        rows = beta_max - 1
+        ranges = classify._prime_ranges(primes, alpha_max, rows)
+        assert [p for r in ranges for p in r] == primes
+        points = [rows * sum(alpha_max - classify._first_alpha(p) + 1 for p in r) for r in ranges]
+        cap = min(sum(points) / classify._SCAN_CHUNKS, classify._BATCH_POINTS)
+        assert max(points) <= cap + rows * (alpha_max - 1)
+        assert (len(ranges) == classify._SCAN_CHUNKS) == (alpha_max == 15)
+
+
 def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch):
-    # the routes once per block (one prime's rows), the verdict once per row
+    # the routes once per task (one batch of a prime range's rows), the verdict once per row
     calls = {"_direct_block": [], "_conditions_block": [], "_verdict_row": []}
     for name, log in calls.items():
         def recording(*args, _real=getattr(classify, name), _log=log):
@@ -401,12 +418,16 @@ def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch)
         verdicts = {(args[0], args[2]): verdict for args, verdict in calls["_verdict_row"]}
         assert len(calls["_verdict_row"]) == len(verdicts) == len(rows)
         primes = sorted({p for p, _ in rows})
-        assert [args[0] for args, _ in calls["_conditions_block"]] == primes
-        assert len(calls["_direct_block"]) == len(primes)
-        for (args, _), (_, divides) in zip(calls["_conditions_block"], calls["_direct_block"]):
-            block = args[-1]
-            assert [beta for beta, *_ in block] == list(range(2, beta_max + 1))
-            assert len(divides) == len(_block_points(block))
+        tasks = classify._prime_ranges(primes, alpha_max, beta_max - 1)
+        assert len(calls["_conditions_block"]) == len(calls["_direct_block"]) == len(tasks)
+        for (args, _), (_, divides), task in zip(
+            calls["_conditions_block"], calls["_direct_block"], tasks, strict=True
+        ):
+            batch = args[-1]
+            assert [(p, beta) for p, beta, *_ in batch] == [
+                (p, beta) for p in task for beta in range(2, beta_max + 1)
+            ]
+            assert len(divides) == len(_block_points(batch))
         for alpha, p, beta in grid:
             assert verdicts[p, beta] == classify._pruned_by(SpecialForm(alpha, p, beta, k))
         tags |= set(verdicts.values())
@@ -473,17 +494,16 @@ def test_kernel_odd_beta_check_names_point_and_values(odd_beta_first_condition_r
 
 
 def _lie_at(m, route, point, values):
-    """Make one block route return values (one per flag list it returns) at
-    the single point (alpha, p, beta), leaving every other point as
-    computed. A block's first row is beta = 2, so its p-power is p."""
+    """Make one batch route return values (one per flag list it returns) at
+    the single point (alpha, p, beta), in whichever batch holds it, leaving
+    every other point as computed."""
     real = getattr(classify, route)
-    alpha, p, beta = point
 
     def lying(*args):
-        rows = args[-1]
         out = real(*args)
-        if rows[0][2] == p:
-            i = _block_points(rows).index((alpha, beta))
+        points = _block_points(args[-1])
+        if point in points:
+            i = points.index(point)
             for flags, value in zip([out] if route == "_direct_block" else out, values):
                 flags[i] = value
         return out
@@ -529,6 +549,54 @@ def test_kernel_names_a_pruned_solution_in_a_later_row_of_a_block():
         ):
             scan_special_forms(5, 4, 6)
 
+
+# p = 7 is the third prime of its batch in both scans: the search's first
+# task at alpha_max = 13 holds p = 3, 5, 7, 11, 13, and equivalence_scan(1000)
+# is one task over every prime up to 500.
+_LATER_PRIME_SCANS = {
+    "search": lambda: scan_special_forms(5, 13, 6),
+    "equivalence": lambda: equivalence_scan(1000, ks=(5,)),
+}
+
+
+def test_later_prime_scans_put_p7_mid_batch():
+    primes = classify._p_bound_primes(13)
+    assert classify._prime_ranges(primes, 13, 5)[0] == [3, 5, 7, 11, 13]
+    assert len(classify.primes_upto(500)[1:]) <= classify._EQ_CHUNK
+
+
+@pytest.mark.parametrize("scan", _LATER_PRIME_SCANS.values(), ids=_LATER_PRIME_SCANS)
+def test_kernel_names_a_fault_at_a_later_prime_of_a_batch(scan):
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", (4, 7, 3), [True])
+        with pytest.raises(
+            CrossCheckError,
+            match=r"disagree .* \(alpha, p, beta, k\) = \(4, 7, 3, 5\): "
+            r"divides=True, cond1=False, cond2=False",
+        ):
+            scan()
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_conditions_block", (5, 7, 3), [True, False])
+        with pytest.raises(
+            CrossCheckError,
+            match=r"odd beta at \(alpha, p, beta, k\) = \(5, 7, 3, 5\): cond1=True, cond2=False",
+        ):
+            scan()
+
+
+def test_kernel_names_a_pruned_solution_at_a_later_prime_of_a_batch():
+    # both routes claim (alpha, p, beta) = (4, 13, 4) divides, so they agree,
+    # and the row's real verdict contradicts them: u1, which no other prime
+    # of the batch has at beta = 4
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", (4, 13, 4), [True])
+        _lie_at(m, "_conditions_block", (4, 13, 4), [True, True])
+        with pytest.raises(
+            CrossCheckError,
+            match=r"pruner 'u1' contradicts .* \(alpha, p, beta, k\) = \(4, 13, 4, 5\): "
+            r"divides=True",
+        ):
+            _LATER_PRIME_SCANS["search"]()
 
 
 def test_verify_lemma410_and_candidates():

@@ -509,6 +509,13 @@ def test_perfect_refuses_exponent_past_trial_division(monkeypatch, capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_perfect_refuses_exponent_zero_before_sigma(monkeypatch, capsys):
+    # --exponent 0 names one exponent; it must not fall back to the --upto list
+    monkeypatch.setattr(cli, "sigma_k", _refuse("sigma_k"))
+    code, out, err = run_cli(capsys, "perfect", "--exponent", "0")
+    assert code == 2 and out == "" and "2**0 - 1 is not prime" in err
+
+
 def test_check_lemma_refuses_oversized_grid_before_sieving(monkeypatch, capsys):
     monkeypatch.setattr(classify, "primes_upto", _refuse("primes_upto"))
     alpha = str(classify.MAX_SCAN_ALPHA + 1)
