@@ -10,6 +10,7 @@ byte-identical across runs of the same config and version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -390,6 +391,7 @@ def _csv_ints(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
+@functools.cache  # building it costs about as much as a whole small sigma query
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmaperfect",

@@ -30,11 +30,18 @@ class OperandSizeError(ValueError):
 
 
 def checked_pow(base: int, exp: int, bit_cap: int | None = None) -> int:
-    """base ** exp with a conservative size guard.
+    """base ** exp with a conservative size guard (see _guard_pow)."""
+    _guard_pow(base, exp, bit_cap)
+    return base**exp
 
-    Refuses when exp * bit_length(base) exceeds the cap, so every accepted
-    result is under the cap; rejection may trigger up to a factor of two
-    early, which is fine for a runaway guard.
+
+def _guard_pow(base: int, exp: int, bit_cap: int | None) -> None:
+    """Refuse base ** exp when exp * bit_length(base) exceeds the cap.
+
+    Every accepted power is then under the cap; rejection may trigger up
+    to a factor of two early, which is fine for a runaway guard. Callers
+    that reduce the power modulo a small number guard it all the same, so
+    an oracle refuses exactly the grids the full power would.
     """
     if exp < 0:
         raise ValueError(f"exponent must be non-negative, got {exp}")
@@ -45,7 +52,6 @@ def checked_pow(base: int, exp: int, bit_cap: int | None = None) -> int:
         raise OperandSizeError(
             f"{base.bit_length()}-bit base raised to {exp} exceeds the {cap}-bit cap"
         )
-    return base**exp
 
 
 def v_exact(q: int, x: int) -> int:

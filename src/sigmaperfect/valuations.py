@@ -1,16 +1,18 @@
 """Exact-valuation oracles and search-pruning bounds.
 
 Each check_* function evaluates one proved identity pinning the exact
-power of 2 (or of 2**k - 1) dividing an expression of the form a**m - 1,
-by actually computing the number and its valuation. The identities are
-theorems, so a False return from any check_* is an implementation bug,
-never new mathematics; the bound_* and trichotomy functions evaluate
-inequalities whose truth legitimately depends on the parameters and are
-used to prune searches.
+power d**e of 2 (or of 2**k - 1) dividing a number of the form a**m - 1.
+The claimed exponent e comes from small numbers; the number itself is
+computed only modulo d**(e+1), which decides exact divisibility exactly
+(exactly_divides). The identities are theorems, so a False return from
+any check_* is an implementation bug, never new mathematics; the bound_*
+and trichotomy functions evaluate inequalities whose truth legitimately
+depends on the parameters and are used to prune searches.
 
 Where 2**k - 1 itself is the divisor (check_appr), "exactly divides" is
-implemented by direct division, not via prime valuations, so the identity
-also holds verbatim when 2**k - 1 is composite.
+decided from the residue modulo a power of 2**k - 1, not via prime
+valuations, so the identity also holds verbatim when 2**k - 1 is
+composite.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
-from .exactint import checked_pow, geometric_sum, v_exact
+from .exactint import _guard_pow, checked_pow, geometric_sum, v_exact
 from .primality import is_prime
 
 __all__ = [
@@ -58,19 +60,26 @@ def _require_odd_k(k: int) -> None:
         raise ValueError(f"k must be odd and >= 3, got {k}")
 
 
-def exactly_divides(d: int, e: int, x: int) -> bool:
-    """d**e | x and d**(e+1) ∤ x, by direct division (d may be composite)."""
+def exactly_divides(d: int, e: int, base: int, exp: int, bit_cap: int | None = None) -> bool:
+    """d**e | base**exp - 1 and d**(e+1) ∤ base**exp - 1 (d may be composite).
+
+    Decided from y = (base**exp - 1) mod d**(e+1): the number is exactly
+    divisible when y is a nonzero multiple of d**e. Only the residue is
+    computed, but the operand cap refuses exactly where checked_pow would.
+    """
     if d < 2:
         raise ValueError(f"divisor must be >= 2, got {d}")
+    _guard_pow(base, exp, bit_cap)
     q = d**e
-    return x % q == 0 and x % (q * d) != 0
+    modulus = q * d
+    y = (pow(base, exp, modulus) - 1) % modulus
+    return y != 0 and y % q == 0
 
 
 def check_vs1(k: int) -> bool:
     """The exact power of 2 dividing (2**k - 1)**(2k) - 1 is 2**(k+1), k odd >= 3."""
     _require_odd_k(k)
-    x = checked_pow((1 << k) - 1, 2 * k) - 1
-    return v_exact(2, x) == k + 1
+    return exactly_divides(2, k + 1, (1 << k) - 1, 2 * k)
 
 
 def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
@@ -79,23 +88,18 @@ def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
     Odd beta is rejected; the search context always forces 2 | beta.
     """
     _require_odd_k(k)
-    v = v2(beta)
-    x = checked_pow((1 << k) - 1, beta * k, bit_cap) - 1
-    return v_exact(2, x) == v + k
+    return exactly_divides(2, v2(beta) + k, (1 << k) - 1, beta * k, bit_cap)
 
 
 def appr_exponent(k: int, bit_cap: int | None = None) -> int:
     """The exact m with (2**k - 1)**m || 2**((2**k - 1) * k) - 1."""
     _require_odd_k(k)
     d = (1 << k) - 1
-    x = checked_pow(2, d * k, bit_cap) - 1
+    _guard_pow(2, d * k, bit_cap)
     m = 0
-    while True:
-        q, r = divmod(x, d)
-        if r:
-            return m
-        x = q
+    while pow(2, d * k, d ** (m + 1)) == 1:
         m += 1
+    return m
 
 
 def check_appr(k: int, u: int, alpha1: int, bit_cap: int | None = None) -> bool:
@@ -111,9 +115,7 @@ def check_appr(k: int, u: int, alpha1: int, bit_cap: int | None = None) -> bool:
     if alpha1 < 1 or gcd(alpha1, d) != 1:
         raise ValueError(f"alpha1 must be positive and coprime to 2**{k} - 1, got {alpha1}")
     m = appr_exponent(k, bit_cap)
-    e = d ** (u + 1) * k * alpha1
-    x = checked_pow(2, e, bit_cap) - 1
-    return exactly_divides(d, u + m, x)
+    return exactly_divides(d, u + m, 2, d ** (u + 1) * k * alpha1, bit_cap)
 
 
 def check_appr2_bound(k: int, bit_cap: int | None = None) -> bool:
@@ -133,8 +135,7 @@ def check_tv(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> 
         raise ValueError(f"v must be >= 1, got {v}")
     _require_odd_positive("beta1", beta1)
     _require_prime_mod4(p, 1)
-    x = checked_pow(p, (1 << v) * beta1 * k, bit_cap) - 1
-    return v_exact(2, x) == v_exact(2, p - 1) + v
+    return exactly_divides(2, v_exact(2, p - 1) + v, p, (1 << v) * beta1 * k, bit_cap)
 
 
 def check_tv2(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> bool:
@@ -144,8 +145,7 @@ def check_tv2(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) ->
         raise ValueError(f"v must be >= 1, got {v}")
     _require_odd_positive("beta1", beta1)
     _require_prime_mod4(p, 3)
-    x = checked_pow(p, k * (1 << v) * beta1, bit_cap) - 1
-    return v_exact(2, x) == v + v_exact(2, p * p - 1) - 1
+    return exactly_divides(2, v + v_exact(2, p * p - 1) - 1, p, k * (1 << v) * beta1, bit_cap)
 
 
 def check_sl3(lam: int, p1: int, v: int, beta1: int, bit_cap: int | None = None) -> bool:
@@ -160,9 +160,7 @@ def check_sl3(lam: int, p1: int, v: int, beta1: int, bit_cap: int | None = None)
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     _require_odd_positive("beta1", beta1)
-    base = (1 << lam) * p1 - 1
-    x = checked_pow(base, (1 << v) * beta1, bit_cap) - 1
-    return v_exact(2, x) == lam + v
+    return exactly_divides(2, lam + v, (1 << lam) * p1 - 1, (1 << v) * beta1, bit_cap)
 
 
 def bound_u1(p: int, k: int, v: int) -> bool:

@@ -8,8 +8,10 @@ import sigmaperfect.classify as classify
 import sigmaperfect.cli as cli
 import sigmaperfect.primality as primality
 import sigmaperfect.sigma as sigma
+import sigmaperfect.valuations as valuations
 from sigmaperfect.classify import PRUNE_ORDER, ClassificationReport
 from sigmaperfect.cli import RunRecord, SearchConfig, main, parse_run_record
+from sigmaperfect.exactint import DEFAULT_BIT_CAP
 from sigmaperfect.sigma import SpecialForm
 from sigmaperfect.valuations import LemmaGrid
 
@@ -549,6 +551,54 @@ def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert f"limit of {classify.MAX_SCAN_BETA}" in err, argv
+
+
+def _pow_under_the_cap(base, exp, mod):
+    # the modular power may run on any operand the cap admits, never on one
+    # it refuses
+    if exp * base.bit_length() > DEFAULT_BIT_CAP:
+        raise AssertionError(f"pow reached a refused operand: {base}**{exp}")
+    return pow(base, exp, mod)
+
+
+def test_check_lemma_oracles_refuse_past_operand_cap_before_the_power(monkeypatch, capsys):
+    monkeypatch.setattr(valuations, "pow", _pow_under_the_cap, raising=False)
+    for argv, refused in (
+        (("appr", "--k", "13"), "2-bit base raised to 872202253"),
+        (("tv", "--k", "13", "--p-max", "200", "--v-max", "12", "--beta1-max", "9"),
+         "3-bit base raised to 372736"),
+        (("cando", "--k", "13", "--v-max", "16"), "13-bit base raised to 93184"),
+    ):
+        code, out, err = run_cli(capsys, "check-lemma", *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"operand size cap exceeded: {refused} exceeds the 1000000-bit cap\n"
+
+
+def test_check_lemma_fails_on_a_failing_proved_row(monkeypatch, capsys):
+    check_tv = classify.check_tv
+
+    def lying(p, k, v, beta1, bit_cap=None):
+        return (p, k, v, beta1) != (13, 3, 2, 1) and check_tv(p, k, v, beta1, bit_cap)
+
+    monkeypatch.setattr(classify, "check_tv", lying)
+    grid = ("--k", "3", "--p-max", "40", "--v-max", "2", "--beta1-max", "3")
+    code, out, _ = run_cli(capsys, "check-lemma", "tv", *grid)
+    lines = out.splitlines()
+    assert code == 2 and len(lines) == 21  # p in 5, 13, 17, 29, 37; v in 1, 2; beta1 in 1, 3
+    assert [line for line in lines if "FAIL" in line] == ["tv  p=13 k=3 v=2 beta1=1: FAIL"]
+    assert lines[-1] == "tv: 19/20 pass"
+    # an informational tag reports a bound that fails, and still exits 0
+    code, out, _ = run_cli(capsys, "check-lemma", "u1", "--k", "5", "--p-max", "40", "--v-max", "3")
+    assert code == 0 and "u1  p=5 k=5 v=3: fails" in out
+    assert out.endswith("u1: 15 informational row(s)\n")
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    first = run_cli(capsys, "sigma", "123456789", "5")
+    second = run_cli(capsys, "sigma", "123456789", "5")
+    assert first == second and first[0] == 0 and "sigma_5(123456789) = " in first[1]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_check_lemma_v3_refuses_past_operand_cap(capsys):

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from sigmaperfect.exactint import OperandSizeError
+from sigmaperfect.exactint import OperandSizeError, v_exact
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
     Scenario,
@@ -20,6 +22,7 @@ from sigmaperfect.valuations import (
     exactly_divides,
     trichotomy_3mod4,
     v2,
+    LemmaGrid,
 )
 
 
@@ -68,11 +71,145 @@ def test_p_split_residue_classes():
 
 
 def test_exactly_divides_handles_composite_divisors():
-    assert exactly_divides(6, 2, 36 * 5)
-    assert not exactly_divides(6, 1, 36 * 5)
-    assert not exactly_divides(6, 3, 36 * 5)
+    assert exactly_divides(6, 2, 181, 1)  # 180 = 6^2 * 5
+    assert not exactly_divides(6, 1, 181, 1)
+    assert not exactly_divides(6, 3, 181, 1)
+    # 2047 = 23 * 89, and each prime gains one power from the exponent 2047
+    assert exactly_divides(2047, 2, 2, 11 * 2047)
+    assert not exactly_divides(2047, 3, 2, 11 * 2047)
     with pytest.raises(ValueError):
-        exactly_divides(1, 2, 8)
+        exactly_divides(1, 2, 3, 2)
+
+
+# --- the residue decision against the full power ------------------------------
+
+
+def exactly_divides_reference(d: int, e: int, x: int) -> bool:
+    # the full-power decision by direct division
+    q = d**e
+    return x % q == 0 and x % (q * d) != 0
+
+
+def multiplicity(d: int, x: int) -> int:
+    m = 0
+    while x % d == 0:
+        x //= d
+        m += 1
+    return m
+
+
+@st.composite
+def residue_cases(draw):
+    d = draw(st.one_of(st.integers(2, 64), st.sampled_from((6, 15, 2047))))
+    # a base that is 1 mod d makes d divide base**exp - 1, often repeatedly
+    base = draw(st.one_of(
+        st.integers(1, 10**4), st.integers(0, (10**4 - 1) // d).map(lambda t: 1 + d * t)
+    ))
+    return d, base, draw(st.integers(1, 2000))
+
+
+@given(residue_cases(), st.integers(0, 12))
+@example((2, 3, 1024), 12)  # v2(3**1024 - 1) = 12
+@example((6, 7, 36), 3)  # 6**3 || 7**36 - 1
+@example((15, 16, 225), 3)
+@example((2047, 2, 22), 1)  # 2047 || 2**22 - 1
+def test_exactly_divides_matches_the_full_power(case, e):
+    d, base, exp = case
+    x = base**exp - 1
+    assert exactly_divides(d, e, base, exp) == exactly_divides_reference(d, e, x)
+
+
+@given(residue_cases())
+@example((2, 3, 1024))
+@example((15, 16, 225))
+@example((2047, 2, 11 * 2047))
+def test_exactly_divides_only_at_the_true_multiplicity(case):
+    d, base, exp = case
+    x = base**exp - 1
+    m = multiplicity(d, x) if x else None  # every power divides 0
+    for e in range(0, (m or 0) + 3):
+        got = exactly_divides(d, e, base, exp)
+        assert got == (e == m) == exactly_divides_reference(d, e, x), (d, base, exp, e)
+
+
+# Full-power copies of the oracles: each builds the whole number, as the
+# oracles once did, and reads its valuation.
+
+
+def full_vs1(k):
+    return v_exact(2, ((1 << k) - 1) ** (2 * k) - 1) == k + 1
+
+
+def full_cando(k, beta):
+    return v_exact(2, ((1 << k) - 1) ** (beta * k) - 1) == v2(beta) + k
+
+
+def full_appr_exponent(k):
+    d = (1 << k) - 1
+    return multiplicity(d, 2 ** (d * k) - 1)
+
+
+def full_appr(k, u, alpha1):
+    d = (1 << k) - 1
+    x = 2 ** (d ** (u + 1) * k * alpha1) - 1
+    return exactly_divides_reference(d, u + full_appr_exponent(k), x)
+
+
+def full_tv(p, k, v, beta1):
+    return v_exact(2, p ** ((1 << v) * beta1 * k) - 1) == v_exact(2, p - 1) + v
+
+
+def full_tv2(p, k, v, beta1):
+    return v_exact(2, p ** (k * (1 << v) * beta1) - 1) == v + v_exact(2, p * p - 1) - 1
+
+
+def full_sl3(lam, p1, v, beta1):
+    return v_exact(2, ((1 << lam) * p1 - 1) ** ((1 << v) * beta1) - 1) == lam + v
+
+
+def test_oracles_match_full_power_on_the_default_lemma_grid():
+    g = LemmaGrid()
+    odd_beta1 = range(1, g.beta1_max + 1, 2)
+    vs = range(1, g.v_max + 1)
+    primes = primes_upto(g.p_max - 1)[1:]
+    for k in g.k_values:
+        assert check_vs1(k) == full_vs1(k) is True
+        assert appr_exponent(k) == full_appr_exponent(k)
+        d = (1 << k) - 1
+        for u in range(g.u_max + 1):
+            for alpha1 in range(1, g.alpha1_max + 1):
+                if gcd(alpha1, d) == 1:
+                    assert check_appr(k, u, alpha1) == full_appr(k, u, alpha1) is True
+        for v in vs:
+            for beta1 in odd_beta1:
+                beta = (1 << v) * beta1
+                assert check_cando(k, beta) == full_cando(k, beta) is True, (k, beta)
+                for p in primes:
+                    check, full = (check_tv, full_tv) if p % 4 == 1 else (check_tv2, full_tv2)
+                    assert check(p, k, v, beta1) == full(p, k, v, beta1) is True, (p, k, v)
+    for lam in range(2, g.lambda_max + 1):
+        for p1 in range(1, g.p1_max + 1, 2):
+            for v in vs:
+                for beta1 in odd_beta1:
+                    args = (lam, p1, v, beta1)
+                    assert check_sl3(*args) == full_sl3(*args) is True, args
+
+
+def test_oracles_refuse_where_the_full_power_would():
+    # the operand cap is checked on base and exponent before any residue
+    with pytest.raises(OperandSizeError, match="3-bit base raised to 372736"):
+        check_tv(5, 13, 12, 7)
+    assert check_tv(5, 13, 12, 5)  # 3 * 266240 bits, under the cap
+    with pytest.raises(OperandSizeError, match="13-bit base raised to 93184"):
+        check_cando(13, (1 << 10) * 7)
+    with pytest.raises(OperandSizeError, match="2-bit base raised to 872202253"):
+        check_appr(13, 1, 1)
+    with pytest.raises(OperandSizeError, match="2-bit base raised to 106483"):
+        appr_exponent(13, bit_cap=200_000)
+    assert appr_exponent(13, bit_cap=213_000) == full_appr_exponent(13)
+    with pytest.raises(OperandSizeError):
+        check_tv2(3, 3, 4, 1, bit_cap=90)  # 2-bit base raised to 48
+    assert check_tv2(3, 3, 4, 1, bit_cap=96)
 
 
 # --- valuation identities ----------------------------------------------------
