@@ -210,15 +210,14 @@ def _refuse_oversized(scope: str, **values: int) -> None:
             )
 
 
-# Contiguous prime-index ranges of about equal point count per scan; the
-# split depends only on the grid, never on the worker count. A range is one
-# kernel batch, all its rows held at once, so a grid too large for
-# _SCAN_CHUNKS ranges of at most _BATCH_POINTS points gets more ranges. At
-# 64, search --k 5 --alpha-max 15 --beta-max 16 holds at most 172 primes
-# (2,580 rows) per batch. At --alpha-max 20 the cap splits that grid into
-# 930 ranges; 64 ranges there raised the search's peak RSS from 25 to 46 MiB.
-_SCAN_CHUNKS = 64
-_BATCH_POINTS = 4_096
+# The most points a task holds in either scan (_prime_ranges); a task is one
+# kernel batch, all its rows held at once. On a 2-vCPU x86-64 VM, caps from
+# 1,024 to 8,192 moved neither scan's time past the host's noise, while
+# search --k 5 --alpha-max 15 --beta-max 16 peaked at 17.2, 17.7, 18.1 and
+# 19.5 MiB (1,024, 2,560, 4,096, 8,192) and equivalence_scan(3 * 10**6) at
+# 23.1 MiB up to 4,096 and 23.9 at 8,192. 2,560 stays within 0.5 MiB of the
+# smallest cap with 66 tasks for that search and 96 per exponent there.
+_BATCH_POINTS = 2_560
 
 
 def _pool_map(fn, tasks, workers):
@@ -359,7 +358,7 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
     through all three routes and cross-checks, and the pruner verdict is
     taken once per row."""
     k, alpha_max, beta_max, two_parts, primes = task
-    points = pruned = scenario1 = 0
+    pruned = scenario1 = 0
     betas = range(2, beta_max + 1)
     v_of = {beta: v2(beta) for beta in range(2, beta_max + 1, 2)}
     scenarios: dict[tuple[int, int, bool], bool] = {}
@@ -382,7 +381,6 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
         row_verdicts = [_verdict_row(p, k, b, v_of.get(b), lam, bounds, scenarios) for b in betas]
         verdicts += row_verdicts
         width = len(alphas)
-        points += width * len(betas)
         pruned += width * (len(betas) - row_verdicts.count(None))
         scenario1 += width * len(v_of) * (p == k and p % 4 == 3)
     divides = _check_block(k, two_parts, rows)
@@ -403,23 +401,22 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
                         excluded_perfect=n == excluded,
                     )
                 )
-    return solutions, points, pruned, scenario1
+    return solutions, len(divides), pruned, scenario1
 
 
-def _prime_ranges(primes: list[int], alpha_max: int, rows: int) -> list[list[int]]:
-    """Split the ascending primes into contiguous ranges of about equal point
-    count (a prime has rows points per admitted alpha): _SCAN_CHUNKS ranges,
-    or as many more as keep each near _BATCH_POINTS points."""
-    weights = [alpha_max - _first_alpha(p) + 1 for p in primes]
-    total = sum(weights)
-    parts = max(_SCAN_CHUNKS, -(-total * rows // _BATCH_POINTS))
+def _prime_ranges(primes: list[int], points: Iterable[int]) -> list[list[int]]:
+    """Split the ascending primes into contiguous ranges in one streaming
+    pass over points, the number of grid points of each prime in turn: a
+    range ends before the prime that would take it past _BATCH_POINTS, so
+    none holds more unless one prime alone does."""
     ranges: list[list[int]] = []
     start = acc = 0
-    for i, w in enumerate(weights):
+    for i, w in enumerate(points):
+        if acc + w > _BATCH_POINTS and acc:
+            ranges.append(primes[start:i])
+            start, acc = i, 0
         acc += w
-        if acc * parts >= total * (len(ranges) + 1):
-            ranges.append(primes[start : i + 1])
-            start = i + 1
+    ranges.append(primes[start:])
     return ranges
 
 
@@ -442,8 +439,10 @@ def scan_special_forms(
     trichotomy by (v2(p + 1), beta, p == k). The
     operand cap is checked up front on the grid's largest operands: the
     checks are monotone in alpha, p and beta, so this refuses exactly when
-    some point would. The split into prime ranges ignores the worker count
-    and the merge is a sort, so worker count never changes the result.
+    some point would. Tasks are the prime ranges of _prime_ranges, at most
+    _BATCH_POINTS points each, as in equivalence_scan; the split ignores the
+    worker count and the merge is a sort, so worker count never changes the
+    result.
     """
     _require_search_k(k)
     if alpha_max < 2 or beta_max < 2:
@@ -456,10 +455,8 @@ def scan_special_forms(
     # The widest p-part, built as classify_point would; the kernel builds
     # the others with unchecked arithmetic.
     geometric_sum(checked_pow(primes[-1], k, bit_cap), beta_max, bit_cap)
-    tasks = [
-        (k, alpha_max, beta_max, two_parts, chunk)
-        for chunk in _prime_ranges(primes, alpha_max, beta_max - 1)
-    ]
+    points = ((beta_max - 1) * (alpha_max - _first_alpha(p) + 1) for p in primes)
+    tasks = [(k, alpha_max, beta_max, two_parts, chunk) for chunk in _prime_ranges(primes, points)]
     chunks = _pool_map(_scan_rows, tasks, workers)
     reports = sorted(
         (r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n()
@@ -579,9 +576,17 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
 # Equivalence sweep: conditions vs direct divisibility over all small forms.
 # ---------------------------------------------------------------------------
 
-# Odd primes per equivalence task, about as many points as a search task
-# holds; tasks depend only on n_limit and ks.
-_EQ_CHUNK = 2_000
+
+def _form_counts(n_limit: int, primes: list[int]) -> Iterator[int]:
+    """The points of each odd prime's rows in _equivalence_rows: the widths
+    bit_length(n_limit // p**(beta-1)) - 1 summed over its betas."""
+    half = n_limit >> 1
+    for p in primes:
+        count, p_power = 0, p
+        while p_power <= half:
+            count += (n_limit // p_power).bit_length() - 1
+            p_power *= p
+        yield count
 
 
 def _equivalence_rows(task: tuple[int, int, list[int], list[int]]) -> int:
@@ -617,8 +622,9 @@ def equivalence_scan(
 ) -> int:
     """Check n | sigma_k(n) against the pair of derived conditions on every
     special form with n <= n_limit, once per exponent in ks, on the search's
-    batch kernel (one call per task of _EQ_CHUNK primes, most of them one
-    row of a few points): the direct route, the modular condition route and
+    batch kernel (one call per prime range of _prime_ranges, at most
+    _BATCH_POINTS points as in the search; most primes have one row of a few
+    points): the direct route, the modular condition route and
     their cross-checks, without pruners. derive_conditions and
     divides_sigma are the reference it is tested against. Returns the
     number of (form, k) pairs checked; raises CrossCheckError on any
@@ -636,12 +642,12 @@ def equivalence_scan(
         raise ValueError(f"workers must be >= 1, got {workers}")
     _refuse_oversized("equivalence scan", n_limit=n_limit)
     primes = primes_upto(n_limit >> 1)[1:]
+    ranges = _prime_ranges(primes, _form_counts(n_limit, primes))
     alphas = range(2, (n_limit // 3).bit_length() + 1)
     tasks = []
     for k in ks:
         two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in alphas]
-        for start in range(0, len(primes), _EQ_CHUNK):
-            tasks.append((k, n_limit, two_parts, primes[start : start + _EQ_CHUNK]))
+        tasks += [(k, n_limit, two_parts, chunk) for chunk in ranges]
     return sum(_pool_map(_equivalence_rows, tasks, workers))
 
 
@@ -708,8 +714,6 @@ def _sl3_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
 
 def _f_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
     for k in g.k_values:
-        if not is_mersenne_prime_exponent(k):
-            continue
         for alpha in range(2, g.alpha_max + 1):
             for beta in range(2, g.beta_max + 1):
                 yield f"k={k} alpha={alpha} beta={beta}", check_lemma_f(k, alpha, beta, g.bit_cap)
@@ -767,7 +771,8 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
     statements: every row must pass. Tags u1, v3 and trichotomy evaluate
     parameter-dependent bounds and are informational. Grids past the
     limits in _GRID_LIMITS (prime sieves, and beta1_max, lambda_max and
-    beta_max) are refused before any sieving.
+    beta_max) are refused before any sieving, and a grid with no rows is
+    refused as well.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
@@ -781,5 +786,9 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
     )
     rows_of, proved = _LEMMAS[tag]
     if proved:
-        return [GridRow(label, "pass" if ok else "FAIL", ok) for label, ok in rows_of(grid)]
-    return [GridRow(label, outcome, None) for label, outcome in rows_of(grid)]
+        rows = [GridRow(label, "pass" if ok else "FAIL", ok) for label, ok in rows_of(grid)]
+    else:
+        rows = [GridRow(label, outcome, None) for label, outcome in rows_of(grid)]
+    if not rows:
+        raise ValueError(f"the {tag} grid has no rows; widen its parameters")
+    return rows

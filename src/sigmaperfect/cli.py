@@ -29,7 +29,7 @@ from .classify import (
     search_mode,
 )
 from .exactint import DEFAULT_BIT_CAP, OperandSizeError
-from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto
+from .primality import MAX_MERSENNE_BOUND, is_mersenne_prime_exponent, mersenne_exponents_upto
 from .sigma import SpecialForm, sigma_k
 from .valuations import LemmaGrid
 
@@ -37,12 +37,6 @@ ENV_CONFIG = "SIGMAPERFECT_CONFIG"
 FORMATS = ("json-lines", "csv", "human")
 
 _ALL_MERSENNE_PREFIX = "all-mersenne-upto-"
-
-# perfect checks sigma(n) = 2n through sigma_k. sigma_k no longer
-# trial-divides the odd part 2**q - 1 but proves it prime with is_prime
-# (Miller-Rabin below 2**64, Lucas-Lehmer past it), so this cap no longer
-# guards any cost. It stays so that perfect --upto 61 and up keep exit 2.
-MAX_PERFECT_EXPONENT = 40
 
 
 @dataclass(frozen=True)
@@ -360,13 +354,9 @@ def cmd_mersenne(args: argparse.Namespace) -> int:
 
 
 def cmd_perfect(args: argparse.Namespace) -> int:
+    if args.exponent is not None and args.exponent > MAX_MERSENNE_BOUND:  # as for --upto
+        raise ValueError(f"Mersenne exponent {args.exponent} is beyond the limit {MAX_MERSENNE_BOUND}")
     exponents = [args.exponent] if args.exponent is not None else mersenne_exponents_upto(args.upto)
-    q_max = max(exponents)
-    if q_max > MAX_PERFECT_EXPONENT:
-        raise ValueError(
-            f"exponent {q_max} exceeds the limit of {MAX_PERFECT_EXPONENT}: "
-            f"2**{q_max} - 1 is past the perfect command's range"
-        )
     for q in exponents:
         if not is_mersenne_prime_exponent(q):
             raise ValueError(f"2**{q} - 1 is not prime")

@@ -63,19 +63,14 @@ def v_exact(q: int, x: int) -> int:
         raise ValueError("valuation of 0 is undefined")
     if x < 0:
         raise ValueError(f"subject must be positive, got {x}")
+    if q == 2:  # before the primality check: the oracles call this on every row
+        return (x & -x).bit_length() - 1
     if q < 2 or not is_prime(q):
         raise ValueError(f"valuation base must be prime, got {q}")
-    if q == 2:
-        e = (x & -x).bit_length() - 1
-    else:
-        e = 0
-        y = x
-        while True:
-            d, r = divmod(y, q)
-            if r:
-                break
-            y = d
-            e += 1
+    e = 0
+    while x % q == 0:
+        x //= q
+        e += 1
     return e
 
 

@@ -152,7 +152,7 @@ def sigma_k(n: int, k: int) -> int:
         raise ValueError(f"power must be >= 1, got {k}")
     total = 1
     for q, e in factorize(n).items():
-        total *= geometric_sum(q**k, e + 1)
+        total *= geometric_sum(checked_pow(q, k), e + 1)
     return total
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -142,19 +143,20 @@ def _forms_upto(n_limit, ks):
 
 
 @settings(max_examples=25, deadline=None)
-@example(n_limit=28, ks=[5], eq_chunk=classify._EQ_CHUNK)  # exactly on n = 28 = 2**2 * 7
-@example(n_limit=27, ks=[5], eq_chunk=classify._EQ_CHUNK)
-@example(n_limit=496, ks=[3], eq_chunk=2)  # exactly on n = 496 = 2**4 * 31
-@example(n_limit=495, ks=[3], eq_chunk=classify._EQ_CHUNK)
-@example(n_limit=8128, ks=[2, 13], eq_chunk=classify._EQ_CHUNK)  # exactly on n = 8128 = 2**6 * 127
-@example(n_limit=8127, ks=[2, 13], eq_chunk=3)
+@example(n_limit=28, ks=[5], batch_points=classify._BATCH_POINTS)  # exactly on n = 28 = 2**2 * 7
+@example(n_limit=27, ks=[5], batch_points=classify._BATCH_POINTS)
+@example(n_limit=496, ks=[3], batch_points=5)  # exactly on n = 496 = 2**4 * 31
+@example(n_limit=495, ks=[3], batch_points=classify._BATCH_POINTS)
+# exactly on n = 8128 = 2**6 * 127
+@example(n_limit=8128, ks=[2, 13], batch_points=classify._BATCH_POINTS)
+@example(n_limit=8127, ks=[2, 13], batch_points=9)
 @given(
     n_limit=st.integers(min_value=6, max_value=30_000),
     ks=st.lists(st.sampled_from((2, 3, 5, 7, 13)), min_size=1, max_size=5, unique=True),
-    # a small chunk puts batch edges between the small primes, which have several rows
-    eq_chunk=st.integers(min_value=1, max_value=7) | st.just(classify._EQ_CHUNK),
+    # a small cap puts batch edges between the small primes, which have several rows
+    batch_points=st.integers(min_value=1, max_value=40) | st.just(classify._BATCH_POINTS),
 )
-def test_equivalence_rows_match_reference(n_limit, ks, eq_chunk):
+def test_equivalence_rows_match_reference(n_limit, ks, batch_points):
     batches = []
     real_direct, real_conditions = classify._direct_block, classify._conditions_block
 
@@ -171,7 +173,7 @@ def test_equivalence_rows_match_reference(n_limit, ks, eq_chunk):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(classify, "_direct_block", direct)
         m.setattr(classify, "_conditions_block", conditions)
-        m.setattr(classify, "_EQ_CHUNK", eq_chunk)
+        m.setattr(classify, "_BATCH_POINTS", batch_points)
         count = equivalence_scan(n_limit, ks)
     visited = []
     for divides, k, rows, cond1, cond2 in batches:
@@ -190,7 +192,7 @@ def test_equivalence_rows_match_reference(n_limit, ks, eq_chunk):
 
 def test_equivalence_scan_worker_count_does_not_change_count(monkeypatch):
     solo = equivalence_scan(10**5, ks=(3, 5))
-    monkeypatch.setattr(classify, "_EQ_CHUNK", 1000)  # six batches per exponent, not three
+    monkeypatch.setattr(classify, "_BATCH_POINTS", 1000)  # 12 batches per exponent, not 5
     for workers in (1, 2, 3):
         assert equivalence_scan(10**5, ks=(3, 5), workers=workers) == solo
 
@@ -372,30 +374,73 @@ def reference_scan(k, alpha_max, beta_max, bit_cap=None):
 
 
 @settings(max_examples=50, deadline=None)
-@example(k=3, alpha_max=6, beta_max=6)  # f row p = 7, scenario-1 points p = k = 3
-@example(k=5, alpha_max=7, beta_max=5)  # f row p = 31, the v10 row beta = 4
-@example(k=7, alpha_max=8, beta_max=4)  # f row p = 127, scenario-1 points p = k = 7
+# f row p = 7, scenario-1 points p = k = 3
+@example(k=3, alpha_max=6, beta_max=6, batch_points=classify._BATCH_POINTS)
+@example(k=5, alpha_max=7, beta_max=5, batch_points=30)  # f row p = 31, the v10 row beta = 4
+# f row p = 127, scenario-1 points p = k = 7
+@example(k=7, alpha_max=8, beta_max=4, batch_points=classify._BATCH_POINTS)
 @given(
     k=st.sampled_from((3, 5, 7, 13)),
     alpha_max=st.integers(min_value=2, max_value=9),
     beta_max=st.integers(min_value=2, max_value=8),
+    # a small cap puts batch edges between the small primes, which have the widest rows
+    batch_points=st.integers(min_value=1, max_value=60) | st.just(classify._BATCH_POINTS),
 )
-def test_scan_matches_classify_point_reference(k, alpha_max, beta_max):
-    assert scan_special_forms(k, alpha_max, beta_max) == reference_scan(k, alpha_max, beta_max)
+def test_scan_matches_classify_point_reference(k, alpha_max, beta_max, batch_points):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_BATCH_POINTS", batch_points)
+        scanned = scan_special_forms(k, alpha_max, beta_max)
+    assert scanned == reference_scan(k, alpha_max, beta_max)
+
+
+def _task_ranges(scan, *args):
+    """The prime range of every task a scan hands its pool, taken without
+    running any of them."""
+    tasks = []
+
+    def capture(fn, scan_tasks, workers):
+        tasks.extend(scan_tasks)
+        return []
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_pool_map", capture)
+        scan(*args)
+    return [task[-1] for task in tasks]
+
+
+def _assert_split(ranges, primes, points_of):
+    """ranges partition primes in order; each holds at most _BATCH_POINTS
+    points unless it is one prime, so none passes the cap by more than one
+    prime's points; and each ends only where the next prime would pass it."""
+    assert [p for r in ranges for p in r] == primes
+    cap = classify._BATCH_POINTS
+    points = [sum(points_of[p] for p in r) for r in ranges]
+    assert all(n <= cap or len(r) == 1 for r, n in zip(ranges, points))
+    assert all(n + points_of[r[0]] > cap for n, r in zip(points, ranges[1:]))
 
 
 def test_search_batches_stay_near_the_point_cap_on_large_grids():
-    # the benchmark grid keeps _SCAN_CHUNKS ranges; larger grids get more,
-    # none past the cap by more than one prime's points
     for alpha_max, beta_max in ((15, 16), (20, 16), (20, 64)):
         primes = classify._p_bound_primes(alpha_max)
-        rows = beta_max - 1
-        ranges = classify._prime_ranges(primes, alpha_max, rows)
-        assert [p for r in ranges for p in r] == primes
-        points = [rows * sum(alpha_max - classify._first_alpha(p) + 1 for p in r) for r in ranges]
-        cap = min(sum(points) / classify._SCAN_CHUNKS, classify._BATCH_POINTS)
-        assert max(points) <= cap + rows * (alpha_max - 1)
-        assert (len(ranges) == classify._SCAN_CHUNKS) == (alpha_max == 15)
+        ranges = _task_ranges(scan_special_forms, 5, alpha_max, beta_max)
+        # a prime's points: the alphas whose p-bound admits it, times its rows
+        points_of = {
+            p: (beta_max - 1) * sum(p < 3 * (1 << (a - 1)) - 1 for a in range(2, alpha_max + 1))
+            for p in primes
+        }
+        _assert_split(ranges, primes, points_of)
+
+
+def test_equivalence_batches_stay_near_the_point_cap():
+    for n_limit in (10**4, 3 * 10**6):
+        primes = primes_upto(n_limit >> 1)[1:]
+        ranges = _task_ranges(equivalence_scan, n_limit, (3, 5))
+        # one split, shared by every exponent
+        assert ranges[: len(ranges) // 2] == ranges[len(ranges) // 2 :]
+        points_of = dict.fromkeys(primes, 0)
+        for _, p, _, _ in _forms_upto(n_limit, [3]):
+            points_of[p] += 1
+        _assert_split(ranges[: len(ranges) // 2], primes, points_of)
 
 
 def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch):
@@ -418,7 +463,9 @@ def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch)
         verdicts = {(args[0], args[2]): verdict for args, verdict in calls["_verdict_row"]}
         assert len(calls["_verdict_row"]) == len(verdicts) == len(rows)
         primes = sorted({p for p, _ in rows})
-        tasks = classify._prime_ranges(primes, alpha_max, beta_max - 1)
+        points = Counter(p for _, p, _ in grid)
+        tasks = classify._prime_ranges(primes, (points[p] for p in primes))
+        assert len(tasks) > 1
         assert len(calls["_conditions_block"]) == len(calls["_direct_block"]) == len(tasks)
         for (args, _), (_, divides), task in zip(
             calls["_conditions_block"], calls["_direct_block"], tasks, strict=True
@@ -550,9 +597,8 @@ def test_kernel_names_a_pruned_solution_in_a_later_row_of_a_block():
             scan_special_forms(5, 4, 6)
 
 
-# p = 7 is the third prime of its batch in both scans: the search's first
-# task at alpha_max = 13 holds p = 3, 5, 7, 11, 13, and equivalence_scan(1000)
-# is one task over every prime up to 500.
+# p = 7 is the third prime of a batch of more in both scans: the first
+# prime range of each.
 _LATER_PRIME_SCANS = {
     "search": lambda: scan_special_forms(5, 13, 6),
     "equivalence": lambda: equivalence_scan(1000, ks=(5,)),
@@ -560,9 +606,10 @@ _LATER_PRIME_SCANS = {
 
 
 def test_later_prime_scans_put_p7_mid_batch():
-    primes = classify._p_bound_primes(13)
-    assert classify._prime_ranges(primes, 13, 5)[0] == [3, 5, 7, 11, 13]
-    assert len(classify.primes_upto(500)[1:]) <= classify._EQ_CHUNK
+    first = _task_ranges(scan_special_forms, 5, 13, 6)[0]
+    assert first[:3] == [3, 5, 7] and len(first) > 3
+    # equivalence_scan(1000) is one task over every prime up to 500
+    assert _task_ranges(equivalence_scan, 1000, (5,)) == [primes_upto(500)[1:]]
 
 
 @pytest.mark.parametrize("scan", _LATER_PRIME_SCANS.values(), ids=_LATER_PRIME_SCANS)

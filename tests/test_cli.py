@@ -60,6 +60,14 @@ def test_sigma_command_past_trial_division(capsys):
     assert code == 2 and out == "" and "65-bit cofactor" in err
 
 
+def test_sigma_command_refuses_a_wide_power_before_building_it(capsys):
+    # 3**10000000 is refused by the operand cap on q**K itself, at once,
+    # not after building it for the geometric sum
+    code, out, err = run_cli(capsys, "sigma", "3", "10000000")
+    assert code == 2 and out == ""
+    assert "2-bit base raised to 10000000 exceeds the 1000000-bit cap" in err
+
+
 def test_sigma_command_refuses_once_rho_budget_runs_out(monkeypatch, capsys):
     monkeypatch.setattr(sigma, "_RHO_BUDGET", 64)
     n = (2**32 - 5) * (2**32 - 17)
@@ -494,21 +502,26 @@ def test_perfect_command(capsys):
     assert code == 0 and "n=8128" in out
     code, _, err = run_cli(capsys, "perfect", "--exponent", "11")
     assert code != 0 and "not prime" in err
-    # 61 is the first Mersenne exponent past the exponent cap
     code, out, _ = run_cli(capsys, "perfect", "--upto", "60")
     assert code == 0 and out.count("sigma(n)=2n: yes") == 8 and "q=31" in out
+    # 2**61 - 1 is past 2**60 and still proved prime
+    code, out, _ = run_cli(capsys, "perfect", "--upto", "61")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 9 and all(line.endswith("sigma(n)=2n: yes") for line in lines)
+    assert lines[-1].startswith("q=61  n=")
 
 
 def test_perfect_refuses_exponent_past_trial_division(monkeypatch, capsys):
+    # both flags share the Mersenne bound, checked before Lucas-Lehmer and sigma_k
     monkeypatch.setattr(cli, "sigma_k", _refuse("sigma_k"))
-    code, out, err = run_cli(capsys, "perfect", "--upto", "61")
-    assert code == 2 and out == ""
-    assert f"limit of {cli.MAX_PERFECT_EXPONENT}" in err and "2**61 - 1" in err
     monkeypatch.setattr(primality, "lucas_lehmer", _refuse("lucas_lehmer"))
-    code, out, err = run_cli(capsys, "perfect", "--exponent", "61")
-    assert code == 2 and out == "" and f"limit of {cli.MAX_PERFECT_EXPONENT}" in err
-    code, out, err = run_cli(capsys, "perfect", "--exponent", "100003")
-    assert code == 2 and out == "" and "error:" in err
+    bound = primality.MAX_MERSENNE_BOUND
+    code, out, err = run_cli(capsys, "perfect", "--upto", str(bound + 1))
+    assert code == 2 and out == "" and f"K <= {bound}" in err
+    for q in (bound + 1, 100003):
+        code, out, err = run_cli(capsys, "perfect", "--exponent", str(q))
+        assert code == 2 and out == ""
+        assert f"Mersenne exponent {q} is beyond the limit {bound}" in err
 
 
 def test_perfect_refuses_exponent_zero_before_sigma(monkeypatch, capsys):
@@ -591,6 +604,21 @@ def test_check_lemma_fails_on_a_failing_proved_row(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "check-lemma", "u1", "--k", "5", "--p-max", "40", "--v-max", "3")
     assert code == 0 and "u1  p=5 k=5 v=3: fails" in out
     assert out.endswith("u1: 15 informational row(s)\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("f", "--k", "4"), "k must be a prime > 2 with 2**k - 1 prime, got 4"),
+        (("tv", "--p-max", "2"), "the tv grid has no rows"),
+        (("cando", "--v-max", "0"), "the cando grid has no rows"),
+        (("sl3", "--lambda-max", "1"), "the sl3 grid has no rows"),
+    ],
+)
+def test_check_lemma_refuses_a_grid_without_rows(argv, message, capsys):
+    # a proved tag never reports an empty grid as informational
+    code, out, err = run_cli(capsys, "check-lemma", *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_main_builds_the_parser_once(capsys):

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import sigmaperfect.exactint as exactint
 from sigmaperfect.exactint import (
     OperandSizeError,
     checked_pow,
     geometric_sum,
     v_exact,
 )
+from sigmaperfect.primality import is_prime
 
 
 def naive_valuation(q: int, x: int) -> int:
@@ -38,6 +40,19 @@ def test_v_exact_matches_oracle_on_grid():
         for _ in range(50):
             x = rng.randrange(1, 10**9)
             assert v_exact(q, x) == naive_valuation(q, x)
+
+
+def test_v_exact_proves_only_odd_bases_prime(monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return is_prime(q)
+
+    monkeypatch.setattr(exactint, "is_prime", counting)
+    assert [v_exact(2, x) for x in (48, 7**6 - 1, 1)] == [4, 4, 0]
+    assert calls == []
+    assert v_exact(3, 54) == 3 and calls == [3]
 
 
 def test_v_exact_rejects_zero_and_composite_base():
