@@ -18,6 +18,7 @@ import multiprocessing
 import sys
 from dataclasses import dataclass
 from itertools import compress
+from math import gcd
 from operator import and_
 from typing import Iterable, Iterator
 
@@ -178,16 +179,22 @@ def _first_alpha(p: int) -> int:
 # at 24 that is a 25 MB sieve, and each further alpha doubles it.
 MAX_SCAN_ALPHA = 24
 
-# beta_max, and check-lemma's beta1_max and lambda_max, set both how many
-# rows a grid has and how wide their operands grow (to about beta * k *
-# log2(p) bits), while the operand cap bounds only single operands. At 64,
-# search --k 5 --alpha-max 13 takes about 1.7 s and check-lemma sl3 with
-# --beta1-max and --lambda-max at 64 about 4 s.
+# beta_max, and check-lemma's beta1_max, lambda_max and p1_max, set both how
+# many rows a grid has and how wide their operands grow (to about beta * k *
+# log2(p) bits), while the operand cap bounds only single operands; every sl3
+# row is held in one list. At 64, search --k 5 --alpha-max 13 takes about
+# 1.7 s, and check-lemma sl3 with --beta1-max, --lambda-max and --p1-max at 64
+# (322,560 rows) 2.9-3.4 s and 90 MiB on a 2-vCPU x86-64 VM.
 MAX_SCAN_BETA = 64
+
+# _pool_map's pool forks all its workers as it starts, however few tasks it
+# gets, so the worker count alone sets how many processes a run forks at once.
+MAX_WORKERS = 64
 
 _ROW_WORK = "no operand cap bounds the work it adds to every row"
 
-# Grid parameter -> (its limit, why the limit is there at a given value).
+# Grid parameter or worker count -> (its limit, why the limit is there at a
+# given value).
 # Each sieve limit keeps its sieve near the exhaustive scan's.
 _GRID_LIMITS = {
     "alpha_max": (MAX_SCAN_ALPHA, lambda a: f"its p-bound sieve would hold {3 << (a - 1)} entries"),
@@ -196,12 +203,14 @@ _GRID_LIMITS = {
     "beta_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
     "beta1_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
     "lambda_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
+    "p1_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
+    "workers": (MAX_WORKERS, lambda w: f"its pool would fork {w} processes at once"),
 }
 
 
 def _refuse_oversized(scope: str, **values: int) -> None:
     """Raise ValueError, before any sieving or scanning, when a grid
-    parameter is past its limit in _GRID_LIMITS."""
+    parameter or the worker count is past its limit in _GRID_LIMITS."""
     for name, value in values.items():
         limit, why = _GRID_LIMITS[name]
         if value > limit:
@@ -449,7 +458,9 @@ def scan_special_forms(
         raise ValueError("alpha_max and beta_max must be >= 2")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _refuse_oversized("exhaustive scan", alpha_max=alpha_max, beta_max=beta_max)
+    _refuse_oversized(
+        "exhaustive scan", alpha_max=alpha_max, beta_max=beta_max, workers=workers
+    )
     primes = _p_bound_primes(alpha_max)
     two_parts = [0, 0] + [geometric_sum(1 << k, a, bit_cap) for a in range(2, alpha_max + 1)]
     # The widest p-part, built as classify_point would; the kernel builds
@@ -528,6 +539,17 @@ def search(
     )
 
 
+def _divides(k: int, p: int, alpha: int, beta: int, bit_cap: int | None = None) -> bool:
+    """Whether 2**(alpha-1) * p**(beta-1) divides its sigma_k, decided as a
+    one-point batch: the direct route, the condition route and their
+    cross-checks. The operand cap is checked as in divides_sigma."""
+    q = checked_pow(p, k, bit_cap)
+    m1 = q - 1
+    row = (p, beta, geometric_sum(q, beta, bit_cap), p ** (beta - 1), m1,
+           pow(q, beta, m1 << (alpha - 1)), range(alpha, alpha + 1))
+    return _check_block(k, [0] * alpha + [geometric_sum(1 << k, alpha, bit_cap)], [row])[0]
+
+
 def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> bool:
     """n = 2**(alpha-1) * (2**k - 1)**(beta-1) never divides sigma_k(n).
 
@@ -535,8 +557,9 @@ def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> 
     implementation bug.
     """
     _require_search_k(k)
-    f = SpecialForm(alpha=alpha, p=(1 << k) - 1, beta=beta, k=k)
-    return not divides_sigma(f, bit_cap)
+    if alpha < 2 or beta < 2:
+        raise ValueError(f"alpha and beta must be >= 2, got {alpha} and {beta}")
+    return not _divides(k, (1 << k) - 1, alpha, beta, bit_cap)
 
 
 def lemma41_candidates() -> list[SpecialForm]:
@@ -633,14 +656,15 @@ def equivalence_scan(
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.
     n_limit above 3 * 2**MAX_SCAN_ALPHA is refused before sieving, since
-    its sieve of n_limit // 2 entries would exceed the exhaustive scan's.
+    its sieve of n_limit // 2 entries would exceed the exhaustive scan's, and
+    so is a worker count above MAX_WORKERS.
     """
     ks = tuple(ks)
     if n_limit < 6 or not ks:
         raise ValueError("need n_limit >= 6 and at least one exponent")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _refuse_oversized("equivalence scan", n_limit=n_limit)
+    _refuse_oversized("equivalence scan", n_limit=n_limit, workers=workers)
     primes = primes_upto(n_limit >> 1)[1:]
     ranges = _prime_ranges(primes, _form_counts(n_limit, primes))
     alphas = range(2, (n_limit // 3).bit_length() + 1)
@@ -689,7 +713,7 @@ def _appr_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
     for k in g.k_values:
         for u in range(g.u_max + 1):
             for alpha1 in range(1, g.alpha1_max + 1):
-                if alpha1 % ((1 << k) - 1):
+                if gcd(alpha1, (1 << k) - 1) == 1:
                     yield f"k={k} u={u} alpha1={alpha1}", check_appr(k, u, alpha1, g.bit_cap)
 
 
@@ -721,12 +745,12 @@ def _f_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
 
 def _v10_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
     for form in lemma41_candidates():
-        yield f"candidate alpha={form.alpha} p={form.p}", not divides_sigma(form, g.bit_cap)
+        ok = not _divides(form.k, form.p, form.alpha, form.beta, g.bit_cap)
+        yield f"candidate alpha={form.alpha} p={form.p}", ok
     for alpha in range(2, g.alpha_max + 1):
         for p in _p_bound_primes(alpha):
             if p % 4 == 3:
-                form = SpecialForm(alpha, p, 4, 5)
-                yield f"alpha={alpha} p={p}", not divides_sigma(form, g.bit_cap)
+                yield f"alpha={alpha} p={p}", not _divides(5, p, alpha, 4, g.bit_cap)
 
 
 def _bound_rows(g: LemmaGrid, residue: int, bound) -> Iterator[tuple[str, str]]:
@@ -770,9 +794,9 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
     Tags vs1, cando, appr, appr2, tv, tv2, sl3, f and v10 are proved
     statements: every row must pass. Tags u1, v3 and trichotomy evaluate
     parameter-dependent bounds and are informational. Grids past the
-    limits in _GRID_LIMITS (prime sieves, and beta1_max, lambda_max and
-    beta_max) are refused before any sieving, and a grid with no rows is
-    refused as well.
+    limits in _GRID_LIMITS (prime sieves, and beta1_max, lambda_max,
+    p1_max and beta_max) are refused before any sieving, and a grid with no
+    rows is refused as well.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
@@ -783,6 +807,7 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
         beta_max=grid.beta_max,
         beta1_max=grid.beta1_max,
         lambda_max=grid.lambda_max,
+        p1_max=grid.p1_max,
     )
     rows_of, proved = _LEMMAS[tag]
     if proved:

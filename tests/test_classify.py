@@ -25,6 +25,7 @@ from sigmaperfect.classify import (
     search,
     verify_lemma410,
 )
+from sigmaperfect.cli import main
 from sigmaperfect.exactint import OperandSizeError, geometric_sum
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.sigma import SpecialForm, divides_sigma, is_even_perfect, sigma_k
@@ -654,6 +655,68 @@ def test_verify_lemma410_and_candidates():
     for alpha, p in sorted(candidate_pairs):
         n = 2 ** (alpha - 1) * p**3
         assert sigma_k(n, 5) % n != 0
+
+
+def _refuse_divides_sigma(m):
+    """Make the reference divisibility route raise wherever it is looked up."""
+    def refuse(f, bit_cap=None):
+        raise AssertionError("the lemma checks must decide on the batch kernel")
+
+    m.setattr("sigmaperfect.sigma.divides_sigma", refuse)
+    m.setattr(classify, "divides_sigma", refuse)
+
+
+def test_lemma_checks_decide_without_the_reference_route(monkeypatch):
+    _refuse_divides_sigma(monkeypatch)
+    assert verify_lemma410(10)
+    for k in (3, 5, 7):
+        for alpha in range(2, 7):
+            for beta in range(2, 6):
+                assert check_lemma_f(k, alpha, beta), (k, alpha, beta)
+    with pytest.raises(ValueError, match="alpha and beta must be >= 2"):
+        check_lemma_f(5, 1, 2)
+    with pytest.raises(ValueError, match="alpha and beta must be >= 2"):
+        check_lemma_f(5, 2, 1)
+
+
+def test_check_lemma_f_refuses_exactly_where_the_reference_does(monkeypatch):
+    reference = divides_sigma  # bound before the patch
+    _refuse_divides_sigma(monkeypatch)
+    refused = 0
+    for k in (3, 5, 7):
+        for alpha in range(2, 9):
+            for beta in range(2, 7):
+                for bit_cap in (8, 16, 24, 32, 48, 64, 96, 128):
+                    form = SpecialForm(alpha=alpha, p=(1 << k) - 1, beta=beta, k=k)
+                    try:
+                        expected = not reference(form, bit_cap)
+                    except OperandSizeError:
+                        expected = OperandSizeError
+                    try:
+                        got = check_lemma_f(k, alpha, beta, bit_cap)
+                    except OperandSizeError:
+                        got = OperandSizeError
+                    assert got == expected, (k, alpha, beta, bit_cap)
+                    refused += expected is OperandSizeError
+    assert 0 < refused < 3 * 7 * 5 * 8  # the caps both refuse and admit
+
+
+@pytest.mark.parametrize(
+    "argv, point",
+    [
+        (("f", "--k", "5"), (3, 31, 2)),
+        (("v10",), (3, 7, 4)),
+        (("v10", "--alpha-max", "6"), (7, 31, 4)),  # a remainder-table candidate only
+    ],
+)
+def test_check_lemma_exits_on_a_lying_direct_route(argv, point, capsys):
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", point, [True])
+        code = main(["check-lemma", *argv])
+    err = capsys.readouterr().err
+    alpha, p, beta = point
+    assert code == 2 and err.startswith("cross-check failure: conditions disagree")
+    assert f"at (alpha, p, beta, k) = ({alpha}, {p}, {beta}, 5): divides=True" in err
 
 
 def test_forward_implication_frozen_values():

@@ -559,11 +559,40 @@ def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
         ("check-lemma", "f", "--k", "3", "--beta-max", "100000"),
         ("check-lemma", "sl3", "--beta1-max", past_limit),
         ("check-lemma", "sl3", "--lambda-max", past_limit),
+        ("check-lemma", "sl3", "--p1-max", past_limit),
         ("check-lemma", "tv", "--beta1-max", past_limit),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
         assert f"limit of {classify.MAX_SCAN_BETA}" in err, argv
+
+
+def test_scans_refuse_too_many_workers_before_forking(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "primes_upto", _refuse("primes_upto"))
+    monkeypatch.setattr(classify.multiprocessing, "get_context", _refuse("get_context"))
+    limit = classify.MAX_WORKERS
+    past_limit = str(limit + 1)
+    for command in ("search", "verify-theorem"):
+        code, out, err = run_cli(
+            capsys, command, "--k", "5", "--alpha-max", "4", "--workers", past_limit
+        )
+        assert code == 2 and out == "", command
+        assert f"workers={past_limit} exceeds the exhaustive scan's limit of {limit}" in err
+    with pytest.raises(ValueError, match=f"workers={past_limit} exceeds the equivalence scan's"):
+        classify.equivalence_scan(1000, workers=limit + 1)
+
+
+def test_check_lemma_appr_skips_alpha1_sharing_a_factor_with_2k_minus_1(capsys):
+    # 2**9 - 1 = 7 * 73: alpha1 = 7 is not coprime to it, though 511 does not divide it
+    code, out, err = run_cli(capsys, "check-lemma", "appr", "--k", "9", "--alpha1-max", "8",
+                             "--u-max", "0")
+    labels = [line.split(":")[0] for line in out.splitlines()[:-1]]
+    assert code == 0 and err == ""
+    assert labels == [f"appr  k=9 u=0 alpha1={a}" for a in (1, 2, 3, 4, 5, 6, 8)]
+    assert out.endswith("appr: 7/7 pass\n")
+    # at u = 1 the tower exponent 511**2 * 9 passes the default operand cap
+    code, out, err = run_cli(capsys, "check-lemma", "appr", "--k", "9", "--alpha1-max", "8")
+    assert code == 2 and out == "" and err.startswith("operand size cap exceeded")
 
 
 def _pow_under_the_cap(base, exp, mod):

@@ -49,3 +49,16 @@ def test_cli_output_matches_golden(name, capsys):
     code, out = run_case(argv, capsys)
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["lemma-f", "lemma-v10"])
+def test_lemma_output_without_the_reference_route(name, monkeypatch, capsys):
+    # f and v10 decide on the batch kernel; divides_sigma is only a reference
+    def refuse(f, bit_cap=None):
+        raise AssertionError("divides_sigma must not be called")
+
+    monkeypatch.setattr("sigmaperfect.sigma.divides_sigma", refuse)
+    monkeypatch.setattr("sigmaperfect.classify.divides_sigma", refuse)
+    argv, expected_code = CASES[name]
+    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert run_case(argv, capsys) == (expected_code, golden)
