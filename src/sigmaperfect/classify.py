@@ -14,29 +14,25 @@ of assuming it.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
 from operator import and_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .exactint import checked_pow, geometric_sum
-from .polyrem import lemma41_scaled_remainder
 from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
     LemmaGrid,
     _bound_holds,
+    _exact_flags,
+    _require_odd_k,
     bound_u1,
     bound_v3,
     check_appr,
     check_appr2_bound,
-    check_cando,
-    check_sl3,
-    check_tv,
-    check_tv2,
     check_vs1,
     trichotomy_3mod4,
     v2,
@@ -242,6 +238,8 @@ def _pool_map(fn, tasks, workers):
     """
     if workers == 1:
         return [fn(t) for t in tasks]
+    import multiprocessing  # only a pooled scan needs it
+
     sys.stdout.flush()
     sys.stderr.flush()
     with multiprocessing.get_context("fork").Pool(workers) as pool:
@@ -570,6 +568,8 @@ def lemma41_candidates() -> list[SpecialForm]:
     for its case and satisfy p = k1 * 2**(alpha-2) - 1, which pins alpha.
     The p**3 | 2**alpha - 1 route contributes (alpha, p) = (4, 3).
     """
+    from .polyrem import lemma41_scaled_remainder  # and with it fractions, for this table only
+
     out = [SpecialForm(alpha=4, p=3, beta=4, k=5)]
     for k1 in range(1, 6):
         _, remainder = lemma41_scaled_remainder(k1)
@@ -680,8 +680,7 @@ def equivalence_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridRow:
+class GridRow(NamedTuple):
     """One grid point of a lemma suite. ok is None for informational rows."""
 
     label: str
@@ -699,14 +698,24 @@ def _residue_primes(p_max: int, residue: int) -> list[int]:
 
 # Row generators: each yields (label, value) per grid point, value a bool
 # for proved tags and an outcome string for informational ones.
+#
+# cando, tv, tv2 and sl3 claim the exponent their check_* reference does and
+# decide a whole beta1 column with one _exact_flags call, so one modulus
+# serves it. Each k is validated once, where its first row is, as the
+# reference would be there; a sieved prime is not re-proved.
 
 
 def _cando_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+    # check_cando: 2**(v+k) || (2**k - 1)**(beta * k) - 1 at beta = 2**v * beta1
+    vs, beta1s = range(1, g.v_max + 1), _odd_values(g.beta1_max)
+    if not (vs and beta1s):
+        return
     for k in g.k_values:
-        for v in range(1, g.v_max + 1):
-            for beta1 in _odd_values(g.beta1_max):
-                beta = (1 << v) * beta1
-                yield f"k={k} beta={beta}", check_cando(k, beta, g.bit_cap)
+        _require_odd_k(k)
+        for v in vs:
+            betas = [b << v for b in beta1s]
+            flags = _exact_flags(2, v + k, (1 << k) - 1, [beta * k for beta in betas], g.bit_cap)
+            yield from zip([f"k={k} beta={beta}" for beta in betas], flags)
 
 
 def _appr_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
@@ -717,23 +726,35 @@ def _appr_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
                     yield f"k={k} u={u} alpha1={alpha1}", check_appr(k, u, alpha1, g.bit_cap)
 
 
-def _tv_rows(g: LemmaGrid, residue: int, check) -> Iterator[tuple[str, bool]]:
-    for p in _residue_primes(g.p_max, residue):
+def _tv_rows(g: LemmaGrid, residue: int) -> Iterator[tuple[str, bool]]:
+    # check_tv (residue 1): 2**(t+v) || p**(2**v * beta1 * k) - 1, t = v2(p - 1);
+    # check_tv2 (residue 3): 2**(v+s-1) || the same, s = v2(p**2 - 1)
+    vs, beta1s = range(1, g.v_max + 1), _odd_values(g.beta1_max)
+    if not (vs and beta1s):
+        return
+    tails = [str(b) for b in beta1s]
+    for i, p in enumerate(_residue_primes(g.p_max, residue)):
+        e = v2(p - 1) if residue == 1 else v2(p * p - 1) - 1
         for k in g.k_values:
-            for v in range(1, g.v_max + 1):
-                for beta1 in _odd_values(g.beta1_max):
-                    yield f"p={p} k={k} v={v} beta1={beta1}", check(p, k, v, beta1, g.bit_cap)
+            if not i:
+                _require_odd_k(k)
+            for v in vs:
+                flags = _exact_flags(2, e + v, p, [(k << v) * b for b in beta1s], g.bit_cap)
+                head = f"p={p} k={k} v={v} beta1="
+                yield from zip([head + t for t in tails], flags)
 
 
 def _sl3_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+    # check_sl3: 2**(lam+v) || (2**lam * p1 - 1)**(2**v * beta1) - 1
+    beta1s = _odd_values(g.beta1_max)
+    tails = [str(b) for b in beta1s]
     for lam in range(2, g.lambda_max + 1):
         for p1 in _odd_values(g.p1_max):
             for v in range(1, g.v_max + 1):
-                for beta1 in _odd_values(g.beta1_max):
-                    yield (
-                        f"lam={lam} p1={p1} v={v} beta1={beta1}",
-                        check_sl3(lam, p1, v, beta1, g.bit_cap),
-                    )
+                exps = [b << v for b in beta1s]
+                flags = _exact_flags(2, lam + v, (p1 << lam) - 1, exps, g.bit_cap)
+                head = f"lam={lam} p1={p1} v={v} beta1="
+                yield from zip([head + t for t in tails], flags)
 
 
 def _f_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
@@ -753,11 +774,17 @@ def _v10_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
                 yield f"alpha={alpha} p={p}", not _divides(5, p, alpha, 4, g.bit_cap)
 
 
-def _bound_rows(g: LemmaGrid, residue: int, bound) -> Iterator[tuple[str, str]]:
-    for p in _residue_primes(g.p_max, residue):
+def _bound_rows(g: LemmaGrid, residue: int) -> Iterator[tuple[str, str]]:
+    # bound_u1 (residue 1) or bound_v3 (residue 3), validated as _tv_rows is
+    vs = range(1, g.v_max + 1)
+    if not vs:
+        return
+    for i, p in enumerate(_residue_primes(g.p_max, residue)):
         for k in g.k_values:
-            for v in range(1, g.v_max + 1):
-                yield f"p={p} k={k} v={v}", "holds" if bound(p, k, v) else "fails"
+            if not i:
+                _require_odd_k(k)
+            for v in vs:
+                yield f"p={p} k={k} v={v}", "holds" if _bound_holds(p, k, v) else "fails"
 
 
 def _trichotomy_rows(g: LemmaGrid) -> Iterator[tuple[str, str]]:
@@ -776,13 +803,13 @@ _LEMMAS = {
     "cando": (_cando_rows, True),
     "appr": (_appr_rows, True),
     "appr2": (lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values), True),
-    "tv": (lambda g: _tv_rows(g, 1, check_tv), True),
-    "tv2": (lambda g: _tv_rows(g, 3, check_tv2), True),
+    "tv": (lambda g: _tv_rows(g, 1), True),
+    "tv2": (lambda g: _tv_rows(g, 3), True),
     "sl3": (_sl3_rows, True),
     "f": (_f_rows, True),
     "v10": (_v10_rows, True),
-    "u1": (lambda g: _bound_rows(g, 1, bound_u1), False),
-    "v3": (lambda g: _bound_rows(g, 3, bound_v3), False),
+    "u1": (lambda g: _bound_rows(g, 1), False),
+    "v3": (lambda g: _bound_rows(g, 3), False),
     "trichotomy": (_trichotomy_rows, False),
 }
 LEMMA_TAGS = tuple(_LEMMAS)
@@ -795,11 +822,14 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
     statements: every row must pass. Tags u1, v3 and trichotomy evaluate
     parameter-dependent bounds and are informational. Grids past the
     limits in _GRID_LIMITS (prime sieves, and beta1_max, lambda_max,
-    p1_max and beta_max) are refused before any sieving, and a grid with no
-    rows is refused as well.
+    p1_max and beta_max) are refused before any sieving, and so are a
+    repeated exponent in k_values and a grid with no rows.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
+    repeated = sorted({k for k in grid.k_values if grid.k_values.count(k) > 1})
+    if repeated:
+        raise ValueError(f"exponent k={repeated[0]} is repeated in the grid's k values")
     _refuse_oversized(
         "lemma grid",
         alpha_max=grid.alpha_max,

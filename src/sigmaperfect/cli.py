@@ -16,7 +16,6 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 
 from . import __version__
 from .classify import (
@@ -336,8 +335,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 def cmd_check_lemma(args: argparse.Namespace) -> int:
     grid = LemmaGrid(**{f.name: getattr(args, f.name) for f in fields(LemmaGrid)})
     rows = run_lemma_grid(args.tag, grid)
-    for row in rows:
-        print(f"{args.tag}  {row.label}: {row.outcome}")
+    sys.stdout.write("".join(f"{args.tag}  {row.label}: {row.outcome}\n" for row in rows))
     checked = [r for r in rows if r.ok is not None]
     failed = [r for r in checked if not r.ok]
     if checked:
@@ -369,6 +367,8 @@ def cmd_perfect(args: argparse.Namespace) -> int:
 
 
 def _utcnow() -> str:
+    from datetime import datetime, timezone  # only search records a time
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 

@@ -9,6 +9,11 @@ any check_* is an implementation bug, never new mathematics; the bound_*
 and trichotomy functions evaluate inequalities whose truth legitimately
 depends on the parameters and are used to prune searches.
 
+check-lemma decides its cando, tv, tv2 and sl3 grids one column of
+exponents at a time (_exact_flags) and its u1 and v3 grids through
+_bound_holds; the public check_* and bound_* functions keep their input
+validation and are the per-row reference those grids are tested against.
+
 Where 2**k - 1 itself is the divisor (check_appr), "exactly divides" is
 decided from the residue modulo a power of 2**k - 1, not via prime
 valuations, so the identity also holds verbatim when 2**k - 1 is
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import Sequence
 
 from .exactint import _guard_pow, checked_pow, geometric_sum, v_exact
 from .primality import is_prime
@@ -67,13 +73,22 @@ def exactly_divides(d: int, e: int, base: int, exp: int, bit_cap: int | None = N
     divisible when y is a nonzero multiple of d**e. Only the residue is
     computed, but the operand cap refuses exactly where checked_pow would.
     """
+    return _exact_flags(d, e, base, (exp,), bit_cap)[0]
+
+
+def _exact_flags(
+    d: int, e: int, base: int, exps: Sequence[int], bit_cap: int | None = None
+) -> list[bool]:
+    """exactly_divides(d, e, base, x, bit_cap) for each x in exps, with one
+    modulus d**(e+1) for them all. Every exponent is guarded, in order,
+    before any power is taken, so the first refused one raises."""
     if d < 2:
         raise ValueError(f"divisor must be >= 2, got {d}")
-    _guard_pow(base, exp, bit_cap)
+    for x in exps:
+        _guard_pow(base, x, bit_cap)
     q = d**e
     modulus = q * d
-    y = (pow(base, exp, modulus) - 1) % modulus
-    return y != 0 and y % q == 0
+    return [(y := (pow(base, x, modulus) - 1) % modulus) != 0 and y % q == 0 for x in exps]
 
 
 def check_vs1(k: int) -> bool:

@@ -29,7 +29,15 @@ from sigmaperfect.cli import main
 from sigmaperfect.exactint import OperandSizeError, geometric_sum
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.sigma import SpecialForm, divides_sigma, is_even_perfect, sigma_k
-from sigmaperfect.valuations import LemmaGrid
+from sigmaperfect.valuations import (
+    LemmaGrid,
+    bound_u1,
+    bound_v3,
+    check_cando,
+    check_sl3,
+    check_tv,
+    check_tv2,
+)
 
 SRC = str(Path(classify.__file__).resolve().parents[1])
 
@@ -763,3 +771,78 @@ def test_run_lemma_grid_smoke_and_unknown_tag():
     with pytest.raises(ValueError):
         run_lemma_grid("nope", small)
 
+
+def _reference_rows(tag, g):
+    """The grid of tag, one public check_* or bound_* call per row, in row order."""
+    vs, beta1s = range(1, g.v_max + 1), range(1, g.beta1_max + 1, 2)
+    if tag == "cando":
+        for k in g.k_values:
+            for v in vs:
+                for beta1 in beta1s:
+                    beta = (1 << v) * beta1
+                    yield f"k={k} beta={beta}", check_cando(k, beta, g.bit_cap)
+    elif tag == "sl3":
+        for lam in range(2, g.lambda_max + 1):
+            for p1 in range(1, g.p1_max + 1, 2):
+                for v in vs:
+                    for beta1 in beta1s:
+                        args = (lam, p1, v, beta1)
+                        yield "lam={} p1={} v={} beta1={}".format(*args), check_sl3(*args, g.bit_cap)
+    else:
+        residue = 1 if tag in ("tv", "u1") else 3
+        for p in primes_upto(g.p_max - 1):
+            if p % 4 != residue:
+                continue
+            for k in g.k_values:
+                for v in vs:
+                    if tag in ("u1", "v3"):
+                        bound = bound_u1 if residue == 1 else bound_v3
+                        yield f"p={p} k={k} v={v}", "holds" if bound(p, k, v) else "fails"
+                        continue
+                    check = check_tv if residue == 1 else check_tv2
+                    for beta1 in beta1s:
+                        yield f"p={p} k={k} v={v} beta1={beta1}", check(p, k, v, beta1, g.bit_cap)
+
+
+def _rows_or_refusal(rows):
+    try:
+        return list(rows())
+    except ValueError as exc:  # OperandSizeError included
+        return type(exc), str(exc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    k_values=st.lists(st.sampled_from((3, 5, 7, 9, 13)), min_size=1, max_size=3, unique=True),
+    p_max=st.integers(6, 400),
+    v_max=st.integers(1, 8),
+    beta1_max=st.integers(1, 15),
+    lambda_max=st.integers(2, 5),
+    p1_max=st.integers(1, 7),
+    bit_cap=st.one_of(st.none(), st.integers(8, 4096)),
+)
+@example(k_values=[13, 4], p_max=6, v_max=12, beta1_max=9, lambda_max=2, p1_max=1, bit_cap=None)
+@example(k_values=[3, 4], p_max=6, v_max=1, beta1_max=1, lambda_max=2, p1_max=1, bit_cap=None)
+def test_lemma_grid_bulk_rows_match_the_per_row_oracles(
+    k_values, p_max, v_max, beta1_max, lambda_max, p1_max, bit_cap
+):
+    # the bulk grid decides whole columns; the public oracles, one call per
+    # row, must give the same rows, or refuse with the same first error
+    g = LemmaGrid(k_values=tuple(k_values), p_max=p_max, v_max=v_max, beta1_max=beta1_max,
+                  lambda_max=lambda_max, p1_max=p1_max, bit_cap=bit_cap)
+    for tag in ("cando", "tv", "tv2", "sl3", "u1", "v3"):
+        bulk = _rows_or_refusal(lambda: (
+            (r.label, r.outcome if r.ok is None else r.ok) for r in run_lemma_grid(tag, g)
+        ))
+        assert bulk == _rows_or_refusal(lambda: _reference_rows(tag, g)), tag
+
+
+def test_check_lemma_tv_never_reproves_a_sieved_prime(monkeypatch, capsys):
+    def no_is_prime(x):
+        raise AssertionError(f"is_prime({x}) called on a lemma grid row")
+
+    for module in ("primality", "exactint", "valuations", "sigma"):
+        monkeypatch.setattr(f"sigmaperfect.{module}.is_prime", no_is_prime)
+    for tag in ("tv", "tv2"):
+        assert main(["check-lemma", tag, "--k", "3,5,13", "--p-max", "300", "--v-max", "4"]) == 0
+    assert capsys.readouterr().err == ""

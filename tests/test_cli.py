@@ -1,5 +1,10 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -550,7 +555,7 @@ def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "check-lemma", "f", "--k", "3", "--alpha-max", "2",
                          "--beta-max", at_limit)
     assert code == 0
-    for name in ("primes_upto", "_scan_rows", "check_lemma_f", "check_sl3", "check_tv"):
+    for name in ("primes_upto", "_scan_rows", "check_lemma_f", "_exact_flags"):
         monkeypatch.setattr(classify, name, _refuse(name))
     past_limit = str(classify.MAX_SCAN_BETA + 1)
     for argv in (
@@ -569,7 +574,7 @@ def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
 
 def test_scans_refuse_too_many_workers_before_forking(monkeypatch, capsys):
     monkeypatch.setattr(classify, "primes_upto", _refuse("primes_upto"))
-    monkeypatch.setattr(classify.multiprocessing, "get_context", _refuse("get_context"))
+    monkeypatch.setattr(multiprocessing, "get_context", _refuse("get_context"))
     limit = classify.MAX_WORKERS
     past_limit = str(limit + 1)
     for command in ("search", "verify-theorem"):
@@ -617,12 +622,14 @@ def test_check_lemma_oracles_refuse_past_operand_cap_before_the_power(monkeypatc
 
 
 def test_check_lemma_fails_on_a_failing_proved_row(monkeypatch, capsys):
-    check_tv = classify.check_tv
+    exact_flags = classify._exact_flags
 
-    def lying(p, k, v, beta1, bit_cap=None):
-        return (p, k, v, beta1) != (13, 3, 2, 1) and check_tv(p, k, v, beta1, bit_cap)
+    def lying(d, e, base, exps, bit_cap=None):
+        # the tv row p=13 k=3 v=2 beta1=1 claims 2**4 || 13**12 - 1
+        flags = exact_flags(d, e, base, exps, bit_cap)
+        return [ok and (base, e, x) != (13, 4, 12) for x, ok in zip(exps, flags)]
 
-    monkeypatch.setattr(classify, "check_tv", lying)
+    monkeypatch.setattr(classify, "_exact_flags", lying)
     grid = ("--k", "3", "--p-max", "40", "--v-max", "2", "--beta1-max", "3")
     code, out, _ = run_cli(capsys, "check-lemma", "tv", *grid)
     lines = out.splitlines()
@@ -664,3 +671,27 @@ def test_check_lemma_v3_refuses_past_operand_cap(capsys):
         capsys, "check-lemma", "v3", "--k", "3", "--p-max", "4", "--v-max", "22"
     )
     assert code == 2 and out == "" and "operand size cap exceeded" in err
+
+
+def test_check_lemma_refuses_a_repeated_exponent(capsys):
+    # each k would get its rows twice, and the pass count would double
+    code, out, err = run_cli(capsys, "check-lemma", "tv", "--k", "3,5,3", "--p-max", "14",
+                             "--v-max", "1", "--beta1-max", "1")
+    assert code == 2 and out == ""
+    assert err == "error: exponent k=3 is repeated in the grid's k values\n"
+
+
+def test_cli_import_leaves_pool_fraction_and_clock_modules_unloaded():
+    # multiprocessing, fractions and datetime serve only some commands; what
+    # a bare interpreter already loads (site differs between hosts) is allowed
+    probe = "import sys; {}print(' '.join(sorted(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    loaded = []
+    for setup in ("", "import sigmaperfect.cli; "):
+        proc = subprocess.run([sys.executable, "-c", probe.format(setup)], capture_output=True,
+                              text=True, timeout=60, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        loaded.append(set(proc.stdout.split()))
+    bare, with_cli = loaded
+    assert "sigmaperfect.cli" in with_cli
+    assert {"multiprocessing", "fractions", "datetime"} & (with_cli - bare) == set()

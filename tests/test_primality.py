@@ -108,3 +108,11 @@ def test_primes_upto_edges():
     assert primes_upto(1) == []
     assert primes_upto(2) == [2]
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_primes_upto_matches_is_prime_for_every_bound():
+    expected = []
+    for n in range(5001):  # n = 0 .. 4 included
+        if is_prime(n):
+            expected.append(n)
+        assert primes_upto(n) == expected, n

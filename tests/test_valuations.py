@@ -9,6 +9,7 @@ from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
     Scenario,
     _bound_holds,
+    _exact_flags,
     appr_exponent,
     bound_u1,
     bound_v3,
@@ -463,3 +464,24 @@ def test_trusted_bounds_and_trichotomy_key_match_public_functions():
     ):
         with pytest.raises(ValueError):
             bound(p, k, v)
+
+
+@given(
+    d=st.integers(2, 40),
+    e=st.integers(0, 12),
+    base=st.integers(0, 200),
+    exps=st.lists(st.integers(0, 3000), max_size=8),
+    bit_cap=st.one_of(st.none(), st.integers(1, 20000)),
+)
+@example(d=2, e=3, base=3, exps=[2, -1, 10**7], bit_cap=None)
+def test_exact_flags_match_exactly_divides_one_by_one(d, e, base, exps, bit_cap):
+    # one modulus for a whole column; the first refused exponent raises
+    def outcome(decide):
+        try:
+            return decide()
+        except ValueError as exc:  # OperandSizeError included
+            return type(exc), str(exc)
+
+    assert outcome(lambda: _exact_flags(d, e, base, exps, bit_cap)) == outcome(
+        lambda: [exactly_divides(d, e, base, x, bit_cap) for x in exps]
+    )
