@@ -15,11 +15,12 @@ of assuming it.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, groupby
 from math import gcd
 from operator import and_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exactint import checked_pow, geometric_sum
 from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
@@ -29,6 +30,8 @@ from .valuations import (
     _bound_holds,
     _exact_flags,
     _require_odd_k,
+    _require_prime_k,
+    _scenarios,
     bound_u1,
     bound_v3,
     check_appr,
@@ -131,8 +134,7 @@ def classify_point(f: SpecialForm, bit_cap: int | None = None) -> Classification
     conditions = derive_conditions(f, bit_cap)
     divides = divides_sigma(f, bit_cap)
     _raise_route_failure(
-        f.k, [(f.alpha, f.p, f.beta)],
-        [divides], [conditions.cond_k1_holds], [conditions.cond_k2_holds],
+        f.k, [(f.p, f.beta, f.alpha, divides, conditions.cond_k1_holds, conditions.cond_k2_holds)]
     )
     pruned = _pruned_by(f)
     if pruned is not None and divides:
@@ -250,80 +252,117 @@ def _point(alpha: int, p: int, beta: int, k: int) -> str:
     return f"(alpha, p, beta, k) = ({alpha}, {p}, {beta}, {k})"
 
 
-# A batch is one task's rows, each (p, beta, p_part, p_power, m1, x, alphas) with q = p**k:
-# p_part = 1 + q + ... + q**(beta-1) and p_power = p**(beta-1) for the direct route, m1 = q - 1
-# and the residue x = q**beta mod the prime's widest modulus m1 * 2**(top alpha - 1) for
-# condition 1. A prime's rows are consecutive, in ascending beta, none past its first row's top
-# alpha, and x is stepped across them without building q**beta. Routes flag each point flat in
-# (row, alpha) order.
-_Batch = list[tuple[int, int, int, int, int, int, range]]
+class _Block(NamedTuple):
+    """Rows that share one alpha range, held column-wise. Row i is the prime
+    ps[i] at betas[i], with q = p**k: p_parts[i] = 1 + q + ... + q**(beta-1)
+    and p_powers[i] = p**(beta-1) for the direct route, m1s[i] = q - 1 and
+    condition 1's residue xs[i] = q**beta modulo its prime's widest modulus
+    m1 * 2**(top alpha - 1), which the modulus of each of its points divides.
+    A batch is a list of blocks, and the routes flag a block's points
+    alpha-major: every row at alphas[0], then every row at alphas[1], ..."""
+
+    alphas: range
+    ps: Sequence[int]
+    betas: Sequence[int]
+    p_parts: Sequence[int]
+    p_powers: Sequence[int]
+    m1s: Sequence[int]
+    xs: Sequence[int]
 
 
-def _direct_block(two_parts: list[int], rows: _Batch) -> list[bool]:
+def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
     """Direct route over one batch: n | sigma_k(n) at each point, where
     sigma_k(n) = two_parts[alpha] * p_part and n = p_power * 2**(alpha-1)."""
-    return [
-        two_parts[a] * p_part % (p_power << (a - 1)) == 0
-        for _, _, p_part, p_power, _, _, alphas in rows for a in alphas
-    ]
+    divides: list[bool] = []
+    for b in blocks:
+        for a in b.alphas:
+            t, s = two_parts[a], a - 1
+            columns = zip(b.p_parts, b.p_powers)
+            divides += [t * part % (power << s) == 0 for part, power in columns]
+    return divides
 
 
-def _conditions_block(k: int, rows: _Batch) -> tuple[list[bool], list[bool]]:
-    """Condition route over one batch, the rows of every prime in a task, by
-    modular arithmetic only. Condition 1 is p**(beta*k) = 1 (mod m1 *
-    2**(alpha-1)): each row's residue x is p**(beta*k) modulo its prime's
-    widest such modulus, which every other one of the prime divides.
-    Condition 2 is 2**(alpha*k) = 1 (mod m2 * p**(beta-1)) with m2 = 2**k -
-    1, stepped across each row's alphas by one multiplication by 2**k."""
+def _conditions_block(k: int, blocks: list[_Block]) -> tuple[list[bool], list[bool]]:
+    """Condition route over one batch, by modular arithmetic only. Condition
+    1 is p**(beta*k) = 1 (mod m1 * 2**(alpha-1)), read off each row's
+    residue x. Condition 2 is 2**(alpha*k) = 1 (mod m2 * p**(beta-1)) with
+    m2 = 2**k - 1; a block's residues advance from one alpha to the next by
+    one multiplication by 2**k each."""
     # Every modulus exceeds 1, so a residue of 1 is exact divisibility.
-    cond1 = [x % (m1 << (a - 1)) == 1 for _, _, _, _, m1, x, alphas in rows for a in alphas]
     t = 1 << k
     m2 = t - 1
-    # Entering a row sets y to 2**((alpha-1)*k) mod m at its first alpha; y is never 0 (m is
-    # odd and above 1), so the if only binds it.
-    cond2 = [
-        (y := y * t % m) == 1
-        for _, _, _, p_power, _, _, alphas in rows
-        if (y := (1 << (alphas[0] - 1) * k) % (m := m2 * p_power))
-        for _ in alphas
-    ]
+    cond1: list[bool] = []
+    cond2: list[bool] = []
+    for b in blocks:
+        moduli = [m2 * power for power in b.p_powers]
+        # 2**((alpha-1)*k) at the first alpha, reduced by the first step
+        ys = [1 << (b.alphas[0] - 1) * k] * len(moduli)
+        for a in b.alphas:
+            s = a - 1
+            cond1 += [x % (m1 << s) == 1 for x, m1 in zip(b.xs, b.m1s)]
+            ys = [y * t % m for y, m in zip(ys, moduli)]
+            cond2 += [y == 1 for y in ys]
     return cond1, cond2
 
 
-def _verdict_row(
-    p: int, k: int, beta: int, v: int | None, lam: int, bounds: dict, scenarios: dict
-) -> str | None:
-    """_pruned_by for every point of row (p, beta), all under the p-bound. v =
-    v2(beta) if even, lam = v2(p + 1); bounds caches the u1 or v3 bound by v for
-    this sieved p, not re-proved prime, and scenarios trichotomy_3mod4 by (lam, beta, p == k)."""
+def _verdict_row(k: int, beta: int, key: tuple) -> str | None:
+    """_pruned_by at every point of a row under the p-bound, from nothing but
+    its prime's key (p % 4, p == 2**k - 1, p == k, v2(p + 1), bounds), where
+    bounds[v - 1] is the u1 or v3 bound at v."""
+    residue, is_f, is_k, lam, bounds = key
     if beta % 2:
         return "parity"
-    if p == (1 << k) - 1:
+    if is_f:
         return "f"
-    if v not in bounds:
-        bounds[v] = _bound_holds(p, k, v)
-    if p % 4 == 1:
-        return None if bounds[v] else "u1"
-    if not bounds[v]:
+    holds = bounds[v2(beta) - 1]
+    if residue == 1:
+        return None if holds else "u1"
+    if not holds:
         return "v3"
-    key = (lam, beta, p == k)
-    if key not in scenarios:
-        scenarios[key] = bool(trichotomy_3mod4(p, k, beta))
-    if not scenarios[key]:
+    if not _scenarios(lam, k, beta, is_k):
         return "trichotomy"
     if k == 5 and beta == 4:
         return "v10"
     return None
 
 
-def _raise_route_failure(
-    k: int, points: Iterable[tuple[int, int, int]],
-    divides: list[bool], cond1: list[bool], cond2: list[bool],
-) -> None:
-    """Raise for the first of the (alpha, p, beta) points failing a route
-    check: routes disagree, then condition 1 at odd beta. classify_point
-    passes one point."""
-    for (alpha, p, beta), d, c1, c2 in zip(points, divides, cond1, cond2):
+def _prime_verdicts(
+    k: int, beta_max: int, primes: list[int]
+) -> list[tuple[list[str | None], int]]:
+    """For each of a task's ascending primes, the verdicts of its rows beta =
+    2 .. beta_max and how many of them prune, taken once per key (see
+    _verdict_row) and shared by every prime with that key.
+
+    Within a residue class mod 4 the bound at v is monotone in p: u1, and v3
+    with 2**v > 2k + 1, can only go from holding to failing as p grows, and
+    v3 below that only from failing to holding. Once a class reaches that
+    later value at v, the task's later primes take it unevaluated."""
+    betas = range(2, beta_max + 1)
+    vs = range(1, beta_max.bit_length())  # v2 of every even beta up to beta_max
+    later = {(1, v): False for v in vs} | {(3, v): 1 << v < 2 * k + 1 for v in vs}
+    settled: set[tuple[int, int]] = set()
+    table: dict[tuple, tuple[list[str | None], int]] = {}
+    out = []
+    for p in primes:
+        residue = p % 4
+        bounds = tuple(
+            later[residue, v] if (residue, v) in settled else _bound_holds(p, k, v) for v in vs
+        )
+        settled.update((residue, v) for v, holds in zip(vs, bounds) if holds == later[residue, v])
+        lam = v2(p + 1) if residue == 3 else 0
+        key = (residue, p == (1 << k) - 1, p == k, lam, bounds)
+        if key not in table:
+            verdicts = [_verdict_row(k, beta, key) for beta in betas]
+            table[key] = verdicts, len(verdicts) - verdicts.count(None)
+        out.append(table[key])
+    return out
+
+
+def _raise_route_failure(k: int, checks: Iterable[tuple[int, int, int, bool, bool, bool]]) -> None:
+    """Raise for the first of the checked points (p, beta, alpha, divides,
+    cond1, cond2) failing a route check: routes disagree, then condition 1
+    at odd beta. classify_point passes one point."""
+    for p, beta, alpha, d, c1, c2 in checks:
         if d != (c1 and c2):
             raise CrossCheckError(
                 f"conditions disagree with direct divisibility at "
@@ -343,71 +382,76 @@ def _pruned_solution(verdict: str, alpha: int, p: int, beta: int, k: int) -> Cro
     )
 
 
-def _check_block(k: int, two_parts: list[int], rows: _Batch) -> list[bool]:
+def _block_points(blocks: list[_Block]) -> Iterator[tuple[int, int, int]]:
+    """(p, beta, alpha) of every point of a batch, in the routes' flag order."""
+    for b in blocks:
+        for a in b.alphas:
+            for p, beta in zip(b.ps, b.betas):
+                yield p, beta, a
+
+
+def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[bool]:
     """Run the direct and condition routes over one batch and cross-check
-    them at every point; return the direct route's divides flags."""
-    divides = _direct_block(two_parts, rows)
-    cond1, cond2 = _conditions_block(k, rows)
+    them at every point; return the direct route's divides flags. A failure
+    names the first failing point in (p, beta, alpha) order."""
+    divides = _direct_block(two_parts, blocks)
+    cond1, cond2 = _conditions_block(k, blocks)
     failed = divides != list(map(and_, cond1, cond2))
-    if 1 in [row[1] % 2 for row in rows]:  # most equivalence batches have no odd-beta row
-        odd = [beta % 2 == 1 for _, beta, _, _, _, _, alphas in rows for _ in alphas]
+    if any(beta % 2 for b in blocks for beta in set(b.betas)):  # most equivalence batches have none
+        odd: list[bool] = []
+        for b in blocks:
+            odd += [beta % 2 == 1 for beta in b.betas] * len(b.alphas)
         failed = failed or True in map(and_, cond1, odd)
     if failed:
-        points = ((a, p, beta) for p, beta, _, _, _, _, alphas in rows for a in alphas)
-        _raise_route_failure(k, points, divides, cond1, cond2)
+        checks = zip(_block_points(blocks), divides, cond1, cond2)
+        _raise_route_failure(k, sorted((*point, d, c1, c2) for point, d, c1, c2 in checks))
     return divides
 
 
 def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
     """Scan one prime range as one batch: each prime's rows beta = 2 ..
-    beta_max, over every alpha whose p-bound admits p. The p-part, p**(beta-1)
-    and condition 1's residue are extended across beta, every point goes
-    through all three routes and cross-checks, and the pruner verdict is
-    taken once per row."""
+    beta_max, over every alpha whose p-bound admits p, in one block per
+    first alpha. The p-part, p**(beta-1) and condition 1's residue are
+    extended across beta, every point goes through all three routes and
+    cross-checks, and the pruner verdicts come from _prime_verdicts."""
     k, alpha_max, beta_max, two_parts, primes = task
     pruned = scenario1 = 0
     betas = range(2, beta_max + 1)
-    v_of = {beta: v2(beta) for beta in range(2, beta_max + 1, 2)}
-    scenarios: dict[tuple[int, int, bool], bool] = {}
-    rows: _Batch = []
-    verdicts: list[str | None] = []
-    for p in primes:
-        alphas = range(_first_alpha(p), alpha_max + 1)
-        q = p**k
-        m1 = q - 1
-        widest = m1 << (alpha_max - 1)
-        p_part = p_power = 1
-        x = q
-        for beta in betas:
-            p_part = p_part * q + 1  # 1 + q + ... + q**(beta-1), by Horner
-            p_power *= p
-            x = x * q % widest
-            rows.append((p, beta, p_part, p_power, m1, x, alphas))
-        lam = ((p + 1) & -(p + 1)).bit_length() - 1  # v2(p + 1)
-        bounds: dict[int, bool] = {}
-        row_verdicts = [_verdict_row(p, k, b, v_of.get(b), lam, bounds, scenarios) for b in betas]
-        verdicts += row_verdicts
-        width = len(alphas)
-        pruned += width * (len(betas) - row_verdicts.count(None))
-        scenario1 += width * len(v_of) * (p == k and p % 4 == 3)
-    divides = _check_block(k, two_parts, rows)
+    verdicts_of = dict(zip(primes, _prime_verdicts(k, beta_max, primes)))
+    blocks: list[_Block] = []
+    for first, group in groupby(primes, _first_alpha):  # ascending primes, so groups are whole
+        width = alpha_max - first + 1
+        rows = []
+        for p in group:
+            q = p**k
+            m1 = q - 1
+            widest = m1 << (alpha_max - 1)
+            p_part = p_power = 1
+            x = q
+            for beta in betas:
+                p_part = p_part * q + 1  # 1 + q + ... + q**(beta-1), by Horner
+                p_power *= p
+                x = x * q % widest
+                rows.append((p, beta, p_part, p_power, m1, x))
+            pruned += width * verdicts_of[p][1]
+            scenario1 += width * (beta_max // 2) * (p == k and p % 4 == 3)
+        blocks.append(_Block(range(first, alpha_max + 1), *zip(*rows)))
+    divides = _check_block(k, two_parts, blocks)
     excluded = (1 << (k - 1)) * ((1 << k) - 1)
     solutions: list[ClassificationReport] = []
-    if True in divides:  # most batches hold no solution, and their rows need no second pass
-        end = 0
-        for (p, beta, _, _, _, _, alphas), verdict in zip(rows, verdicts):
-            start, end = end, end + len(alphas)
-            for alpha in compress(alphas, divides[start:end]):
-                if verdict is not None:
-                    raise _pruned_solution(verdict, alpha, p, beta, k)
-                f = SpecialForm(alpha, p, beta, k)
-                n = f.n()
-                solutions.append(
-                    ClassificationReport(
-                        form=f, divides=True, perfect=is_even_perfect(n),
-                        excluded_perfect=n == excluded,
-                    )
+    if True in divides:  # most batches hold no solution, and their points need no second pass
+        for p, beta, alpha in sorted(compress(_block_points(blocks), divides)):
+            verdict = verdicts_of[p][0][beta - 2]
+            if verdict is not None:
+                raise _pruned_solution(verdict, alpha, p, beta, k)
+            f = SpecialForm(alpha, p, beta, k)
+            n = f.n()
+            solutions.append(
+                ClassificationReport(
+                    form=f, divides=True, perfect=is_even_perfect(n),
+                    excluded_perfect=n == excluded,
                 )
+            )
     return solutions, len(divides), pruned, scenario1
 
 
@@ -440,16 +484,14 @@ def scan_special_forms(
 
     Every point is checked along the direct route, the two conditions and
     the pruners, with the same cross-checks as classify_point, which stays
-    as the tested reference. Both routes run once per task, one flat pass
-    over the (beta, alpha) points of every prime in its range, the verdict
-    once per row, with the bounds cached by (p, v2(beta)) and the
-    trichotomy by (v2(p + 1), beta, p == k). The
-    operand cap is checked up front on the grid's largest operands: the
-    checks are monotone in alpha, p and beta, so this refuses exactly when
-    some point would. Tasks are the prime ranges of _prime_ranges, at most
-    _BATCH_POINTS points each, as in equivalence_scan; the split ignores the
-    worker count and the merge is a sort, so worker count never changes the
-    result.
+    as the tested reference. Both routes run once per task, over blocks of
+    the rows that share an alpha range, and the verdicts come from the
+    task's table in _prime_verdicts. The operand cap is checked up front on
+    the grid's largest operands: the checks are monotone in alpha, p and
+    beta, so this refuses exactly when some point would. Tasks are the
+    prime ranges of _prime_ranges, at most _BATCH_POINTS points each, as in
+    equivalence_scan; the split ignores the worker count and the merge is a
+    sort, so worker count never changes the result.
     """
     _require_search_k(k)
     if alpha_max < 2 or beta_max < 2:
@@ -539,13 +581,13 @@ def search(
 
 def _divides(k: int, p: int, alpha: int, beta: int, bit_cap: int | None = None) -> bool:
     """Whether 2**(alpha-1) * p**(beta-1) divides its sigma_k, decided as a
-    one-point batch: the direct route, the condition route and their
+    one-row block: the direct route, the condition route and their
     cross-checks. The operand cap is checked as in divides_sigma."""
     q = checked_pow(p, k, bit_cap)
     m1 = q - 1
-    row = (p, beta, geometric_sum(q, beta, bit_cap), p ** (beta - 1), m1,
-           pow(q, beta, m1 << (alpha - 1)), range(alpha, alpha + 1))
-    return _check_block(k, [0] * alpha + [geometric_sum(1 << k, alpha, bit_cap)], [row])[0]
+    block = _Block(range(alpha, alpha + 1), [p], [beta], [geometric_sum(q, beta, bit_cap)],
+                   [p ** (beta - 1)], [m1], [pow(q, beta, m1 << (alpha - 1))])
+    return _check_block(k, [0] * alpha + [geometric_sum(1 << k, alpha, bit_cap)], [block])[0]
 
 
 def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> bool:
@@ -615,29 +657,47 @@ def _form_counts(n_limit: int, primes: list[int]) -> Iterator[int]:
 def _equivalence_rows(task: tuple[int, int, list[int], list[int]]) -> int:
     """Check one prime range as one batch; return the number of points. A
     prime's rows are beta = 2, 3, ... with p**(beta-1) <= n_limit // 2, over
-    alpha = 2 .. bit_length(n_limit // p**(beta-1)): exactly the forms with
-    n <= n_limit. No pruners, no p-bound."""
+    alpha = 2 .. top = bit_length(n_limit // p**(beta-1)): exactly the forms
+    with n <= n_limit. No pruners, no p-bound. Rows go into one block per
+    top; a prime with p**2 > n_limit // 2 has the single row beta = 2, and
+    those primes, nearly all, are built a whole block at a time."""
     k, n_limit, two_parts, primes = task
     half = n_limit >> 1
-    spans = [range(2, top + 1) for top in range(n_limit.bit_length() + 1)]
-    rows: _Batch = []
-    for p in primes:
+    by_top: dict[int, list[tuple[int, int, int, int, int, int]]] = {}
+    i = 0
+    for p in primes:  # ascending, so the primes with several rows come first
+        if p * p > half:
+            break
+        i += 1
         q = p**k
         m1 = q - 1
         top = (n_limit // p).bit_length()
-        alphas = spans[top]
         widest = m1 << (top - 1)
         p_part, p_power, x, beta = 1 + q, p, q * q % widest, 2
         while True:
-            rows.append((p, beta, p_part, p_power, m1, x, alphas))
+            by_top.setdefault(top, []).append((p, beta, p_part, p_power, m1, x))
             p_power *= p
             if p_power > half:
                 break
             p_part = p_part * q + 1  # the p-part at beta + 1, by Horner
             x = x * q % widest
             beta += 1
-            alphas = spans[(n_limit // p_power).bit_length()]
-    return len(_check_block(k, two_parts, rows))
+            top = (n_limit // p_power).bit_length()
+    blocks = [_Block(range(2, top + 1), *zip(*rows)) for top, rows in by_top.items()]
+    # bit_length(n_limit // p) falls as p grows, so the primes of one top are
+    # a slice: those p with n_limit // p >= 2**(top-1).
+    while i < len(primes):
+        top = (n_limit // primes[i]).bit_length()
+        j = bisect_right(primes, n_limit >> (top - 1), i)
+        ps = primes[i:j]
+        qs = [p**k for p in ps]
+        m1s = [q - 1 for q in qs]
+        s = top - 1
+        xs = [q * q % (m1 << s) for q, m1 in zip(qs, m1s)]
+        parts = [q + 1 for q in qs]
+        blocks.append(_Block(range(2, top + 1), ps, [2] * len(ps), parts, ps, m1s, xs))
+        i = j
+    return len(_check_block(k, two_parts, blocks))
 
 
 def equivalence_scan(
@@ -788,12 +848,23 @@ def _bound_rows(g: LemmaGrid, residue: int) -> Iterator[tuple[str, str]]:
 
 
 def _trichotomy_rows(g: LemmaGrid) -> Iterator[tuple[str, str]]:
-    for p in _residue_primes(g.p_max, 3):
+    # trichotomy_3mod4 at beta = 2**v, validated as _bound_rows is; the
+    # scenarios depend only on (v2(p + 1), k, v, p == k)
+    vs = range(1, g.v_max + 1)
+    if not vs:
+        return
+    outcomes: dict[tuple[int, int, int, bool], str] = {}
+    for i, p in enumerate(_residue_primes(g.p_max, 3)):
+        lam = v2(p + 1)
         for k in g.k_values:
-            for v in range(1, g.v_max + 1):
-                scenarios = trichotomy_3mod4(p, k, 1 << v, g.bit_cap)
-                outcome = ",".join(sorted(s.value for s in scenarios)) or "NONE"
-                yield f"p={p} k={k} beta={1 << v}", outcome
+            if not i:
+                _require_prime_k(k)
+            for v in vs:
+                key = (lam, k, v, p == k)
+                if key not in outcomes:
+                    scenarios = _scenarios(lam, k, 1 << v, p == k, g.bit_cap)
+                    outcomes[key] = ",".join(sorted(s.value for s in scenarios)) or "NONE"
+                yield f"p={p} k={k} beta={1 << v}", outcomes[key]
 
 
 # tag -> (row generator, proved). The lambdas look checkers up at call

@@ -10,9 +10,10 @@ and trichotomy functions evaluate inequalities whose truth legitimately
 depends on the parameters and are used to prune searches.
 
 check-lemma decides its cando, tv, tv2 and sl3 grids one column of
-exponents at a time (_exact_flags) and its u1 and v3 grids through
-_bound_holds; the public check_* and bound_* functions keep their input
-validation and are the per-row reference those grids are tested against.
+exponents at a time (_exact_flags), its u1 and v3 grids through
+_bound_holds and its trichotomy grid through _scenarios; the public
+check_*, bound_* and trichotomy functions keep their input validation and
+are the per-row reference those grids are tested against.
 
 Where 2**k - 1 itself is the divisor (check_appr), "exactly divides" is
 decided from the residue modulo a power of 2**k - 1, not via prime
@@ -225,6 +226,11 @@ class Scenario(Enum):
     SCENARIO_3 = "scenario-3"
 
 
+def _require_prime_k(k: int) -> None:
+    if not is_prime(k):
+        raise ValueError(f"k must be prime, got {k}")
+
+
 def trichotomy_3mod4(
     p: int, k: int, beta: int, bit_cap: int | None = None
 ) -> frozenset[Scenario]:
@@ -237,13 +243,19 @@ def trichotomy_3mod4(
     At least one must hold whenever n | sigma_k(n) is possible, so an
     empty set means the parameters are pruned.
     """
-    if not is_prime(k):
-        raise ValueError(f"k must be prime, got {k}")
+    _require_prime_k(k)
     _require_prime_mod4(p, 3)
-    lam = v_exact(2, p + 1)
+    return _scenarios(v_exact(2, p + 1), k, beta, p == k, bit_cap)
+
+
+def _scenarios(
+    lam: int, k: int, beta: int, p_is_k: bool, bit_cap: int | None = None
+) -> frozenset[Scenario]:
+    """trichotomy_3mod4 from all it reads of p, lam = v2(p + 1) and whether
+    p = k; beta is validated here, the rest is known valid."""
     v = v2(beta)
     out = set()
-    if p == k:
+    if p_is_k:
         out.add(Scenario.P_EQUALS_K)
     lhs = checked_pow((1 << lam) - 1, beta - 1, bit_cap)
     if lhs <= (1 << (lam + v)) - 1:

@@ -29,9 +29,10 @@ def odd_beta_first_condition_row(monkeypatch):
     and only the odd-beta check can fire."""
     real = classify._conditions_block
 
-    def lying(k, rows):
-        cond1, cond2 = real(k, rows)
-        odd = [beta % 2 == 1 for _, beta, *_, alphas in rows for _ in alphas]
+    def lying(k, blocks):
+        cond1, cond2 = real(k, blocks)
+        # flags run alpha-major within each block
+        odd = [beta % 2 == 1 for b in blocks for _ in b.alphas for beta in b.betas]
         return (
             [o or c for o, c in zip(odd, cond1)],
             [not o and c for o, c in zip(odd, cond2)],

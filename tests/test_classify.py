@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sigmaperfect.classify as classify
+import sigmaperfect.primality as primality
 from sigmaperfect.classify import (
     PRUNE_ORDER,
     CrossCheckError,
@@ -37,6 +38,7 @@ from sigmaperfect.valuations import (
     check_sl3,
     check_tv,
     check_tv2,
+    trichotomy_3mod4,
 )
 
 SRC = str(Path(classify.__file__).resolve().parents[1])
@@ -87,14 +89,17 @@ def test_equivalence_scan_small():
         equivalence_scan(4)
 
 
-def _block_points(rows):
-    """(alpha, p, beta) of every point of a kernel batch, in its flag order."""
-    return [(alpha, p, beta) for p, beta, *_, alphas in rows for alpha in alphas]
+def _block_points(blocks):
+    """(alpha, p, beta) of every point of a kernel batch, in its flag order:
+    block by block, and alpha-major within a block."""
+    return [
+        (alpha, p, beta) for b in blocks for alpha in b.alphas for p, beta in zip(b.ps, b.betas)
+    ]
 
 
 def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
     monkeypatch.setattr(
-        classify, "_direct_block", lambda two_parts, rows: [True] * len(_block_points(rows))
+        classify, "_direct_block", lambda two_parts, blocks: [True] * len(_block_points(blocks))
     )
     with pytest.raises(
         CrossCheckError,
@@ -169,14 +174,14 @@ def test_equivalence_rows_match_reference(n_limit, ks, batch_points):
     batches = []
     real_direct, real_conditions = classify._direct_block, classify._conditions_block
 
-    def direct(two_parts, rows):
-        divides = real_direct(two_parts, rows)
+    def direct(two_parts, blocks):
+        divides = real_direct(two_parts, blocks)
         batches.append([divides])
         return divides
 
-    def conditions(k, rows):
-        cond1, cond2 = real_conditions(k, rows)
-        batches[-1] += [k, rows, cond1, cond2]
+    def conditions(k, blocks):
+        cond1, cond2 = real_conditions(k, blocks)
+        batches[-1] += [k, blocks, cond1, cond2]
         return cond1, cond2
 
     with pytest.MonkeyPatch.context() as m:
@@ -185,8 +190,8 @@ def test_equivalence_rows_match_reference(n_limit, ks, batch_points):
         m.setattr(classify, "_BATCH_POINTS", batch_points)
         count = equivalence_scan(n_limit, ks)
     visited = []
-    for divides, k, rows, cond1, cond2 in batches:
-        points = _block_points(rows)
+    for divides, k, blocks, cond1, cond2 in batches:
+        points = _block_points(blocks)
         for (alpha, p, beta), d, c1, c2 in zip(points, divides, cond1, cond2, strict=True):
             f = SpecialForm(alpha=alpha, p=p, beta=beta, k=k)
             reference = derive_conditions(f)
@@ -452,26 +457,50 @@ def test_equivalence_batches_stay_near_the_point_cap():
         _assert_split(ranges[: len(ranges) // 2], primes, points_of)
 
 
-def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch):
-    # the routes once per task (one batch of a prime range's rows), the verdict once per row
-    calls = {"_direct_block": [], "_conditions_block": [], "_verdict_row": []}
-    for name, log in calls.items():
-        def recording(*args, _real=getattr(classify, name), _log=log):
-            result = _real(*args)
-            _log.append((args, result))
-            return result
-        monkeypatch.setattr(classify, name, recording)
+def _recording(m, name):
+    """Patch classify's name to log (args, result) of every call; return the log."""
+    log = []
+
+    def recording(*args, _real=getattr(classify, name)):
+        result = _real(*args)
+        log.append((args, result))
+        return result
+
+    m.setattr(classify, name, recording)
+    return log
+
+
+def _verdicts_of(log):
+    """{(p, beta): verdict} from the logged _prime_verdicts calls of one scan,
+    asserting that every row gets its verdict once and that each pruned
+    count is its list's."""
+    verdicts = {}
+    for (k, beta_max, primes), lists in log:
+        assert len(lists) == len(primes)
+        for p, (row_verdicts, pruned_rows) in zip(primes, lists, strict=True):
+            assert len(row_verdicts) == beta_max - 1
+            assert pruned_rows == sum(v is not None for v in row_verdicts)
+            for beta, verdict in enumerate(row_verdicts, start=2):
+                assert (p, beta) not in verdicts
+                verdicts[p, beta] = verdict
+    return verdicts
+
+
+def test_kernel_routes_once_per_task_and_verdicts_equal_pruned_by():
+    # the routes once per task (one batch of a prime range's rows), in one
+    # block per alpha range; the verdict of every row
     alpha_max, beta_max = 11, 10
     tags = set()
     for k in (3, 5, 7):
-        for log in calls.values():
-            log.clear()
-        scan_special_forms(k, alpha_max, beta_max)
+        with pytest.MonkeyPatch.context() as m:
+            calls = {name: _recording(m, name) for name in ("_direct_block", "_conditions_block")}
+            verdict_log = _recording(m, "_prime_verdicts")
+            scan_special_forms(k, alpha_max, beta_max)
         grid = list(_grid(alpha_max, beta_max))
-        rows = {(p, beta) for _, p, beta in grid}
-        verdicts = {(args[0], args[2]): verdict for args, verdict in calls["_verdict_row"]}
-        assert len(calls["_verdict_row"]) == len(verdicts) == len(rows)
-        primes = sorted({p for p, _ in rows})
+        alphas_of = {}
+        for alpha, p, _ in grid:
+            alphas_of.setdefault(p, set()).add(alpha)
+        primes = sorted(alphas_of)
         points = Counter(p for _, p, _ in grid)
         tasks = classify._prime_ranges(primes, (points[p] for p in primes))
         assert len(tasks) > 1
@@ -479,15 +508,43 @@ def test_kernel_row_seams_once_per_row_and_verdicts_equal_pruned_by(monkeypatch)
         for (args, _), (_, divides), task in zip(
             calls["_conditions_block"], calls["_direct_block"], tasks, strict=True
         ):
-            batch = args[-1]
-            assert [(p, beta) for p, beta, *_ in batch] == [
+            blocks = args[-1]
+            assert [(p, beta) for b in blocks for p, beta in zip(b.ps, b.betas)] == [
                 (p, beta) for p in task for beta in range(2, beta_max + 1)
             ]
-            assert len(divides) == len(_block_points(batch))
+            assert len({b.alphas for b in blocks}) == len(blocks)
+            assert all(set(b.alphas) == alphas_of[p] for b in blocks for p in b.ps)
+            assert len(divides) == len(_block_points(blocks))
+        verdicts = _verdicts_of(verdict_log)
+        assert set(verdicts) == {(p, beta) for _, p, beta in grid}
         for alpha, p, beta in grid:
             assert verdicts[p, beta] == classify._pruned_by(SpecialForm(alpha, p, beta, k))
         tags |= set(verdicts.values())
     assert tags == {None, *PRUNE_ORDER}
+
+
+@settings(max_examples=40, deadline=None)
+@example(k=5, alpha_max=12, beta_max=16, batch_points=1)
+@given(
+    k=st.sampled_from((3, 5, 7, 13)),
+    alpha_max=st.integers(min_value=2, max_value=12),
+    beta_max=st.integers(min_value=2, max_value=16),
+    # a cap as low as 1 point starts a task, and with it the settled
+    # bounds, at almost every prime, in the middle of its residue class
+    batch_points=st.integers(min_value=1, max_value=200) | st.just(classify._BATCH_POINTS),
+)
+def test_scan_verdict_equals_pruned_by_at_every_point(k, alpha_max, beta_max, batch_points):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_BATCH_POINTS", batch_points)
+        log = _recording(m, "_prime_verdicts")
+        scan_special_forms(k, alpha_max, beta_max)
+    verdicts = _verdicts_of(log)
+    grid = list(_grid(alpha_max, beta_max))
+    assert set(verdicts) == {(p, beta) for _, p, beta in grid}
+    for alpha, p, beta in grid:
+        assert verdicts[p, beta] == classify._pruned_by(SpecialForm(alpha, p, beta, k)), (
+            alpha, p, beta, k
+        )
 
 
 def _refuses(scan, *args) -> bool:
@@ -524,7 +581,7 @@ def test_bit_cap_preflight_on_the_k5_benchmark_grid(monkeypatch):
 def test_kernel_cross_checks_name_point_and_values(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(
-            classify, "_direct_block", lambda two_parts, rows: [False] * len(_block_points(rows))
+            classify, "_direct_block", lambda two_parts, blocks: [False] * len(_block_points(blocks))
         )
         with pytest.raises(
             CrossCheckError,
@@ -638,6 +695,20 @@ def test_kernel_names_a_fault_at_a_later_prime_of_a_batch(scan):
             match=r"odd beta at \(alpha, p, beta, k\) = \(5, 7, 3, 5\): cond1=True, cond2=False",
         ):
             scan()
+
+
+def test_kernel_names_the_first_of_several_faults_in_p_beta_alpha_order():
+    # p = 11 and p = 13 share the block of first alpha 4, whose flags run
+    # alpha-major, so the fault at alpha 4 comes first in flag order; the
+    # kernel still names the fault at the smaller p, as a row-by-row scan would
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", (5, 11, 2), [True])
+        _lie_at(m, "_direct_block", (4, 13, 2), [True])
+        with pytest.raises(
+            CrossCheckError,
+            match=r"disagree .* \(alpha, p, beta, k\) = \(5, 11, 2, 5\): divides=True",
+        ):
+            _LATER_PRIME_SCANS["search"]()
 
 
 def test_kernel_names_a_pruned_solution_at_a_later_prime_of_a_batch():
@@ -795,6 +866,11 @@ def _reference_rows(tag, g):
                 continue
             for k in g.k_values:
                 for v in vs:
+                    if tag == "trichotomy":
+                        scenarios = trichotomy_3mod4(p, k, 1 << v, g.bit_cap)
+                        outcome = ",".join(sorted(s.value for s in scenarios)) or "NONE"
+                        yield f"p={p} k={k} beta={1 << v}", outcome
+                        continue
                     if tag in ("u1", "v3"):
                         bound = bound_u1 if residue == 1 else bound_v3
                         yield f"p={p} k={k} v={v}", "holds" if bound(p, k, v) else "fails"
@@ -830,11 +906,25 @@ def test_lemma_grid_bulk_rows_match_the_per_row_oracles(
     # row, must give the same rows, or refuse with the same first error
     g = LemmaGrid(k_values=tuple(k_values), p_max=p_max, v_max=v_max, beta1_max=beta1_max,
                   lambda_max=lambda_max, p1_max=p1_max, bit_cap=bit_cap)
-    for tag in ("cando", "tv", "tv2", "sl3", "u1", "v3"):
+    for tag in ("cando", "tv", "tv2", "sl3", "u1", "v3", "trichotomy"):
         bulk = _rows_or_refusal(lambda: (
             (r.label, r.outcome if r.ok is None else r.ok) for r in run_lemma_grid(tag, g)
         ))
         assert bulk == _rows_or_refusal(lambda: _reference_rows(tag, g)), tag
+
+
+def test_check_lemma_trichotomy_proves_each_k_once_and_no_sieved_prime(monkeypatch, capsys):
+    proved = []
+
+    def recording(x, _real=primality.is_prime):
+        proved.append(x)
+        return _real(x)
+
+    for module in ("primality", "exactint", "valuations", "sigma"):
+        monkeypatch.setattr(f"sigmaperfect.{module}.is_prime", recording)
+    argv = ["check-lemma", "trichotomy", "--k", "3,5,13", "--p-max", "300", "--v-max", "4"]
+    assert main(argv) == 0
+    assert proved == [3, 5, 13] and capsys.readouterr().err == ""
 
 
 def test_check_lemma_tv_never_reproves_a_sieved_prime(monkeypatch, capsys):

@@ -27,6 +27,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_python_m_sigmaperfect_runs_the_cli(capsys):
+    # a checkout run without an install has this entry point as well
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigmaperfect", "sigma", "22", "5"],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True, text=True, timeout=60,
+    )
+    code, out, _ = run_cli(capsys, "sigma", "22", "5")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out and len(out.splitlines()) == 3
+
+
 def test_sigma_command_frozen_values(capsys):
     code, out, _ = run_cli(capsys, "sigma", "22", "5")
     assert code == 0
@@ -225,7 +237,7 @@ def test_search_exits_nonzero_on_route_disagreement(monkeypatch, capsys):
     monkeypatch.setattr(
         classify,
         "_direct_block",
-        lambda two_parts, rows: [False] * sum(len(alphas) for *_, alphas in rows),
+        lambda two_parts, blocks: [False] * sum(len(b.alphas) * len(b.ps) for b in blocks),
     )
     code, _, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"

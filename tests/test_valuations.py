@@ -440,6 +440,21 @@ def test_trichotomy_matches_direct_inequalities():
                 assert (Scenario.P_EQUALS_K in tags) == (p == k)
 
 
+def test_bound_holds_flips_at_most_once_toward_its_later_value():
+    # the scan's verdict table takes a bound unevaluated once its residue
+    # class has reached this later value: u1, and v3 with 2**v > 2k + 1,
+    # only go from holding to failing as p grows, v3 below that only from
+    # failing to holding
+    primes = primes_upto(50_000)[1:]
+    for k in (3, 5, 7, 13):
+        for v in range(1, 7):
+            for residue in (1, 3):
+                later = residue == 3 and (1 << v) < 2 * k + 1
+                values = [_bound_holds(p, k, v) for p in primes if p % 4 == residue]
+                first = values.index(later) if later in values else len(values)
+                assert set(values[first:]) <= {later}, (residue, k, v)
+
+
 def test_trusted_bounds_and_trichotomy_key_match_public_functions():
     # the search's verdict trusts its sieved primes and caches the
     # trichotomy by (v2(p + 1), beta, p == k); the public functions, which
