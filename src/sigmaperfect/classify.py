@@ -17,12 +17,12 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import compress, groupby, product
 from math import gcd
-from operator import and_
+from operator import and_, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactint import checked_pow, geometric_sum
+from .exactint import _guard_pow, checked_pow, geometric_sum
 from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
@@ -181,7 +181,7 @@ MAX_SCAN_ALPHA = 24
 # many rows a grid has and how wide their operands grow (to about beta * k *
 # log2(p) bits), while the operand cap bounds only single operands; every sl3
 # row is held in one list. At 64, search --k 5 --alpha-max 13 takes about
-# 1.7 s, and check-lemma sl3 with --beta1-max, --lambda-max and --p1-max at 64
+# 0.7 s, and check-lemma sl3 with --beta1-max, --lambda-max and --p1-max at 64
 # (322,560 rows) 2.9-3.4 s and 90 MiB on a 2-vCPU x86-64 VM.
 MAX_SCAN_BETA = 64
 
@@ -192,8 +192,7 @@ MAX_WORKERS = 64
 _ROW_WORK = "no operand cap bounds the work it adds to every row"
 
 # Grid parameter or worker count -> (its limit, why the limit is there at a
-# given value).
-# Each sieve limit keeps its sieve near the exhaustive scan's.
+# given value). Each sieve limit keeps its sieve near the exhaustive scan's.
 _GRID_LIMITS = {
     "alpha_max": (MAX_SCAN_ALPHA, lambda a: f"its p-bound sieve would hold {3 << (a - 1)} entries"),
     "n_limit": (3 << MAX_SCAN_ALPHA, lambda n: f"its sieve would hold {n >> 1} entries"),
@@ -253,13 +252,13 @@ def _point(alpha: int, p: int, beta: int, k: int) -> str:
 
 
 class _Block(NamedTuple):
-    """Rows that share one alpha range, held column-wise. Row i is the prime
-    ps[i] at betas[i], with q = p**k: p_parts[i] = 1 + q + ... + q**(beta-1)
-    and p_powers[i] = p**(beta-1) for the direct route, m1s[i] = q - 1 and
-    condition 1's residue xs[i] = q**beta modulo its prime's widest modulus
-    m1 * 2**(top alpha - 1), which the modulus of each of its points divides.
-    A batch is a list of blocks, and the routes flag a block's points
-    alpha-major: every row at alphas[0], then every row at alphas[1], ..."""
+    """Rows that share one alpha range, held column-wise, as _block builds
+    them: row i is ps[i] at betas[i]. With q = p**k and top the last alpha,
+    the direct route reads p_powers[i] = p**(beta-1) and p_parts[i] = 1 + q +
+    ... + q**(beta-1) modulo M_p = p**(last beta - 1) * 2**(top-1), which each
+    n of the prime's rows divides; condition 1 reads m1s[i] = q - 1 and xs[i]
+    = q**beta modulo m1 * 2**(top-1), which each point's modulus divides. The
+    routes flag a block's points alpha-major: every row at alphas[0], ..."""
 
     alphas: range
     ps: Sequence[int]
@@ -270,6 +269,43 @@ class _Block(NamedTuple):
     xs: Sequence[int]
 
 
+def _block(k: int, alphas: range, ps: Sequence[int], betas: range) -> _Block:
+    """Every prime of ps at every beta of betas, over alphas, beta-major:
+    each prime at betas[0], then at betas[1], ... Each column is stepped
+    from beta = 2 by Horner's rule, one comprehension per beta."""
+    s, e = alphas[-1] - 1, betas[-1] - 1
+    qs = [p**k for p in ps]
+    m1s = [q - 1 for q in qs]
+    widest = [m1 << s for m1 in m1s]
+    moduli = [p << s for p in ps] if e == 1 else [p**e << s for p in ps]  # pow is slow at e = 1
+    parts = [(q + 1) % m for q, m in zip(qs, moduli)]
+    powers = ps
+    xs = [q * q % w for q, w in zip(qs, widest)]
+    columns: tuple[list[int], ...] = ([], [], [], [])
+    for beta in range(2, betas[-1] + 1):
+        if beta > 2:
+            parts = [(part * q + 1) % m for part, q, m in zip(parts, qs, moduli)]
+            powers = [power * p for power, p in zip(powers, ps)]
+            xs = [x * q % w for x, q, w in zip(xs, qs, widest)]
+        if beta >= betas[0]:
+            for column, values in zip(columns, ([beta] * len(ps), parts, powers, xs)):
+                column += values
+    return _Block(alphas, list(ps) * len(betas), *columns[:3], m1s * len(betas), columns[3])
+
+
+def _check_rows(
+    k: int, alphas: range, ps: Sequence[int], betas: range, bit_cap: int | None
+) -> list[bool]:
+    """_check_block's flags on _block(k, alphas, ps, betas), after refusing the first point in
+    flag order whose unreduced operands pass the cap: p**k, (p**k)**beta, then (2**k)**alpha."""
+    for alpha, beta, p in product(alphas, betas, ps):
+        _guard_pow(p, k, bit_cap)
+        _guard_pow(p**k, beta, bit_cap)
+        _guard_pow(1 << k, alpha, bit_cap)
+    two_parts = [0] * alphas[0] + [geometric_sum(1 << k, a) for a in alphas]
+    return _check_block(k, two_parts, [_block(k, alphas, ps, betas)])
+
+
 def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
     """Direct route over one batch: n | sigma_k(n) at each point, where
     sigma_k(n) = two_parts[alpha] * p_part and n = p_power * 2**(alpha-1)."""
@@ -277,8 +313,7 @@ def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
     for b in blocks:
         for a in b.alphas:
             t, s = two_parts[a], a - 1
-            columns = zip(b.p_parts, b.p_powers)
-            divides += [t * part % (power << s) == 0 for part, power in columns]
+            divides += [t * part % (power << s) == 0 for part, power in zip(b.p_parts, b.p_powers)]
     return divides
 
 
@@ -336,19 +371,21 @@ def _prime_verdicts(
     Within a residue class mod 4 the bound at v is monotone in p: u1, and v3
     with 2**v > 2k + 1, can only go from holding to failing as p grows, and
     v3 below that only from failing to holding. Once a class reaches that
-    later value at v, the task's later primes take it unevaluated."""
+    later value at v, the task's later primes take it unevaluated; once all
+    its v have, they take the class's settled tuple whole."""
     betas = range(2, beta_max + 1)
     vs = range(1, beta_max.bit_length())  # v2 of every even beta up to beta_max
     later = {(1, v): False for v in vs} | {(3, v): 1 << v < 2 * k + 1 for v in vs}
-    settled: set[tuple[int, int]] = set()
+    final = {residue: tuple(later[residue, v] for v in vs) for residue in (1, 3)}
+    settled: dict[int, set[int]] = {1: set(), 3: set()}  # per class, its settled vs
     table: dict[tuple, tuple[list[str | None], int]] = {}
     out = []
     for p in primes:
         residue = p % 4
-        bounds = tuple(
-            later[residue, v] if (residue, v) in settled else _bound_holds(p, k, v) for v in vs
-        )
-        settled.update((residue, v) for v, holds in zip(vs, bounds) if holds == later[residue, v])
+        bounds, done = final[residue], settled[residue]
+        if len(done) < len(vs):
+            bounds = tuple(later[residue, v] if v in done else _bound_holds(p, k, v) for v in vs)
+            done.update(v for v, holds in zip(vs, bounds) if holds == later[residue, v])
         lam = v2(p + 1) if residue == 3 else 0
         key = (residue, p == (1 << k) - 1, p == k, lam, bounds)
         if key not in table:
@@ -410,32 +447,19 @@ def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[boo
 
 def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
     """Scan one prime range as one batch: each prime's rows beta = 2 ..
-    beta_max, over every alpha whose p-bound admits p, in one block per
-    first alpha. The p-part, p**(beta-1) and condition 1's residue are
-    extended across beta, every point goes through all three routes and
-    cross-checks, and the pruner verdicts come from _prime_verdicts."""
+    beta_max, over every alpha whose p-bound admits p, in one block per first
+    alpha, through all three routes with verdicts from _prime_verdicts."""
     k, alpha_max, beta_max, two_parts, primes = task
     pruned = scenario1 = 0
     betas = range(2, beta_max + 1)
     verdicts_of = dict(zip(primes, _prime_verdicts(k, beta_max, primes)))
     blocks: list[_Block] = []
     for first, group in groupby(primes, _first_alpha):  # ascending primes, so groups are whole
+        ps = list(group)
         width = alpha_max - first + 1
-        rows = []
-        for p in group:
-            q = p**k
-            m1 = q - 1
-            widest = m1 << (alpha_max - 1)
-            p_part = p_power = 1
-            x = q
-            for beta in betas:
-                p_part = p_part * q + 1  # 1 + q + ... + q**(beta-1), by Horner
-                p_power *= p
-                x = x * q % widest
-                rows.append((p, beta, p_part, p_power, m1, x))
-            pruned += width * verdicts_of[p][1]
-            scenario1 += width * (beta_max // 2) * (p == k and p % 4 == 3)
-        blocks.append(_Block(range(first, alpha_max + 1), *zip(*rows)))
+        blocks.append(_block(k, range(first, alpha_max + 1), ps, betas))
+        pruned += width * sum(verdicts_of[p][1] for p in ps)
+        scenario1 += width * (beta_max // 2) * (k in ps and k % 4 == 3)
     divides = _check_block(k, two_parts, blocks)
     excluded = (1 << (k - 1)) * ((1 << k) - 1)
     solutions: list[ClassificationReport] = []
@@ -446,27 +470,25 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
                 raise _pruned_solution(verdict, alpha, p, beta, k)
             f = SpecialForm(alpha, p, beta, k)
             n = f.n()
-            solutions.append(
-                ClassificationReport(
-                    form=f, divides=True, perfect=is_even_perfect(n),
-                    excluded_perfect=n == excluded,
-                )
-            )
+            solutions.append(ClassificationReport(f, True, is_even_perfect(n), n == excluded))
     return solutions, len(divides), pruned, scenario1
 
 
-def _prime_ranges(primes: list[int], points: Iterable[int]) -> list[list[int]]:
-    """Split the ascending primes into contiguous ranges in one streaming
-    pass over points, the number of grid points of each prime in turn: a
-    range ends before the prime that would take it past _BATCH_POINTS, so
+def _prime_ranges(primes: list[int], runs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Split the ascending primes into contiguous ranges, given their points
+    as runs (n, w), the next n primes w >= 1 points each, cut arithmetically:
+    a range ends before the prime that would take it past _BATCH_POINTS, so
     none holds more unless one prime alone does."""
     ranges: list[list[int]] = []
-    start = acc = 0
-    for i, w in enumerate(points):
-        if acc + w > _BATCH_POINTS and acc:
-            ranges.append(primes[start:i])
-            start, acc = i, 0
-        acc += w
+    start = i = acc = 0
+    for n, w in runs:
+        end = i + n
+        while i < end:
+            if acc and acc + w > _BATCH_POINTS:
+                ranges.append(primes[start:i])
+                start, acc = i, 0
+            fit = min(end - i, max(1, (_BATCH_POINTS - acc) // w))  # one, if acc is 0
+            i, acc = i + fit, acc + fit * w
     ranges.append(primes[start:])
     return ranges
 
@@ -483,15 +505,12 @@ def scan_special_forms(
     sorted by n, plus scan statistics.
 
     Every point is checked along the direct route, the two conditions and
-    the pruners, with the same cross-checks as classify_point, which stays
-    as the tested reference. Both routes run once per task, over blocks of
-    the rows that share an alpha range, and the verdicts come from the
-    task's table in _prime_verdicts. The operand cap is checked up front on
-    the grid's largest operands: the checks are monotone in alpha, p and
-    beta, so this refuses exactly when some point would. Tasks are the
-    prime ranges of _prime_ranges, at most _BATCH_POINTS points each, as in
-    equivalence_scan; the split ignores the worker count and the merge is a
-    sort, so worker count never changes the result.
+    the pruners, with the same cross-checks as classify_point, the tested
+    reference. Each task, a prime range of _prime_ranges, is one _scan_rows
+    batch. The operand cap is checked up front on the grid's largest
+    operands: the checks are monotone in alpha, p and beta, so this refuses
+    exactly when some point would. The split ignores the worker count and
+    the merge is a sort, so worker count never changes the result.
     """
     _require_search_k(k)
     if alpha_max < 2 or beta_max < 2:
@@ -506,12 +525,13 @@ def scan_special_forms(
     # The widest p-part, built as classify_point would; the kernel builds
     # the others with unchecked arithmetic.
     geometric_sum(checked_pow(primes[-1], k, bit_cap), beta_max, bit_cap)
-    points = ((beta_max - 1) * (alpha_max - _first_alpha(p) + 1) for p in primes)
-    tasks = [(k, alpha_max, beta_max, two_parts, chunk) for chunk in _prime_ranges(primes, points)]
-    chunks = _pool_map(_scan_rows, tasks, workers)
-    reports = sorted(
-        (r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n()
+    runs = (
+        (sum(1 for _ in group), (beta_max - 1) * (alpha_max - first + 1))
+        for first, group in groupby(primes, _first_alpha)
     )
+    tasks = [(k, alpha_max, beta_max, two_parts, chunk) for chunk in _prime_ranges(primes, runs)]
+    chunks = _pool_map(_scan_rows, tasks, workers)
+    reports = sorted((r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n())
     stats = GridStats(
         points_scanned=sum(c[1] for c in chunks),
         pruned_points=sum(c[2] for c in chunks),
@@ -579,17 +599,6 @@ def search(
     )
 
 
-def _divides(k: int, p: int, alpha: int, beta: int, bit_cap: int | None = None) -> bool:
-    """Whether 2**(alpha-1) * p**(beta-1) divides its sigma_k, decided as a
-    one-row block: the direct route, the condition route and their
-    cross-checks. The operand cap is checked as in divides_sigma."""
-    q = checked_pow(p, k, bit_cap)
-    m1 = q - 1
-    block = _Block(range(alpha, alpha + 1), [p], [beta], [geometric_sum(q, beta, bit_cap)],
-                   [p ** (beta - 1)], [m1], [pow(q, beta, m1 << (alpha - 1))])
-    return _check_block(k, [0] * alpha + [geometric_sum(1 << k, alpha, bit_cap)], [block])[0]
-
-
 def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> bool:
     """n = 2**(alpha-1) * (2**k - 1)**(beta-1) never divides sigma_k(n).
 
@@ -599,7 +608,8 @@ def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> 
     _require_search_k(k)
     if alpha < 2 or beta < 2:
         raise ValueError(f"alpha and beta must be >= 2, got {alpha} and {beta}")
-    return not _divides(k, (1 << k) - 1, alpha, beta, bit_cap)
+    alphas, betas = range(alpha, alpha + 1), range(beta, beta + 1)
+    return not _check_rows(k, alphas, [(1 << k) - 1], betas, bit_cap)[0]
 
 
 def lemma41_candidates() -> list[SpecialForm]:
@@ -642,61 +652,47 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _form_counts(n_limit: int, primes: list[int]) -> Iterator[int]:
-    """The points of each odd prime's rows in _equivalence_rows: the widths
-    bit_length(n_limit // p**(beta-1)) - 1 summed over its betas."""
-    half = n_limit >> 1
-    for p in primes:
-        count, p_power = 0, p
-        while p_power <= half:
-            count += (n_limit // p_power).bit_length() - 1
-            p_power *= p
-        yield count
+def _equivalence_slices(
+    n_limit: int, primes: list[int], lo: int = 0
+) -> Iterator[tuple[int, int, int, int]]:
+    """(beta, i, j, top) for each slice primes[i:j] of primes[lo:] whose rows at
+    beta = 2, 3, ... share top = bit_length(n_limit // p**(beta-1)). As p grows,
+    so does p**(beta-1): the primes with p**(beta-1) <= n_limit >> (top-1) are a prefix."""
+    beta = 2
+    while (end := bisect_right(primes, n_limit >> 1, lo, key=lambda p: p ** (beta - 1))) > lo:
+        i = lo
+        while i < end:
+            top = (n_limit // primes[i] ** (beta - 1)).bit_length()
+            j = bisect_right(primes, n_limit >> (top - 1), i, end, key=lambda p: p ** (beta - 1))
+            yield beta, i, j, top
+            i = j
+        beta += 1
+
+
+def _form_runs(n_limit: int, primes: list[int]) -> Iterator[tuple[int, int]]:
+    """The points of _equivalence_rows' primes as _prime_ranges runs, a slice
+    of top t holding t - 1 points a prime: one run per prime with several
+    rows (p**2 <= n_limit // 2), then one per top slice of the rest."""
+    several = bisect_right(primes, n_limit >> 1, key=lambda p: p * p)
+    counts = [0] * several
+    for _, i, j, top in _equivalence_slices(n_limit, primes[:several]):
+        counts[i:j] = [c + top - 1 for c in counts[i:j]]
+    yield from ((1, c) for c in counts)
+    for _, i, j, top in _equivalence_slices(n_limit, primes, several):
+        yield j - i, top - 1
 
 
 def _equivalence_rows(task: tuple[int, int, list[int], list[int]]) -> int:
     """Check one prime range as one batch; return the number of points. A
     prime's rows are beta = 2, 3, ... with p**(beta-1) <= n_limit // 2, over
     alpha = 2 .. top = bit_length(n_limit // p**(beta-1)): exactly the forms
-    with n <= n_limit. No pruners, no p-bound. Rows go into one block per
-    top; a prime with p**2 > n_limit // 2 has the single row beta = 2, and
-    those primes, nearly all, are built a whole block at a time."""
+    with n <= n_limit. No pruners, no p-bound. Each slice of
+    _equivalence_slices is one block."""
     k, n_limit, two_parts, primes = task
-    half = n_limit >> 1
-    by_top: dict[int, list[tuple[int, int, int, int, int, int]]] = {}
-    i = 0
-    for p in primes:  # ascending, so the primes with several rows come first
-        if p * p > half:
-            break
-        i += 1
-        q = p**k
-        m1 = q - 1
-        top = (n_limit // p).bit_length()
-        widest = m1 << (top - 1)
-        p_part, p_power, x, beta = 1 + q, p, q * q % widest, 2
-        while True:
-            by_top.setdefault(top, []).append((p, beta, p_part, p_power, m1, x))
-            p_power *= p
-            if p_power > half:
-                break
-            p_part = p_part * q + 1  # the p-part at beta + 1, by Horner
-            x = x * q % widest
-            beta += 1
-            top = (n_limit // p_power).bit_length()
-    blocks = [_Block(range(2, top + 1), *zip(*rows)) for top, rows in by_top.items()]
-    # bit_length(n_limit // p) falls as p grows, so the primes of one top are
-    # a slice: those p with n_limit // p >= 2**(top-1).
-    while i < len(primes):
-        top = (n_limit // primes[i]).bit_length()
-        j = bisect_right(primes, n_limit >> (top - 1), i)
-        ps = primes[i:j]
-        qs = [p**k for p in ps]
-        m1s = [q - 1 for q in qs]
-        s = top - 1
-        xs = [q * q % (m1 << s) for q, m1 in zip(qs, m1s)]
-        parts = [q + 1 for q in qs]
-        blocks.append(_Block(range(2, top + 1), ps, [2] * len(ps), parts, ps, m1s, xs))
-        i = j
+    blocks = [
+        _block(k, range(2, top + 1), primes[i:j], range(beta, beta + 1))
+        for beta, i, j, top in _equivalence_slices(n_limit, primes)
+    ]
     return len(_check_block(k, two_parts, blocks))
 
 
@@ -705,13 +701,10 @@ def equivalence_scan(
 ) -> int:
     """Check n | sigma_k(n) against the pair of derived conditions on every
     special form with n <= n_limit, once per exponent in ks, on the search's
-    batch kernel (one call per prime range of _prime_ranges, at most
-    _BATCH_POINTS points as in the search; most primes have one row of a few
-    points): the direct route, the modular condition route and
-    their cross-checks, without pruners. derive_conditions and
-    divides_sigma are the reference it is tested against. Returns the
-    number of (form, k) pairs checked; raises CrossCheckError on any
-    disagreement.
+    batch kernel, one call per prime range of _prime_ranges, without
+    pruners. derive_conditions and divides_sigma are its tested reference.
+    Returns the number of (form, k) pairs checked; raises CrossCheckError on
+    any disagreement.
 
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.
@@ -726,7 +719,7 @@ def equivalence_scan(
         raise ValueError(f"workers must be >= 1, got {workers}")
     _refuse_oversized("equivalence scan", n_limit=n_limit, workers=workers)
     primes = primes_upto(n_limit >> 1)[1:]
-    ranges = _prime_ranges(primes, _form_counts(n_limit, primes))
+    ranges = _prime_ranges(primes, _form_runs(n_limit, primes))
     alphas = range(2, (n_limit // 3).bit_length() + 1)
     tasks = []
     for k in ks:
@@ -817,21 +810,28 @@ def _sl3_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
                 yield from zip([head + t for t in tails], flags)
 
 
+# f and v10 decide a block per k or alpha, flagged and refused in label order.
+
+
 def _f_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+    alphas, betas = range(2, g.alpha_max + 1), range(2, g.beta_max + 1)
+    if not (alphas and betas):
+        return
     for k in g.k_values:
-        for alpha in range(2, g.alpha_max + 1):
-            for beta in range(2, g.beta_max + 1):
-                yield f"k={k} alpha={alpha} beta={beta}", check_lemma_f(k, alpha, beta, g.bit_cap)
+        _require_search_k(k)
+        flags = _check_rows(k, alphas, [(1 << k) - 1], betas, g.bit_cap)
+        labels = [f"k={k} alpha={alpha} beta={beta}" for alpha in alphas for beta in betas]
+        yield from zip(labels, map(not_, flags))
 
 
 def _v10_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
-    for form in lemma41_candidates():
-        ok = not _divides(form.k, form.p, form.alpha, form.beta, g.bit_cap)
-        yield f"candidate alpha={form.alpha} p={form.p}", ok
+    for f in lemma41_candidates():
+        flags = _check_rows(5, range(f.alpha, f.alpha + 1), [f.p], range(4, 5), g.bit_cap)
+        yield f"candidate alpha={f.alpha} p={f.p}", not flags[0]
     for alpha in range(2, g.alpha_max + 1):
-        for p in _p_bound_primes(alpha):
-            if p % 4 == 3:
-                yield f"alpha={alpha} p={p}", not _divides(5, p, alpha, 4, g.bit_cap)
+        ps = [p for p in _p_bound_primes(alpha) if p % 4 == 3]
+        flags = _check_rows(5, range(alpha, alpha + 1), ps, range(4, 5), g.bit_cap)
+        yield from zip([f"alpha={alpha} p={p}" for p in ps], map(not_, flags))
 
 
 def _bound_rows(g: LemmaGrid, residue: int) -> Iterator[tuple[str, str]]:

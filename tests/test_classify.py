@@ -27,7 +27,7 @@ from sigmaperfect.classify import (
     verify_lemma410,
 )
 from sigmaperfect.cli import main
-from sigmaperfect.exactint import OperandSizeError, geometric_sum
+from sigmaperfect.exactint import OperandSizeError, checked_pow, geometric_sum
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.sigma import SpecialForm, divides_sigma, is_even_perfect, sigma_k
 from sigmaperfect.valuations import (
@@ -95,6 +95,44 @@ def _block_points(blocks):
     return [
         (alpha, p, beta) for b in blocks for alpha in b.alphas for p, beta in zip(b.ps, b.betas)
     ]
+
+
+_SMALL_PRIMES = primes_upto(400)[1:]
+
+
+@settings(max_examples=60, deadline=None)
+# solutions at (2, 3, 2, 5), n = 6, and at (5, 31, 2, 3), n = 496
+@example(k=5, first=2, width=3, ps=[3, 5], beta_lo=2, beta_count=3)
+@example(k=3, first=2, width=4, ps=[3, 7, 31], beta_lo=2, beta_count=3)
+@given(
+    k=st.sampled_from((2, 3, 5, 7, 13)),
+    first=st.integers(2, 9),
+    width=st.integers(1, 5),
+    ps=st.lists(st.sampled_from(_SMALL_PRIMES), max_size=6, unique=True).map(sorted),
+    beta_lo=st.integers(2, 9),
+    beta_count=st.integers(1, 6),
+)
+def test_block_builder_matches_the_reference_at_every_point(
+    k, first, width, ps, beta_lo, beta_count
+):
+    alphas, betas = range(first, first + width), range(beta_lo, beta_lo + beta_count)
+    block = classify._block(k, alphas, ps, betas)
+    assert block.alphas == alphas
+    assert list(zip(block.ps, block.betas)) == [(p, beta) for beta in betas for p in ps]
+    for p, beta, part, power in zip(block.ps, block.betas, block.p_parts, block.p_powers):
+        reduced_by = p ** (betas[-1] - 1) << (alphas[-1] - 1)  # M_p
+        assert part == geometric_sum(p**k, beta) % reduced_by and part < reduced_by
+        assert power == p ** (beta - 1)
+    two_parts = [0] * first + [geometric_sum(1 << k, a) for a in alphas]
+    divides = classify._direct_block(two_parts, [block])
+    cond1, cond2 = classify._conditions_block(k, [block])
+    flags = zip(_block_points([block]), divides, cond1, cond2, strict=True)
+    for (alpha, p, beta), d, c1, c2 in flags:
+        f = SpecialForm(alpha=alpha, p=p, beta=beta, k=k)
+        reference = derive_conditions(f)
+        assert (d, c1, c2) == (
+            divides_sigma(f), reference.cond_k1_holds, reference.cond_k2_holds
+        ), f
 
 
 def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
@@ -457,6 +495,48 @@ def test_equivalence_batches_stay_near_the_point_cap():
         _assert_split(ranges[: len(ranges) // 2], primes, points_of)
 
 
+def _streaming_split(primes, points):
+    """The split of the ascending primes taken one prime at a time from
+    their point counts: a range ends before the prime that would take it
+    past _BATCH_POINTS."""
+    ranges, start, acc = [], 0, 0
+    for i, w in enumerate(points):
+        if acc and acc + w > classify._BATCH_POINTS:
+            ranges.append(primes[start:i])
+            start, acc = i, 0
+        acc += w
+    ranges.append(primes[start:])
+    return ranges
+
+
+def _form_points(n_limit, p):
+    """The points of p's rows in equivalence_scan(n_limit), counted row by row."""
+    count, p_power = 0, p
+    while 2 * p_power <= n_limit:
+        count += (n_limit // p_power).bit_length() - 1
+        p_power *= p
+    return count
+
+
+@pytest.mark.parametrize("batch_points", [1, 2, 7, 40, 1000, classify._BATCH_POINTS])
+def test_split_by_runs_equals_the_streaming_split(monkeypatch, batch_points):
+    monkeypatch.setattr(classify, "_BATCH_POINTS", batch_points)
+    for n_limit in (6, 7, 28, 1000, 10**4, 123_457, 10**6):
+        primes = primes_upto(n_limit >> 1)[1:]
+        points = [_form_points(n_limit, p) for p in primes]
+        assert classify._prime_ranges(primes, classify._form_runs(n_limit, primes)) == (
+            _streaming_split(primes, points)
+        ), n_limit
+    for alpha_max, beta_max in ((2, 2), (9, 5), (15, 16)):
+        primes = classify._p_bound_primes(alpha_max)
+        points = [
+            (beta_max - 1) * sum(p < 3 * (1 << (a - 1)) - 1 for a in range(2, alpha_max + 1))
+            for p in primes
+        ]
+        ranges = _task_ranges(scan_special_forms, 5, alpha_max, beta_max)
+        assert ranges == _streaming_split(primes, points), (alpha_max, beta_max)
+
+
 def _recording(m, name):
     """Patch classify's name to log (args, result) of every call; return the log."""
     log = []
@@ -502,16 +582,17 @@ def test_kernel_routes_once_per_task_and_verdicts_equal_pruned_by():
             alphas_of.setdefault(p, set()).add(alpha)
         primes = sorted(alphas_of)
         points = Counter(p for _, p, _ in grid)
-        tasks = classify._prime_ranges(primes, (points[p] for p in primes))
+        tasks = classify._prime_ranges(primes, ((1, points[p]) for p in primes))
         assert len(tasks) > 1
         assert len(calls["_conditions_block"]) == len(calls["_direct_block"]) == len(tasks)
         for (args, _), (_, divides), task in zip(
             calls["_conditions_block"], calls["_direct_block"], tasks, strict=True
         ):
             blocks = args[-1]
-            assert [(p, beta) for b in blocks for p, beta in zip(b.ps, b.betas)] == [
+            # the rows of a block run beta-major, so only their multiset is pinned
+            assert Counter((p, beta) for b in blocks for p, beta in zip(b.ps, b.betas)) == Counter(
                 (p, beta) for p in task for beta in range(2, beta_max + 1)
-            ]
+            )
             assert len({b.alphas for b in blocks}) == len(blocks)
             assert all(set(b.alphas) == alphas_of[p] for b in blocks for p in b.ps)
             assert len(divides) == len(_block_points(blocks))
@@ -778,6 +859,53 @@ def test_check_lemma_f_refuses_exactly_where_the_reference_does(monkeypatch):
                     assert got == expected, (k, alpha, beta, bit_cap)
                     refused += expected is OperandSizeError
     assert 0 < refused < 3 * 7 * 5 * 8  # the caps both refuse and admit
+
+
+def _v10_point_ok(k, p, alpha, beta, bit_cap):
+    """One v10 row by the reference route, its operands built and capped one
+    by one as a per-row check builds them: p**k, (p**k)**beta, (2**k)**alpha."""
+    geometric_sum(checked_pow(p, k, bit_cap), beta, bit_cap)
+    geometric_sum(1 << k, alpha, bit_cap)
+    return not divides_sigma(SpecialForm(alpha=alpha, p=p, beta=beta, k=k))
+
+
+def _per_row_f(g):
+    for k in g.k_values:
+        for alpha in range(2, g.alpha_max + 1):
+            for beta in range(2, g.beta_max + 1):
+                yield f"k={k} alpha={alpha} beta={beta}", check_lemma_f(k, alpha, beta, g.bit_cap)
+
+
+def _per_row_v10(g):
+    for f in lemma41_candidates():
+        yield f"candidate alpha={f.alpha} p={f.p}", _v10_point_ok(5, f.p, f.alpha, 4, g.bit_cap)
+    for alpha in range(2, g.alpha_max + 1):
+        for p in primes_upto(3 * (1 << (alpha - 1)) - 2)[1:]:
+            if p % 4 == 3:
+                yield f"alpha={alpha} p={p}", _v10_point_ok(5, p, alpha, 4, g.bit_cap)
+
+
+@settings(max_examples=40, deadline=None)
+@example(k_values=[3, 5, 7, 13], alpha_max=12, beta_max=30, bit_cap=100)  # refused mid-grid
+@example(k_values=[3, 4], alpha_max=5, beta_max=3, bit_cap=None)  # an invalid exponent
+@example(k_values=[4], alpha_max=1, beta_max=3, bit_cap=None)  # no f rows, so k is unchecked
+@example(k_values=[5], alpha_max=11, beta_max=2, bit_cap=60)  # refused at a v10 row
+@given(
+    k_values=st.lists(st.sampled_from((3, 4, 5, 7, 13)), min_size=1, max_size=3, unique=True),
+    alpha_max=st.integers(1, 11),
+    beta_max=st.integers(1, 24),
+    bit_cap=st.one_of(st.none(), st.integers(8, 600)),
+)
+def test_f_and_v10_grids_match_per_row_checks(k_values, alpha_max, beta_max, bit_cap):
+    # the grids decide a block at a time; one check per row must give the
+    # same rows, or refuse with the same first error
+    g = LemmaGrid(k_values=tuple(k_values), alpha_max=alpha_max, beta_max=beta_max, bit_cap=bit_cap)
+    for tag, per_row in (("f", _per_row_f), ("v10", _per_row_v10)):
+        expected = _rows_or_refusal(lambda: per_row(g))
+        if expected == []:
+            expected = (ValueError, f"the {tag} grid has no rows; widen its parameters")
+        bulk = _rows_or_refusal(lambda: ((r.label, r.ok) for r in run_lemma_grid(tag, g)))
+        assert bulk == expected, tag
 
 
 @pytest.mark.parametrize(
