@@ -22,10 +22,11 @@ from math import gcd
 from operator import and_, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactint import _guard_pow, checked_pow, geometric_sum
+from .exactint import CrossCheckError, _guard_pow, checked_pow, geometric_sum
 from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
+    LEMMA_TAGS,
     LemmaGrid,
     _bound_holds,
     _exact_flags,
@@ -63,10 +64,6 @@ __all__ = [
 
 # Tags a pruner may stamp on a grid point, in the order they are tried.
 PRUNE_ORDER = ("parity", "f", "u1", "v3", "trichotomy", "v10")
-
-
-class CrossCheckError(RuntimeError):
-    """Two supposedly equivalent evaluation routes disagreed."""
 
 
 @dataclass(frozen=True)
@@ -867,23 +864,22 @@ def _trichotomy_rows(g: LemmaGrid) -> Iterator[tuple[str, str]]:
                 yield f"p={p} k={k} beta={1 << v}", outcomes[key]
 
 
-# tag -> (row generator, proved). The lambdas look checkers up at call
-# time, so rebinding a module global reaches them.
-_LEMMAS = {
-    "vs1": (lambda g: ((f"k={k}", check_vs1(k)) for k in g.k_values), True),
-    "cando": (_cando_rows, True),
-    "appr": (_appr_rows, True),
-    "appr2": (lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values), True),
-    "tv": (lambda g: _tv_rows(g, 1), True),
-    "tv2": (lambda g: _tv_rows(g, 3), True),
-    "sl3": (_sl3_rows, True),
-    "f": (_f_rows, True),
-    "v10": (_v10_rows, True),
-    "u1": (lambda g: _bound_rows(g, 1), False),
-    "v3": (lambda g: _bound_rows(g, 3), False),
-    "trichotomy": (_trichotomy_rows, False),
-}
-LEMMA_TAGS = tuple(_LEMMAS)
+# tag -> (row generator, proved), paired in LEMMA_TAGS order. The lambdas
+# look checkers up at call time, so rebinding a module global reaches them.
+_LEMMAS = dict(zip(LEMMA_TAGS, (
+    (lambda g: ((f"k={k}", check_vs1(k)) for k in g.k_values), True),
+    (_cando_rows, True),
+    (_appr_rows, True),
+    (lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values), True),
+    (lambda g: _tv_rows(g, 1), True),  # tv
+    (lambda g: _tv_rows(g, 3), True),  # tv2
+    (_sl3_rows, True),
+    (_f_rows, True),
+    (_v10_rows, True),
+    (lambda g: _bound_rows(g, 1), False),  # u1
+    (lambda g: _bound_rows(g, 3), False),  # v3
+    (_trichotomy_rows, False),
+), strict=True))
 
 
 def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:

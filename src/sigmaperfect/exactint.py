@@ -16,6 +16,7 @@ from .primality import is_prime
 
 __all__ = [
     "DEFAULT_BIT_CAP",
+    "CrossCheckError",
     "OperandSizeError",
     "checked_pow",
     "geometric_sum",
@@ -27,6 +28,11 @@ DEFAULT_BIT_CAP = 1_000_000
 
 class OperandSizeError(ValueError):
     """A computation would exceed the configured operand bit cap."""
+
+
+# Here rather than in classify, so that the CLI catches it without loading the engine.
+class CrossCheckError(RuntimeError):
+    """Two supposedly equivalent evaluation routes disagreed."""
 
 
 def checked_pow(base: int, exp: int, bit_cap: int | None = None) -> int:

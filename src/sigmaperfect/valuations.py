@@ -32,6 +32,7 @@ from .exactint import _guard_pow, checked_pow, geometric_sum, v_exact
 from .primality import is_prime
 
 __all__ = [
+    "LEMMA_TAGS",
     "LemmaGrid",
     "Scenario",
     "appr_exponent",
@@ -139,17 +140,16 @@ def check_appr2_bound(k: int, bit_cap: int | None = None) -> bool:
     return appr_exponent(k, bit_cap) < (1 << k)
 
 
-def _require_odd_positive(name: str, value: int) -> None:
-    if value < 1 or value % 2 == 0:
-        raise ValueError(f"{name} must be odd and >= 1, got {value}")
+def _require_positive(name: str, value: int, odd: bool = False) -> None:
+    if value < 1 or odd and value % 2 == 0:
+        raise ValueError(f"{name} must be {'odd and ' if odd else ''}>= 1, got {value}")
 
 
 def check_tv(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> bool:
     """For p = 1 (mod 4): 2**(t+v) || p**(2**v * beta1 * k) - 1, t = v2(p - 1)."""
     _require_odd_k(k)
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    _require_odd_positive("beta1", beta1)
+    _require_positive("v", v)
+    _require_positive("beta1", beta1, odd=True)
     _require_prime_mod4(p, 1)
     return exactly_divides(2, v_exact(2, p - 1) + v, p, (1 << v) * beta1 * k, bit_cap)
 
@@ -157,9 +157,8 @@ def check_tv(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> 
 def check_tv2(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> bool:
     """For p = 3 (mod 4): 2**(v+s-1) || p**(k * 2**v * beta1) - 1, s = v2(p**2 - 1)."""
     _require_odd_k(k)
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    _require_odd_positive("beta1", beta1)
+    _require_positive("v", v)
+    _require_positive("beta1", beta1, odd=True)
     _require_prime_mod4(p, 3)
     return exactly_divides(2, v + v_exact(2, p * p - 1) - 1, p, k * (1 << v) * beta1, bit_cap)
 
@@ -172,10 +171,9 @@ def check_sl3(lam: int, p1: int, v: int, beta1: int, bit_cap: int | None = None)
     """
     if lam < 2:
         raise ValueError(f"lam must be >= 2, got {lam}")
-    _require_odd_positive("p1", p1)
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
-    _require_odd_positive("beta1", beta1)
+    _require_positive("p1", p1, odd=True)
+    _require_positive("v", v)
+    _require_positive("beta1", beta1, odd=True)
     return exactly_divides(2, lam + v, (1 << lam) * p1 - 1, (1 << v) * beta1, bit_cap)
 
 
@@ -188,8 +186,7 @@ def bound_u1(p: int, k: int, v: int) -> bool:
     """
     _require_prime_mod4(p, 1)
     _require_odd_k(k)
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    _require_positive("v", v)
     return _bound_holds(p, k, v)
 
 
@@ -203,8 +200,7 @@ def bound_v3(p: int, k: int, v: int) -> bool:
     """
     _require_prime_mod4(p, 3)
     _require_odd_k(k)
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    _require_positive("v", v)
     return _bound_holds(p, k, v)
 
 
@@ -263,6 +259,10 @@ def _scenarios(
     if lhs <= geometric_sum(1 << (lam + v), k, bit_cap):
         out.add(Scenario.SCENARIO_3)
     return frozenset(out)
+
+
+# check-lemma's tags, in the parser's order; classify pairs each with its rows.
+LEMMA_TAGS = ("vs1", "cando", "appr", "appr2", "tv", "tv2", "sl3", "f", "v10", "u1", "v3", "trichotomy")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import sigmaperfect.classify as classify
 import sigmaperfect.cli as cli
+import sigmaperfect.exactint as exactint
 import sigmaperfect.primality as primality
 import sigmaperfect.sigma as sigma
 import sigmaperfect.valuations as valuations
@@ -693,17 +694,81 @@ def test_check_lemma_refuses_a_repeated_exponent(capsys):
     assert err == "error: exponent k=3 is repeated in the grid's k values\n"
 
 
-def test_cli_import_leaves_pool_fraction_and_clock_modules_unloaded():
-    # multiprocessing, fractions and datetime serve only some commands; what
-    # a bare interpreter already loads (site differs between hosts) is allowed
-    probe = "import sys; {}print(' '.join(sorted(sys.modules)))"
+# Modules only some commands need: the scan engine and the quartic remainder
+# table, the worker pool, exact fractions and the run record's clock.
+_ENGINE_POOL_FRACTION_CLOCK = {
+    "sigmaperfect.classify", "sigmaperfect.polyrem", "multiprocessing", "fractions", "datetime",
+}
+
+
+def _cold_run(*argv: str) -> tuple[int, set[str]]:
+    """Exit code and loaded modules of one CLI run in a fresh interpreter;
+    with no argv, the modules after a bare import of the CLI."""
+    probe = (
+        "import sys; from sigmaperfect import cli; "
+        "rc = cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+        "print(rc, *sorted(sys.modules), file=sys.stderr)"
+    )
     src = str(Path(cli.__file__).resolve().parents[1])
-    loaded = []
-    for setup in ("", "import sigmaperfect.cli; "):
-        proc = subprocess.run([sys.executable, "-c", probe.format(setup)], capture_output=True,
-                              text=True, timeout=60, check=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        loaded.append(set(proc.stdout.split()))
-    bare, with_cli = loaded
-    assert "sigmaperfect.cli" in with_cli
-    assert {"multiprocessing", "fractions", "datetime"} & (with_cli - bare) == set()
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    rc, *modules = proc.stderr.split()
+    return int(rc), set(modules)
+
+
+def test_cli_cold_start_leaves_engine_pool_fraction_and_clock_modules_unloaded():
+    # sigma, mersenne and perfect start on exactint, primality, sigma and
+    # valuations alone; what a bare interpreter already loads is allowed
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, timeout=60, check=True)
+    preloaded = set(bare.stdout.split())
+    for argv in ((), ("sigma", "28", "1"), ("mersenne", "--upto", "31"), ("perfect", "--upto", "13")):
+        rc, loaded = _cold_run(*argv)
+        assert rc == 0 and "sigmaperfect.cli" in loaded, argv
+        assert _ENGINE_POOL_FRACTION_CLOCK & (loaded - preloaded) == set(), argv
+    # the commands that need the engine load it on their first call
+    for argv in (("search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"),
+                 ("check-lemma", "vs1", "--k", "3")):
+        rc, loaded = _cold_run(*argv)
+        assert rc == 0 and "sigmaperfect.classify" in loaded, argv
+
+
+def test_classify_reexports_the_one_cross_check_error():
+    assert classify.CrossCheckError is exactint.CrossCheckError
+    assert "CrossCheckError" in classify.__all__
+
+
+@pytest.mark.parametrize("argv, target", [
+    (("verify-theorem", "--k", "5", "--alpha-max", "6"), "scan_special_forms"),
+    (("check-lemma", "tv", "--k", "3", "--p-max", "20"), "_tv_rows"),
+])
+def test_cross_check_error_from_the_lazily_loaded_engine_exits_2(argv, target, monkeypatch,
+                                                                 capsys):
+    def failing(*args, **kwargs):
+        raise classify.CrossCheckError("injected")
+
+    monkeypatch.setattr(classify, target, failing)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "cross-check failure: injected\n")
+
+
+def test_check_lemma_choices_are_the_lemma_tags_in_order():
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    tag = next(a for a in subcommands.choices["check-lemma"]._actions if a.dest == "tag")
+    assert list(tag.choices) == list(classify.LEMMA_TAGS) == list(classify._LEMMAS)
+    assert classify.LEMMA_TAGS is valuations.LEMMA_TAGS
+
+
+@pytest.mark.parametrize("name, argv, code", [
+    ("check-lemma-help", ("check-lemma", "--help"), 0),
+    ("check-lemma-nope", ("check-lemma", "nope"), 2),
+])
+def test_check_lemma_parser_text_matches_golden(name, argv, code, monkeypatch, capsys):
+    # argparse wraps at the terminal width; the goldens are at 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    golden = Path(__file__).parent / "golden" / f"{name}.txt"
+    assert exc.value.code == code
+    assert captured.out + captured.err == golden.read_text(encoding="utf-8")
