@@ -329,14 +329,15 @@ def cmd_check_lemma(args: argparse.Namespace) -> int:
     from .classify import run_lemma_grid  # commands that scan nothing start without it
 
     grid = LemmaGrid(**{f.name: getattr(args, f.name) for f in fields(LemmaGrid)})
-    rows = run_lemma_grid(args.tag, grid)
-    sys.stdout.write("".join(f"{args.tag}  {row.label}: {row.outcome}\n" for row in rows))
-    checked = [r for r in rows if r.ok is not None]
-    failed = [r for r in checked if not r.ok]
+    tag = args.tag
+    rows = run_lemma_grid(tag, grid)
+    sys.stdout.write("".join([f"{tag}  {label}: {outcome}\n" for label, outcome, _ in rows]))
+    checked = [ok for _, _, ok in rows if ok is not None]
     if checked:
-        print(f"{args.tag}: {len(checked) - len(failed)}/{len(checked)} pass")
-        return 0 if not failed else 2
-    print(f"{args.tag}: {len(rows)} informational row(s)")
+        passed = sum(map(bool, checked))
+        print(f"{tag}: {passed}/{len(checked)} pass")
+        return 0 if passed == len(checked) else 2
+    print(f"{tag}: {len(rows)} informational row(s)")
     return 0
 
 

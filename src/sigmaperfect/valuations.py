@@ -9,11 +9,15 @@ any check_* is an implementation bug, never new mathematics; the bound_*
 and trichotomy functions evaluate inequalities whose truth legitimately
 depends on the parameters and are used to prune searches.
 
-check-lemma decides its cando, tv, tv2 and sl3 grids one column of
-exponents at a time (_exact_flags), its u1 and v3 grids through
-_bound_holds and its trichotomy grid through _scenarios; the public
-check_*, bound_* and trichotomy functions keep their input validation and
-are the per-row reference those grids are tested against.
+check-lemma decides its cando, tv, tv2 and sl3 grids one block of rows
+at a time (_exact_flags): every row of a block claims a power of 2
+dividing the same base raised to c * 2**v * beta1, so one modulus and one
+pow serve the block, each further residue is one multiplication and each
+row is a bit test. Its u1 and v3 grids go through _bound_holds and its
+trichotomy grid through _scenarios. The public check_*, bound_* and
+trichotomy functions keep their input validation and, through
+exactly_divides, one pow per row; they are the per-row reference those
+grids are tested against.
 
 Where 2**k - 1 itself is the divisor (check_appr), "exactly divides" is
 decided from the residue modulo a power of 2**k - 1, not via prime
@@ -26,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
-from typing import Sequence
 
 from .exactint import _guard_pow, checked_pow, geometric_sum, v_exact
 from .primality import is_prime
@@ -75,22 +78,49 @@ def exactly_divides(d: int, e: int, base: int, exp: int, bit_cap: int | None = N
     divisible when y is a nonzero multiple of d**e. Only the residue is
     computed, but the operand cap refuses exactly where checked_pow would.
     """
-    return _exact_flags(d, e, base, (exp,), bit_cap)[0]
+    if d < 2:
+        raise ValueError(f"divisor must be >= 2, got {d}")
+    _guard_pow(base, exp, bit_cap)
+    q = d**e
+    y = (pow(base, exp, q * d) - 1) % (q * d)
+    return y != 0 and y % q == 0
 
 
 def _exact_flags(
-    d: int, e: int, base: int, exps: Sequence[int], bit_cap: int | None = None
+    e: int, base: int, c: int, v_max: int, beta1_max: int, bit_cap: int | None = None
 ) -> list[bool]:
-    """exactly_divides(d, e, base, x, bit_cap) for each x in exps, with one
-    modulus d**(e+1) for them all. Every exponent is guarded, in order,
-    before any power is taken, so the first refused one raises."""
-    if d < 2:
-        raise ValueError(f"divisor must be >= 2, got {d}")
-    for x in exps:
-        _guard_pow(base, x, bit_cap)
-    q = d**e
-    modulus = q * d
-    return [(y := (pow(base, x, modulus) - 1) % modulus) != 0 and y % q == 0 for x in exps]
+    """exactly_divides(2, e + v, base, c * 2**v * beta1, bit_cap) for each
+    row of a block, v-major over v = 1 .. v_max and odd beta1 <= beta1_max
+    (e >= 0, c >= 1).
+
+    One modulus 2**(e + v_max + 1) and one pow serve the block: a row's
+    residue is the one before times the square of its v's first power, and
+    that square is the next v's first power. A row is then a bit test. The
+    operand cap is checked at the largest exponent only: _guard_pow is
+    monotone in the exponent, so if that one passes all do. A refused block
+    is guarded again in row order, so the refusal names its first refused
+    row, as exactly_divides called row by row would.
+    """
+    beta1s = range(1, beta1_max + 1, 2)
+    if v_max < 1 or not beta1s:
+        return []
+    try:
+        _guard_pow(base, (c << v_max) * beta1s[-1], bit_cap)
+    except ValueError:  # OperandSizeError included; some row raises it again
+        for v in range(1, v_max + 1):
+            for beta1 in beta1s:
+                _guard_pow(base, (c << v) * beta1, bit_cap)
+    modulus = 2 << (e + v_max)
+    flags = []
+    first = pow(base, 2 * c, modulus)
+    for v in range(1, v_max + 1):
+        step, bit = first * first % modulus, 1 << (e + v)
+        mask, y = 2 * bit - 1, first
+        for _ in beta1s:
+            flags.append(((y - 1) & mask) == bit)
+            y = y * step % modulus
+        first = step
+    return flags
 
 
 def check_vs1(k: int) -> bool:

@@ -165,6 +165,28 @@ def test_equivalence_scan_refuses_oversized_limit_before_sieving(monkeypatch):
             equivalence_scan(n_limit)
 
 
+def test_equivalence_scan_refuses_repeated_and_nonpositive_exponents_before_sieving(
+    monkeypatch,
+):
+    # a repeated exponent would be counted twice; k = 0 and k < 0 used to
+    # fail after the sieve, inside geometric_sum and on a negative shift
+    assert equivalence_scan(100, (5,)) == 36
+
+    def no_sieve(limit):
+        raise AssertionError("sieved before refusing")
+
+    monkeypatch.setattr(classify, "primes_upto", no_sieve)
+    for ks, message in (
+        ((5, 5), "exponent k=5 is repeated in the scan's exponents"),
+        ((3, 7, 3, 7), "exponent k=3 is repeated in the scan's exponents"),
+        ((0,), "exponent k=0 is below 1 in the scan's exponents"),
+        ((5, -3), "exponent k=-3 is below 1 in the scan's exponents"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            equivalence_scan(100, ks)
+        assert str(exc.value) == message, ks
+
+
 def test_scans_refuse_bad_grids_and_worker_counts_before_sieving(monkeypatch):
     def no_sieve(limit):
         raise AssertionError("sieved before refusing")

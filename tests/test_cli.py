@@ -634,13 +634,19 @@ def test_check_lemma_oracles_refuse_past_operand_cap_before_the_power(monkeypatc
         assert err == f"operand size cap exceeded: {refused} exceeds the 1000000-bit cap\n"
 
 
+def _block_rows(e, c, v_max, beta1_max):
+    # (claimed exponent of 2, exponent) of each row of an _exact_flags block
+    return [(e + v, (c << v) * b) for v in range(1, v_max + 1) for b in range(1, beta1_max + 1, 2)]
+
+
 def test_check_lemma_fails_on_a_failing_proved_row(monkeypatch, capsys):
     exact_flags = classify._exact_flags
 
-    def lying(d, e, base, exps, bit_cap=None):
+    def lying(e, base, c, v_max, beta1_max, bit_cap=None):
         # the tv row p=13 k=3 v=2 beta1=1 claims 2**4 || 13**12 - 1
-        flags = exact_flags(d, e, base, exps, bit_cap)
-        return [ok and (base, e, x) != (13, 4, 12) for x, ok in zip(exps, flags)]
+        flags = exact_flags(e, base, c, v_max, beta1_max, bit_cap)
+        rows = _block_rows(e, c, v_max, beta1_max)
+        return [ok and (base, *row) != (13, 4, 12) for row, ok in zip(rows, flags)]
 
     monkeypatch.setattr(classify, "_exact_flags", lying)
     grid = ("--k", "3", "--p-max", "40", "--v-max", "2", "--beta1-max", "3")
@@ -653,6 +659,69 @@ def test_check_lemma_fails_on_a_failing_proved_row(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "check-lemma", "u1", "--k", "5", "--p-max", "40", "--v-max", "3")
     assert code == 0 and "u1  p=5 k=5 v=3: fails" in out
     assert out.endswith("u1: 15 informational row(s)\n")
+
+
+@pytest.mark.parametrize("argv, row, failed, summary", [
+    # (7, 4, 18): 2**4 || 7**18 - 1 at k=3, beta=6
+    (("cando", "--k", "3", "--v-max", "2", "--beta1-max", "3"), (7, 4, 18),
+     "cando  k=3 beta=6: FAIL", "cando: 3/4 pass"),
+    # (11, 4, 12): 2**4 || 11**12 - 1 at p=11, k=3, v=2, beta1=1; p in 3, 7, 11
+    (("tv2", "--k", "3", "--p-max", "12", "--v-max", "2", "--beta1-max", "3"), (11, 4, 12),
+     "tv2  p=11 k=3 v=2 beta1=1: FAIL", "tv2: 11/12 pass"),
+    # (11, 3, 6): 2**3 || 11**6 - 1 at lam=2, p1=3, v=1, beta1=3
+    (("sl3", "--lambda-max", "2", "--p1-max", "3", "--v-max", "2", "--beta1-max", "3"),
+     (11, 3, 6), "sl3  lam=2 p1=3 v=1 beta1=3: FAIL", "sl3: 7/8 pass"),
+])
+def test_check_lemma_fails_on_a_lying_block_kernel(argv, row, failed, summary, monkeypatch,
+                                                  capsys):
+    # cando, tv2 and sl3 decide every row through classify._exact_flags, as tv does
+    exact_flags = classify._exact_flags
+
+    def lying(e, base, c, v_max, beta1_max, bit_cap=None):
+        flags = exact_flags(e, base, c, v_max, beta1_max, bit_cap)
+        rows = _block_rows(e, c, v_max, beta1_max)
+        return [ok and (base, *claim) != row for claim, ok in zip(rows, flags)]
+
+    monkeypatch.setattr(classify, "_exact_flags", lying)
+    code, out, err = run_cli(capsys, "check-lemma", *argv)
+    lines = out.splitlines()
+    assert code == 2 and err == ""
+    assert [line for line in lines if "FAIL" in line] == [failed]
+    assert lines[-1] == summary
+
+
+@pytest.mark.parametrize("tag, refused", [
+    ("tv", "3-bit base raised to 66"),  # p=5 v=1 beta1=11, not v=2 beta1=11 (132)
+    ("tv2", "2-bit base raised to 108"),  # p=3 v=2 beta1=9, not v=2 beta1=11 (132)
+    ("cando", "3-bit base raised to 66"),  # beta=22, not beta=44 (132)
+])
+def test_check_lemma_refuses_at_the_first_refused_row_not_the_largest(tag, refused, capsys):
+    # a block's exponents are not monotone in row order: 22k at v=1,
+    # beta1=11 comes before 4k at v=2, beta1=1
+    code, out, err = run_cli(capsys, "check-lemma", tag, "--k", "3", "--p-max", "6",
+                             "--v-max", "2", "--beta1-max", "11", "--bit-cap", "170")
+    assert code == 2 and out == ""
+    assert err == f"operand size cap exceeded: {refused} exceeds the 170-bit cap\n"
+
+
+def test_check_lemma_takes_one_pow_per_block(monkeypatch, capsys):
+    # each (p, k) block of tv and tv2, k block of cando and (lam, p1) block
+    # of sl3 steps its residues from one power
+    calls = []
+
+    def counting(base, exp, mod):
+        calls.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(valuations, "pow", counting, raising=False)
+    grid = ("--k", "3,5", "--p-max", "40", "--v-max", "4", "--beta1-max", "7",
+            "--lambda-max", "3", "--p1-max", "5")
+    for tag, blocks in (("tv", 5 * 2), ("tv2", 6 * 2), ("cando", 2), ("sl3", 2 * 3)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "check-lemma", tag, *grid)
+        rows = 4 * 4 * blocks
+        assert code == 0 and out.endswith(f"{tag}: {rows}/{rows} pass\n"), tag
+        assert len(calls) <= 2 * blocks, (tag, len(calls))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
+import sigmaperfect.valuations as valuations
 from sigmaperfect.exactint import OperandSizeError, v_exact
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
@@ -481,22 +482,44 @@ def test_trusted_bounds_and_trichotomy_key_match_public_functions():
             bound(p, k, v)
 
 
+def test_exactly_divides_does_not_go_through_the_block_kernel(monkeypatch):
+    # the check_* oracles are the grids' per-row reference, so they must not
+    # share the grids' kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("exactly_divides reached _exact_flags")
+
+    monkeypatch.setattr(valuations, "_exact_flags", refuse)
+    assert exactly_divides(6, 2, 181, 1) and not exactly_divides(6, 1, 181, 1)
+    assert check_tv(13, 3, 2, 1) and check_tv2(11, 3, 2, 1) and check_sl3(2, 3, 1, 3)
+    assert check_cando(3, 6) and check_vs1(5)
+
+
 @given(
-    d=st.integers(2, 40),
     e=st.integers(0, 12),
     base=st.integers(0, 200),
-    exps=st.lists(st.integers(0, 3000), max_size=8),
+    c=st.integers(1, 40),
+    v_max=st.integers(0, 6),
+    beta1_max=st.integers(0, 30),
     bit_cap=st.one_of(st.none(), st.integers(1, 20000)),
 )
-@example(d=2, e=3, base=3, exps=[2, -1, 10**7], bit_cap=None)
-def test_exact_flags_match_exactly_divides_one_by_one(d, e, base, exps, bit_cap):
-    # one modulus for a whole column; the first refused exponent raises
+# a tv block at p = 5, k = 3 under a 170-bit cap: its first refused row
+# (v=1, beta1=11, 66) is not its largest exponent (v=2, beta1=11, 132)
+@example(e=2, base=5, c=3, v_max=2, beta1_max=11, bit_cap=170)
+@example(e=0, base=3, c=10**5, v_max=3, beta1_max=1, bit_cap=None)  # refused at v=3
+@example(e=0, base=3, c=1, v_max=1, beta1_max=1, bit_cap=None)  # 2**3, not 2**1, || 3**2 - 1
+@example(e=2, base=3, c=1, v_max=1, beta1_max=1, bit_cap=None)  # the same row, claiming 2**3
+def test_exact_flags_match_exactly_divides_one_by_one(e, base, c, v_max, beta1_max, bit_cap):
+    # one modulus and one residue chain for a whole block: each v an
+    # arithmetic run of exponents c * 2**v * beta1 over odd beta1, each row
+    # claiming 2**(e + v); the first refused row in row order raises
+    rows = [(e + v, (c << v) * b) for v in range(1, v_max + 1) for b in range(1, beta1_max + 1, 2)]
+
     def outcome(decide):
         try:
             return decide()
         except ValueError as exc:  # OperandSizeError included
             return type(exc), str(exc)
 
-    assert outcome(lambda: _exact_flags(d, e, base, exps, bit_cap)) == outcome(
-        lambda: [exactly_divides(d, e, base, x, bit_cap) for x in exps]
+    assert outcome(lambda: _exact_flags(e, base, c, v_max, beta1_max, bit_cap)) == outcome(
+        lambda: [exactly_divides(2, ev, base, x, bit_cap) for ev, x in rows]
     )
