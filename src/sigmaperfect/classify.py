@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress, groupby, product, repeat
 from math import gcd
 from operator import and_, not_
@@ -66,8 +65,7 @@ __all__ = [
 PRUNE_ORDER = ("parity", "f", "u1", "v3", "trichotomy", "v10")
 
 
-@dataclass(frozen=True)
-class DivisibilityConditions:
+class DivisibilityConditions(NamedTuple):
     """The two conditions whose conjunction is equivalent to n | sigma_k(n).
 
     cond_k1: 2**(alpha-1) divides (p**(beta*k) - 1)/(p**k - 1)
@@ -89,8 +87,7 @@ def derive_conditions(f: SpecialForm, bit_cap: int | None = None) -> Divisibilit
     )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Per-point verdict of classify_point."""
 
     form: SpecialForm
@@ -147,8 +144,7 @@ def classify_point(f: SpecialForm, bit_cap: int | None = None) -> Classification
     )
 
 
-@dataclass(frozen=True)
-class GridStats:
+class GridStats(NamedTuple):
     points_scanned: int
     pruned_points: int
     scenario1_points: int
@@ -171,7 +167,7 @@ def _first_alpha(p: int) -> int:
 
 
 # The exhaustive scan sieves every prime under the p-bound of alpha_max:
-# at 24 that is a 25 MB sieve, and each further alpha doubles it.
+# at 24 that is a 13 MB sieve, and each further alpha doubles it.
 MAX_SCAN_ALPHA = 24
 
 # beta_max, and check-lemma's beta1_max, lambda_max and p1_max, set both how
@@ -569,8 +565,7 @@ def search_mode(k: int, beta_max: int) -> str:
     return "theorem" if k in (3, 5) or beta_max == 2 else "conjecture"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """One exponent's search: the solutions sorted by n, the scan
     statistics, the predicted even perfect set, the mode from search_mode
     and whether the solutions are exactly the predicted set."""
@@ -714,7 +709,7 @@ def equivalence_scan(
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.
     n_limit above 3 * 2**MAX_SCAN_ALPHA is refused before sieving, since
-    its sieve of n_limit // 2 entries would exceed the exhaustive scan's, and
+    its sieve up to n_limit // 2 would exceed the exhaustive scan's, and
     so are a worker count above MAX_WORKERS, an exponent below 1 and a
     repeated exponent, which would be counted twice.
     """

@@ -37,14 +37,15 @@ def primes_upto(n: int) -> list[int]:
     """All primes <= n, by sieve of Eratosthenes."""
     if n < 2:
         return []
-    # Flags for 0..n: the odd numbers from 3 up, and 2; only odd multiples are struck.
-    sieve = (bytearray([0, 1]) * (n // 2 + 1))[: n + 1]
-    sieve[1] = 0
-    sieve[2] = 1
+    # One flag per odd number 2*i + 1 <= n; only odd multiples are struck,
+    # so the odd multiples of p from p*p on sit p indices apart.
+    sieve = bytearray([1]) * ((n + 1) // 2)
+    sieve[0] = 0
     for p in range(3, isqrt(n) + 1, 2):
-        if sieve[p]:
-            sieve[p * p :: 2 * p] = bytes(len(range(p * p, n + 1, 2 * p)))
-    return list(compress(range(n + 1), sieve))
+        if sieve[p >> 1]:
+            start = p * p >> 1
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return [2, *compress(range(1, n + 1, 2), sieve)]
 
 
 _SMALL_PRIMES = tuple(primes_upto(_TRIAL_BOUND))

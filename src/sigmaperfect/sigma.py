@@ -15,8 +15,8 @@ special-form path never factors anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .exactint import checked_pow, geometric_sum
 from .primality import _SMALL_PRIMES, _miller_rabin, is_mersenne_prime_exponent, is_prime
@@ -156,28 +156,36 @@ def sigma_k(n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SpecialForm:
+class _SpecialFormFields(NamedTuple):
+    alpha: int
+    p: int
+    beta: int
+    k: int
+
+
+class SpecialForm(_SpecialFormFields):
     """Parameters (alpha, p, beta, k) for n = 2**(alpha-1) * p**(beta-1).
 
     beta uses the exponent-plus-one convention spelled out in the module
     docstring. k is the (prime) power the divisor sum is taken at.
     """
 
-    alpha: int
-    p: int
-    beta: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.alpha <= 1:
-            raise ValueError(f"alpha must be > 1, got {self.alpha}")
-        if self.beta < 2:
-            raise ValueError(f"beta must be >= 2, got {self.beta}")
-        if self.p < 3 or self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if not is_prime(self.k):
-            raise ValueError(f"k must be prime, got {self.k}")
+    def __new__(cls, alpha: int, p: int, beta: int, k: int) -> SpecialForm:
+        if alpha <= 1:
+            raise ValueError(f"alpha must be > 1, got {alpha}")
+        if beta < 2:
+            raise ValueError(f"beta must be >= 2, got {beta}")
+        if p < 3 or p % 2 == 0 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        if not is_prime(k):
+            raise ValueError(f"k must be prime, got {k}")
+        return super().__new__(cls, alpha, p, beta, k)
+
+    @classmethod
+    def _make(cls, iterable) -> SpecialForm:  # so _replace validates too
+        return cls(*iterable)
 
     def n(self) -> int:
         return (1 << (self.alpha - 1)) * self.p ** (self.beta - 1)

@@ -27,9 +27,9 @@ composite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
 from .exactint import _guard_pow, checked_pow, geometric_sum, v_exact
 from .primality import is_prime
@@ -295,8 +295,7 @@ def _scenarios(
 LEMMA_TAGS = ("vs1", "cando", "appr", "appr2", "tv", "tv2", "sl3", "f", "v10", "u1", "v3", "trichotomy")
 
 
-@dataclass(frozen=True)
-class LemmaGrid:
+class LemmaGrid(NamedTuple):
     """Sampled parameter domain for the lemma oracle suites.
 
     The identities hold universally; these defaults trade coverage for

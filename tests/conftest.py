@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 import sigmaperfect.classify as classify
@@ -15,7 +13,7 @@ def odd_beta_first_condition(monkeypatch):
     def lying(f, bit_cap=None):
         conditions = real(f, bit_cap)
         if f.beta % 2:
-            return replace(conditions, cond_k1_holds=True, cond_k2_holds=False)
+            return conditions._replace(cond_k1_holds=True, cond_k2_holds=False)
         return conditions
 
     monkeypatch.setattr(classify, "derive_conditions", lying)

@@ -3,7 +3,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -120,9 +119,12 @@ def test_search_json_lines_and_round_trip(capsys):
     record = parse_run_record(out)
     assert [r.form.n() for r in record.reports] == [6, 28, 8128]
     assert record.config.alpha_max == 8 and record.config.k == "5"
+    assert type(record.config) is SearchConfig
+    assert all(type(r) is ClassificationReport and type(r.form) is SpecialForm
+               for r in record.reports)
     # re-render/re-parse is stable
     again = parse_run_record(cli.render_json_lines(record, []))
-    assert again == record
+    assert again == record and type(again) is RunRecord
 
 
 def test_search_output_is_deterministic_after_header(capsys):
@@ -329,6 +331,13 @@ def test_search_config_selects_mersenne_exponents_once(tmp_path, monkeypatch, ca
     summaries = [json.loads(l) for l in out.splitlines() if json.loads(l)["record"] == "summary"]
     assert [s["k"] for s in summaries] == ["3", "5", "7"]
     assert calls == [7]
+    # built directly, and once more for a copy with a field replaced
+    config = SearchConfig(k="all-mersenne-upto-13")
+    assert config.exponents() == config.exponents() == [3, 5, 7, 13]
+    assert calls == [7, 13]
+    assert config._replace(workers=2).exponents() == [3, 5, 7, 13] and calls == [7, 13, 13]
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        config._replace(workers=0)
 
 
 def _refuse_scan(*args, **kwargs):
@@ -392,6 +401,42 @@ def test_search_config_round_trip(tmp_path, capsys):
             SearchConfig(**bad_grid)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         SearchConfig(workers=0)
+
+
+def test_record_reprs_match_the_field_listing():
+    form = SpecialForm(3, 7, 2, 5)
+    assert repr(form) == "SpecialForm(alpha=3, p=7, beta=2, k=5)"
+    assert repr(ClassificationReport(form, False, False, False, "parity")) == (
+        "ClassificationReport(form=SpecialForm(alpha=3, p=7, beta=2, k=5), divides=False, "
+        "perfect=False, excluded_perfect=False, pruned_by='parity')"
+    )
+    assert repr(SearchConfig()) == (
+        "SearchConfig(k='5', alpha_max=13, beta_max=16, workers=1, bit_cap=1000000, "
+        "output_path='', format='json-lines')"
+    )
+    assert repr(SearchConfig(k="all-mersenne-upto-13", workers=2, format="csv")) == (
+        "SearchConfig(k='all-mersenne-upto-13', alpha_max=13, beta_max=16, workers=2, "
+        "bit_cap=1000000, output_path='', format='csv')"
+    )
+
+
+def test_record_fields_cannot_be_assigned():
+    form = SpecialForm(3, 7, 2, 5)
+    stats = classify.GridStats(47, 10, 0)
+    records = (
+        form,
+        LemmaGrid(),
+        classify.DivisibilityConditions(True, False),
+        ClassificationReport(form, True, True, False),
+        stats,
+        classify.SearchOutcome(5, [], stats, [6, 28], "theorem", False),
+        SearchConfig(),
+        RunRecord(SearchConfig(), [], "v", "s", "f"),
+    )
+    for record in records:
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 search_configs = st.builds(
@@ -499,7 +544,7 @@ def test_check_lemma_command(capsys):
 
     # one flag per LemmaGrid field, defaulting to the field's default
     args = cli.build_parser().parse_args(["check-lemma", "vs1"])
-    assert LemmaGrid(**{f.name: getattr(args, f.name) for f in fields(LemmaGrid)}) == LemmaGrid()
+    assert LemmaGrid(**{name: getattr(args, name) for name in LemmaGrid._fields}) == LemmaGrid()
     args = cli.build_parser().parse_args(["check-lemma", "vs1", "--k", "3,13", "--p1-max", "7"])
     assert args.k_values == (3, 13) and args.p1_max == 7
 
@@ -768,6 +813,10 @@ def test_check_lemma_refuses_a_repeated_exponent(capsys):
 _ENGINE_POOL_FRACTION_CLOCK = {
     "sigmaperfect.classify", "sigmaperfect.polyrem", "multiprocessing", "fractions", "datetime",
 }
+# The record types are NamedTuples, so no command loads dataclasses (or the
+# inspect it imports), and json is imported only where a run record is written
+# or read.
+_RECORD_TYPES_AND_JSON = {"dataclasses", "inspect", "json"}
 
 
 def _cold_run(*argv: str) -> tuple[int, set[str]]:
@@ -795,11 +844,15 @@ def test_cli_cold_start_leaves_engine_pool_fraction_and_clock_modules_unloaded()
         rc, loaded = _cold_run(*argv)
         assert rc == 0 and "sigmaperfect.cli" in loaded, argv
         assert _ENGINE_POOL_FRACTION_CLOCK & (loaded - preloaded) == set(), argv
-    # the commands that need the engine load it on their first call
-    for argv in (("search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"),
-                 ("check-lemma", "vs1", "--k", "3")):
+        assert _RECORD_TYPES_AND_JSON & (loaded - preloaded) == set(), argv
+    # the commands that need the engine load it on their first call; only
+    # search, which writes a json-lines record, loads json
+    for argv, json_loaded in ((("search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"), True),
+                              (("check-lemma", "vs1", "--k", "3"), False)):
         rc, loaded = _cold_run(*argv)
         assert rc == 0 and "sigmaperfect.classify" in loaded, argv
+        assert {"dataclasses", "inspect"} & (loaded - preloaded) == set(), argv
+        assert ("json" in loaded) if json_loaded else ("json" not in loaded - preloaded), argv
 
 
 def test_classify_reexports_the_one_cross_check_error():

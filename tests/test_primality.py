@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -116,3 +117,29 @@ def test_primes_upto_matches_is_prime_for_every_bound():
         if is_prime(n):
             expected.append(n)
         assert primes_upto(n) == expected, n
+
+
+def trial_primes_upto(n: int) -> list[int]:
+    # independent oracle: each x is tried against the primes found up to isqrt(x)
+    found = []
+    for x in range(2, n + 1):
+        root = isqrt(x)
+        for q in found:
+            if q > root:
+                found.append(x)
+                break
+            if x % q == 0:
+                break
+        else:
+            found.append(x)  # no prime found so far exceeds isqrt(x) or divides x
+    return found
+
+
+def test_odd_only_sieve_matches_trial_division():
+    small = trial_primes_upto(2000)
+    for n in range(-1, 2000):
+        assert primes_upto(n) == small[: bisect_right(small, n)], n
+    # an odd and an even bound next to 3 * 2**14, and the equivalence scan's sieve
+    large = trial_primes_upto(1_500_000)
+    for n in (49_151, 49_152, 1_500_000):
+        assert primes_upto(n) == large[: bisect_right(large, n)], n

@@ -142,15 +142,21 @@ def test_special_form_validation_and_convention():
     f = SpecialForm(alpha=2, p=3, beta=2, k=5)
     assert f.n() == 6  # beta = 2 means a single factor of p
     assert SpecialForm(alpha=4, p=11, beta=4, k=5).n() == 2**3 * 11**3
-    for bad in (
-        dict(alpha=1, p=3, beta=2, k=5),
-        dict(alpha=2, p=3, beta=1, k=5),
-        dict(alpha=2, p=2, beta=2, k=5),
-        dict(alpha=2, p=9, beta=2, k=5),
-        dict(alpha=2, p=3, beta=2, k=4),
+    # a NamedTuple: it unpacks and equals the plain tuple of its fields
+    alpha, p, beta, k = f
+    assert (alpha, p, beta, k) == f == (2, 3, 2, 5)
+    for bad, message in (
+        (dict(alpha=1, p=3, beta=2, k=5), "alpha must be > 1, got 1"),
+        (dict(alpha=2, p=3, beta=1, k=5), "beta must be >= 2, got 1"),
+        (dict(alpha=2, p=2, beta=2, k=5), "p must be an odd prime, got 2"),
+        (dict(alpha=2, p=9, beta=2, k=5), "p must be an odd prime, got 9"),
+        (dict(alpha=2, p=3, beta=2, k=4), "k must be prime, got 4"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as built:
             SpecialForm(**bad)
+        with pytest.raises(ValueError) as replaced:  # a copy is validated the same way
+            f._replace(**bad)
+        assert str(built.value) == str(replaced.value) == message
 
 
 def test_p_bound_witnesses():
