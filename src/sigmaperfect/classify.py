@@ -15,6 +15,7 @@ of assuming it.
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_right
 from itertools import compress, groupby, product, repeat
 from math import gcd
@@ -155,8 +156,9 @@ def _require_search_k(k: int) -> None:
         raise ValueError(f"k must be a prime > 2 with 2**k - 1 prime, got {k}")
 
 
-def _p_bound_primes(alpha: int) -> list[int]:
-    """The odd primes p < 3 * 2**(alpha-1) - 1, for alpha >= 2."""
+def _p_bound_primes(alpha: int) -> array:
+    """The odd primes p < 3 * 2**(alpha-1) - 1, for alpha >= 2, in
+    primes_upto's packed array."""
     return primes_upto(3 * (1 << (alpha - 1)) - 2)[1:]
 
 
@@ -166,8 +168,12 @@ def _first_alpha(p: int) -> int:
     return ((p + 1) // 3).bit_length() + 1
 
 
-# The exhaustive scan sieves every prime under the p-bound of alpha_max:
-# at 24 that is a 13 MB sieve, and each further alpha doubles it.
+# The exhaustive scan sieves every prime under the p-bound of alpha_max, and
+# each further alpha doubles the sieve and the table. At 24 the odd-only sieve
+# takes 12.6 MB and primes_upto's packed table of 1,575,660 odd primes 6.3 MB:
+# search --k 5 --alpha-max 24 --beta-max 2 peaks at 39 MiB RSS, and
+# equivalence_scan(3 << 24), whose sieve is as large, at 38 MiB (93 and 92
+# MiB when the table was a list of ints; 2-vCPU x86-64 VM).
 MAX_SCAN_ALPHA = 24
 
 # beta_max, and check-lemma's beta1_max, lambda_max and p1_max, set both how
@@ -185,11 +191,15 @@ MAX_WORKERS = 64
 _ROW_WORK = "no operand cap bounds the work it adds to every row"
 
 # Grid parameter or worker count -> (its limit, why the limit is there at a
-# given value). Each sieve limit keeps its sieve near the exhaustive scan's.
+# given value). Each sieve limit keeps its sieve near the exhaustive scan's;
+# a sieve's reason names the largest number it would cover.
 _GRID_LIMITS = {
-    "alpha_max": (MAX_SCAN_ALPHA, lambda a: f"its p-bound sieve would hold {3 << (a - 1)} entries"),
-    "n_limit": (3 << MAX_SCAN_ALPHA, lambda n: f"its sieve would hold {n >> 1} entries"),
-    "p_max": (3 << MAX_SCAN_ALPHA, lambda p: f"its sieve would hold {p} entries"),
+    "alpha_max": (
+        MAX_SCAN_ALPHA,
+        lambda a: f"its p-bound sieve would cover the numbers up to {3 * (1 << (a - 1)) - 2}",
+    ),
+    "n_limit": (3 << MAX_SCAN_ALPHA, lambda n: f"its sieve would cover the numbers up to {n >> 1}"),
+    "p_max": (3 << MAX_SCAN_ALPHA, lambda p: f"its sieve would cover the numbers up to {p - 1}"),
     "beta_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
     "beta1_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
     "lambda_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
@@ -363,7 +373,7 @@ def _verdict_row(k: int, beta: int, key: tuple) -> str | None:
 
 
 def _prime_verdicts(
-    k: int, beta_max: int, primes: list[int]
+    k: int, beta_max: int, primes: Sequence[int]
 ) -> list[tuple[list[str | None], int]]:
     """For each of a task's ascending primes, the verdicts of its rows beta =
     2 .. beta_max and how many of them prune, taken once per key (see
@@ -446,7 +456,7 @@ def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[boo
     return divides
 
 
-def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
+def _scan_rows(task: tuple[int, int, int, list[int], Sequence[int]]):
     """Scan one prime range as one batch: each prime's rows beta = 2 ..
     beta_max, over every alpha whose p-bound admits p, in one block per first
     alpha, through all three routes with verdicts from _prime_verdicts."""
@@ -475,12 +485,14 @@ def _scan_rows(task: tuple[int, int, int, list[int], list[int]]):
     return solutions, len(divides), pruned, scenario1
 
 
-def _prime_ranges(primes: list[int], runs: Iterable[tuple[int, int]]) -> list[list[int]]:
+def _prime_ranges(
+    primes: Sequence[int], runs: Iterable[tuple[int, int]]
+) -> list[Sequence[int]]:
     """Split the ascending primes into contiguous ranges, given their points
     as runs (n, w), the next n primes w >= 1 points each, cut arithmetically:
     a range ends before the prime that would take it past _BATCH_POINTS, so
     none holds more unless one prime alone does."""
-    ranges: list[list[int]] = []
+    ranges: list[Sequence[int]] = []
     start = i = acc = 0
     for n, w in runs:
         end = i + n
@@ -653,7 +665,7 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
 
 
 def _equivalence_slices(
-    n_limit: int, primes: list[int], lo: int = 0
+    n_limit: int, primes: Sequence[int], lo: int = 0
 ) -> Iterator[tuple[int, int, int, int]]:
     """(beta, i, j, top) for each slice primes[i:j] of primes[lo:] whose rows at
     beta = 2, 3, ... share top = bit_length(n_limit // p**(beta-1)). As p grows,
@@ -669,7 +681,7 @@ def _equivalence_slices(
         beta += 1
 
 
-def _form_runs(n_limit: int, primes: list[int]) -> Iterator[tuple[int, int]]:
+def _form_runs(n_limit: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
     """The points of _equivalence_rows' primes as _prime_ranges runs, a slice
     of top t holding t - 1 points a prime: one run per prime with several
     rows (p**2 <= n_limit // 2), then one per top slice of the rest."""
@@ -682,13 +694,15 @@ def _form_runs(n_limit: int, primes: list[int]) -> Iterator[tuple[int, int]]:
         yield j - i, top - 1
 
 
-def _equivalence_rows(task: tuple[int, int, list[int], list[int]]) -> int:
+def _equivalence_rows(task: tuple[int, int, list[int], array]) -> int:
     """Check one prime range as one batch; return the number of points. A
     prime's rows are beta = 2, 3, ... with p**(beta-1) <= n_limit // 2, over
     alpha = 2 .. top = bit_length(n_limit // p**(beta-1)): exactly the forms
     with n <= n_limit. No pruners, no p-bound. Each slice of
     _equivalence_slices is one block."""
-    k, n_limit, two_parts, primes = task
+    k, n_limit, two_parts, packed = task
+    # ints made once, in C: the row builder walks each block's primes several times
+    primes = packed.tolist()
     blocks = [
         _block(k, range(2, top + 1), primes[i:j], range(beta, beta + 1))
         for beta, i, j, top in _equivalence_slices(n_limit, primes)
@@ -830,8 +844,10 @@ def _v10_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
     for f in lemma41_candidates():
         flags = _check_rows(5, range(f.alpha, f.alpha + 1), [f.p], range(4, 5), g.bit_cap)
         yield f"candidate alpha={f.alpha} p={f.p}", not flags[0]
+    # one sieve at alpha_max; each alpha's p-bound primes are a prefix
+    residue3 = [p for p in _p_bound_primes(g.alpha_max) if p % 4 == 3]
     for alpha in range(2, g.alpha_max + 1):
-        ps = [p for p in _p_bound_primes(alpha) if p % 4 == 3]
+        ps = residue3[: bisect_right(residue3, 3 * (1 << (alpha - 1)) - 2)]
         flags = _check_rows(5, range(alpha, alpha + 1), ps, range(4, 5), g.bit_cap)
         yield from zip([f"alpha={alpha} p={p}" for p in ps], map(not_, flags))
 

@@ -9,6 +9,7 @@ are refused rather than answered probabilistically.
 
 from __future__ import annotations
 
+from array import array
 from itertools import compress
 from math import isqrt
 
@@ -33,10 +34,12 @@ _U64 = 1 << 64
 MAX_MERSENNE_BOUND = 1279
 
 
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, by sieve of Eratosthenes."""
+def primes_upto(n: int) -> array:
+    """All primes <= n, by sieve of Eratosthenes, ascending in a packed
+    array: 4-byte items ('I') below 2**32, 8-byte ('Q') from there on."""
+    out = array("I" if n < 1 << 32 else "Q")
     if n < 2:
-        return []
+        return out
     # One flag per odd number 2*i + 1 <= n; only odd multiples are struck,
     # so the odd multiples of p from p*p on sit p indices apart.
     sieve = bytearray([1]) * ((n + 1) // 2)
@@ -45,7 +48,9 @@ def primes_upto(n: int) -> list[int]:
         if sieve[p >> 1]:
             start = p * p >> 1
             sieve[start::p] = bytes(len(range(start, len(sieve), p)))
-    return [2, *compress(range(1, n + 1, 2), sieve)]
+    out.append(2)
+    out.extend(compress(range(1, n + 1, 2), sieve))
+    return out
 
 
 _SMALL_PRIMES = tuple(primes_upto(_TRIAL_BOUND))

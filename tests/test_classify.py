@@ -1,8 +1,10 @@
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -482,11 +484,39 @@ def _task_ranges(scan, *args):
     return [task[-1] for task in tasks]
 
 
+def test_scan_tasks_carry_packed_prime_arrays():
+    for scan, args in ((scan_special_forms, (5, 15, 16)), (equivalence_scan, (10**5, (3, 5)))):
+        ranges = _task_ranges(scan, *args)
+        assert len(ranges) > 1
+        for primes in ranges:
+            assert isinstance(primes, array) and primes.itemsize == 4
+            # a pooled task sends its primes as raw bytes, 4 a prime
+            assert len(pickle.dumps(primes)) < 4 * len(primes) + 100
+
+
+def test_scans_and_the_v10_grid_sieve_once(monkeypatch):
+    bounds = []
+
+    def counting(n, _real=classify.primes_upto):
+        bounds.append(n)
+        return _real(n)
+
+    monkeypatch.setattr(classify, "primes_upto", counting)
+    for run in (
+        lambda: run_lemma_grid("v10", LemmaGrid(alpha_max=13)),
+        lambda: search(5, 13, 4),
+        lambda: equivalence_scan(10**5),
+    ):
+        bounds.clear()
+        run()
+        assert len(bounds) == 1, bounds
+
+
 def _assert_split(ranges, primes, points_of):
     """ranges partition primes in order; each holds at most _BATCH_POINTS
     points unless it is one prime, so none passes the cap by more than one
     prime's points; and each ends only where the next prime would pass it."""
-    assert [p for r in ranges for p in r] == primes
+    assert [p for r in ranges for p in r] == list(primes)
     cap = classify._BATCH_POINTS
     points = [sum(points_of[p] for p in r) for r in ranges]
     assert all(n <= cap or len(r) == 1 for r, n in zip(ranges, points))
@@ -776,7 +806,7 @@ _LATER_PRIME_SCANS = {
 
 def test_later_prime_scans_put_p7_mid_batch():
     first = _task_ranges(scan_special_forms, 5, 13, 6)[0]
-    assert first[:3] == [3, 5, 7] and len(first) > 3
+    assert list(first[:3]) == [3, 5, 7] and len(first) > 3
     # equivalence_scan(1000) is one task over every prime up to 500
     assert _task_ranges(equivalence_scan, 1000, (5,)) == [primes_upto(500)[1:]]
 

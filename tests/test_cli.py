@@ -608,6 +608,30 @@ def test_check_lemma_refuses_oversized_grid_before_sieving(monkeypatch, capsys):
         assert f"limit of {3 << classify.MAX_SCAN_ALPHA}" in err
 
 
+def test_sieve_refusals_name_the_largest_number_covered(monkeypatch, capsys):
+    monkeypatch.setattr(classify, "primes_upto", _refuse("primes_upto"))
+    limit = classify.MAX_SCAN_ALPHA
+    code, _, err = run_cli(capsys, "search", "--k", "5", "--alpha-max", str(limit + 1))
+    assert code == 2
+    assert err == (
+        f"error: alpha_max={limit + 1} exceeds the exhaustive scan's limit of {limit}: "
+        f"its p-bound sieve would cover the numbers up to {3 * (1 << limit) - 2}\n"
+    )
+    n = (3 << limit) + 1
+    code, _, err = run_cli(capsys, "check-lemma", "tv", "--p-max", str(n))
+    assert code == 2
+    assert err == (
+        f"error: p_max={n} exceeds the lemma grid's limit of {n - 1}: "
+        f"its sieve would cover the numbers up to {n - 1}\n"
+    )
+    with pytest.raises(ValueError) as exc:
+        classify.equivalence_scan(n)
+    assert str(exc.value) == (
+        f"n_limit={n} exceeds the equivalence scan's limit of {n - 1}: "
+        f"its sieve would cover the numbers up to {n >> 1}"
+    )
+
+
 def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
     at_limit = str(classify.MAX_SCAN_BETA)
     code, _, _ = run_cli(capsys, "check-lemma", "f", "--k", "3", "--alpha-max", "2",

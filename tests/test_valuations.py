@@ -62,7 +62,7 @@ def test_p_split_residue_classes():
         ),
     }
     composites = [9, 21, 25, 45]
-    for p in primes_upto(500)[1:] + composites:
+    for p in list(primes_upto(500)[1:]) + composites:
         for r, checks in by_class.items():
             for check in checks:
                 if p % 4 == r and p not in composites:
