@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_right
-from itertools import compress, groupby, product, repeat
+from bisect import bisect_left, bisect_right
+from itertools import compress, product, repeat
 from math import gcd
 from operator import and_, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exactint import CrossCheckError, _guard_pow, checked_pow, geometric_sum
+from .exactint import CrossCheckError, OperandSizeError, _guard_pow, checked_pow, geometric_sum
 from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
@@ -162,12 +162,6 @@ def _p_bound_primes(alpha: int) -> array:
     return primes_upto(3 * (1 << (alpha - 1)) - 2)[1:]
 
 
-def _first_alpha(p: int) -> int:
-    """The least alpha >= 2 whose p-bound admits the odd prime p, i.e. the
-    least alpha with 3 * 2**(alpha-1) > p + 1."""
-    return ((p + 1) // 3).bit_length() + 1
-
-
 # The exhaustive scan sieves every prime under the p-bound of alpha_max, and
 # each further alpha doubles the sieve and the table. At 24 the odd-only sieve
 # takes 12.6 MB and primes_upto's packed table of 1,575,660 odd primes 6.3 MB:
@@ -184,8 +178,8 @@ MAX_SCAN_ALPHA = 24
 # (322,560 rows) 0.5-0.6 s and 113 MiB on a 2-vCPU x86-64 VM.
 MAX_SCAN_BETA = 64
 
-# _pool_map's pool forks all its workers as it starts, however few tasks it
-# gets, so the worker count alone sets how many processes a run forks at once.
+# _pool_map's pool forks min(workers, tasks) processes as it starts, so on a
+# grid of many tasks the worker count sets how many processes a run forks at once.
 MAX_WORKERS = 64
 
 _ROW_WORK = "no operand cap bounds the work it adds to every row"
@@ -227,7 +221,7 @@ def _refuse_repeated(ks: Sequence[int], where: str) -> None:
         raise ValueError(f"exponent k={repeated[0]} is repeated in {where}")
 
 
-# The most points a task holds in either scan (_prime_ranges); a task is one
+# The most points a task holds (_split); a task is one
 # kernel batch, all its rows held at once. On a 2-vCPU x86-64 VM, caps from
 # 1,024 to 8,192 moved neither scan's time past the host's noise, while
 # search --k 5 --alpha-max 15 --beta-max 16 peaked at 17.2, 17.7, 18.1 and
@@ -238,8 +232,8 @@ _BATCH_POINTS = 2_560
 
 
 def _pool_map(fn, tasks, workers):
-    """fn over tasks, in order; in-process at workers=1, else on a forked
-    pool handing out one task at a time.
+    """fn over tasks, in order: in-process for one worker or one task, else
+    on a pool of min(workers, len(tasks)) forked processes, a task at a time.
 
     A forked pool starts no helper process (a spawned one starts a
     resource tracker that lives until the interpreter exits), and leaving
@@ -248,7 +242,8 @@ def _pool_map(fn, tasks, workers):
     the fork is flushed first, so that no worker can write it a second
     time.
     """
-    if workers == 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [fn(t) for t in tasks]
     import multiprocessing  # only a pooled scan needs it
 
@@ -284,6 +279,7 @@ def _block(k: int, alphas: range, ps: Sequence[int], betas: range) -> _Block:
     """Every prime of ps at every beta of betas, over alphas, beta-major:
     each prime at betas[0], then at betas[1], ... Each column is stepped
     from beta = 2 by Horner's rule, one comprehension per beta."""
+    ps = list(ps)  # ints made once, in C: the columns walk the primes several times
     s, e = alphas[-1] - 1, betas[-1] - 1
     qs = [p**k for p in ps]
     m1s = [q - 1 for q in qs]
@@ -301,20 +297,7 @@ def _block(k: int, alphas: range, ps: Sequence[int], betas: range) -> _Block:
         if beta >= betas[0]:
             for column, values in zip(columns, ([beta] * len(ps), parts, powers, xs)):
                 column += values
-    return _Block(alphas, list(ps) * len(betas), *columns[:3], m1s * len(betas), columns[3])
-
-
-def _check_rows(
-    k: int, alphas: range, ps: Sequence[int], betas: range, bit_cap: int | None
-) -> list[bool]:
-    """_check_block's flags on _block(k, alphas, ps, betas), after refusing the first point in
-    flag order whose unreduced operands pass the cap: p**k, (p**k)**beta, then (2**k)**alpha."""
-    for alpha, beta, p in product(alphas, betas, ps):
-        _guard_pow(p, k, bit_cap)
-        _guard_pow(p**k, beta, bit_cap)
-        _guard_pow(1 << k, alpha, bit_cap)
-    two_parts = [0] * alphas[0] + [geometric_sum(1 << k, a) for a in alphas]
-    return _check_block(k, two_parts, [_block(k, alphas, ps, betas)])
+    return _Block(alphas, ps * len(betas), *columns[:3], m1s * len(betas), columns[3])
 
 
 def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
@@ -456,22 +439,90 @@ def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[boo
     return divides
 
 
-def _scan_rows(task: tuple[int, int, int, list[int], Sequence[int]]):
-    """Scan one prime range as one batch: each prime's rows beta = 2 ..
-    beta_max, over every alpha whose p-bound admits p, in one block per first
-    alpha, through all three routes with verdicts from _prime_verdicts."""
-    k, alpha_max, beta_max, two_parts, primes = task
-    pruned = scenario1 = 0
-    betas = range(2, beta_max + 1)
+# A block spec, the one unit of kernel work: _block's arguments (alphas, ps,
+# betas). Until _split slices the prime table, ps is a range of indices into it.
+_Spec = tuple[range, Sequence[int], range]
+
+
+def _guard(k: int, table: Sequence[int], specs: Iterable[_Spec], bit_cap: int | None) -> None:
+    """Refuse the first point of specs, in flag order, whose unreduced
+    operands pass the cap: p**k, (p**k)**beta, then (2**k)**alpha, as
+    derive_conditions builds them. Each check is monotone in alpha, p and
+    beta, so only a spec whose corner is refused has its (alpha, beta)
+    pairs tried at its largest prime, and only a refused pair its primes."""
+
+    def point(alpha: int, p: int, beta: int) -> None:
+        _guard_pow(p, k, bit_cap)
+        _guard_pow(p**k, beta, bit_cap)
+        _guard_pow(1 << k, alpha, bit_cap)
+
+    for alphas, ps, betas in specs:
+        top = table[ps[-1]]
+        try:
+            point(alphas[-1], top, betas[-1])
+        except OperandSizeError:
+            for alpha, beta in product(alphas, betas):
+                try:
+                    point(alpha, top, beta)
+                except OperandSizeError:
+                    for i in ps:
+                        point(alpha, table[i], beta)
+
+
+def _split(table: Sequence[int], specs: Iterable[_Spec]) -> list[list[_Spec]]:
+    """Cut the ordered specs into tasks of at most _BATCH_POINTS points, a
+    prime holding len(alphas) * len(betas). A task ends before the prime that
+    would pass the cap, so only one prime's rows of one spec can pass it. A
+    task's specs hold slices of the table, the only copy of it made."""
+    tasks, task, acc = [], [], 0
+    for alphas, ps, betas in specs:
+        w = len(alphas) * len(betas)
+        i = ps.start
+        while i < ps.stop:
+            if acc and acc + w > _BATCH_POINTS:
+                tasks.append(task)
+                task, acc = [], 0
+            n = min(ps.stop - i, max(1, (_BATCH_POINTS - acc) // w))  # one, if acc is 0
+            task.append((alphas, table[i : i + n], betas))
+            i, acc = i + n, acc + n * w
+    return tasks + [task] if task else tasks
+
+
+def _check_task(task: tuple[int, list[int], list[_Spec]]) -> tuple[list[_Block], list[bool]]:
+    """The kernel runner: one block per spec of a task, checked as one batch
+    by _check_block; return the blocks and their divides flags."""
+    k, two_parts, specs = task
+    blocks = [_block(k, *spec) for spec in specs]
+    return blocks, _check_block(k, two_parts, blocks)
+
+
+def _task_points(task: tuple[int, list[int], list[_Spec]]) -> int:
+    return len(_check_task(task)[1])  # a count: the caller keeps every task's result
+
+
+def _check_rows(
+    k: int, alphas: range, ps: Sequence[int], betas: range, bit_cap: int | None
+) -> list[bool]:
+    """The divides flags of ps at betas over alphas, one spec refused by
+    _guard, cut by _split and run task by task. Callers pass one alpha or
+    one prime, so the flags run in (alpha, beta, p) order as one block's."""
+    specs = [(alphas, range(len(ps)), betas)]
+    _guard(k, ps, specs, bit_cap)
+    two_parts = [0] * alphas[0] + [geometric_sum(1 << k, a) for a in alphas]
+    return [d for task in _split(ps, specs) for d in _check_task((k, two_parts, task))[1]]
+
+
+def _scan_rows(task: tuple[int, list[int], list[_Spec]]):
+    """Run one scan task (see _check_task) and add the pruners: its primes
+    ascend, so _prime_verdicts gives every row its verdict, counted over
+    the row's alphas, and each solution is checked against its row's."""
+    k, _, specs = task
+    blocks, divides = _check_task(task)
+    beta_max = specs[0][2][-1]
+    primes = [p for _, ps, _ in specs for p in ps]
     verdicts_of = dict(zip(primes, _prime_verdicts(k, beta_max, primes)))
-    blocks: list[_Block] = []
-    for first, group in groupby(primes, _first_alpha):  # ascending primes, so groups are whole
-        ps = list(group)
-        width = alpha_max - first + 1
-        blocks.append(_block(k, range(first, alpha_max + 1), ps, betas))
-        pruned += width * sum(verdicts_of[p][1] for p in ps)
-        scenario1 += width * (beta_max // 2) * (k in ps and k % 4 == 3)
-    divides = _check_block(k, two_parts, blocks)
+    pruned = sum(len(alphas) * verdicts_of[p][1] for alphas, ps, _ in specs for p in ps)
+    scenario1 = (beta_max // 2) * sum(len(a) for a, ps, _ in specs if k in ps and k % 4 == 3)
     excluded = (1 << (k - 1)) * ((1 << k) - 1)
     solutions: list[ClassificationReport] = []
     if True in divides:  # most batches hold no solution, and their points need no second pass
@@ -483,27 +534,6 @@ def _scan_rows(task: tuple[int, int, int, list[int], Sequence[int]]):
             n = f.n()
             solutions.append(ClassificationReport(f, True, is_even_perfect(n), n == excluded))
     return solutions, len(divides), pruned, scenario1
-
-
-def _prime_ranges(
-    primes: Sequence[int], runs: Iterable[tuple[int, int]]
-) -> list[Sequence[int]]:
-    """Split the ascending primes into contiguous ranges, given their points
-    as runs (n, w), the next n primes w >= 1 points each, cut arithmetically:
-    a range ends before the prime that would take it past _BATCH_POINTS, so
-    none holds more unless one prime alone does."""
-    ranges: list[Sequence[int]] = []
-    start = i = acc = 0
-    for n, w in runs:
-        end = i + n
-        while i < end:
-            if acc and acc + w > _BATCH_POINTS:
-                ranges.append(primes[start:i])
-                start, acc = i, 0
-            fit = min(end - i, max(1, (_BATCH_POINTS - acc) // w))  # one, if acc is 0
-            i, acc = i + fit, acc + fit * w
-    ranges.append(primes[start:])
-    return ranges
 
 
 def scan_special_forms(
@@ -519,38 +549,32 @@ def scan_special_forms(
 
     Every point is checked along the direct route, the two conditions and
     the pruners, with the same cross-checks as classify_point, the tested
-    reference. Each task, a prime range of _prime_ranges, is one _scan_rows
-    batch. The operand cap is checked up front on the grid's largest
-    operands: the checks are monotone in alpha, p and beta, so this refuses
-    exactly when some point would. The split ignores the worker count and
-    the merge is a sort, so worker count never changes the result.
+    reference. The grid is one spec per least alpha, the primes its p-bound
+    first admits; _guard refuses a point past the operand cap before any
+    kernel work, and each task of _split is one _scan_rows batch. The split
+    ignores the worker count and the merge is a sort, so worker count never
+    changes the result.
     """
     _require_search_k(k)
     if alpha_max < 2 or beta_max < 2:
         raise ValueError("alpha_max and beta_max must be >= 2")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _refuse_oversized(
-        "exhaustive scan", alpha_max=alpha_max, beta_max=beta_max, workers=workers
-    )
+    _refuse_oversized("exhaustive scan", alpha_max=alpha_max, beta_max=beta_max, workers=workers)
     primes = _p_bound_primes(alpha_max)
-    two_parts = [0, 0] + [geometric_sum(1 << k, a, bit_cap) for a in range(2, alpha_max + 1)]
-    # The widest p-part, built as classify_point would; the kernel builds
-    # the others with unchecked arithmetic.
-    geometric_sum(checked_pow(primes[-1], k, bit_cap), beta_max, bit_cap)
-    runs = (
-        (sum(1 for _ in group), (beta_max - 1) * (alpha_max - first + 1))
-        for first, group in groupby(primes, _first_alpha)
-    )
-    tasks = [(k, alpha_max, beta_max, two_parts, chunk) for chunk in _prime_ranges(primes, runs)]
+    # cuts[i]: how many primes the p-bound of alpha = i + 1 admits
+    cuts = [bisect_left(primes, 3 * (1 << (a - 1)) - 1) for a in range(1, alpha_max + 1)]
+    betas = range(2, beta_max + 1)
+    specs = [
+        (range(a, alpha_max + 1), range(i, j), betas)
+        for a, i, j in zip(range(2, alpha_max + 1), cuts, cuts[1:])
+    ]
+    _guard(k, primes, specs, bit_cap)
+    two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in range(2, alpha_max + 1)]
+    tasks = [(k, two_parts, task) for task in _split(primes, specs)]
     chunks = _pool_map(_scan_rows, tasks, workers)
     reports = sorted((r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n())
-    stats = GridStats(
-        points_scanned=sum(c[1] for c in chunks),
-        pruned_points=sum(c[2] for c in chunks),
-        scenario1_points=sum(c[3] for c in chunks),
-    )
-    return reports, stats
+    return reports, GridStats(*(sum(c[i] for c in chunks) for i in (1, 2, 3)))
 
 
 def expected_even_perfect(k: int, alpha_max: int) -> list[int]:
@@ -664,50 +688,19 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _equivalence_slices(
-    n_limit: int, primes: Sequence[int], lo: int = 0
-) -> Iterator[tuple[int, int, int, int]]:
-    """(beta, i, j, top) for each slice primes[i:j] of primes[lo:] whose rows at
-    beta = 2, 3, ... share top = bit_length(n_limit // p**(beta-1)). As p grows,
-    so does p**(beta-1): the primes with p**(beta-1) <= n_limit >> (top-1) are a prefix."""
+def _equivalence_specs(n_limit: int, primes: Sequence[int]) -> Iterator[_Spec]:
+    """One spec per slice primes[i:j] whose rows at beta = 2, 3, ... share
+    top = bit_length(n_limit // p**(beta-1)), over alpha = 2 .. top. As p grows, so
+    does p**(beta-1): the primes with p**(beta-1) <= n_limit >> (top-1) are a prefix."""
     beta = 2
-    while (end := bisect_right(primes, n_limit >> 1, lo, key=lambda p: p ** (beta - 1))) > lo:
-        i = lo
+    while end := bisect_right(primes, n_limit >> 1, key=lambda p: p ** (beta - 1)):
+        i = 0
         while i < end:
             top = (n_limit // primes[i] ** (beta - 1)).bit_length()
             j = bisect_right(primes, n_limit >> (top - 1), i, end, key=lambda p: p ** (beta - 1))
-            yield beta, i, j, top
+            yield range(2, top + 1), range(i, j), range(beta, beta + 1)
             i = j
         beta += 1
-
-
-def _form_runs(n_limit: int, primes: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """The points of _equivalence_rows' primes as _prime_ranges runs, a slice
-    of top t holding t - 1 points a prime: one run per prime with several
-    rows (p**2 <= n_limit // 2), then one per top slice of the rest."""
-    several = bisect_right(primes, n_limit >> 1, key=lambda p: p * p)
-    counts = [0] * several
-    for _, i, j, top in _equivalence_slices(n_limit, primes[:several]):
-        counts[i:j] = [c + top - 1 for c in counts[i:j]]
-    yield from ((1, c) for c in counts)
-    for _, i, j, top in _equivalence_slices(n_limit, primes, several):
-        yield j - i, top - 1
-
-
-def _equivalence_rows(task: tuple[int, int, list[int], array]) -> int:
-    """Check one prime range as one batch; return the number of points. A
-    prime's rows are beta = 2, 3, ... with p**(beta-1) <= n_limit // 2, over
-    alpha = 2 .. top = bit_length(n_limit // p**(beta-1)): exactly the forms
-    with n <= n_limit. No pruners, no p-bound. Each slice of
-    _equivalence_slices is one block."""
-    k, n_limit, two_parts, packed = task
-    # ints made once, in C: the row builder walks each block's primes several times
-    primes = packed.tolist()
-    blocks = [
-        _block(k, range(2, top + 1), primes[i:j], range(beta, beta + 1))
-        for beta, i, j, top in _equivalence_slices(n_limit, primes)
-    ]
-    return len(_check_block(k, two_parts, blocks))
 
 
 def equivalence_scan(
@@ -715,10 +708,12 @@ def equivalence_scan(
 ) -> int:
     """Check n | sigma_k(n) against the pair of derived conditions on every
     special form with n <= n_limit, once per exponent in ks, on the search's
-    batch kernel, one call per prime range of _prime_ranges, without
-    pruners. derive_conditions and divides_sigma are its tested reference.
-    Returns the number of (form, k) pairs checked; raises CrossCheckError on
-    any disagreement.
+    batch kernel without pruners. derive_conditions and divides_sigma are
+    its tested reference. Returns the number of (form, k) pairs checked;
+    raises CrossCheckError on any disagreement. The specs of
+    _equivalence_specs and their split are made once, for every exponent,
+    and _guard refuses a point past the default operand cap before any
+    kernel work.
 
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.
@@ -737,13 +732,14 @@ def equivalence_scan(
         raise ValueError(f"workers must be >= 1, got {workers}")
     _refuse_oversized("equivalence scan", n_limit=n_limit, workers=workers)
     primes = primes_upto(n_limit >> 1)[1:]
-    ranges = _prime_ranges(primes, _form_runs(n_limit, primes))
-    alphas = range(2, (n_limit // 3).bit_length() + 1)
+    specs = list(_equivalence_specs(n_limit, primes))
+    split = _split(primes, specs)
     tasks = []
     for k in ks:
-        two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in alphas]
-        tasks += [(k, n_limit, two_parts, chunk) for chunk in ranges]
-    return sum(_pool_map(_equivalence_rows, tasks, workers))
+        _guard(k, primes, specs, None)
+        two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in specs[0][0]]  # p = 3's alphas
+        tasks += [(k, two_parts, task) for task in split]
+    return sum(_pool_map(_task_points, tasks, workers))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 import json
+import multiprocessing
 import os
 import pickle
 import random
 import subprocess
 import sys
 from array import array
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -288,14 +288,33 @@ except ChildProcessError:
 
 
 def test_output_before_a_pooled_search_is_written_once():
+    # two tasks, so that two workers fork a pool
     code = """
 from sigmaperfect.cli import main
 print("before the search")
-main(["search", "--k", "5", "--alpha-max", "7", "--beta-max", "6", "--workers", "2"])
+main(["search", "--k", "5", "--alpha-max", "10", "--beta-max", "6", "--workers", "2"])
 """
     lines = _run_python(code).splitlines()
     assert lines.count("before the search") == 1
     assert json.loads(lines[-1])["record"] == "summary"
+
+
+def test_pool_forks_no_more_workers_than_tasks(monkeypatch):
+    context = multiprocessing.get_context("fork")
+    sizes = []
+
+    def recording(processes, _real=context.Pool):
+        sizes.append(processes)
+        return _real(processes)
+
+    monkeypatch.setattr(context, "Pool", recording)
+    # one task each, so they run in-process
+    assert scan_special_forms(5, 3, 2, workers=64) == scan_special_forms(5, 3, 2)
+    assert equivalence_scan(1000, (5,), workers=64) == equivalence_scan(1000, (5,))
+    assert sizes == []
+    # one task per exponent
+    assert equivalence_scan(1000, (3, 5, 7), workers=64) == equivalence_scan(1000, (3, 5, 7))
+    assert sizes == [3]
 
 
 def test_classify_point_cross_check_trips_on_bad_oracle(monkeypatch):
@@ -411,7 +430,8 @@ def test_explore_conjecture_small_grids():
         assert [r.form.n() for r in outcome.reports] == expected_even_perfect(k, alpha_max)
 
 
-def test_worker_count_does_not_change_results():
+def test_worker_count_does_not_change_results(monkeypatch):
+    monkeypatch.setattr(classify, "_BATCH_POINTS", 100)  # five tasks, not one
     solo, stats_solo = scan_special_forms(5, 7, beta_max=6, workers=1)
     def dump(reports):
         return json.dumps(
@@ -469,9 +489,9 @@ def test_scan_matches_classify_point_reference(k, alpha_max, beta_max, batch_poi
     assert scanned == reference_scan(k, alpha_max, beta_max)
 
 
-def _task_ranges(scan, *args):
-    """The prime range of every task a scan hands its pool, taken without
-    running any of them."""
+def _task_specs(scan, *args):
+    """The block specs (alphas, primes, betas) of every task a scan hands
+    its pool, taken without running any of them."""
     tasks = []
 
     def capture(fn, scan_tasks, workers):
@@ -486,12 +506,14 @@ def _task_ranges(scan, *args):
 
 def test_scan_tasks_carry_packed_prime_arrays():
     for scan, args in ((scan_special_forms, (5, 15, 16)), (equivalence_scan, (10**5, (3, 5)))):
-        ranges = _task_ranges(scan, *args)
-        assert len(ranges) > 1
-        for primes in ranges:
-            assert isinstance(primes, array) and primes.itemsize == 4
-            # a pooled task sends its primes as raw bytes, 4 a prime
-            assert len(pickle.dumps(primes)) < 4 * len(primes) + 100
+        tasks = _task_specs(scan, *args)
+        assert len(tasks) > 1
+        for specs in tasks:
+            assert all(isinstance(ps, array) and ps.itemsize == 4 for _, ps, _ in specs)
+            # a pooled task sends its primes as raw bytes, 4 a prime, and
+            # each block spec its two ranges and the array's header
+            primes = sum(len(ps) for _, ps, _ in specs)
+            assert len(pickle.dumps(specs)) < 4 * primes + 100 * len(specs) + 100
 
 
 def test_scans_and_the_v10_grid_sieve_once(monkeypatch):
@@ -512,81 +534,116 @@ def test_scans_and_the_v10_grid_sieve_once(monkeypatch):
         assert len(bounds) == 1, bounds
 
 
-def _assert_split(ranges, primes, points_of):
-    """ranges partition primes in order; each holds at most _BATCH_POINTS
-    points unless it is one prime, so none passes the cap by more than one
-    prime's points; and each ends only where the next prime would pass it."""
-    assert [p for r in ranges for p in r] == list(primes)
+def _search_grid_rows(alpha_max, beta_max):
+    """The rows (alphas, p, betas) of the search grid in flag order: the
+    primes ascending, each over the alphas whose p-bound admits it."""
+    alphas_of = {}
+    for alpha, p, _ in _grid(alpha_max, 2):
+        alphas_of.setdefault(p, []).append(alpha)
+    betas = range(2, beta_max + 1)
+    return [(range(a[0], a[-1] + 1), p, betas) for p, a in sorted(alphas_of.items())]
+
+
+def _equivalence_grid_rows(n_limit):
+    """The rows (alphas, p, betas) of equivalence_scan(n_limit) in flag
+    order: beta-major, the primes ascending within a beta."""
+    top = {}
+    for alpha, p, beta, _ in _forms_upto(n_limit, [3]):
+        top[beta, p] = max(top.get((beta, p), 0), alpha)
+    return [(range(2, t + 1), p, range(beta, beta + 1)) for (beta, p), t in sorted(top.items())]
+
+
+def _assert_split(tasks, rows):
+    """The tasks' specs hold rows, the expected (alphas, p, betas), each once
+    and in order, so they cover every grid point once in flag order. A
+    task passes _BATCH_POINTS only when it holds one prime's rows of one
+    spec, and each task ends only where the next prime would pass it."""
+    assert [(a, p, b) for specs in tasks for a, ps, b in specs for p in ps] == rows
     cap = classify._BATCH_POINTS
-    points = [sum(points_of[p] for p in r) for r in ranges]
-    assert all(n <= cap or len(r) == 1 for r, n in zip(ranges, points))
-    assert all(n + points_of[r[0]] > cap for n, r in zip(points, ranges[1:]))
+    points = [sum(len(a) * len(ps) * len(b) for a, ps, b in specs) for specs in tasks]
+    for specs, n in zip(tasks, points):
+        assert n <= cap or (len(specs) == 1 and len(specs[0][1]) == 1)
+    for n, (a, _, b) in zip(points, (specs[0] for specs in tasks[1:])):
+        assert n + len(a) * len(b) > cap
 
 
-def test_search_batches_stay_near_the_point_cap_on_large_grids():
-    for alpha_max, beta_max in ((15, 16), (20, 16), (20, 64)):
-        primes = classify._p_bound_primes(alpha_max)
-        ranges = _task_ranges(scan_special_forms, 5, alpha_max, beta_max)
-        # a prime's points: the alphas whose p-bound admits it, times its rows
-        points_of = {
-            p: (beta_max - 1) * sum(p < 3 * (1 << (a - 1)) - 1 for a in range(2, alpha_max + 1))
-            for p in primes
-        }
-        _assert_split(ranges, primes, points_of)
+@settings(max_examples=60, deadline=None)
+@example(alpha_max=9, beta_max=8, n_limit=3000, batch_points=1)
+@given(
+    alpha_max=st.integers(2, 9),
+    beta_max=st.integers(2, 8),
+    n_limit=st.integers(6, 3000),
+    batch_points=st.integers(1, 60),
+)
+def test_split_covers_every_point_once_in_flag_order(alpha_max, beta_max, n_limit, batch_points):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_BATCH_POINTS", batch_points)
+        _assert_split(
+            _task_specs(scan_special_forms, 5, alpha_max, beta_max),
+            _search_grid_rows(alpha_max, beta_max),
+        )
+        _assert_split(_task_specs(equivalence_scan, n_limit, (3,)), _equivalence_grid_rows(n_limit))
 
 
-def test_equivalence_batches_stay_near_the_point_cap():
-    for n_limit in (10**4, 3 * 10**6):
-        primes = primes_upto(n_limit >> 1)[1:]
-        ranges = _task_ranges(equivalence_scan, n_limit, (3, 5))
-        # one split, shared by every exponent
-        assert ranges[: len(ranges) // 2] == ranges[len(ranges) // 2 :]
-        points_of = dict.fromkeys(primes, 0)
-        for _, p, _, _ in _forms_upto(n_limit, [3]):
-            points_of[p] += 1
-        _assert_split(ranges[: len(ranges) // 2], primes, points_of)
-
-
-def _streaming_split(primes, points):
-    """The split of the ascending primes taken one prime at a time from
-    their point counts: a range ends before the prime that would take it
-    past _BATCH_POINTS."""
-    ranges, start, acc = [], 0, 0
-    for i, w in enumerate(points):
+def _streaming_split(rows):
+    """The split of rows (alphas, p, betas) taken one prime at a time in flag
+    order: a task ends before the row that would take it past _BATCH_POINTS."""
+    tasks, task, acc = [], [], 0
+    for row in rows:
+        w = len(row[0]) * len(row[2])
         if acc and acc + w > classify._BATCH_POINTS:
-            ranges.append(primes[start:i])
-            start, acc = i, 0
+            tasks.append(task)
+            task, acc = [], 0
+        task.append(row)
         acc += w
-    ranges.append(primes[start:])
-    return ranges
+    return tasks + [task]
 
 
-def _form_points(n_limit, p):
-    """The points of p's rows in equivalence_scan(n_limit), counted row by row."""
-    count, p_power = 0, p
-    while 2 * p_power <= n_limit:
-        count += (n_limit // p_power).bit_length() - 1
-        p_power *= p
-    return count
+def _form_rows(n_limit):
+    """The rows of equivalence_scan(n_limit) built prime by prime from its
+    powers: at beta, alpha = 2 .. bit_length(n_limit // p**(beta-1))."""
+    rows = []
+    for p in primes_upto(n_limit >> 1)[1:]:
+        beta, p_power = 2, p
+        while 2 * p_power <= n_limit:
+            rows.append((range(2, (n_limit // p_power).bit_length() + 1), p, range(beta, beta + 1)))
+            beta, p_power = beta + 1, p_power * p
+    return sorted(rows, key=lambda row: (row[2][0], row[1]))
+
+
+def _task_rows(tasks):
+    return [[(a, p, b) for a, ps, b in specs for p in ps] for specs in tasks]
 
 
 @pytest.mark.parametrize("batch_points", [1, 2, 7, 40, 1000, classify._BATCH_POINTS])
 def test_split_by_runs_equals_the_streaming_split(monkeypatch, batch_points):
+    # _split cuts runs of primes (the specs) at once; its tasks must be the
+    # ones a prime-by-prime split of the same rows makes
     monkeypatch.setattr(classify, "_BATCH_POINTS", batch_points)
     for n_limit in (6, 7, 28, 1000, 10**4, 123_457, 10**6):
-        primes = primes_upto(n_limit >> 1)[1:]
-        points = [_form_points(n_limit, p) for p in primes]
-        assert classify._prime_ranges(primes, classify._form_runs(n_limit, primes)) == (
-            _streaming_split(primes, points)
-        ), n_limit
+        tasks = _task_specs(equivalence_scan, n_limit, (3,))
+        assert _task_rows(tasks) == _streaming_split(_form_rows(n_limit)), n_limit
     for alpha_max, beta_max in ((2, 2), (9, 5), (15, 16)):
-        primes = classify._p_bound_primes(alpha_max)
-        points = [
-            (beta_max - 1) * sum(p < 3 * (1 << (a - 1)) - 1 for a in range(2, alpha_max + 1))
-            for p in primes
-        ]
-        ranges = _task_ranges(scan_special_forms, 5, alpha_max, beta_max)
-        assert ranges == _streaming_split(primes, points), (alpha_max, beta_max)
+        tasks = _task_specs(scan_special_forms, 5, alpha_max, beta_max)
+        assert _task_rows(tasks) == _streaming_split(_search_grid_rows(alpha_max, beta_max)), (
+            alpha_max,
+            beta_max,
+        )
+
+
+def test_search_batches_stay_near_the_point_cap_on_large_grids():
+    for alpha_max, beta_max in ((15, 16), (20, 16), (20, 64)):
+        tasks = _task_specs(scan_special_forms, 5, alpha_max, beta_max)
+        _assert_split(tasks, _search_grid_rows(alpha_max, beta_max))
+
+
+def test_equivalence_batches_stay_near_the_point_cap():
+    for n_limit in (10**4, 3 * 10**6):
+        tasks = _task_specs(equivalence_scan, n_limit, (3, 5))
+        # one split, shared by every exponent
+        half = len(tasks) // 2
+        assert all(a is b for a, b in zip(tasks[:half], tasks[half:], strict=True))
+        _assert_split(tasks[:half], _equivalence_grid_rows(n_limit))
 
 
 def _recording(m, name):
@@ -618,36 +675,60 @@ def _verdicts_of(log):
     return verdicts
 
 
+def _spec_rows(spec):
+    """A block spec's rows (p, beta) as its block holds them, beta-major."""
+    _, ps, betas = spec
+    return [(p, beta) for beta in betas for p in ps]
+
+
+# The kernel's callers: the search, the equivalence scan and the f and v10
+# lemma grids, each with the exponents it runs.
+_KERNEL_CALLERS = {
+    "search": ((5,), lambda: scan_special_forms(5, 11, 10)),
+    "equivalence": ((3, 5), lambda: equivalence_scan(10**4, (3, 5))),
+    "f": ((3, 5), lambda: run_lemma_grid("f", LemmaGrid(k_values=(3, 5), alpha_max=9, beta_max=9))),
+    "v10": ((5,), lambda: run_lemma_grid("v10", LemmaGrid(alpha_max=9))),
+}
+
+
 def test_kernel_routes_once_per_task_and_verdicts_equal_pruned_by():
-    # the routes once per task (one batch of a prime range's rows), in one
-    # block per alpha range; the verdict of every row
+    # every caller reaches both routes once per task of its _split, with one
+    # block per spec of the task, an exponent's tasks in turn
+    for caller, (ks, run) in _KERNEL_CALLERS.items():
+        with pytest.MonkeyPatch.context() as m:
+            calls = {name: _recording(m, name) for name in ("_direct_block", "_conditions_block")}
+            splits = _recording(m, "_split")
+            run()
+        tasks = [task for _, tasks in splits for task in tasks]
+        if caller == "equivalence":  # one split, run once per exponent
+            assert len(splits) == 1
+            tasks *= len(ks)
+        assert len(tasks) > 1, caller
+        assert len(calls["_conditions_block"]) == len(calls["_direct_block"]) == len(tasks)
+        for ((k, blocks), _), ((_, d_blocks), divides), specs in zip(
+            calls["_conditions_block"], calls["_direct_block"], tasks, strict=True
+        ):
+            assert k in ks and d_blocks is blocks
+            assert [b.alphas for b in blocks] == [alphas for alphas, _, _ in specs]
+            assert [list(zip(b.ps, b.betas)) for b in blocks] == [_spec_rows(s) for s in specs]
+            assert len(divides) == len(_block_points(blocks))
+        called = [k for (k, _), _ in calls["_conditions_block"]]
+        assert called == sorted(called), caller
+    # in a search task, one block per alpha range; the verdict of every row
     alpha_max, beta_max = 11, 10
     tags = set()
     for k in (3, 5, 7):
         with pytest.MonkeyPatch.context() as m:
-            calls = {name: _recording(m, name) for name in ("_direct_block", "_conditions_block")}
+            calls = _recording(m, "_conditions_block")
             verdict_log = _recording(m, "_prime_verdicts")
             scan_special_forms(k, alpha_max, beta_max)
         grid = list(_grid(alpha_max, beta_max))
         alphas_of = {}
         for alpha, p, _ in grid:
             alphas_of.setdefault(p, set()).add(alpha)
-        primes = sorted(alphas_of)
-        points = Counter(p for _, p, _ in grid)
-        tasks = classify._prime_ranges(primes, ((1, points[p]) for p in primes))
-        assert len(tasks) > 1
-        assert len(calls["_conditions_block"]) == len(calls["_direct_block"]) == len(tasks)
-        for (args, _), (_, divides), task in zip(
-            calls["_conditions_block"], calls["_direct_block"], tasks, strict=True
-        ):
-            blocks = args[-1]
-            # the rows of a block run beta-major, so only their multiset is pinned
-            assert Counter((p, beta) for b in blocks for p, beta in zip(b.ps, b.betas)) == Counter(
-                (p, beta) for p in task for beta in range(2, beta_max + 1)
-            )
+        for (_, blocks), _ in calls:
             assert len({b.alphas for b in blocks}) == len(blocks)
             assert all(set(b.alphas) == alphas_of[p] for b in blocks for p in b.ps)
-            assert len(divides) == len(_block_points(blocks))
         verdicts = _verdicts_of(verdict_log)
         assert set(verdicts) == {(p, beta) for _, p, beta in grid}
         for alpha, p, beta in grid:
@@ -709,6 +790,54 @@ def test_bit_cap_preflight_on_the_k5_benchmark_grid(monkeypatch):
             scan_special_forms(5, 15, 16, bit_cap=cap)
     monkeypatch.setattr(classify, "_scan_rows", lambda task: ([], 0, 0, 0))
     assert scan_special_forms(5, 15, 16, bit_cap=1300) == ([], GridStats(0, 0, 0))
+
+
+def test_equivalence_scan_refuses_past_the_operand_cap_before_the_kernel(monkeypatch):
+    # at k = 60013 the forms up to 1000 pass the default cap from p = 331 on:
+    # (p**k)**2 is 2 * 502351 bits wide there, and 2 * 498606 at p = 317
+    def no_block(*args):
+        raise AssertionError("kernel work before the operand cap refused")
+
+    refused = "502351-bit base raised to 2 exceeds the 1000000-bit cap"
+    with pytest.raises(OperandSizeError, match=refused):
+        derive_conditions(SpecialForm(alpha=2, p=331, beta=2, k=60013))
+    derive_conditions(SpecialForm(alpha=2, p=317, beta=2, k=60013))
+    # the reference refuses too, here at its first form, the largest p
+    forms = sorted(_forms_upto(1000, [60013]), key=lambda f: -f[1])
+    with pytest.raises(OperandSizeError):
+        for alpha, p, beta, k in forms:
+            derive_conditions(SpecialForm(alpha, p, beta, k))
+    monkeypatch.setattr(classify, "_block", no_block)
+    with pytest.raises(OperandSizeError) as exc:
+        equivalence_scan(1000, ks=(5, 60013))
+    assert str(exc.value) == refused
+
+
+def test_operand_guard_costs_per_spec_not_per_point(monkeypatch):
+    # scan_special_forms(5, 20, 64) has one spec per least alpha 2 .. 20;
+    # the guard tries a refused spec's (alpha, beta) pairs and a refused
+    # pair's primes, never the grid's 12 million points one by one
+    alpha_max, beta_max = 20, 64
+    primes = classify._p_bound_primes(alpha_max)
+    bound = 3 * ((alpha_max - 1) ** 2 * (beta_max - 1) + len(primes))
+    calls = 0
+
+    def counting(base, exp, bit_cap, _real=classify._guard_pow):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound
+        _real(base, exp, bit_cap)
+
+    monkeypatch.setattr(classify, "_guard_pow", counting)
+    monkeypatch.setattr(classify, "_pool_map", lambda fn, tasks, workers: [])
+    widest = (primes[-1] ** 5).bit_length() * beta_max  # (p**5)**64 at the largest prime
+    for cap in (100, widest - 1):  # refused in the first spec, then in the last
+        calls = 0
+        with pytest.raises(OperandSizeError):
+            scan_special_forms(5, alpha_max, beta_max, bit_cap=cap)
+    calls = 0
+    scan_special_forms(5, alpha_max, beta_max, bit_cap=widest)
+    assert calls == 3 * (alpha_max - 1)  # each spec's corner
 
 
 def test_kernel_cross_checks_name_point_and_values(monkeypatch):
@@ -805,10 +934,15 @@ _LATER_PRIME_SCANS = {
 
 
 def test_later_prime_scans_put_p7_mid_batch():
-    first = _task_ranges(scan_special_forms, 5, 13, 6)[0]
-    assert list(first[:3]) == [3, 5, 7] and len(first) > 3
-    # equivalence_scan(1000) is one task over every prime up to 500
-    assert _task_ranges(equivalence_scan, 1000, (5,)) == [primes_upto(500)[1:]]
+    first = [p for _, ps, _ in _task_specs(scan_special_forms, 5, 13, 6)[0] for p in ps]
+    assert first[:3] == [3, 5, 7] and len(first) > 3
+    # equivalence_scan(1000) is one task, whose beta = 2 blocks hold every
+    # prime up to 500 and whose beta = 3 blocks start at 3, 5, 7
+    (task,) = _task_specs(equivalence_scan, 1000, (5,))
+    assert [p for _, ps, betas in task if betas == range(2, 3) for p in ps] == list(
+        primes_upto(500)[1:]
+    )
+    assert [p for _, ps, betas in task if betas == range(3, 4) for p in ps][:3] == [3, 5, 7]
 
 
 @pytest.mark.parametrize("scan", _LATER_PRIME_SCANS.values(), ids=_LATER_PRIME_SCANS)

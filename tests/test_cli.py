@@ -142,7 +142,8 @@ def test_search_worker_count_keeps_output_identical(capsys):
     for workers in ("1", "2"):
         _, out, _ = run_cli(
             capsys,
-            "search", "--k", "5", "--alpha-max", "7", "--beta-max", "4",
+            # three tasks, so that two workers fork a pool
+            "search", "--k", "5", "--alpha-max", "12", "--beta-max", "4",
             "--workers", workers,
         )
         outs.append(out.splitlines()[1:])
@@ -285,12 +286,15 @@ def test_search_refuses_oversized_grid_before_sieving(monkeypatch, capsys):
 
 
 def test_search_bit_cap_refused_before_scanning(monkeypatch, capsys):
-    # the p-part of the grid's largest point is 16 * 78 = 1248 bits wide
+    # the first point past the cap in flag order is (alpha, p, beta) =
+    # (15, 32771, 16), where (p**5)**16 is 16 * 76 = 1216 bits wide; the
+    # grid's widest, at p = 49139, is 16 * 78 = 1248
     monkeypatch.setattr(classify, "_scan_rows", _refuse_scan)
     code, out, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "15", "--beta-max", "16", "--bit-cap", "1200"
     )
-    assert code == 2 and out == "" and "operand size cap exceeded" in err
+    assert code == 2 and out == ""
+    assert err == "operand size cap exceeded: 76-bit base raised to 16 exceeds the 1200-bit cap\n"
 
 
 def _refuse(name):
