@@ -20,9 +20,16 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, product, repeat
 from math import gcd
 from operator import and_, not_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exactint import CrossCheckError, OperandSizeError, _guard_pow, checked_pow, geometric_sum
+from .exactint import (
+    CrossCheckError,
+    OperandSizeError,
+    _guard_pow,
+    _guard_widest,
+    checked_pow,
+    geometric_sum,
+)
 from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
@@ -30,6 +37,7 @@ from .valuations import (
     LemmaGrid,
     _bound_holds,
     _exact_flags,
+    _guard_flags,
     _require_odd_k,
     _require_prime_k,
     _scenarios,
@@ -55,6 +63,7 @@ __all__ = [
     "equivalence_scan",
     "expected_even_perfect",
     "lemma41_candidates",
+    "lemma_blocks",
     "run_lemma_grid",
     "scan_special_forms",
     "search",
@@ -172,10 +181,11 @@ MAX_SCAN_ALPHA = 24
 
 # beta_max, and check-lemma's beta1_max, lambda_max and p1_max, set both how
 # many rows a grid has and how wide their operands grow (to about beta * k *
-# log2(p) bits), while the operand cap bounds only single operands; every sl3
-# row is held in one list. At 64, search --k 5 --alpha-max 13 takes about
-# 0.7 s, and check-lemma sl3 with --beta1-max, --lambda-max and --p1-max at 64
-# (322,560 rows) 0.5-0.6 s and 113 MiB on a 2-vCPU x86-64 VM.
+# log2(p) bits), while the operand cap bounds only single operands. At 64,
+# search --k 5 --alpha-max 13 takes about 0.7 s, and check-lemma sl3 with
+# --beta1-max, --lambda-max and --p1-max at 64 (322,560 rows, written a block
+# of at most 2,048 at a time) 0.3 s and 17.2 MiB RSS, compiling the package
+# from source, on a 2-vCPU x86-64 VM.
 MAX_SCAN_BETA = 64
 
 # _pool_map's pool forks min(workers, tasks) processes as it starts, so on a
@@ -500,16 +510,16 @@ def _task_points(task: tuple[int, list[int], list[_Spec]]) -> int:
     return len(_check_task(task)[1])  # a count: the caller keeps every task's result
 
 
-def _check_rows(
-    k: int, alphas: range, ps: Sequence[int], betas: range, bit_cap: int | None
-) -> list[bool]:
-    """The divides flags of ps at betas over alphas, one spec refused by
-    _guard, cut by _split and run task by task. Callers pass one alpha or
-    one prime, so the flags run in (alpha, beta, p) order as one block's."""
-    specs = [(alphas, range(len(ps)), betas)]
-    _guard(k, ps, specs, bit_cap)
+def _task_flags(
+    k: int, table: Sequence[int], spec: _Spec
+) -> Iterator[tuple[list[_Spec], list[bool]]]:
+    """Each task _split cuts from one spec over table, with its divides
+    flags, run one task at a time. The spec holds one alpha or one prime,
+    so its flags run in (alpha, beta, p) order as one block's."""
+    alphas = spec[0]
     two_parts = [0] * alphas[0] + [geometric_sum(1 << k, a) for a in alphas]
-    return [d for task in _split(ps, specs) for d in _check_task((k, two_parts, task))[1]]
+    for task in _split(table, [spec]):
+        yield task, _check_task((k, two_parts, task))[1]
 
 
 def _scan_rows(task: tuple[int, list[int], list[_Spec]]):
@@ -644,8 +654,9 @@ def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> 
     _require_search_k(k)
     if alpha < 2 or beta < 2:
         raise ValueError(f"alpha and beta must be >= 2, got {alpha} and {beta}")
-    alphas, betas = range(alpha, alpha + 1), range(beta, beta + 1)
-    return not _check_rows(k, alphas, [(1 << k) - 1], betas, bit_cap)[0]
+    ps, spec = [(1 << k) - 1], (range(alpha, alpha + 1), range(1), range(beta, beta + 1))
+    _guard(k, ps, [spec], bit_cap)
+    return not next(_task_flags(k, ps, spec))[1][0]
 
 
 def lemma41_candidates() -> list[SpecialForm]:
@@ -680,7 +691,8 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
     """No n = 2**(alpha-1) * p**3 with p = 3 (mod 4) under the p-bound
     divides sigma_5(n), over 2 <= alpha <= alpha_max; the remainder-table
     candidates are re-checked explicitly as well."""
-    return all(ok for _, ok in _v10_rows(LemmaGrid(alpha_max=alpha_max, bit_cap=bit_cap)))
+    g = LemmaGrid(alpha_max=alpha_max, bit_cap=bit_cap)
+    return all(all(values) for _, values in _guarded(_v10_rows(g), g))
 
 
 # ---------------------------------------------------------------------------
@@ -759,33 +771,188 @@ def _odd_values(limit: int) -> range:
     return range(1, limit + 1, 2)
 
 
-def _residue_primes(p_max: int, residue: int) -> list[int]:
-    return [p for p in primes_upto(p_max - 1) if p % 4 == residue]
+def _residue_primes(p_max: int, residue: int) -> array:
+    """The primes p < p_max with p % 4 == residue, in primes_upto's packed array."""
+    table = primes_upto(p_max - 1)
+    return array(table.typecode, compress(table, map(residue.__eq__, map(and_, table, repeat(3)))))
 
 
-# Row generators: each yields (label, value) per grid point, value a bool
-# for proved tags and an outcome string for informational ones.
-#
-# cando, tv, tv2 and sl3 claim the exponent their check_* reference does.
-# Each decides a block of rows, v-major over v = 1 .. v_max and odd beta1,
-# with one _exact_flags call. Each k is validated once, where its first row
-# is, as the reference would be there; a sieved prime is not re-proved.
+# A lemma grid is a stream of blocks, one kernel call each. A block's guard
+# validates what its rows' reference validates there (each k once, at the
+# first block it has) and refuses its first row past the operand cap, with no
+# power and no kernel call; its decide yields its rows as (labels, values),
+# values bools for a proved tag and outcome strings for an informational one.
+# Only a kernel block yields more than once, a task of _split at a time.
+# _guard_pow reads a base only through its bit length, so the operand check
+# at a prime and k reads p only through that, or through lam: passed, shared
+# by a walk's blocks, holds the keys whose check has passed.
+
+
+class _FlagBlock(NamedTuple):
+    """An _exact_flags block of cando, tv, tv2 or sl3: row i is labelled head
+    + tails[i]. k, unless None, is validated as check_cando and check_tv do."""
+
+    head: str
+    tails: list[str]
+    k: int | None
+    e: int
+    base: int
+    c: int
+    passed: set[tuple[int, int]]
+
+    def guard(self, g: LemmaGrid) -> None:
+        if self.k is not None:
+            _require_odd_k(self.k)
+        key = (self.base.bit_length(), self.c)
+        if key not in self.passed:
+            _guard_flags(self.base, self.c, g.v_max, g.beta1_max, g.bit_cap)
+            self.passed.add(key)
+
+    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
+        flags = _exact_flags(self.e, self.base, self.c, g.v_max, g.beta1_max, g.bit_cap)
+        yield [self.head + tail for tail in self.tails], flags
+
+
+class _KernelBlock(NamedTuple):
+    """One block spec of f or v10 on the batch kernel, over a table of primes;
+    a row passes when its point does not divide, and label(k, alpha, p, beta)
+    labels it. k is validated first if validate is set."""
+
+    label: Callable[[int, int, int, int], str]
+    k: int
+    validate: bool
+    table: Sequence[int]
+    spec: _Spec
+
+    def guard(self, g: LemmaGrid) -> None:
+        if self.validate:
+            _require_search_k(self.k)
+        _guard(self.k, self.table, [self.spec], g.bit_cap)
+
+    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
+        k, label = self.k, self.label
+        for task, flags in _task_flags(k, self.table, self.spec):
+            labels = [
+                label(k, alpha, p, beta)
+                for alphas, ps, betas in task for alpha in alphas for beta in betas for p in ps
+            ]
+            yield labels, list(map(not_, flags))
+
+
+def _guard_over_v(powers, vs: range, bit_cap: int | None) -> None:
+    """_guard_widest over a block's rows at vs, powers(v) each row's (base,
+    exp) pairs, every one widest at one end of vs."""
+    rows = (power for v in vs for power in powers(v))
+    _guard_widest((*powers(vs[0]), *powers(vs[-1])), rows, bit_cap)
+
+
+class _BoundBlock(NamedTuple):
+    """A prime's block of u1 (p = 1 mod 4) or v3 (p = 3 mod 4), over ks and
+    then v; each k is validated first if validate is set."""
+
+    p: int
+    ks: tuple[int, ...]
+    validate: bool
+    passed: set[tuple[int, int]]
+
+    def guard(self, g: LemmaGrid) -> None:
+        p = self.p
+        for k in self.ks:
+            if self.validate:
+                _require_odd_k(k)
+            key = (p.bit_length(), k)
+            if key in self.passed:
+                continue
+            if p % 4 == 1:  # p**(2**v - 1) and (2**k)**(v + 1), as _bound_holds builds them
+                _guard_over_v(lambda v: ((p, (1 << v) - 1), (1 << k, v + 1)), _vs(g), g.bit_cap)
+            else:  # p**|2**v - 2k - 1|
+                _guard_over_v(lambda v: ((p, abs((1 << v) - 2 * k - 1)),), _vs(g), g.bit_cap)
+            self.passed.add(key)
+
+    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
+        p, ks, vs, cap = self.p, self.ks, _vs(g), g.bit_cap
+        holds = [_bound_holds(p, k, v, cap) for k in ks for v in vs]
+        yield [f"p={p} k={k} v={v}" for k in ks for v in vs], [
+            "holds" if h else "fails" for h in holds
+        ]
+
+
+class _ScenarioBlock(NamedTuple):
+    """A prime's block of trichotomy, over ks and then beta = 2**v; each k is
+    proved prime first if validate is set. The scenario sets depend only on
+    (lam, k, v, p == k), all they read of p, and outcomes, shared by a
+    grid's blocks, keeps each."""
+
+    p: int
+    ks: tuple[int, ...]
+    validate: bool
+    lam: int
+    outcomes: dict[tuple[int, int, int, bool], str]
+    passed: set[tuple[int, int]]
+
+    def guard(self, g: LemmaGrid) -> None:
+        lam = self.lam
+        for k in self.ks:
+            if self.validate:
+                _require_prime_k(k)
+            if (lam, k) in self.passed:
+                continue
+            # (2**lam - 1)**(beta - 1) and (2**(lam + v))**k, as _scenarios builds them
+            _guard_over_v(lambda v: (((1 << lam) - 1, (1 << v) - 1), (1 << (lam + v), k)),
+                          _vs(g), g.bit_cap)
+            self.passed.add((lam, k))
+
+    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
+        p, ks, lam, outcomes, vs = self.p, self.ks, self.lam, self.outcomes, _vs(g)
+        values = []
+        for k in ks:
+            for v in vs:
+                key = (lam, k, v, p == k)
+                if key not in outcomes:
+                    scenarios = _scenarios(lam, k, 1 << v, p == k, g.bit_cap)
+                    outcomes[key] = ",".join(sorted(s.value for s in scenarios)) or "NONE"
+                values.append(outcomes[key])
+        yield [f"p={p} k={k} beta={1 << v}" for k in ks for v in vs], values
+
+
+class _WholeBlock(NamedTuple):
+    """A grid small enough to decide whole (vs1, appr, appr2): rows(g)'s
+    (label, value) pairs. Being its grid's only block, it is decided before
+    any row is written, so its guard has nothing to do."""
+
+    rows: Callable[[LemmaGrid], Iterable[tuple[str, bool]]]
+
+    def guard(self, g: LemmaGrid) -> None:
+        pass
+
+    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
+        rows = list(self.rows(g))
+        yield [label for label, _ in rows], [ok for _, ok in rows]
+
+
+# Walks: each takes a grid and returns a function that walks its blocks in
+# row order, called once to guard them and once to decide them; a sieve is
+# made once, outside that function. A k is validated at its first block.
+
+
+def _vs(g: LemmaGrid) -> range:
+    return range(1, g.v_max + 1)
 
 
 def _block_tails(g: LemmaGrid) -> list[str]:
     """The label tail " v=.. beta1=.." of each row of a block, in row order."""
-    return [f" v={v} beta1={b}" for v in range(1, g.v_max + 1) for b in _odd_values(g.beta1_max)]
+    return [f" v={v} beta1={b}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
 
 
-def _cando_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+def _whole(rows: Callable[[LemmaGrid], Iterable[tuple[str, bool]]]):
+    return lambda g: [_WholeBlock(rows)].__iter__
+
+
+def _cando_rows(g: LemmaGrid):
     # check_cando: 2**(v+k) || (2**k - 1)**(beta * k) - 1 at beta = 2**v * beta1
-    betas = [b << v for v in range(1, g.v_max + 1) for b in _odd_values(g.beta1_max)]
-    if not betas:
-        return
-    for k in g.k_values:
-        _require_odd_k(k)
-        flags = _exact_flags(k, (1 << k) - 1, k, g.v_max, g.beta1_max, g.bit_cap)
-        yield from zip([f"k={k} beta={beta}" for beta in betas], flags)
+    tails = [f" beta={b << v}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
+    ks = g.k_values if tails else ()
+    return [_FlagBlock(f"k={k}", tails, k, k, (1 << k) - 1, k, set()) for k in ks].__iter__
 
 
 def _appr_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
@@ -796,98 +963,94 @@ def _appr_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
                     yield f"k={k} u={u} alpha1={alpha1}", check_appr(k, u, alpha1, g.bit_cap)
 
 
-def _tv_rows(g: LemmaGrid, residue: int) -> Iterator[tuple[str, bool]]:
+def _tv_rows(g: LemmaGrid, residue: int):
     # check_tv (residue 1): 2**(t+v) || p**(2**v * beta1 * k) - 1, t = v2(p - 1);
     # check_tv2 (residue 3): 2**(v+s-1) || the same, s = v2(p**2 - 1)
     tails = _block_tails(g)
-    if not tails:
-        return
-    for i, p in enumerate(_residue_primes(g.p_max, residue)):
-        e = v2(p - 1) if residue == 1 else v2(p * p - 1) - 1
-        for k in g.k_values:
-            if not i:
-                _require_odd_k(k)
-            flags = _exact_flags(e, p, k, g.v_max, g.beta1_max, g.bit_cap)
-            head = f"p={p} k={k}"
-            yield from zip([head + t for t in tails], flags)
+    primes = _residue_primes(g.p_max, residue) if tails else ()
+    passed: set[tuple[int, int]] = set()
+
+    def walk() -> Iterator[_FlagBlock]:
+        for i, p in enumerate(primes):
+            e = v2(p - 1) if residue == 1 else v2(p * p - 1) - 1
+            for k in g.k_values:
+                yield _FlagBlock(f"p={p} k={k}", tails, None if i else k, e, p, k, passed)
+
+    return walk
 
 
-def _sl3_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+def _sl3_rows(g: LemmaGrid):
     # check_sl3: 2**(lam+v) || (2**lam * p1 - 1)**(2**v * beta1) - 1
     tails = _block_tails(g)
-    for lam in range(2, g.lambda_max + 1):
-        for p1 in _odd_values(g.p1_max):
-            flags = _exact_flags(lam, (p1 << lam) - 1, 1, g.v_max, g.beta1_max, g.bit_cap)
-            head = f"lam={lam} p1={p1}"
-            yield from zip([head + t for t in tails], flags)
+    passed: set[tuple[int, int]] = set()
+    return lambda: (
+        _FlagBlock(f"lam={lam} p1={p1}", tails, None, lam, (p1 << lam) - 1, 1, passed)
+        for lam in range(2, g.lambda_max + 1)
+        for p1 in _odd_values(g.p1_max)
+    )
 
 
-# f and v10 decide a block per k or alpha, flagged and refused in label order.
-
-
-def _f_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
+def _f_rows(g: LemmaGrid):
     alphas, betas = range(2, g.alpha_max + 1), range(2, g.beta_max + 1)
-    if not (alphas and betas):
-        return
-    for k in g.k_values:
-        _require_search_k(k)
-        flags = _check_rows(k, alphas, [(1 << k) - 1], betas, g.bit_cap)
-        labels = [f"k={k} alpha={alpha} beta={beta}" for alpha in alphas for beta in betas]
-        yield from zip(labels, map(not_, flags))
+    ks = g.k_values if alphas and betas else ()
+    return [
+        _KernelBlock(_f_label, k, True, [(1 << k) - 1], (alphas, range(1), betas)) for k in ks
+    ].__iter__
 
 
-def _v10_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
-    for f in lemma41_candidates():
-        flags = _check_rows(5, range(f.alpha, f.alpha + 1), [f.p], range(4, 5), g.bit_cap)
-        yield f"candidate alpha={f.alpha} p={f.p}", not flags[0]
+def _f_label(k: int, alpha: int, p: int, beta: int) -> str:
+    return f"k={k} alpha={alpha} beta={beta}"
+
+
+def _candidate_label(k: int, alpha: int, p: int, beta: int) -> str:
+    return f"candidate alpha={alpha} p={p}"
+
+
+def _v10_label(k: int, alpha: int, p: int, beta: int) -> str:
+    return f"alpha={alpha} p={p}"
+
+
+def _v10_rows(g: LemmaGrid):
+    blocks = [
+        _KernelBlock(_candidate_label, 5, False, [f.p],
+                     (range(f.alpha, f.alpha + 1), range(1), range(4, 5)))
+        for f in lemma41_candidates()
+    ]
     # one sieve at alpha_max; each alpha's p-bound primes are a prefix
-    residue3 = [p for p in _p_bound_primes(g.alpha_max) if p % 4 == 3]
+    bound = 3 * (1 << (g.alpha_max - 1)) - 1 if g.alpha_max >= 2 else 0
+    residue3 = _residue_primes(bound, 3)
     for alpha in range(2, g.alpha_max + 1):
-        ps = residue3[: bisect_right(residue3, 3 * (1 << (alpha - 1)) - 2)]
-        flags = _check_rows(5, range(alpha, alpha + 1), ps, range(4, 5), g.bit_cap)
-        yield from zip([f"alpha={alpha} p={p}" for p in ps], map(not_, flags))
+        n = bisect_right(residue3, 3 * (1 << (alpha - 1)) - 2)
+        spec = (range(alpha, alpha + 1), range(n), range(4, 5))
+        blocks.append(_KernelBlock(_v10_label, 5, False, residue3, spec))
+    return blocks.__iter__
 
 
-def _bound_rows(g: LemmaGrid, residue: int) -> Iterator[tuple[str, str]]:
-    # bound_u1 (residue 1) or bound_v3 (residue 3), validated as _tv_rows is
-    vs = range(1, g.v_max + 1)
-    if not vs:
-        return
-    for i, p in enumerate(_residue_primes(g.p_max, residue)):
-        for k in g.k_values:
-            if not i:
-                _require_odd_k(k)
-            for v in vs:
-                yield f"p={p} k={k} v={v}", "holds" if _bound_holds(p, k, v) else "fails"
+def _bound_rows(g: LemmaGrid, residue: int):
+    # bound_u1 (residue 1) or bound_v3 (residue 3)
+    primes = _residue_primes(g.p_max, residue) if g.v_max >= 1 else ()
+    passed: set[tuple[int, int]] = set()
+    return lambda: (_BoundBlock(p, g.k_values, not i, passed) for i, p in enumerate(primes))
 
 
-def _trichotomy_rows(g: LemmaGrid) -> Iterator[tuple[str, str]]:
-    # trichotomy_3mod4 at beta = 2**v, validated as _bound_rows is; the
-    # scenarios depend only on (v2(p + 1), k, v, p == k)
-    vs = range(1, g.v_max + 1)
-    if not vs:
-        return
+def _trichotomy_rows(g: LemmaGrid):
+    # trichotomy_3mod4 at beta = 2**v
+    primes = _residue_primes(g.p_max, 3) if g.v_max >= 1 else ()
     outcomes: dict[tuple[int, int, int, bool], str] = {}
-    for i, p in enumerate(_residue_primes(g.p_max, 3)):
-        lam = v2(p + 1)
-        for k in g.k_values:
-            if not i:
-                _require_prime_k(k)
-            for v in vs:
-                key = (lam, k, v, p == k)
-                if key not in outcomes:
-                    scenarios = _scenarios(lam, k, 1 << v, p == k, g.bit_cap)
-                    outcomes[key] = ",".join(sorted(s.value for s in scenarios)) or "NONE"
-                yield f"p={p} k={k} beta={1 << v}", outcomes[key]
+    passed: set[tuple[int, int]] = set()
+    return lambda: (
+        _ScenarioBlock(p, g.k_values, not i, v2(p + 1), outcomes, passed)
+        for i, p in enumerate(primes)
+    )
 
 
-# tag -> (row generator, proved), paired in LEMMA_TAGS order. The lambdas
-# look checkers up at call time, so rebinding a module global reaches them.
+# tag -> (walk, proved), paired in LEMMA_TAGS order. The lambdas look
+# walks and checkers up at call time, so rebinding a module global reaches them.
 _LEMMAS = dict(zip(LEMMA_TAGS, (
-    (lambda g: ((f"k={k}", check_vs1(k)) for k in g.k_values), True),
+    (_whole(lambda g: ((f"k={k}", check_vs1(k, g.bit_cap)) for k in g.k_values)), True),
     (_cando_rows, True),
-    (_appr_rows, True),
-    (lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values), True),
+    (_whole(_appr_rows), True),
+    (_whole(lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values)), True),
     (lambda g: _tv_rows(g, 1), True),  # tv
     (lambda g: _tv_rows(g, 3), True),  # tv2
     (_sl3_rows, True),
@@ -899,15 +1062,39 @@ _LEMMAS = dict(zip(LEMMA_TAGS, (
 ), strict=True))
 
 
-def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
-    """Evaluate one lemma tag over its sampled grid.
+def _guarded(walk, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
+    """Guard every block of walk in row order, then return a generator that
+    decides them one at a time."""
+    for block in walk():
+        block.guard(g)
+    return (rows for block in walk() for rows in block.decide(g))
 
-    Tags vs1, cando, appr, appr2, tv, tv2, sl3, f and v10 are proved
-    statements: every row must pass. Tags u1, v3 and trichotomy evaluate
-    parameter-dependent bounds and are informational. Grids past the
-    limits in _GRID_LIMITS (prime sieves, and beta1_max, lambda_max,
-    p1_max and beta_max) are refused before any sieving, and so are a
-    repeated exponent in k_values and a grid with no rows.
+
+def _with_rows(
+    tag: str, blocks: Iterator[tuple[list[str], list]]
+) -> Iterator[tuple[list[str], list]]:
+    """blocks, refusing at their end a grid that had no rows: nothing has
+    been written then."""
+    empty = True
+    for labels, values in blocks:
+        empty = empty and not values
+        yield labels, values
+    if empty:
+        raise ValueError(f"the {tag} grid has no rows; widen its parameters")
+
+
+def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple[list[str], list]]]:
+    """Whether tag is a proved statement, and its grid as a stream of
+    blocks (labels, values) in row order, the rows of one kernel call each:
+    values are bools for a proved tag, outcome strings otherwise.
+
+    Every refusal comes before the first block: grids past the limits in
+    _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max and
+    beta_max), before any sieving; a repeated exponent in k_values; then,
+    in one pass over the grid's blocks in row order, an invalid k and the
+    first row past the operand cap, the refusal a row-by-row check would
+    raise first. A grid with no rows is refused at the stream's end, having
+    yielded no row. Only a cross-check failure can stop a stream midway.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
@@ -921,14 +1108,26 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
         lambda_max=grid.lambda_max,
         p1_max=grid.p1_max,
     )
-    rows_of, proved = _LEMMAS[tag]
-    if proved:
-        fields = ((label, "pass" if ok else "FAIL", ok) for label, ok in rows_of(grid))
-    else:
-        fields = ((label, outcome, None) for label, outcome in rows_of(grid))
-    # tuple.__new__ builds each row in C; GridRow() and GridRow._make run
-    # Python code per row, 9 ms against 6 ms on 17,000 rows (2-vCPU x86-64 VM)
-    rows = list(map(tuple.__new__, repeat(GridRow), fields))
-    if not rows:
-        raise ValueError(f"the {tag} grid has no rows; widen its parameters")
+    walk, proved = _LEMMAS[tag]
+    return proved, _with_rows(tag, _guarded(walk(grid), grid))
+
+
+def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
+    """Evaluate one lemma tag over its sampled grid: every row of
+    lemma_blocks, refused as it refuses.
+
+    Tags vs1, cando, appr, appr2, tv, tv2, sl3, f and v10 are proved
+    statements: every row must pass. Tags u1, v3 and trichotomy evaluate
+    parameter-dependent bounds and are informational.
+    """
+    proved, blocks = lemma_blocks(tag, grid)
+    rows: list[GridRow] = []
+    for labels, values in blocks:
+        if proved:
+            fields = zip(labels, ["pass" if ok else "FAIL" for ok in values], values)
+        else:
+            fields = zip(labels, values, repeat(None))
+        # tuple.__new__ builds each row in C; GridRow() and GridRow._make run
+        # Python code per row, 9 ms against 6 ms on 17,000 rows (2-vCPU x86-64 VM)
+        rows += map(tuple.__new__, repeat(GridRow), fields)
     return rows

@@ -334,18 +334,27 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
 
 
 def cmd_check_lemma(args: argparse.Namespace) -> int:
-    from .classify import run_lemma_grid  # commands that scan nothing start without it
+    """Write a lemma grid block by block, each with one write, and count
+    its passes as it goes; lemma_blocks refuses a grid before any row."""
+    from .classify import lemma_blocks  # commands that scan nothing start without it
 
     grid = LemmaGrid(**{name: getattr(args, name) for name in LemmaGrid._fields})
     tag = args.tag
-    rows = run_lemma_grid(tag, grid)
-    sys.stdout.write("".join([f"{tag}  {label}: {outcome}\n" for label, outcome, _ in rows]))
-    checked = [ok for _, _, ok in rows if ok is not None]
-    if checked:
-        passed = sum(map(bool, checked))
-        print(f"{tag}: {passed}/{len(checked)} pass")
-        return 0 if passed == len(checked) else 2
-    print(f"{tag}: {len(rows)} informational row(s)")
+    proved, blocks = lemma_blocks(tag, grid)
+    write = sys.stdout.write
+    rows = passed = 0
+    for labels, values in blocks:
+        if proved:
+            outcomes = ["pass" if ok else "FAIL" for ok in values]
+            passed += outcomes.count("pass")
+        else:
+            outcomes = values
+        write("".join([f"{tag}  {label}: {outcome}\n" for label, outcome in zip(labels, outcomes)]))
+        rows += len(values)
+    if proved:
+        print(f"{tag}: {passed}/{rows} pass")
+        return 0 if passed == rows else 2
+    print(f"{tag}: {rows} informational row(s)")
     return 0
 
 

@@ -60,6 +60,19 @@ def _guard_pow(base: int, exp: int, bit_cap: int | None) -> None:
         )
 
 
+def _guard_widest(widest, rows, bit_cap: int | None) -> None:
+    """_guard_pow on rows, a block's (base, exp) powers in row order, so that
+    a refusal names its first refused row. widest holds rows' widest powers,
+    which pass only if every row's does, and is tried first: rows, which
+    callers pass lazily, are walked only when one of widest is refused."""
+    try:
+        for base, exp in widest:
+            _guard_pow(base, exp, bit_cap)
+    except ValueError:  # OperandSizeError included; some row raises it again
+        for base, exp in rows:
+            _guard_pow(base, exp, bit_cap)
+
+
 def v_exact(q: int, x: int) -> int:
     """The q-adic valuation of x: the unique e with q**e | x, q**(e+1) ∤ x.
 

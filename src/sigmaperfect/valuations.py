@@ -31,7 +31,7 @@ from enum import Enum
 from math import gcd
 from typing import NamedTuple
 
-from .exactint import _guard_pow, checked_pow, geometric_sum, v_exact
+from .exactint import _guard_pow, _guard_widest, checked_pow, geometric_sum, v_exact
 from .primality import is_prime
 
 __all__ = [
@@ -86,6 +86,20 @@ def exactly_divides(d: int, e: int, base: int, exp: int, bit_cap: int | None = N
     return y != 0 and y % q == 0
 
 
+def _guard_flags(
+    base: int, c: int, v_max: int, beta1_max: int, bit_cap: int | None = None
+) -> None:
+    """_guard_pow on every power of an _exact_flags block, base raised to
+    c * 2**v * beta1, v-major. The guard is monotone in the exponent, so the
+    largest one is tried first; only if it is refused are the rows tried in
+    order, so the refusal names the first refused row, as exactly_divides
+    called row by row would."""
+    beta1s = range(1, beta1_max + 1, 2)
+    if v_max >= 1 and beta1s:
+        rows = ((base, (c << v) * beta1) for v in range(1, v_max + 1) for beta1 in beta1s)
+        _guard_widest(((base, (c << v_max) * beta1s[-1]),), rows, bit_cap)
+
+
 def _exact_flags(
     e: int, base: int, c: int, v_max: int, beta1_max: int, bit_cap: int | None = None
 ) -> list[bool]:
@@ -96,20 +110,12 @@ def _exact_flags(
     One modulus 2**(e + v_max + 1) and one pow serve the block: a row's
     residue is the one before times the square of its v's first power, and
     that square is the next v's first power. A row is then a bit test. The
-    operand cap is checked at the largest exponent only: _guard_pow is
-    monotone in the exponent, so if that one passes all do. A refused block
-    is guarded again in row order, so the refusal names its first refused
-    row, as exactly_divides called row by row would.
+    operand cap is checked first, by _guard_flags.
     """
     beta1s = range(1, beta1_max + 1, 2)
     if v_max < 1 or not beta1s:
         return []
-    try:
-        _guard_pow(base, (c << v_max) * beta1s[-1], bit_cap)
-    except ValueError:  # OperandSizeError included; some row raises it again
-        for v in range(1, v_max + 1):
-            for beta1 in beta1s:
-                _guard_pow(base, (c << v) * beta1, bit_cap)
+    _guard_flags(base, c, v_max, beta1_max, bit_cap)
     modulus = 2 << (e + v_max)
     flags = []
     first = pow(base, 2 * c, modulus)
@@ -123,10 +129,10 @@ def _exact_flags(
     return flags
 
 
-def check_vs1(k: int) -> bool:
+def check_vs1(k: int, bit_cap: int | None = None) -> bool:
     """The exact power of 2 dividing (2**k - 1)**(2k) - 1 is 2**(k+1), k odd >= 3."""
     _require_odd_k(k)
-    return exactly_divides(2, k + 1, (1 << k) - 1, 2 * k)
+    return exactly_divides(2, k + 1, (1 << k) - 1, 2 * k, bit_cap)
 
 
 def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
@@ -207,7 +213,7 @@ def check_sl3(lam: int, p1: int, v: int, beta1: int, bit_cap: int | None = None)
     return exactly_divides(2, lam + v, (1 << lam) * p1 - 1, (1 << v) * beta1, bit_cap)
 
 
-def bound_u1(p: int, k: int, v: int) -> bool:
+def bound_u1(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     """p**(2**v - 1) <= (2**(k(v+1)) - 1) / (2**k - 1), exactly in integers.
 
     Holds whenever some n = 2**(alpha-1) * p**(beta-1) with p = 1 (mod 4)
@@ -217,10 +223,10 @@ def bound_u1(p: int, k: int, v: int) -> bool:
     _require_prime_mod4(p, 1)
     _require_odd_k(k)
     _require_positive("v", v)
-    return _bound_holds(p, k, v)
+    return _bound_holds(p, k, v, bit_cap)
 
 
-def bound_v3(p: int, k: int, v: int) -> bool:
+def bound_v3(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     """p**(2**v - 2k - 1) < 2**(k(v-1)) / (2**k - 1), exactly in integers.
 
     The exponent e on the left goes negative for small v, so the sides are
@@ -231,17 +237,17 @@ def bound_v3(p: int, k: int, v: int) -> bool:
     _require_prime_mod4(p, 3)
     _require_odd_k(k)
     _require_positive("v", v)
-    return _bound_holds(p, k, v)
+    return _bound_holds(p, k, v, bit_cap)
 
 
-def _bound_holds(p: int, k: int, v: int) -> bool:
+def _bound_holds(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     """bound_u1 for p = 1 (mod 4), else bound_v3, on arguments known valid."""
     if p % 4 == 1:
-        return checked_pow(p, (1 << v) - 1) <= geometric_sum(1 << k, v + 1)
+        return checked_pow(p, (1 << v) - 1, bit_cap) <= geometric_sum(1 << k, v + 1, bit_cap)
     e = (1 << v) - 2 * k - 1
     if e >= 0:
-        return checked_pow(p, e) * ((1 << k) - 1) < 1 << (k * (v - 1))
-    return (1 << k) - 1 < checked_pow(p, -e) << (k * (v - 1))
+        return checked_pow(p, e, bit_cap) * ((1 << k) - 1) < 1 << (k * (v - 1))
+    return (1 << k) - 1 < checked_pow(p, -e, bit_cap) << (k * (v - 1))
 
 
 class Scenario(Enum):

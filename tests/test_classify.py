@@ -534,6 +534,29 @@ def test_scans_and_the_v10_grid_sieve_once(monkeypatch):
         assert len(bounds) == 1, bounds
 
 
+def test_v10_streams_one_kernel_task_at_a_time(monkeypatch):
+    # the residue tables are packed, and the stream runs the kernel only as
+    # each block is taken, a task of at most _BATCH_POINTS rows at a time
+    for residue in (1, 3):
+        table = classify._residue_primes(3 << 16, residue)
+        assert isinstance(table, array) and table.itemsize == 4
+        assert list(table) == [p for p in primes_upto((3 << 16) - 1) if p % 4 == residue]
+    tasks = []
+
+    def counting(task, _real=classify._check_task):
+        tasks.append(task)
+        return _real(task)
+
+    monkeypatch.setattr(classify, "_check_task", counting)
+    proved, blocks = classify.lemma_blocks("v10", LemmaGrid(alpha_max=16))
+    assert proved and tasks == []  # the guard pass runs no kernel
+    sizes = []
+    for labels, values in blocks:
+        sizes.append(len(values))
+        assert len(tasks) == len(sizes) and len(labels) == len(values)
+    assert max(sizes) == classify._BATCH_POINTS and len(sizes) > 4 + 15
+
+
 def _search_grid_rows(alpha_max, beta_max):
     """The rows (alphas, p, betas) of the search grid in flag order: the
     primes ascending, each over the alphas whose p-bound admits it."""
@@ -1187,7 +1210,8 @@ def _reference_rows(tag, g):
                         continue
                     if tag in ("u1", "v3"):
                         bound = bound_u1 if residue == 1 else bound_v3
-                        yield f"p={p} k={k} v={v}", "holds" if bound(p, k, v) else "fails"
+                        holds = bound(p, k, v, g.bit_cap)
+                        yield f"p={p} k={k} v={v}", "holds" if holds else "fails"
                         continue
                     check = check_tv if residue == 1 else check_tv2
                     for beta1 in beta1s:

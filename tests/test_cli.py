@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sigmaperfect.classify as classify
 import sigmaperfect.cli as cli
@@ -16,7 +19,7 @@ import sigmaperfect.sigma as sigma
 import sigmaperfect.valuations as valuations
 from sigmaperfect.classify import PRUNE_ORDER, ClassificationReport
 from sigmaperfect.cli import RunRecord, SearchConfig, main, parse_run_record
-from sigmaperfect.exactint import DEFAULT_BIT_CAP
+from sigmaperfect.exactint import DEFAULT_BIT_CAP, OperandSizeError
 from sigmaperfect.sigma import SpecialForm
 from sigmaperfect.valuations import LemmaGrid
 
@@ -826,6 +829,132 @@ def test_check_lemma_v3_refuses_past_operand_cap(capsys):
         capsys, "check-lemma", "v3", "--k", "3", "--p-max", "4", "--v-max", "22"
     )
     assert code == 2 and out == "" and "operand size cap exceeded" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # at the 10-bit cap, (2**13 - 1)**26 is refused, as in check-lemma cando --k 13
+    (("vs1", "--k", "13", "--bit-cap", "10"),
+     (2, "", "operand size cap exceeded: 13-bit base raised to 26 exceeds the 10-bit cap\n")),
+    # u1's first row, p=5 k=5 v=1, builds (2**5)**2
+    (("u1", "--k", "5", "--p-max", "40", "--v-max", "3", "--bit-cap", "10"),
+     (2, "", "operand size cap exceeded: 6-bit base raised to 2 exceeds the 10-bit cap\n")),
+    # 3**(2**20 - 7) passes a cap wider than the default one; the bound
+    # holds while 2**v - 7 < 0 and fails from v = 4 on
+    (("v3", "--k", "3", "--p-max", "4", "--v-max", "20", "--bit-cap", "3000000"),
+     (0, "".join(f"v3  p=3 k=3 v={v}: {'holds' if v < 4 else 'fails'}\n" for v in range(1, 21))
+      + "v3: 20 informational row(s)\n", "")),
+])
+def test_check_lemma_vs1_u1_and_v3_honour_the_bit_cap(argv, expected, capsys):
+    assert run_cli(capsys, "check-lemma", *argv) == expected
+
+
+@pytest.mark.parametrize("kernel, argv, refused", [
+    # a stream deciding before it guards would print p=5 to p=2377 first
+    ("_exact_flags",
+     ("tv", "--k", "3,5", "--p-max", "3000", "--v-max", "6", "--beta1-max", "11",
+      "--bit-cap", "40000"),
+     "12-bit base raised to 3520 exceeds the 40000-bit cap"),
+    # the cap refuses a row of k=13's first block before the bad k=4 is reached
+    ("_exact_flags",
+     ("tv", "--k", "13,4", "--p-max", "40", "--v-max", "12", "--beta1-max", "9",
+      "--bit-cap", "1000"),
+     "3-bit base raised to 364 exceeds the 1000-bit cap"),
+    # k=3's block passes, k=5's is refused at (alpha, beta) = (2, 5)
+    ("_check_task", ("f", "--k", "3,5", "--alpha-max", "4", "--beta-max", "5", "--bit-cap", "100"),
+     "25-bit base raised to 5 exceeds the 100-bit cap"),
+    # the first remainder-table candidate passes, the second, p = 31, is refused
+    ("_check_task", ("v10", "--alpha-max", "11", "--bit-cap", "60"),
+     "25-bit base raised to 4 exceeds the 60-bit cap"),
+])
+def test_check_lemma_refuses_a_grid_before_deciding_any_block(kernel, argv, refused, monkeypatch,
+                                                              capsys):
+    monkeypatch.setattr(classify, kernel, _refuse(kernel))
+    code, out, err = run_cli(capsys, "check-lemma", *argv)
+    assert (code, out, err) == (2, "", f"operand size cap exceeded: {refused}\n")
+
+
+class _Discard:
+    """A stdout that drops what is written to it, so that only the
+    program's own memory is traced."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ("sl3", "--beta1-max", "64", "--lambda-max", "64", "--p1-max", "64"),  # 322,560 rows
+    ("tv", "--k", "3,5,7,13", "--p-max", "20000", "--v-max", "6", "--beta1-max", "11"),
+])
+def test_check_lemma_holds_one_block_in_memory(argv, monkeypatch):
+    # holding every row before one write peaked at 87.5 and 43.0 MiB here
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        code = main(["check-lemma", *argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 4 << 20, peak
+
+
+def _grid_argv(g: LemmaGrid) -> list[str]:
+    argv = ["--k", ",".join(map(str, g.k_values))]
+    for name, value in g._asdict().items():
+        if name != "k_values" and value is not None:
+            argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+def _expected_cli(tag: str, g: LemmaGrid) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of check-lemma, built from the rows of
+    run_lemma_grid or from its refusal."""
+    try:
+        rows = classify.run_lemma_grid(tag, g)
+    except OperandSizeError as exc:
+        return 2, "", f"operand size cap exceeded: {exc}\n"
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    lines = "".join(f"{tag}  {r.label}: {r.outcome}\n" for r in rows)
+    checked = [r.ok for r in rows if r.ok is not None]
+    if not checked:
+        return 0, lines + f"{tag}: {len(rows)} informational row(s)\n", ""
+    return 0 if all(checked) else 2, lines + f"{tag}: {sum(checked)}/{len(checked)} pass\n", ""
+
+
+@settings(max_examples=60, deadline=None)
+@example(tag="tv", k_values=[13, 4], p_max=40, v_max=12, beta1_max=9, alpha_max=8, beta_max=6,
+         lambda_max=5, p1_max=9, bit_cap=1000)  # refused in k=13's first block
+@example(tag="tv", k_values=[3, 13], p_max=40, v_max=2, beta1_max=3, alpha_max=8, beta_max=6,
+         lambda_max=5, p1_max=9, bit_cap=120)  # refused in the second block, at k=13
+@example(tag="v10", k_values=[5], p_max=40, v_max=2, beta1_max=3, alpha_max=11, beta_max=6,
+         lambda_max=5, p1_max=9, bit_cap=60)  # refused at the second candidate
+@given(
+    tag=st.sampled_from(classify.LEMMA_TAGS),
+    k_values=st.lists(st.sampled_from((3, 4, 5, 7, 13)), min_size=1, max_size=3, unique=True),
+    p_max=st.integers(1, 120),
+    v_max=st.integers(0, 7),
+    beta1_max=st.integers(0, 9),
+    alpha_max=st.integers(0, 9),
+    beta_max=st.integers(1, 9),
+    lambda_max=st.integers(1, 4),
+    p1_max=st.integers(0, 7),
+    bit_cap=st.one_of(st.none(), st.integers(8, 3000)),
+)
+def test_check_lemma_streams_the_rows_of_run_lemma_grid(
+    tag, k_values, p_max, v_max, beta1_max, alpha_max, beta_max, lambda_max, p1_max, bit_cap
+):
+    # the command writes block by block; what it writes must be the lines and
+    # summary of the rows run_lemma_grid returns, or nothing and its refusal
+    g = LemmaGrid(k_values=tuple(k_values), p_max=p_max, v_max=v_max, beta1_max=beta1_max,
+                  alpha_max=alpha_max, beta_max=beta_max, lambda_max=lambda_max, p1_max=p1_max,
+                  bit_cap=bit_cap)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-lemma", tag, *_grid_argv(g)])
+    assert (code, out.getvalue(), err.getvalue()) == _expected_cli(tag, g)
 
 
 def test_check_lemma_refuses_a_repeated_exponent(capsys):
