@@ -17,27 +17,24 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from functools import cache
 from itertools import compress, product, repeat
 from math import gcd
 from operator import and_, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exactint import (
-    CrossCheckError,
-    OperandSizeError,
-    _guard_pow,
-    _guard_widest,
-    checked_pow,
-    geometric_sum,
-)
+from .exactint import CrossCheckError, OperandSizeError, _guard_pow, checked_pow, geometric_sum
 from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
     LEMMA_TAGS,
     LemmaGrid,
     _bound_holds,
+    _bound_row,
     _exact_flags,
+    _guard_bound,
     _guard_flags,
+    _guard_scenarios,
     _require_odd_k,
     _require_prime_k,
     _scenarios,
@@ -183,9 +180,9 @@ MAX_SCAN_ALPHA = 24
 # many rows a grid has and how wide their operands grow (to about beta * k *
 # log2(p) bits), while the operand cap bounds only single operands. At 64,
 # search --k 5 --alpha-max 13 takes about 0.7 s, and check-lemma sl3 with
-# --beta1-max, --lambda-max and --p1-max at 64 (322,560 rows, written a block
-# of at most 2,048 at a time) 0.3 s and 17.2 MiB RSS, compiling the package
-# from source, on a 2-vCPU x86-64 VM.
+# --beta1-max, --lambda-max and --p1-max at 64 (322,560 rows, written a
+# (lam, p1) block of 160 rows at a time) 0.2-0.3 s and 17.0 MiB RSS, compiling
+# the package from source, on a 2-vCPU x86-64 VM.
 MAX_SCAN_BETA = 64
 
 # _pool_map's pool forks min(workers, tasks) processes as it starts, so on a
@@ -692,7 +689,7 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
     divides sigma_5(n), over 2 <= alpha <= alpha_max; the remainder-table
     candidates are re-checked explicitly as well."""
     g = LemmaGrid(alpha_max=alpha_max, bit_cap=bit_cap)
-    return all(all(values) for _, values in _guarded(_v10_rows(g), g))
+    return all(all(values) for _, values in _stream(_v10_rows(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -771,168 +768,23 @@ def _odd_values(limit: int) -> range:
     return range(1, limit + 1, 2)
 
 
-def _residue_primes(p_max: int, residue: int) -> array:
-    """The primes p < p_max with p % 4 == residue, in primes_upto's packed array."""
-    table = primes_upto(p_max - 1)
+def _residue_primes(table: array, residue: int) -> array:
+    """The primes of table, a packed array as primes_upto returns, that are
+    residue mod 4, in an array of the same type."""
     return array(table.typecode, compress(table, map(residue.__eq__, map(and_, table, repeat(3)))))
 
 
-# A lemma grid is a stream of blocks, one kernel call each. A block's guard
-# validates what its rows' reference validates there (each k once, at the
-# first block it has) and refuses its first row past the operand cap, with no
-# power and no kernel call; its decide yields its rows as (labels, values),
-# values bools for a proved tag and outcome strings for an informational one.
-# Only a kernel block yields more than once, a task of _split at a time.
-# _guard_pow reads a base only through its bit length, so the operand check
-# at a prime and k reads p only through that, or through lam: passed, shared
-# by a walk's blocks, holds the keys whose check has passed.
-
-
-class _FlagBlock(NamedTuple):
-    """An _exact_flags block of cando, tv, tv2 or sl3: row i is labelled head
-    + tails[i]. k, unless None, is validated as check_cando and check_tv do."""
-
-    head: str
-    tails: list[str]
-    k: int | None
-    e: int
-    base: int
-    c: int
-    passed: set[tuple[int, int]]
-
-    def guard(self, g: LemmaGrid) -> None:
-        if self.k is not None:
-            _require_odd_k(self.k)
-        key = (self.base.bit_length(), self.c)
-        if key not in self.passed:
-            _guard_flags(self.base, self.c, g.v_max, g.beta1_max, g.bit_cap)
-            self.passed.add(key)
-
-    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
-        flags = _exact_flags(self.e, self.base, self.c, g.v_max, g.beta1_max, g.bit_cap)
-        yield [self.head + tail for tail in self.tails], flags
-
-
-class _KernelBlock(NamedTuple):
-    """One block spec of f or v10 on the batch kernel, over a table of primes;
-    a row passes when its point does not divide, and label(k, alpha, p, beta)
-    labels it. k is validated first if validate is set."""
-
-    label: Callable[[int, int, int, int], str]
-    k: int
-    validate: bool
-    table: Sequence[int]
-    spec: _Spec
-
-    def guard(self, g: LemmaGrid) -> None:
-        if self.validate:
-            _require_search_k(self.k)
-        _guard(self.k, self.table, [self.spec], g.bit_cap)
-
-    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
-        k, label = self.k, self.label
-        for task, flags in _task_flags(k, self.table, self.spec):
-            labels = [
-                label(k, alpha, p, beta)
-                for alphas, ps, betas in task for alpha in alphas for beta in betas for p in ps
-            ]
-            yield labels, list(map(not_, flags))
-
-
-def _guard_over_v(powers, vs: range, bit_cap: int | None) -> None:
-    """_guard_widest over a block's rows at vs, powers(v) each row's (base,
-    exp) pairs, every one widest at one end of vs."""
-    rows = (power for v in vs for power in powers(v))
-    _guard_widest((*powers(vs[0]), *powers(vs[-1])), rows, bit_cap)
-
-
-class _BoundBlock(NamedTuple):
-    """A prime's block of u1 (p = 1 mod 4) or v3 (p = 3 mod 4), over ks and
-    then v; each k is validated first if validate is set."""
-
-    p: int
-    ks: tuple[int, ...]
-    validate: bool
-    passed: set[tuple[int, int]]
-
-    def guard(self, g: LemmaGrid) -> None:
-        p = self.p
-        for k in self.ks:
-            if self.validate:
-                _require_odd_k(k)
-            key = (p.bit_length(), k)
-            if key in self.passed:
-                continue
-            if p % 4 == 1:  # p**(2**v - 1) and (2**k)**(v + 1), as _bound_holds builds them
-                _guard_over_v(lambda v: ((p, (1 << v) - 1), (1 << k, v + 1)), _vs(g), g.bit_cap)
-            else:  # p**|2**v - 2k - 1|
-                _guard_over_v(lambda v: ((p, abs((1 << v) - 2 * k - 1)),), _vs(g), g.bit_cap)
-            self.passed.add(key)
-
-    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
-        p, ks, vs, cap = self.p, self.ks, _vs(g), g.bit_cap
-        holds = [_bound_holds(p, k, v, cap) for k in ks for v in vs]
-        yield [f"p={p} k={k} v={v}" for k in ks for v in vs], [
-            "holds" if h else "fails" for h in holds
-        ]
-
-
-class _ScenarioBlock(NamedTuple):
-    """A prime's block of trichotomy, over ks and then beta = 2**v; each k is
-    proved prime first if validate is set. The scenario sets depend only on
-    (lam, k, v, p == k), all they read of p, and outcomes, shared by a
-    grid's blocks, keeps each."""
-
-    p: int
-    ks: tuple[int, ...]
-    validate: bool
-    lam: int
-    outcomes: dict[tuple[int, int, int, bool], str]
-    passed: set[tuple[int, int]]
-
-    def guard(self, g: LemmaGrid) -> None:
-        lam = self.lam
-        for k in self.ks:
-            if self.validate:
-                _require_prime_k(k)
-            if (lam, k) in self.passed:
-                continue
-            # (2**lam - 1)**(beta - 1) and (2**(lam + v))**k, as _scenarios builds them
-            _guard_over_v(lambda v: (((1 << lam) - 1, (1 << v) - 1), (1 << (lam + v), k)),
-                          _vs(g), g.bit_cap)
-            self.passed.add((lam, k))
-
-    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
-        p, ks, lam, outcomes, vs = self.p, self.ks, self.lam, self.outcomes, _vs(g)
-        values = []
-        for k in ks:
-            for v in vs:
-                key = (lam, k, v, p == k)
-                if key not in outcomes:
-                    scenarios = _scenarios(lam, k, 1 << v, p == k, g.bit_cap)
-                    outcomes[key] = ",".join(sorted(s.value for s in scenarios)) or "NONE"
-                values.append(outcomes[key])
-        yield [f"p={p} k={k} beta={1 << v}" for k in ks for v in vs], values
-
-
-class _WholeBlock(NamedTuple):
-    """A grid small enough to decide whole (vs1, appr, appr2): rows(g)'s
-    (label, value) pairs. Being its grid's only block, it is decided before
-    any row is written, so its guard has nothing to do."""
-
-    rows: Callable[[LemmaGrid], Iterable[tuple[str, bool]]]
-
-    def guard(self, g: LemmaGrid) -> None:
-        pass
-
-    def decide(self, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
-        rows = list(self.rows(g))
-        yield [label for label, _ in rows], [ok for _, ok in rows]
-
-
-# Walks: each takes a grid and returns a function that walks its blocks in
-# row order, called once to guard them and once to decide them; a sieve is
-# made once, outside that function. A k is validated at its first block.
+# A lemma grid runs as blocks of rows, one kernel call each. Each walk below
+# (every _*_rows but _appr_rows, a row generator) takes a grid, makes any
+# sieve once, and returns walk(guarding), a generator over the grid's blocks
+# in row order, run once guarding and once not. Guarding, it validates each
+# k where the row-by-row reference does, at the first block that has it and
+# before any number is built from k, and refuses each block's first row past
+# the operand cap, with no power and no kernel call; it yields nothing. Else
+# it yields each block's rows as (labels, values), values bools for a proved
+# tag and outcome strings for an informational one; f and v10 yield a _split
+# task at a time.
+_Rows = tuple[list[str], list]
 
 
 def _vs(g: LemmaGrid) -> range:
@@ -944,15 +796,46 @@ def _block_tails(g: LemmaGrid) -> list[str]:
     return [f" v={v} beta1={b}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
 
 
-def _whole(rows: Callable[[LemmaGrid], Iterable[tuple[str, bool]]]):
-    return lambda g: [_WholeBlock(rows)].__iter__
+def _flag_block(
+    guarding: bool, head: str, tails: list[str], e: int, base: int, c: int, g: LemmaGrid
+) -> Iterator[_Rows]:
+    """An _exact_flags block of cando, tv, tv2 or sl3, guarded or decided;
+    row i is labelled head + tails[i]."""
+    if guarding:
+        _guard_flags(base, c, g.v_max, g.beta1_max, g.bit_cap)
+    else:
+        flags = _exact_flags(e, base, c, g.v_max, g.beta1_max, g.bit_cap)
+        yield [head + tail for tail in tails], flags
+
+
+def _kernel_block(
+    guarding: bool, label, k: int, table: Sequence[int], spec: _Spec, g: LemmaGrid
+) -> Iterator[_Rows]:
+    """One spec of f or v10 over table on the batch kernel, guarded or
+    decided: a row passes when its point does not divide, and
+    label(k, alpha, p, beta) labels it."""
+    if guarding:
+        _guard(k, table, [spec], g.bit_cap)
+        return
+    for task, flags in _task_flags(k, table, spec):
+        labels = [
+            label(k, alpha, p, beta)
+            for alphas, ps, betas in task for alpha in alphas for beta in betas for p in ps
+        ]
+        yield labels, list(map(not_, flags))
 
 
 def _cando_rows(g: LemmaGrid):
     # check_cando: 2**(v+k) || (2**k - 1)**(beta * k) - 1 at beta = 2**v * beta1
     tails = [f" beta={b << v}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
-    ks = g.k_values if tails else ()
-    return [_FlagBlock(f"k={k}", tails, k, k, (1 << k) - 1, k, set()) for k in ks].__iter__
+
+    def walk(guarding: bool) -> Iterator[_Rows]:
+        for k in g.k_values if tails else ():
+            if guarding:
+                _require_odd_k(k)
+            yield from _flag_block(guarding, f"k={k}", tails, k, (1 << k) - 1, k, g)
+
+    return walk
 
 
 def _appr_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
@@ -967,14 +850,15 @@ def _tv_rows(g: LemmaGrid, residue: int):
     # check_tv (residue 1): 2**(t+v) || p**(2**v * beta1 * k) - 1, t = v2(p - 1);
     # check_tv2 (residue 3): 2**(v+s-1) || the same, s = v2(p**2 - 1)
     tails = _block_tails(g)
-    primes = _residue_primes(g.p_max, residue) if tails else ()
-    passed: set[tuple[int, int]] = set()
+    primes = _residue_primes(primes_upto(g.p_max - 1), residue) if tails else ()
 
-    def walk() -> Iterator[_FlagBlock]:
+    def walk(guarding: bool) -> Iterator[_Rows]:
         for i, p in enumerate(primes):
             e = v2(p - 1) if residue == 1 else v2(p * p - 1) - 1
             for k in g.k_values:
-                yield _FlagBlock(f"p={p} k={k}", tails, None if i else k, e, p, k, passed)
+                if guarding and not i:
+                    _require_odd_k(k)
+                yield from _flag_block(guarding, f"p={p} k={k}", tails, e, p, k, g)
 
     return walk
 
@@ -982,20 +866,14 @@ def _tv_rows(g: LemmaGrid, residue: int):
 def _sl3_rows(g: LemmaGrid):
     # check_sl3: 2**(lam+v) || (2**lam * p1 - 1)**(2**v * beta1) - 1
     tails = _block_tails(g)
-    passed: set[tuple[int, int]] = set()
-    return lambda: (
-        _FlagBlock(f"lam={lam} p1={p1}", tails, None, lam, (p1 << lam) - 1, 1, passed)
-        for lam in range(2, g.lambda_max + 1)
-        for p1 in _odd_values(g.p1_max)
-    )
 
+    def walk(guarding: bool) -> Iterator[_Rows]:
+        for lam in range(2, g.lambda_max + 1):
+            for p1 in _odd_values(g.p1_max):
+                head = f"lam={lam} p1={p1}"
+                yield from _flag_block(guarding, head, tails, lam, (p1 << lam) - 1, 1, g)
 
-def _f_rows(g: LemmaGrid):
-    alphas, betas = range(2, g.alpha_max + 1), range(2, g.beta_max + 1)
-    ks = g.k_values if alphas and betas else ()
-    return [
-        _KernelBlock(_f_label, k, True, [(1 << k) - 1], (alphas, range(1), betas)) for k in ks
-    ].__iter__
+    return walk
 
 
 def _f_label(k: int, alpha: int, p: int, beta: int) -> str:
@@ -1010,47 +888,92 @@ def _v10_label(k: int, alpha: int, p: int, beta: int) -> str:
     return f"alpha={alpha} p={p}"
 
 
+def _f_rows(g: LemmaGrid):
+    alphas, betas = range(2, g.alpha_max + 1), range(2, g.beta_max + 1)
+
+    def walk(guarding: bool) -> Iterator[_Rows]:
+        for k in g.k_values if alphas and betas else ():
+            if guarding:
+                _require_search_k(k)
+            spec = (alphas, range(1), betas)
+            yield from _kernel_block(guarding, _f_label, k, [(1 << k) - 1], spec, g)
+
+    return walk
+
+
 def _v10_rows(g: LemmaGrid):
-    blocks = [
-        _KernelBlock(_candidate_label, 5, False, [f.p],
-                     (range(f.alpha, f.alpha + 1), range(1), range(4, 5)))
-        for f in lemma41_candidates()
-    ]
-    # one sieve at alpha_max; each alpha's p-bound primes are a prefix
-    bound = 3 * (1 << (g.alpha_max - 1)) - 1 if g.alpha_max >= 2 else 0
-    residue3 = _residue_primes(bound, 3)
-    for alpha in range(2, g.alpha_max + 1):
-        n = bisect_right(residue3, 3 * (1 << (alpha - 1)) - 2)
-        spec = (range(alpha, alpha + 1), range(n), range(4, 5))
-        blocks.append(_KernelBlock(_v10_label, 5, False, residue3, spec))
-    return blocks.__iter__
+    candidates = lemma41_candidates()
+    # one sieve at alpha_max, made on the first walk once its candidates are
+    # past, where the rows reach it; each alpha's p-bound primes are a prefix
+    residue3 = cache(lambda: _residue_primes(_p_bound_primes(g.alpha_max), 3))
+
+    def walk(guarding: bool) -> Iterator[_Rows]:
+        beta4 = range(4, 5)
+        for f in candidates:
+            spec = (range(f.alpha, f.alpha + 1), range(1), beta4)
+            yield from _kernel_block(guarding, _candidate_label, 5, [f.p], spec, g)
+        table = residue3()
+        for alpha in range(2, g.alpha_max + 1):
+            n = bisect_right(table, 3 * (1 << (alpha - 1)) - 2)
+            spec = (range(alpha, alpha + 1), range(n), beta4)
+            yield from _kernel_block(guarding, _v10_label, 5, table, spec, g)
+
+    return walk
 
 
 def _bound_rows(g: LemmaGrid, residue: int):
-    # bound_u1 (residue 1) or bound_v3 (residue 3)
-    primes = _residue_primes(g.p_max, residue) if g.v_max >= 1 else ()
-    passed: set[tuple[int, int]] = set()
-    return lambda: (_BoundBlock(p, g.k_values, not i, passed) for i, p in enumerate(primes))
+    # bound_u1 (residue 1) or bound_v3 (residue 3), validated as _tv_rows is
+    vs = _vs(g)
+    primes = _residue_primes(primes_upto(g.p_max - 1), residue) if vs else ()
+
+    def walk(guarding: bool) -> Iterator[_Rows]:
+        for i, p in enumerate(primes):
+            for k in g.k_values:
+                if guarding:
+                    if not i:
+                        _require_odd_k(k)
+                    _guard_bound(p, k, vs, g.bit_cap)
+                    continue
+                holds = [_bound_row(p, k, v) for v in vs]
+                yield [f"p={p} k={k} v={v}" for v in vs], ["holds" if h else "fails" for h in holds]
+
+    return walk
 
 
 def _trichotomy_rows(g: LemmaGrid):
-    # trichotomy_3mod4 at beta = 2**v
-    primes = _residue_primes(g.p_max, 3) if g.v_max >= 1 else ()
-    outcomes: dict[tuple[int, int, int, bool], str] = {}
-    passed: set[tuple[int, int]] = set()
-    return lambda: (
-        _ScenarioBlock(p, g.k_values, not i, v2(p + 1), outcomes, passed)
-        for i, p in enumerate(primes)
-    )
+    # trichotomy_3mod4 at beta = 2**v, validated as _bound_rows is; a
+    # block's scenarios depend only on (v2(p + 1), k, p == k)
+    vs = _vs(g)
+    primes = _residue_primes(primes_upto(g.p_max - 1), 3) if vs else ()
+    outcomes: dict[tuple[int, int, bool], list[str]] = {}
+
+    def walk(guarding: bool) -> Iterator[_Rows]:
+        for i, p in enumerate(primes):
+            lam = v2(p + 1)
+            for k in g.k_values:
+                if guarding:
+                    if not i:
+                        _require_prime_k(k)
+                    _guard_scenarios(lam, k, vs, g.bit_cap)
+                    continue
+                key = (lam, k, p == k)
+                if key not in outcomes:
+                    sets = (_scenarios(lam, k, 1 << v, p == k, g.bit_cap) for v in vs)
+                    outcomes[key] = [",".join(sorted(s.value for s in ss)) or "NONE" for ss in sets]
+                yield [f"p={p} k={k} beta={1 << v}" for v in vs], outcomes[key]
+
+    return walk
 
 
-# tag -> (walk, proved), paired in LEMMA_TAGS order. The lambdas look
-# walks and checkers up at call time, so rebinding a module global reaches them.
+# tag -> (walk, proved), paired in LEMMA_TAGS order, except that for the
+# tags of _WHOLE_GRIDS it is a row generator, yielding (label, value). The
+# lambdas look walks and checkers up at call time, so rebinding a module
+# global reaches them.
 _LEMMAS = dict(zip(LEMMA_TAGS, (
-    (_whole(lambda g: ((f"k={k}", check_vs1(k, g.bit_cap)) for k in g.k_values)), True),
+    (lambda g: ((f"k={k}", check_vs1(k, g.bit_cap)) for k in g.k_values), True),
     (_cando_rows, True),
-    (_whole(_appr_rows), True),
-    (_whole(lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values)), True),
+    (_appr_rows, True),
+    (lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values), True),
     (lambda g: _tv_rows(g, 1), True),  # tv
     (lambda g: _tv_rows(g, 3), True),  # tv2
     (_sl3_rows, True),
@@ -1061,18 +984,20 @@ _LEMMAS = dict(zip(LEMMA_TAGS, (
     (_trichotomy_rows, False),
 ), strict=True))
 
-
-def _guarded(walk, g: LemmaGrid) -> Iterator[tuple[list[str], list]]:
-    """Guard every block of walk in row order, then return a generator that
-    decides them one at a time."""
-    for block in walk():
-        block.guard(g)
-    return (rows for block in walk() for rows in block.decide(g))
+# Grids of a row, or a few, per k: lemma_blocks decides them whole, before
+# any row is written, and yields them as one block.
+_WHOLE_GRIDS = frozenset({"vs1", "appr", "appr2"})
 
 
-def _with_rows(
-    tag: str, blocks: Iterator[tuple[list[str], list]]
-) -> Iterator[tuple[list[str], list]]:
+def _stream(walk: Callable[[bool], Iterator[_Rows]]) -> Iterator[_Rows]:
+    """Guard every block of walk in row order, then return the generator
+    that decides them one at a time."""
+    for _ in walk(True):  # guarding, it yields nothing
+        pass
+    return walk(False)
+
+
+def _with_rows(tag: str, blocks: Iterator[_Rows]) -> Iterator[_Rows]:
     """blocks, refusing at their end a grid that had no rows: nothing has
     been written then."""
     empty = True
@@ -1083,7 +1008,7 @@ def _with_rows(
         raise ValueError(f"the {tag} grid has no rows; widen its parameters")
 
 
-def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple[list[str], list]]]:
+def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[_Rows]]:
     """Whether tag is a proved statement, and its grid as a stream of
     blocks (labels, values) in row order, the rows of one kernel call each:
     values are bools for a proved tag, outcome strings otherwise.
@@ -1093,8 +1018,9 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple[list[s
     beta_max), before any sieving; a repeated exponent in k_values; then,
     in one pass over the grid's blocks in row order, an invalid k and the
     first row past the operand cap, the refusal a row-by-row check would
-    raise first. A grid with no rows is refused at the stream's end, having
-    yielded no row. Only a cross-check failure can stop a stream midway.
+    raise first. The grids of _WHOLE_GRIDS are decided here, whole. A grid
+    with no rows is refused at the stream's end, having yielded no row.
+    Only a cross-check failure can stop a stream midway.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
@@ -1108,8 +1034,13 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple[list[s
         lambda_max=grid.lambda_max,
         p1_max=grid.p1_max,
     )
-    walk, proved = _LEMMAS[tag]
-    return proved, _with_rows(tag, _guarded(walk(grid), grid))
+    make, proved = _LEMMAS[tag]
+    if tag in _WHOLE_GRIDS:
+        rows = list(make(grid))
+        blocks = iter([([label for label, _ in rows], [value for _, value in rows])])
+    else:
+        blocks = _stream(make(grid))
+    return proved, _with_rows(tag, blocks)
 
 
 def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:

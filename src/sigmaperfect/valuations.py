@@ -14,10 +14,12 @@ at a time (_exact_flags): every row of a block claims a power of 2
 dividing the same base raised to c * 2**v * beta1, so one modulus and one
 pow serve the block, each further residue is one multiplication and each
 row is a bit test. Its u1 and v3 grids go through _bound_holds and its
-trichotomy grid through _scenarios. The public check_*, bound_* and
-trichotomy functions keep their input validation and, through
-exactly_divides, one pow per row; they are the per-row reference those
-grids are tested against.
+trichotomy grid through _scenarios. Before a grid is decided, each block
+is checked against the operand cap by _guard_flags, _guard_bound or
+_guard_scenarios, each beside the function whose powers it lists. The
+public check_*, bound_* and trichotomy functions keep their input
+validation and, through exactly_divides, one pow per row; they are the
+per-row reference those grids are tested against.
 
 Where 2**k - 1 itself is the divisor (check_appr), "exactly divides" is
 decided from the residue modulo a power of 2**k - 1, not via prime
@@ -242,12 +244,35 @@ def bound_v3(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
 
 def _bound_holds(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     """bound_u1 for p = 1 (mod 4), else bound_v3, on arguments known valid."""
+    _guard_bound(p, k, range(v, v + 1), bit_cap)
+    return _bound_row(p, k, v)
+
+
+def _bound_row(p: int, k: int, v: int) -> bool:
+    """_bound_holds once _guard_bound has passed its powers."""
     if p % 4 == 1:
-        return checked_pow(p, (1 << v) - 1, bit_cap) <= geometric_sum(1 << k, v + 1, bit_cap)
+        return p ** ((1 << v) - 1) <= ((1 << (k * (v + 1))) - 1) // ((1 << k) - 1)
     e = (1 << v) - 2 * k - 1
     if e >= 0:
-        return checked_pow(p, e, bit_cap) * ((1 << k) - 1) < 1 << (k * (v - 1))
-    return (1 << k) - 1 < checked_pow(p, -e, bit_cap) << (k * (v - 1))
+        return p**e * ((1 << k) - 1) < 1 << (k * (v - 1))
+    return (1 << k) - 1 < p**-e << (k * (v - 1))
+
+
+def _guard_bound(p: int, k: int, vs: range, bit_cap: int | None = None) -> None:
+    """_guard_pow on the powers _bound_row(p, k, v) builds, v over vs in
+    order: p**(2**v - 1), then (2**k)**(v + 1) for p = 1 (mod 4), else
+    p**|2**v - 2k - 1|. Each exponent is widest at an end of vs, so the
+    rows are tried only if an end is refused, and the refusal names the
+    first refused row."""
+
+    def powers(v: int) -> tuple[tuple[int, int], ...]:
+        if p % 4 == 1:
+            return (p, (1 << v) - 1), (1 << k, v + 1)
+        return ((p, abs((1 << v) - 2 * k - 1)),)
+
+    if vs:
+        rows = (power for v in vs for power in powers(v))
+        _guard_widest((*powers(vs[0]), *powers(vs[-1])), rows, bit_cap)
 
 
 class Scenario(Enum):
@@ -295,6 +320,19 @@ def _scenarios(
     if lhs <= geometric_sum(1 << (lam + v), k, bit_cap):
         out.add(Scenario.SCENARIO_3)
     return frozenset(out)
+
+
+def _guard_scenarios(lam: int, k: int, vs: range, bit_cap: int | None = None) -> None:
+    """_guard_pow on the powers _scenarios(lam, k, 2**v, ...) builds, v over
+    vs in order: (2**lam - 1)**(2**v - 1), then (2**(lam + v))**k. Both are
+    widest at the end of vs, so the rows are tried only if it is refused,
+    and the refusal names the first refused row."""
+
+    def powers(v: int) -> tuple[tuple[int, int], ...]:
+        return ((1 << lam) - 1, (1 << v) - 1), (1 << (lam + v), k)
+
+    if vs:
+        _guard_widest(powers(vs[-1]), (power for v in vs for power in powers(v)), bit_cap)
 
 
 # check-lemma's tags, in the parser's order; classify pairs each with its rows.

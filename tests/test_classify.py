@@ -538,7 +538,7 @@ def test_v10_streams_one_kernel_task_at_a_time(monkeypatch):
     # the residue tables are packed, and the stream runs the kernel only as
     # each block is taken, a task of at most _BATCH_POINTS rows at a time
     for residue in (1, 3):
-        table = classify._residue_primes(3 << 16, residue)
+        table = classify._residue_primes(primes_upto((3 << 16) - 1), residue)
         assert isinstance(table, array) and table.itemsize == 4
         assert list(table) == [p for p in primes_upto((3 << 16) - 1) if p % 4 == residue]
     tasks = []

@@ -873,6 +873,23 @@ def test_check_lemma_refuses_a_grid_before_deciding_any_block(kernel, argv, refu
     assert (code, out, err) == (2, "", f"operand size cap exceeded: {refused}\n")
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (("cando", "--k", "-3"), "k must be odd and >= 3, got -3"),
+    (("cando", "--k", "3,200000000"), "k must be odd and >= 3, got 200000000"),
+    (("f", "--k", "-5"), "k must be a prime > 2 with 2**k - 1 prime, got -5"),
+    (("f", "--k", "3,200000000"), "k must be a prime > 2 with 2**k - 1 prime, got 200000000"),
+])
+def test_check_lemma_validates_k_before_building_2k_minus_1(argv, refused, capsys):
+    # 2**-3 would raise "negative shift count", and 2**200000000 - 1 takes 25 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "check-lemma", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: {refused}\n") and peak < 4 << 20, peak
+
+
 class _Discard:
     """A stdout that drops what is written to it, so that only the
     program's own memory is traced."""
@@ -901,7 +918,7 @@ def test_check_lemma_holds_one_block_in_memory(argv, monkeypatch):
 
 
 def _grid_argv(g: LemmaGrid) -> list[str]:
-    argv = ["--k", ",".join(map(str, g.k_values))]
+    argv = ["--k=" + ",".join(map(str, g.k_values))]  # "=": argparse takes "-3,5" for a flag
     for name, value in g._asdict().items():
         if name != "k_values" and value is not None:
             argv += ["--" + name.replace("_", "-"), str(value)]
@@ -931,9 +948,15 @@ def _expected_cli(tag: str, g: LemmaGrid) -> tuple[int, str, str]:
          lambda_max=5, p1_max=9, bit_cap=120)  # refused in the second block, at k=13
 @example(tag="v10", k_values=[5], p_max=40, v_max=2, beta1_max=3, alpha_max=11, beta_max=6,
          lambda_max=5, p1_max=9, bit_cap=60)  # refused at the second candidate
+@example(tag="v10", k_values=[5], p_max=40, v_max=2, beta1_max=3, alpha_max=0, beta_max=6,
+         lambda_max=5, p1_max=9, bit_cap=20)  # the first candidate is refused before the sieve
+@example(tag="cando", k_values=[3, 200_000_000], p_max=40, v_max=2, beta1_max=3, alpha_max=8,
+         beta_max=6, lambda_max=5, p1_max=9, bit_cap=None)  # refused before 2**k - 1 is built
+@example(tag="f", k_values=[3, 200_000_000], p_max=40, v_max=2, beta1_max=3, alpha_max=8,
+         beta_max=6, lambda_max=5, p1_max=9, bit_cap=None)
 @given(
     tag=st.sampled_from(classify.LEMMA_TAGS),
-    k_values=st.lists(st.sampled_from((3, 4, 5, 7, 13)), min_size=1, max_size=3, unique=True),
+    k_values=st.lists(st.sampled_from((-3, 3, 4, 5, 7, 13)), min_size=1, max_size=3, unique=True),
     p_max=st.integers(1, 120),
     v_max=st.integers(0, 7),
     beta1_max=st.integers(0, 9),
