@@ -17,14 +17,14 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from functools import cache
-from itertools import compress, product, repeat
-from math import gcd
+from functools import cache, partial
+from itertools import chain, compress, product, repeat
 from operator import and_, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exactint import CrossCheckError, OperandSizeError, _guard_pow, checked_pow, geometric_sum
-from .primality import is_mersenne_prime_exponent, mersenne_exponents_upto, primes_upto
+from .exactint import CrossCheckError, OperandSizeError, _guard_pow, _require_k
+from .exactint import checked_pow, geometric_sum
+from .primality import mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
     LEMMA_TAGS,
@@ -35,11 +35,10 @@ from .valuations import (
     _guard_bound,
     _guard_flags,
     _guard_scenarios,
-    _require_odd_k,
-    _require_prime_k,
     _scenarios,
     bound_u1,
     bound_v3,
+    _coprime_to_2k_minus_1,
     check_appr,
     check_appr2_bound,
     check_vs1,
@@ -155,11 +154,6 @@ class GridStats(NamedTuple):
     points_scanned: int
     pruned_points: int
     scenario1_points: int
-
-
-def _require_search_k(k: int) -> None:
-    if k <= 2 or not is_mersenne_prime_exponent(k):
-        raise ValueError(f"k must be a prime > 2 with 2**k - 1 prime, got {k}")
 
 
 def _p_bound_primes(alpha: int) -> array:
@@ -562,7 +556,7 @@ def scan_special_forms(
     ignores the worker count and the merge is a sort, so worker count never
     changes the result.
     """
-    _require_search_k(k)
+    _require_k(k, "mersenne")
     if alpha_max < 2 or beta_max < 2:
         raise ValueError("alpha_max and beta_max must be >= 2")
     if workers < 1:
@@ -648,7 +642,7 @@ def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> 
     Always true when 2**k - 1 is prime; a False return is an
     implementation bug.
     """
-    _require_search_k(k)
+    _require_k(k, "mersenne")
     if alpha < 2 or beta < 2:
         raise ValueError(f"alpha and beta must be >= 2, got {alpha} and {beta}")
     ps, spec = [(1 << k) - 1], (range(alpha, alpha + 1), range(1), range(beta, beta + 1))
@@ -689,7 +683,7 @@ def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
     divides sigma_5(n), over 2 <= alpha <= alpha_max; the remainder-table
     candidates are re-checked explicitly as well."""
     g = LemmaGrid(alpha_max=alpha_max, bit_cap=bit_cap)
-    return all(all(values) for _, values in _stream(_v10_rows(g)))
+    return all(all(values) for _, values in _stream(_v10_rows(g, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +728,7 @@ def equivalence_scan(
     ks = tuple(ks)
     if n_limit < 6 or not ks:
         raise ValueError("need n_limit >= 6 and at least one exponent")
-    if min(ks) < 1:
-        raise ValueError(f"exponent k={min(ks)} is below 1 in the scan's exponents")
+    _require_k(min(ks), "any")
     _refuse_repeated(ks, "the scan's exponents")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -775,15 +768,14 @@ def _residue_primes(table: array, residue: int) -> array:
 
 
 # A lemma grid runs as blocks of rows, one kernel call each. Each walk below
-# (every _*_rows but _appr_rows, a row generator) takes a grid, makes any
-# sieve once, and returns walk(guarding), a generator over the grid's blocks
-# in row order, run once guarding and once not. Guarding, it validates each
-# k where the row-by-row reference does, at the first block that has it and
-# before any number is built from k, and refuses each block's first row past
-# the operand cap, with no power and no kernel call; it yields nothing. Else
-# it yields each block's rows as (labels, values), values bools for a proved
-# tag and outcome strings for an informational one; f and v10 yield a _split
-# task at a time.
+# (every _*_rows but _appr_rows, a row generator) takes a grid and rule, its
+# tag's k rule, makes any sieve once, and returns walk(), a generator over
+# the grid's blocks in row order as (admit, decide) pairs. It passes each k
+# through rule before k's first block, so before any number is built from
+# k. admit() refuses the block's first row past the operand cap, with no
+# power and no kernel call; decide() returns the block's rows as a list of
+# (labels, values), values bools for a proved tag and outcome strings for an
+# informational one, or, for f and v10, yields them a _split task at a time.
 _Rows = tuple[list[str], list]
 
 
@@ -796,84 +788,75 @@ def _block_tails(g: LemmaGrid) -> list[str]:
     return [f" v={v} beta1={b}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
 
 
-def _flag_block(
-    guarding: bool, head: str, tails: list[str], e: int, base: int, c: int, g: LemmaGrid
-) -> Iterator[_Rows]:
-    """An _exact_flags block of cando, tv, tv2 or sl3, guarded or decided;
-    row i is labelled head + tails[i]."""
-    if guarding:
-        _guard_flags(base, c, g.v_max, g.beta1_max, g.bit_cap)
-    else:
-        flags = _exact_flags(e, base, c, g.v_max, g.beta1_max, g.bit_cap)
-        yield [head + tail for tail in tails], flags
+def _flag_block(head: str, tails: list[str], e: int, base: int | None, c: int, g: LemmaGrid):
+    """An _exact_flags block of cando, tv, tv2 or sl3 as (admit, decide); row
+    i is labelled head + tails[i]. A base of None is cando's 2**e - 1, which
+    decide alone builds."""
+
+    def admit() -> None:
+        _guard_flags(e if base is None else base.bit_length(), c, g.v_max, g.beta1_max, g.bit_cap)
+
+    def decide() -> list[_Rows]:
+        b = (1 << e) - 1 if base is None else base
+        return [([head + tail for tail in tails], _exact_flags(e, b, c, g.v_max, g.beta1_max, g.bit_cap))]
+
+    return admit, decide
 
 
-def _kernel_block(
-    guarding: bool, label, k: int, table: Sequence[int], spec: _Spec, g: LemmaGrid
-) -> Iterator[_Rows]:
-    """One spec of f or v10 over table on the batch kernel, guarded or
-    decided: a row passes when its point does not divide, and
+def _kernel_block(label, k: int, table: Sequence[int], spec: _Spec, g: LemmaGrid):
+    """One spec of f or v10 over table on the batch kernel as (admit,
+    decide): a row passes when its point does not divide, and
     label(k, alpha, p, beta) labels it."""
-    if guarding:
-        _guard(k, table, [spec], g.bit_cap)
-        return
-    for task, flags in _task_flags(k, table, spec):
-        labels = [
-            label(k, alpha, p, beta)
-            for alphas, ps, betas in task for alpha in alphas for beta in betas for p in ps
-        ]
-        yield labels, list(map(not_, flags))
+
+    def decide() -> Iterator[_Rows]:
+        for task, flags in _task_flags(k, table, spec):
+            labels = [
+                label(k, alpha, p, beta)
+                for alphas, ps, betas in task for alpha in alphas for beta in betas for p in ps
+            ]
+            yield labels, list(map(not_, flags))
+
+    return partial(_guard, k, table, [spec], g.bit_cap), decide
 
 
-def _cando_rows(g: LemmaGrid):
+def _cando_rows(g: LemmaGrid, rule):
     # check_cando: 2**(v+k) || (2**k - 1)**(beta * k) - 1 at beta = 2**v * beta1
     tails = [f" beta={b << v}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
-
-    def walk(guarding: bool) -> Iterator[_Rows]:
-        for k in g.k_values if tails else ():
-            if guarding:
-                _require_odd_k(k)
-            yield from _flag_block(guarding, f"k={k}", tails, k, (1 << k) - 1, k, g)
-
-    return walk
+    ks = g.k_values if tails else ()
+    return lambda: (_flag_block(f"k={k}", tails, k, None, k, g) for k in map(rule, ks))
 
 
-def _appr_rows(g: LemmaGrid) -> Iterator[tuple[str, bool]]:
-    for k in g.k_values:
-        for u in range(g.u_max + 1):
-            for alpha1 in range(1, g.alpha1_max + 1):
-                if gcd(alpha1, (1 << k) - 1) == 1:
+def _appr_rows(g: LemmaGrid, rule) -> Iterator[tuple[str, bool]]:
+    us, alpha1s = range(g.u_max + 1), range(1, g.alpha1_max + 1)
+    for k in map(rule, g.k_values if us and alpha1s else ()):
+        for u in us:
+            for alpha1 in alpha1s:
+                if _coprime_to_2k_minus_1(alpha1, k):
                     yield f"k={k} u={u} alpha1={alpha1}", check_appr(k, u, alpha1, g.bit_cap)
 
 
-def _tv_rows(g: LemmaGrid, residue: int):
+def _tv_rows(g: LemmaGrid, rule, residue: int):
     # check_tv (residue 1): 2**(t+v) || p**(2**v * beta1 * k) - 1, t = v2(p - 1);
     # check_tv2 (residue 3): 2**(v+s-1) || the same, s = v2(p**2 - 1)
     tails = _block_tails(g)
     primes = _residue_primes(primes_upto(g.p_max - 1), residue) if tails else ()
 
-    def walk(guarding: bool) -> Iterator[_Rows]:
-        for i, p in enumerate(primes):
+    def walk():
+        for p in primes:
             e = v2(p - 1) if residue == 1 else v2(p * p - 1) - 1
-            for k in g.k_values:
-                if guarding and not i:
-                    _require_odd_k(k)
-                yield from _flag_block(guarding, f"p={p} k={k}", tails, e, p, k, g)
+            for k in map(rule, g.k_values):
+                yield _flag_block(f"p={p} k={k}", tails, e, p, k, g)
 
     return walk
 
 
-def _sl3_rows(g: LemmaGrid):
+def _sl3_rows(g: LemmaGrid, rule):
     # check_sl3: 2**(lam+v) || (2**lam * p1 - 1)**(2**v * beta1) - 1
     tails = _block_tails(g)
-
-    def walk(guarding: bool) -> Iterator[_Rows]:
-        for lam in range(2, g.lambda_max + 1):
-            for p1 in _odd_values(g.p1_max):
-                head = f"lam={lam} p1={p1}"
-                yield from _flag_block(guarding, head, tails, lam, (p1 << lam) - 1, 1, g)
-
-    return walk
+    return lambda: (
+        _flag_block(f"lam={lam} p1={p1}", tails, lam, (p1 << lam) - 1, 1, g)
+        for lam in range(2, g.lambda_max + 1) for p1 in _odd_values(g.p1_max)
+    )
 
 
 def _f_label(k: int, alpha: int, p: int, beta: int) -> str:
@@ -888,100 +871,87 @@ def _v10_label(k: int, alpha: int, p: int, beta: int) -> str:
     return f"alpha={alpha} p={p}"
 
 
-def _f_rows(g: LemmaGrid):
+def _f_rows(g: LemmaGrid, rule):
     alphas, betas = range(2, g.alpha_max + 1), range(2, g.beta_max + 1)
-
-    def walk(guarding: bool) -> Iterator[_Rows]:
-        for k in g.k_values if alphas and betas else ():
-            if guarding:
-                _require_search_k(k)
-            spec = (alphas, range(1), betas)
-            yield from _kernel_block(guarding, _f_label, k, [(1 << k) - 1], spec, g)
-
-    return walk
+    ks, spec = g.k_values if alphas and betas else (), (alphas, range(1), betas)
+    return lambda: (_kernel_block(_f_label, k, [(1 << k) - 1], spec, g) for k in map(rule, ks))
 
 
-def _v10_rows(g: LemmaGrid):
+def _v10_rows(g: LemmaGrid, rule):
     candidates = lemma41_candidates()
     # one sieve at alpha_max, made on the first walk once its candidates are
     # past, where the rows reach it; each alpha's p-bound primes are a prefix
     residue3 = cache(lambda: _residue_primes(_p_bound_primes(g.alpha_max), 3))
+    beta4 = range(4, 5)
 
-    def walk(guarding: bool) -> Iterator[_Rows]:
-        beta4 = range(4, 5)
+    def walk():
         for f in candidates:
             spec = (range(f.alpha, f.alpha + 1), range(1), beta4)
-            yield from _kernel_block(guarding, _candidate_label, 5, [f.p], spec, g)
-        table = residue3()
-        for alpha in range(2, g.alpha_max + 1):
+            yield _kernel_block(_candidate_label, 5, [f.p], spec, g)
+        for alpha in range(2, g.alpha_max + 1):  # none, and no sieve, below alpha_max 2
+            table = residue3()
             n = bisect_right(table, 3 * (1 << (alpha - 1)) - 2)
-            spec = (range(alpha, alpha + 1), range(n), beta4)
-            yield from _kernel_block(guarding, _v10_label, 5, table, spec, g)
+            yield _kernel_block(_v10_label, 5, table, (range(alpha, alpha + 1), range(n), beta4), g)
 
     return walk
 
 
-def _bound_rows(g: LemmaGrid, residue: int):
-    # bound_u1 (residue 1) or bound_v3 (residue 3), validated as _tv_rows is
-    vs = _vs(g)
+def _bound_block(p: int, k: int, vs: range, tails: list[str]) -> list[_Rows]:
+    head = f"p={p} k={k}"
+    return [([head + tail for tail in tails], ["holds" if _bound_row(p, k, v) else "fails" for v in vs])]
+
+
+def _bound_rows(g: LemmaGrid, rule, residue: int):
+    # bound_u1 (residue 1) or bound_v3 (residue 3), one (p, k) block of v's each
+    vs, tails = _vs(g), [f" v={v}" for v in _vs(g)]
     primes = _residue_primes(primes_upto(g.p_max - 1), residue) if vs else ()
-
-    def walk(guarding: bool) -> Iterator[_Rows]:
-        for i, p in enumerate(primes):
-            for k in g.k_values:
-                if guarding:
-                    if not i:
-                        _require_odd_k(k)
-                    _guard_bound(p, k, vs, g.bit_cap)
-                    continue
-                holds = [_bound_row(p, k, v) for v in vs]
-                yield [f"p={p} k={k} v={v}" for v in vs], ["holds" if h else "fails" for h in holds]
-
-    return walk
+    return lambda: (
+        (partial(_guard_bound, p, k, vs, g.bit_cap), partial(_bound_block, p, k, vs, tails))
+        for p in primes for k in map(rule, g.k_values)
+    )
 
 
-def _trichotomy_rows(g: LemmaGrid):
-    # trichotomy_3mod4 at beta = 2**v, validated as _bound_rows is; a
+def _trichotomy_rows(g: LemmaGrid, rule):
+    # trichotomy_3mod4 at beta = 2**v, one (p, k) block of v's each; a
     # block's scenarios depend only on (v2(p + 1), k, p == k)
-    vs = _vs(g)
+    vs, tails = _vs(g), [f" beta={1 << v}" for v in _vs(g)]
     primes = _residue_primes(primes_upto(g.p_max - 1), 3) if vs else ()
     outcomes: dict[tuple[int, int, bool], list[str]] = {}
 
-    def walk(guarding: bool) -> Iterator[_Rows]:
-        for i, p in enumerate(primes):
+    def decide(p: int, lam: int, k: int) -> list[_Rows]:
+        key = (lam, k, p == k)
+        if key not in outcomes:
+            sets = (_scenarios(lam, k, 1 << v, p == k, g.bit_cap) for v in vs)
+            outcomes[key] = [",".join(sorted(s.value for s in ss)) or "NONE" for ss in sets]
+        return [([f"p={p} k={k}" + tail for tail in tails], outcomes[key])]
+
+    def walk():
+        for p in primes:
             lam = v2(p + 1)
-            for k in g.k_values:
-                if guarding:
-                    if not i:
-                        _require_prime_k(k)
-                    _guard_scenarios(lam, k, vs, g.bit_cap)
-                    continue
-                key = (lam, k, p == k)
-                if key not in outcomes:
-                    sets = (_scenarios(lam, k, 1 << v, p == k, g.bit_cap) for v in vs)
-                    outcomes[key] = [",".join(sorted(s.value for s in ss)) or "NONE" for ss in sets]
-                yield [f"p={p} k={k} beta={1 << v}" for v in vs], outcomes[key]
+            for k in map(rule, g.k_values):
+                yield partial(_guard_scenarios, lam, k, vs, g.bit_cap), partial(decide, p, lam, k)
 
     return walk
 
 
-# tag -> (walk, proved), paired in LEMMA_TAGS order, except that for the
-# tags of _WHOLE_GRIDS it is a row generator, yielding (label, value). The
-# lambdas look walks and checkers up at call time, so rebinding a module
-# global reaches them.
+# tag -> (walk, proved, the _require_k kind of its k rule), in LEMMA_TAGS
+# order; for the tags of _WHOLE_GRIDS the walk is a row generator, yielding
+# (label, value), and sl3 and v10 take no k. The lambdas look walks and
+# checkers up at call time, so rebinding a module global reaches them.
 _LEMMAS = dict(zip(LEMMA_TAGS, (
-    (lambda g: ((f"k={k}", check_vs1(k, g.bit_cap)) for k in g.k_values), True),
-    (_cando_rows, True),
-    (_appr_rows, True),
-    (lambda g: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in g.k_values), True),
-    (lambda g: _tv_rows(g, 1), True),  # tv
-    (lambda g: _tv_rows(g, 3), True),  # tv2
-    (_sl3_rows, True),
-    (_f_rows, True),
-    (_v10_rows, True),
-    (lambda g: _bound_rows(g, 1), False),  # u1
-    (lambda g: _bound_rows(g, 3), False),  # v3
-    (_trichotomy_rows, False),
+    (lambda g, rule: ((f"k={k}", check_vs1(k, g.bit_cap)) for k in map(rule, g.k_values)), True, "odd"),
+    (_cando_rows, True, "odd"),
+    (_appr_rows, True, "odd"),
+    (lambda g, rule: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in map(rule, g.k_values)),
+     True, "odd"),
+    (lambda g, rule: _tv_rows(g, rule, 1), True, "odd"),  # tv
+    (lambda g, rule: _tv_rows(g, rule, 3), True, "odd"),  # tv2
+    (_sl3_rows, True, None),
+    (_f_rows, True, "mersenne"),
+    (_v10_rows, True, None),
+    (lambda g, rule: _bound_rows(g, rule, 1), False, "odd"),  # u1
+    (lambda g, rule: _bound_rows(g, rule, 3), False, "odd"),  # v3
+    (_trichotomy_rows, False, "prime"),
 ), strict=True))
 
 # Grids of a row, or a few, per k: lemma_blocks decides them whole, before
@@ -989,12 +959,12 @@ _LEMMAS = dict(zip(LEMMA_TAGS, (
 _WHOLE_GRIDS = frozenset({"vs1", "appr", "appr2"})
 
 
-def _stream(walk: Callable[[bool], Iterator[_Rows]]) -> Iterator[_Rows]:
-    """Guard every block of walk in row order, then return the generator
+def _stream(walk: Callable) -> Iterator[_Rows]:
+    """Admit every block of walk in row order, then return the generator
     that decides them one at a time."""
-    for _ in walk(True):  # guarding, it yields nothing
-        pass
-    return walk(False)
+    for admit, _ in walk():
+        admit()
+    return chain.from_iterable(decide() for _, decide in walk())
 
 
 def _with_rows(tag: str, blocks: Iterator[_Rows]) -> Iterator[_Rows]:
@@ -1016,30 +986,25 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[_Rows]]:
     Every refusal comes before the first block: grids past the limits in
     _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max and
     beta_max), before any sieving; a repeated exponent in k_values; then,
-    in one pass over the grid's blocks in row order, an invalid k and the
-    first row past the operand cap, the refusal a row-by-row check would
-    raise first. The grids of _WHOLE_GRIDS are decided here, whole. A grid
-    with no rows is refused at the stream's end, having yielded no row.
+    in one pass over the grid's blocks in row order, a k refused by its
+    tag's k rule, which runs once, at k's first block, and the first row
+    past the operand cap, the refusal a row-by-row check would raise first.
+    The grids of _WHOLE_GRIDS are decided here, whole. A grid with no rows
+    is refused at the stream's end, having yielded no row.
     Only a cross-check failure can stop a stream midway.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
     _refuse_repeated(grid.k_values, "the grid's k values")
-    _refuse_oversized(
-        "lemma grid",
-        alpha_max=grid.alpha_max,
-        p_max=grid.p_max,
-        beta_max=grid.beta_max,
-        beta1_max=grid.beta1_max,
-        lambda_max=grid.lambda_max,
-        p1_max=grid.p1_max,
-    )
-    make, proved = _LEMMAS[tag]
+    limited = ("alpha_max", "p_max", "beta_max", "beta1_max", "lambda_max", "p1_max")
+    _refuse_oversized("lemma grid", **{name: getattr(grid, name) for name in limited})
+    make, proved, kind = _LEMMAS[tag]
+    rule = cache(partial(_require_k, kind=kind))
     if tag in _WHOLE_GRIDS:
-        rows = list(make(grid))
+        rows = list(make(grid, rule))
         blocks = iter([([label for label, _ in rows], [value for _, value in rows])])
     else:
-        blocks = _stream(make(grid))
+        blocks = _stream(make(grid, rule))
     return proved, _with_rows(tag, blocks)
 
 

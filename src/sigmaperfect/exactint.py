@@ -7,12 +7,12 @@ evaluated in floating point.
 
 A configurable operand-size cap (default one million bits) guards the
 power computations so runaway parameter choices fail loudly instead of
-hanging.
+hanging, and every engine's exponent k passes one rule, _require_k.
 """
 
 from __future__ import annotations
 
-from .primality import is_prime
+from .primality import MAX_MERSENNE_BOUND, is_mersenne_prime_exponent, is_prime
 
 __all__ = [
     "DEFAULT_BIT_CAP",
@@ -53,24 +53,56 @@ def _guard_pow(base: int, exp: int, bit_cap: int | None) -> None:
         raise ValueError(f"exponent must be non-negative, got {exp}")
     if base < 0:
         raise ValueError(f"base must be non-negative, got {base}")
+    _guard_bits(base.bit_length(), exp, bit_cap)
+
+
+def _guard_bits(bits: int, exp: int, bit_cap: int | None) -> None:
+    """_guard_pow on a base read only through its bit length, so that a base
+    built from k is refused without being built."""
+    if bits > 1 and exp * bits > (DEFAULT_BIT_CAP if bit_cap is None else bit_cap):
+        _refuse(bits, f"a {exp.bit_length()}-bit exponent" if exp >> 64 else exp, bit_cap)
+
+
+def _refuse(bits: int, exp, bit_cap: int | None) -> None:
+    """Raise the cap's refusal of a bits-wide base raised to exp: an int, or a
+    text naming the width of one past 64 bits (str() raises past 4,300 digits)."""
     cap = DEFAULT_BIT_CAP if bit_cap is None else bit_cap
-    if base > 1 and exp * base.bit_length() > cap:
-        raise OperandSizeError(
-            f"{base.bit_length()}-bit base raised to {exp} exceeds the {cap}-bit cap"
-        )
+    raise OperandSizeError(f"{bits}-bit base raised to {exp} exceeds the {cap}-bit cap")
 
 
 def _guard_widest(widest, rows, bit_cap: int | None) -> None:
-    """_guard_pow on rows, a block's (base, exp) powers in row order, so that
-    a refusal names its first refused row. widest holds rows' widest powers,
-    which pass only if every row's does, and is tried first: rows, which
-    callers pass lazily, are walked only when one of widest is refused."""
+    """_guard_bits on rows, a block's (bits, exp) powers in row order, so
+    that a refusal names its first refused row. widest holds rows' widest
+    powers, which pass only if every row's does, and is tried first: rows,
+    which callers pass lazily, are walked only when one of widest is refused."""
     try:
-        for base, exp in widest:
-            _guard_pow(base, exp, bit_cap)
-    except ValueError:  # OperandSizeError included; some row raises it again
-        for base, exp in rows:
-            _guard_pow(base, exp, bit_cap)
+        for bits, exp in widest:
+            _guard_bits(bits, exp, bit_cap)
+    except OperandSizeError:  # some row raises it again
+        for bits, exp in rows:
+            _guard_bits(bits, exp, bit_cap)
+
+
+# Kind -> (whether k is of it, the refusal if not): the scans and f take a
+# Mersenne exponent, SpecialForm and trichotomy a prime, the other lemma tags
+# an odd k >= 3, the equivalence scan any k >= 1. is_prime is looked up per call.
+_K_RULES = {
+    "any": (lambda k: k >= 1, "exponent k={} is below 1 in the scan's exponents"),
+    "odd": (lambda k: k >= 3 and k % 2 == 1, "k must be odd and >= 3, got {}"),
+    "prime": (lambda k: is_prime(k), "k must be prime, got {}"),
+    "mersenne": (lambda k: k > 2 and is_prime(k), "k must be a prime > 2 with 2**k - 1 prime, got {}"),
+}
+
+
+def _require_k(k: int, kind: str) -> int:
+    """k, refused unless it is of kind, before any number is built from it; a
+    prime past MAX_MERSENNE_BOUND is refused before Lucas-Lehmer runs."""
+    holds, refusal = _K_RULES[kind]
+    if kind == "mersenne" and k > MAX_MERSENNE_BOUND and holds(k):
+        raise ValueError(f"Mersenne exponent {k} is beyond the limit {MAX_MERSENNE_BOUND}")
+    if not holds(k) or kind == "mersenne" and not is_mersenne_prime_exponent(k):
+        raise ValueError(refusal.format(k))
+    return k
 
 
 def v_exact(q: int, x: int) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .exactint import checked_pow, geometric_sum
+from .exactint import _require_k, checked_pow, geometric_sum
 from .primality import _SMALL_PRIMES, _miller_rabin, is_mersenne_prime_exponent, is_prime
 
 __all__ = [
@@ -179,8 +179,7 @@ class SpecialForm(_SpecialFormFields):
             raise ValueError(f"beta must be >= 2, got {beta}")
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
-        if not is_prime(k):
-            raise ValueError(f"k must be prime, got {k}")
+        _require_k(k, "prime")
         return super().__new__(cls, alpha, p, beta, k)
 
     @classmethod

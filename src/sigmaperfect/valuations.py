@@ -13,13 +13,15 @@ check-lemma decides its cando, tv, tv2 and sl3 grids one block of rows
 at a time (_exact_flags): every row of a block claims a power of 2
 dividing the same base raised to c * 2**v * beta1, so one modulus and one
 pow serve the block, each further residue is one multiplication and each
-row is a bit test. Its u1 and v3 grids go through _bound_holds and its
-trichotomy grid through _scenarios. Before a grid is decided, each block
-is checked against the operand cap by _guard_flags, _guard_bound or
-_guard_scenarios, each beside the function whose powers it lists. The
-public check_*, bound_* and trichotomy functions keep their input
-validation and, through exactly_divides, one pow per row; they are the
-per-row reference those grids are tested against.
+row is a bit test. Its u1 and v3 grids go through _bound_row and its
+trichotomy grid through _scenarios. Before a grid is decided, each k
+passes exactint._require_k, and each block is admitted against the
+operand cap by _guard_flags, _guard_bound or _guard_scenarios, each beside
+the function whose powers it lists. They read a base by its bit length
+alone, so 2**k - 1 and 2**k are refused without being built. The public
+check_*, bound_* and trichotomy functions keep their input validation
+and, through exactly_divides, one pow per row; they are the per-row
+reference those grids are tested against.
 
 Where 2**k - 1 itself is the divisor (check_appr), "exactly divides" is
 decided from the residue modulo a power of 2**k - 1, not via prime
@@ -33,7 +35,8 @@ from enum import Enum
 from math import gcd
 from typing import NamedTuple
 
-from .exactint import _guard_pow, _guard_widest, checked_pow, geometric_sum, v_exact
+from .exactint import _guard_bits, _guard_pow, _guard_widest, _refuse, _require_k
+from .exactint import checked_pow, geometric_sum, v_exact
 from .primality import is_prime
 
 __all__ = [
@@ -68,11 +71,6 @@ def _require_prime_mod4(p: int, r: int) -> None:
         raise ValueError(f"p must be a prime that is {r} mod 4, got {p}")
 
 
-def _require_odd_k(k: int) -> None:
-    if k < 3 or k % 2 == 0:
-        raise ValueError(f"k must be odd and >= 3, got {k}")
-
-
 def exactly_divides(d: int, e: int, base: int, exp: int, bit_cap: int | None = None) -> bool:
     """d**e | base**exp - 1 and d**(e+1) ∤ base**exp - 1 (d may be composite).
 
@@ -89,17 +87,17 @@ def exactly_divides(d: int, e: int, base: int, exp: int, bit_cap: int | None = N
 
 
 def _guard_flags(
-    base: int, c: int, v_max: int, beta1_max: int, bit_cap: int | None = None
+    bits: int, c: int, v_max: int, beta1_max: int, bit_cap: int | None = None
 ) -> None:
-    """_guard_pow on every power of an _exact_flags block, base raised to
-    c * 2**v * beta1, v-major. The guard is monotone in the exponent, so the
-    largest one is tried first; only if it is refused are the rows tried in
-    order, so the refusal names the first refused row, as exactly_divides
-    called row by row would."""
+    """_guard_bits on every power of an _exact_flags block, a bits-wide base
+    raised to c * 2**v * beta1, v-major. The guard is monotone in the
+    exponent, so the largest one is tried first; only if it is refused are
+    the rows tried in order, so the refusal names the first refused row, as
+    exactly_divides called row by row would."""
     beta1s = range(1, beta1_max + 1, 2)
     if v_max >= 1 and beta1s:
-        rows = ((base, (c << v) * beta1) for v in range(1, v_max + 1) for beta1 in beta1s)
-        _guard_widest(((base, (c << v_max) * beta1s[-1]),), rows, bit_cap)
+        rows = ((bits, (c << v) * beta1) for v in range(1, v_max + 1) for beta1 in beta1s)
+        _guard_widest(((bits, (c << v_max) * beta1s[-1]),), rows, bit_cap)
 
 
 def _exact_flags(
@@ -117,7 +115,7 @@ def _exact_flags(
     beta1s = range(1, beta1_max + 1, 2)
     if v_max < 1 or not beta1s:
         return []
-    _guard_flags(base, c, v_max, beta1_max, bit_cap)
+    _guard_flags(base.bit_length(), c, v_max, beta1_max, bit_cap)
     modulus = 2 << (e + v_max)
     flags = []
     first = pow(base, 2 * c, modulus)
@@ -133,7 +131,7 @@ def _exact_flags(
 
 def check_vs1(k: int, bit_cap: int | None = None) -> bool:
     """The exact power of 2 dividing (2**k - 1)**(2k) - 1 is 2**(k+1), k odd >= 3."""
-    _require_odd_k(k)
+    _guard_bits(_require_k(k, "odd"), 2 * k, bit_cap)  # 2**k - 1, k bits wide, before it is built
     return exactly_divides(2, k + 1, (1 << k) - 1, 2 * k, bit_cap)
 
 
@@ -142,13 +140,18 @@ def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
 
     Odd beta is rejected; the search context always forces 2 | beta.
     """
-    _require_odd_k(k)
+    _require_k(k, "odd")
     return exactly_divides(2, v2(beta) + k, (1 << k) - 1, beta * k, bit_cap)
 
 
 def appr_exponent(k: int, bit_cap: int | None = None) -> int:
-    """The exact m with (2**k - 1)**m || 2**((2**k - 1) * k) - 1."""
-    _require_odd_k(k)
+    """The exact m with (2**k - 1)**m || 2**((2**k - 1) * k) - 1.
+
+    For k past 64 and the cap's bit length, k alone refuses that power: its
+    exponent has k + bit_length(k) bits (k is odd) and twice it passes the
+    cap. 2**k - 1 is then never built."""
+    if _require_k(k, "odd") > max(64, (bit_cap or 0).bit_length()):
+        _refuse(2, f"a {k + k.bit_length()}-bit exponent", bit_cap)
     d = (1 << k) - 1
     _guard_pow(2, d * k, bit_cap)
     m = 0
@@ -163,14 +166,19 @@ def check_appr(k: int, u: int, alpha1: int, bit_cap: int | None = None) -> bool:
     Requires gcd(alpha1, 2**k - 1) = 1. The tower exponent grows fast in
     u, so large u hits the operand size cap.
     """
-    _require_odd_k(k)
-    d = (1 << k) - 1
+    _require_k(k, "odd")
     if u < 0:
         raise ValueError(f"u must be >= 0, got {u}")
-    if alpha1 < 1 or gcd(alpha1, d) != 1:
+    if alpha1 < 1 or not _coprime_to_2k_minus_1(alpha1, k):
         raise ValueError(f"alpha1 must be positive and coprime to 2**{k} - 1, got {alpha1}")
     m = appr_exponent(k, bit_cap)
+    d = (1 << k) - 1
     return exactly_divides(d, u + m, 2, d ** (u + 1) * k * alpha1, bit_cap)
+
+
+def _coprime_to_2k_minus_1(alpha1: int, k: int) -> bool:
+    """gcd(alpha1, 2**k - 1) == 1 for alpha1 >= 1, from 2**k - 1 mod alpha1."""
+    return gcd(alpha1, pow(2, k, alpha1) - 1) == 1
 
 
 def check_appr2_bound(k: int, bit_cap: int | None = None) -> bool:
@@ -185,7 +193,7 @@ def _require_positive(name: str, value: int, odd: bool = False) -> None:
 
 def check_tv(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> bool:
     """For p = 1 (mod 4): 2**(t+v) || p**(2**v * beta1 * k) - 1, t = v2(p - 1)."""
-    _require_odd_k(k)
+    _require_k(k, "odd")
     _require_positive("v", v)
     _require_positive("beta1", beta1, odd=True)
     _require_prime_mod4(p, 1)
@@ -194,7 +202,7 @@ def check_tv(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> 
 
 def check_tv2(p: int, k: int, v: int, beta1: int, bit_cap: int | None = None) -> bool:
     """For p = 3 (mod 4): 2**(v+s-1) || p**(k * 2**v * beta1) - 1, s = v2(p**2 - 1)."""
-    _require_odd_k(k)
+    _require_k(k, "odd")
     _require_positive("v", v)
     _require_positive("beta1", beta1, odd=True)
     _require_prime_mod4(p, 3)
@@ -223,7 +231,7 @@ def bound_u1(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     therefore prunes (p, v) for good.
     """
     _require_prime_mod4(p, 1)
-    _require_odd_k(k)
+    _require_k(k, "odd")
     _require_positive("v", v)
     return _bound_holds(p, k, v, bit_cap)
 
@@ -237,7 +245,7 @@ def bound_v3(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     operand cap. Same pruning contract as bound_u1, for p = 3 (mod 4).
     """
     _require_prime_mod4(p, 3)
-    _require_odd_k(k)
+    _require_k(k, "odd")
     _require_positive("v", v)
     return _bound_holds(p, k, v, bit_cap)
 
@@ -259,7 +267,7 @@ def _bound_row(p: int, k: int, v: int) -> bool:
 
 
 def _guard_bound(p: int, k: int, vs: range, bit_cap: int | None = None) -> None:
-    """_guard_pow on the powers _bound_row(p, k, v) builds, v over vs in
+    """_guard_bits on the powers _bound_row(p, k, v) builds, v over vs in
     order: p**(2**v - 1), then (2**k)**(v + 1) for p = 1 (mod 4), else
     p**|2**v - 2k - 1|. Each exponent is widest at an end of vs, so the
     rows are tried only if an end is refused, and the refusal names the
@@ -267,8 +275,8 @@ def _guard_bound(p: int, k: int, vs: range, bit_cap: int | None = None) -> None:
 
     def powers(v: int) -> tuple[tuple[int, int], ...]:
         if p % 4 == 1:
-            return (p, (1 << v) - 1), (1 << k, v + 1)
-        return ((p, abs((1 << v) - 2 * k - 1)),)
+            return (p.bit_length(), (1 << v) - 1), (k + 1, v + 1)
+        return ((p.bit_length(), abs((1 << v) - 2 * k - 1)),)
 
     if vs:
         rows = (power for v in vs for power in powers(v))
@@ -283,11 +291,6 @@ class Scenario(Enum):
     SCENARIO_3 = "scenario-3"
 
 
-def _require_prime_k(k: int) -> None:
-    if not is_prime(k):
-        raise ValueError(f"k must be prime, got {k}")
-
-
 def trichotomy_3mod4(
     p: int, k: int, beta: int, bit_cap: int | None = None
 ) -> frozenset[Scenario]:
@@ -300,7 +303,7 @@ def trichotomy_3mod4(
     At least one must hold whenever n | sigma_k(n) is possible, so an
     empty set means the parameters are pruned.
     """
-    _require_prime_k(k)
+    _require_k(k, "prime")
     _require_prime_mod4(p, 3)
     return _scenarios(v_exact(2, p + 1), k, beta, p == k, bit_cap)
 
@@ -323,13 +326,13 @@ def _scenarios(
 
 
 def _guard_scenarios(lam: int, k: int, vs: range, bit_cap: int | None = None) -> None:
-    """_guard_pow on the powers _scenarios(lam, k, 2**v, ...) builds, v over
-    vs in order: (2**lam - 1)**(2**v - 1), then (2**(lam + v))**k. Both are
-    widest at the end of vs, so the rows are tried only if it is refused,
-    and the refusal names the first refused row."""
+    """_guard_bits on the powers _scenarios(lam, k, 2**v, ...) builds, v
+    over vs in order: (2**lam - 1)**(2**v - 1), then (2**(lam + v))**k. Both
+    are widest at the end of vs, so the rows are tried only if it is
+    refused, and the refusal names the first refused row."""
 
     def powers(v: int) -> tuple[tuple[int, int], ...]:
-        return ((1 << lam) - 1, (1 << v) - 1), (1 << (lam + v), k)
+        return (lam, (1 << v) - 1), (lam + v + 1, k)
 
     if vs:
         _guard_widest(powers(vs[-1]), (power for v in vs for power in powers(v)), bit_cap)

@@ -890,6 +890,79 @@ def test_check_lemma_validates_k_before_building_2k_minus_1(argv, refused, capsy
     assert (code, out, err) == (2, "", f"error: {refused}\n") and peak < 4 << 20, peak
 
 
+_ODD_K, _PRIME_K = "k must be odd and >= 3, got {}", "k must be prime, got {}"
+_MERSENNE_K = "k must be a prime > 2 with 2**k - 1 prime, got {}"
+_K_KINDS = {"vs1": _ODD_K, "cando": _ODD_K, "appr": _ODD_K, "appr2": _ODD_K, "tv": _ODD_K,
+            "tv2": _ODD_K, "f": _MERSENNE_K, "u1": _ODD_K, "v3": _ODD_K, "trichotomy": _PRIME_K}
+# 200000001 = 3 * 66666667 is odd, so the odd-k tags refuse it at the operand
+# cap, read from k alone: 2**200000001 - 1 would take 25 MB
+_CAP = "the 1000000-bit cap"
+_HUGE_ODD_K = {
+    "vs1": f"200000001-bit base raised to 400000002 exceeds {_CAP}",
+    "cando": f"200000001-bit base raised to 400000002 exceeds {_CAP}",
+    "appr": f"2-bit base raised to a 200000029-bit exponent exceeds {_CAP}",
+    "appr2": f"2-bit base raised to a 200000029-bit exponent exceeds {_CAP}",
+    "tv": f"3-bit base raised to 400000002 exceeds {_CAP}",  # p = 5
+    "tv2": f"2-bit base raised to 400000002 exceeds {_CAP}",  # p = 3
+    "u1": f"200000002-bit base raised to 2 exceeds {_CAP}",  # (2**k)**2
+    "v3": f"2-bit base raised to 400000001 exceeds {_CAP}",  # 3**(2k - 1)
+}
+
+
+@pytest.mark.parametrize("k", [-3, 200_000_000, 200_000_001])
+@pytest.mark.parametrize("tag", list(_K_KINDS))
+def test_check_lemma_refuses_a_bad_or_huge_k_by_its_kind_before_building_from_it(tag, k, capsys):
+    # each tag's k rule runs before any number is built from k: a negative k
+    # once failed in a shift, and a huge one was built before it was refused
+    if tag in _HUGE_ODD_K and k == 200_000_001:
+        expected = f"operand size cap exceeded: {_HUGE_ODD_K[tag]}\n"
+    else:
+        expected = f"error: {_K_KINDS[tag].format(k)}\n"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "check-lemma", tag, f"--k={k}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", expected) and peak < 4 << 20, peak
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--k", "44497", "--alpha-max", "2"),
+    ("search", "--k", "2203"),
+    ("verify-theorem", "--k", "44497"),
+    ("check-lemma", "f", "--k", "21701"),
+])
+def test_mersenne_k_past_the_bound_is_refused_before_lucas_lehmer(argv, monkeypatch, capsys):
+    # Lucas-Lehmer took 26 s at k = 21701; mersenne and perfect share the bound
+    monkeypatch.setattr(primality, "lucas_lehmer", _refuse("lucas_lehmer"))
+    k = argv[argv.index("--k") + 1]
+    bound = primality.MAX_MERSENNE_BOUND
+    expected = (2, "", f"error: Mersenne exponent {k} is beyond the limit {bound}\n")
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("tag, k, width", [
+    ("appr", 20001, 20016), ("appr2", 20001, 20016), ("appr2", 10001, 10015),
+])
+def test_check_lemma_names_a_wide_exponent_by_its_width(tag, k, width, capsys):
+    # str() of the exponent, about 6,000 digits at k = 20001, raised for
+    # passing 4,300 digits, and printed 3,000 digits at k = 10001
+    expected = f"operand size cap exceeded: 2-bit base raised to a {width}-bit exponent exceeds {_CAP}\n"
+    assert run_cli(capsys, "check-lemma", tag, "--k", str(k)) == (2, "", expected)
+
+
+def test_check_lemma_v10_at_alpha_max_0_checks_its_candidates_without_a_sieve(monkeypatch,
+                                                                              capsys):
+    # its p-bound alpha range is empty; the sieve once failed in a negative shift
+    monkeypatch.setattr(classify, "primes_upto", _refuse("primes_upto"))
+    code, out, err = run_cli(capsys, "check-lemma", "v10", "--alpha-max", "0")
+    lines = out.splitlines()
+    assert (code, err, lines[-1]) == (0, "", "v10: 4/4 pass")
+    assert all(line.startswith("v10  candidate alpha=") for line in lines[:-1])
+    assert classify.verify_lemma410(0)
+
+
 class _Discard:
     """A stdout that drops what is written to it, so that only the
     program's own memory is traced."""

@@ -100,6 +100,36 @@ def test_checked_pow_guard():
     assert checked_pow(0, 5, bit_cap=8) == 0
 
 
+def test_guard_names_an_exponent_past_64_bits_by_its_width():
+    # str() of an int past 4,300 digits raises; up to 64 bits the decimal stays
+    with pytest.raises(OperandSizeError) as exc:
+        checked_pow(2, (1 << 64) - 1, bit_cap=10)
+    assert str(exc.value) == "2-bit base raised to 18446744073709551615 exceeds the 10-bit cap"
+    with pytest.raises(OperandSizeError) as exc:
+        checked_pow(3, 1 << 20000, bit_cap=10)
+    assert str(exc.value) == "2-bit base raised to a 20001-bit exponent exceeds the 10-bit cap"
+
+
+@pytest.mark.parametrize("kind, passed, refused, message", [
+    ("any", (1, 2, 4), (0, -3), "exponent k={} is below 1 in the scan's exponents"),
+    ("odd", (3, 9, 200000001), (-3, 1, 2, 4), "k must be odd and >= 3, got {}"),
+    ("prime", (2, 3, 9973), (-5, 0, 1, 4, 200000001), "k must be prime, got {}"),
+    ("mersenne", (3, 5, 127, 1279), (-5, 2, 4, 11, 1277, 200000001),
+     "k must be a prime > 2 with 2**k - 1 prime, got {}"),
+])
+def test_require_k_refuses_each_kind_with_its_message(kind, passed, refused, message):
+    for k in passed:
+        assert exactint._require_k(k, kind) == k
+    for k in refused:
+        with pytest.raises(ValueError) as exc:
+            exactint._require_k(k, kind)
+        assert str(exc.value) == message.format(k)
+    # a prime past the Mersenne bound is refused before Lucas-Lehmer
+    if kind == "mersenne":
+        with pytest.raises(ValueError, match="Mersenne exponent 1283 is beyond the limit 1279"):
+            exactint._require_k(1283, kind)
+
+
 def test_rational_is_reduced_eagerly():
     # the properties the package relies on from fractions.Fraction
     r = Fraction(6, 4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import sigmaperfect.valuations as valuations
-from sigmaperfect.exactint import OperandSizeError, v_exact
+from sigmaperfect.exactint import OperandSizeError, checked_pow, v_exact
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
     Scenario,
@@ -195,6 +195,16 @@ def test_oracles_match_full_power_on_the_default_lemma_grid():
                 for beta1 in odd_beta1:
                     args = (lam, p1, v, beta1)
                     assert check_sl3(*args) == full_sl3(*args) is True, args
+
+
+@pytest.mark.parametrize("k, bit_cap", [(65, None), (101, 10**6), (201, 1 << 190)])
+def test_appr_exponent_refuses_from_k_alone_as_the_full_power_would(k, bit_cap):
+    # past 64 and the cap's width, k alone refuses 2**((2**k - 1) * k)
+    with pytest.raises(OperandSizeError) as built:
+        checked_pow(2, ((1 << k) - 1) * k, bit_cap)
+    with pytest.raises(OperandSizeError) as from_k:
+        appr_exponent(k, bit_cap)
+    assert str(from_k.value) == str(built.value)
 
 
 def test_oracles_refuse_where_the_full_power_would():
