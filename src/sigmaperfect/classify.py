@@ -29,9 +29,9 @@ from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
 from .valuations import (
     LEMMA_TAGS,
     LemmaGrid,
-    _bound_holds,
     _bound_row,
     _exact_flags,
+    _guard_appr,
     _guard_bound,
     _guard_flags,
     _guard_scenarios,
@@ -41,7 +41,6 @@ from .valuations import (
     _coprime_to_2k_minus_1,
     check_appr,
     check_appr2_bound,
-    check_vs1,
     trichotomy_3mod4,
     v2,
 )
@@ -184,6 +183,7 @@ MAX_SCAN_BETA = 64
 MAX_WORKERS = 64
 
 _ROW_WORK = "no operand cap bounds the work it adds to every row"
+_ROW_COUNT = "the operand cap bounds each row's power, not how many rows there are"
 
 # Grid parameter or worker count -> (its limit, why the limit is there at a
 # given value). Each sieve limit keeps its sieve near the exhaustive scan's;
@@ -199,6 +199,8 @@ _GRID_LIMITS = {
     "beta1_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
     "lambda_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
     "p1_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
+    "u_max": (MAX_SCAN_BETA, lambda _: _ROW_COUNT),
+    "alpha1_max": (MAX_SCAN_BETA, lambda _: _ROW_COUNT),
     "workers": (MAX_WORKERS, lambda w: f"its pool would fork {w} processes at once"),
 }
 
@@ -379,7 +381,7 @@ def _prime_verdicts(
         residue = p % 4
         bounds, done = final[residue], settled[residue]
         if len(done) < len(vs):
-            bounds = tuple(later[residue, v] if v in done else _bound_holds(p, k, v) for v in vs)
+            bounds = tuple(later[residue, v] if v in done else _bound_row(p, k, v) for v in vs)
             done.update(v for v, holds in zip(vs, bounds) if holds == later[residue, v])
         lam = v2(p + 1) if residue == 3 else 0
         key = (residue, p == (1 << k) - 1, p == k, lam, bounds)
@@ -489,15 +491,17 @@ def _split(table: Sequence[int], specs: Iterable[_Spec]) -> list[list[_Spec]]:
     return tasks + [task] if task else tasks
 
 
-def _check_task(task: tuple[int, list[int], list[_Spec]]) -> tuple[list[_Block], list[bool]]:
-    """The kernel runner: one block per spec of a task, checked as one batch
-    by _check_block; return the blocks and their divides flags."""
-    k, two_parts, specs = task
+def _check_task(task: tuple[int, list[_Spec]]) -> tuple[list[_Block], list[bool]]:
+    """The kernel runner: one block per spec of a task (k, specs), checked as
+    one batch by _check_block; return the blocks and their divides flags."""
+    k, specs = task
+    top = max(alphas[-1] for alphas, _, _ in specs)
+    two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in range(2, top + 1)]
     blocks = [_block(k, *spec) for spec in specs]
     return blocks, _check_block(k, two_parts, blocks)
 
 
-def _task_points(task: tuple[int, list[int], list[_Spec]]) -> int:
+def _task_points(task: tuple[int, list[_Spec]]) -> int:
     return len(_check_task(task)[1])  # a count: the caller keeps every task's result
 
 
@@ -507,17 +511,15 @@ def _task_flags(
     """Each task _split cuts from one spec over table, with its divides
     flags, run one task at a time. The spec holds one alpha or one prime,
     so its flags run in (alpha, beta, p) order as one block's."""
-    alphas = spec[0]
-    two_parts = [0] * alphas[0] + [geometric_sum(1 << k, a) for a in alphas]
     for task in _split(table, [spec]):
-        yield task, _check_task((k, two_parts, task))[1]
+        yield task, _check_task((k, task))[1]
 
 
-def _scan_rows(task: tuple[int, list[int], list[_Spec]]):
+def _scan_rows(task: tuple[int, list[_Spec]]):
     """Run one scan task (see _check_task) and add the pruners: its primes
     ascend, so _prime_verdicts gives every row its verdict, counted over
     the row's alphas, and each solution is checked against its row's."""
-    k, _, specs = task
+    k, specs = task
     blocks, divides = _check_task(task)
     beta_max = specs[0][2][-1]
     primes = [p for _, ps, _ in specs for p in ps]
@@ -571,8 +573,7 @@ def scan_special_forms(
         for a, i, j in zip(range(2, alpha_max + 1), cuts, cuts[1:])
     ]
     _guard(k, primes, specs, bit_cap)
-    two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in range(2, alpha_max + 1)]
-    tasks = [(k, two_parts, task) for task in _split(primes, specs)]
+    tasks = [(k, task) for task in _split(primes, specs)]
     chunks = _pool_map(_scan_rows, tasks, workers)
     reports = sorted((r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n())
     return reports, GridStats(*(sum(c[i] for c in chunks) for i in (1, 2, 3)))
@@ -739,8 +740,7 @@ def equivalence_scan(
     tasks = []
     for k in ks:
         _guard(k, primes, specs, None)
-        two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in specs[0][0]]  # p = 3's alphas
-        tasks += [(k, two_parts, task) for task in split]
+        tasks += [(k, task) for task in split]
     return sum(_pool_map(_task_points, tasks, workers))
 
 
@@ -767,15 +767,15 @@ def _residue_primes(table: array, residue: int) -> array:
     return array(table.typecode, compress(table, map(residue.__eq__, map(and_, table, repeat(3)))))
 
 
-# A lemma grid runs as blocks of rows, one kernel call each. Each walk below
-# (every _*_rows but _appr_rows, a row generator) takes a grid and rule, its
-# tag's k rule, makes any sieve once, and returns walk(), a generator over
-# the grid's blocks in row order as (admit, decide) pairs. It passes each k
-# through rule before k's first block, so before any number is built from
-# k. admit() refuses the block's first row past the operand cap, with no
-# power and no kernel call; decide() returns the block's rows as a list of
-# (labels, values), values bools for a proved tag and outcome strings for an
-# informational one, or, for f and v10, yields them a _split task at a time.
+# A lemma grid runs as blocks of rows, one kernel call each. Each walk of
+# _LEMMAS takes a grid and rule, its tag's k rule, makes any sieve once, and
+# returns walk(), a generator over the grid's blocks in row order as (admit,
+# decide) pairs. It passes each k through rule before k's first block, so
+# before any number is built from k. admit() refuses the block's first row
+# past the operand cap, with no power and no kernel call; decide() returns
+# the block's rows as a list of (labels, values), values bools for a proved
+# tag and outcome strings for an informational one, or, for f and v10,
+# yields them a _split task at a time.
 _Rows = tuple[list[str], list]
 
 
@@ -789,16 +789,16 @@ def _block_tails(g: LemmaGrid) -> list[str]:
 
 
 def _flag_block(head: str, tails: list[str], e: int, base: int | None, c: int, g: LemmaGrid):
-    """An _exact_flags block of cando, tv, tv2 or sl3 as (admit, decide); row
-    i is labelled head + tails[i]. A base of None is cando's 2**e - 1, which
-    decide alone builds."""
+    """An _exact_flags block of vs1, cando, tv, tv2 or sl3 as (admit,
+    decide); row i is labelled head + tails[i]. A base of None is 2**e - 1,
+    which decide alone builds."""
 
     def admit() -> None:
         _guard_flags(e if base is None else base.bit_length(), c, g.v_max, g.beta1_max, g.bit_cap)
 
     def decide() -> list[_Rows]:
         b = (1 << e) - 1 if base is None else base
-        return [([head + tail for tail in tails], _exact_flags(e, b, c, g.v_max, g.beta1_max, g.bit_cap))]
+        return [([head + tail for tail in tails], _exact_flags(e, b, c, g.v_max, g.beta1_max))]
 
     return admit, decide
 
@@ -826,13 +826,19 @@ def _cando_rows(g: LemmaGrid, rule):
     return lambda: (_flag_block(f"k={k}", tails, k, None, k, g) for k in map(rule, ks))
 
 
-def _appr_rows(g: LemmaGrid, rule) -> Iterator[tuple[str, bool]]:
+def _appr_rows(g: LemmaGrid, rule):
+    # check_appr at each u and each alpha1 coprime to 2**k - 1, one k block each
     us, alpha1s = range(g.u_max + 1), range(1, g.alpha1_max + 1)
-    for k in map(rule, g.k_values if us and alpha1s else ()):
-        for u in us:
-            for alpha1 in alpha1s:
-                if _coprime_to_2k_minus_1(alpha1, k):
-                    yield f"k={k} u={u} alpha1={alpha1}", check_appr(k, u, alpha1, g.bit_cap)
+
+    def decide(k: int, rows: list[tuple[int, int]]) -> list[_Rows]:
+        labels = [f"k={k} u={u} alpha1={alpha1}" for u, alpha1 in rows]
+        return [(labels, [check_appr(k, u, alpha1, g.bit_cap) for u, alpha1 in rows])]
+
+    def block(k: int):
+        rows = list(product(us, [a for a in alpha1s if _coprime_to_2k_minus_1(a, k)]))
+        return partial(_guard_appr, k, rows, g.bit_cap), partial(decide, k, rows)
+
+    return lambda: map(block, map(rule, g.k_values if us and alpha1s else ()))
 
 
 def _tv_rows(g: LemmaGrid, rule, residue: int):
@@ -914,14 +920,14 @@ def _bound_rows(g: LemmaGrid, rule, residue: int):
 def _trichotomy_rows(g: LemmaGrid, rule):
     # trichotomy_3mod4 at beta = 2**v, one (p, k) block of v's each; a
     # block's scenarios depend only on (v2(p + 1), k, p == k)
-    vs, tails = _vs(g), [f" beta={1 << v}" for v in _vs(g)]
-    primes = _residue_primes(primes_upto(g.p_max - 1), 3) if vs else ()
+    betas, tails = [1 << v for v in _vs(g)], [f" beta={1 << v}" for v in _vs(g)]
+    primes = _residue_primes(primes_upto(g.p_max - 1), 3) if betas else ()
     outcomes: dict[tuple[int, int, bool], list[str]] = {}
 
     def decide(p: int, lam: int, k: int) -> list[_Rows]:
         key = (lam, k, p == k)
         if key not in outcomes:
-            sets = (_scenarios(lam, k, 1 << v, p == k, g.bit_cap) for v in vs)
+            sets = (_scenarios(lam, k, beta, p == k) for beta in betas)
             outcomes[key] = [",".join(sorted(s.value for s in ss)) or "NONE" for ss in sets]
         return [([f"p={p} k={k}" + tail for tail in tails], outcomes[key])]
 
@@ -929,21 +935,25 @@ def _trichotomy_rows(g: LemmaGrid, rule):
         for p in primes:
             lam = v2(p + 1)
             for k in map(rule, g.k_values):
-                yield partial(_guard_scenarios, lam, k, vs, g.bit_cap), partial(decide, p, lam, k)
+                yield partial(_guard_scenarios, lam, k, betas, g.bit_cap), partial(decide, p, lam, k)
 
     return walk
 
 
 # tag -> (walk, proved, the _require_k kind of its k rule), in LEMMA_TAGS
-# order; for the tags of _WHOLE_GRIDS the walk is a row generator, yielding
-# (label, value), and sl3 and v10 take no k. The lambdas look walks and
-# checkers up at call time, so rebinding a module global reaches them.
+# order; sl3 and v10 take no k; vs1 is cando's beta = 2 row. The lambdas
+# look walks and checkers up at call time, so rebinding a global reaches them.
 _LEMMAS = dict(zip(LEMMA_TAGS, (
-    (lambda g, rule: ((f"k={k}", check_vs1(k, g.bit_cap)) for k in map(rule, g.k_values)), True, "odd"),
+    (lambda g, rule: lambda: (
+        _flag_block(f"k={k}", [""], k, None, k, g._replace(v_max=1, beta1_max=1))
+        for k in map(rule, g.k_values)), True, "odd"),
     (_cando_rows, True, "odd"),
     (_appr_rows, True, "odd"),
-    (lambda g, rule: ((f"k={k}", check_appr2_bound(k, g.bit_cap)) for k in map(rule, g.k_values)),
-     True, "odd"),
+    # appr2's one row per k takes check_appr's power at u = 0, alpha1 = 1
+    (lambda g, rule: lambda: (
+        (partial(_guard_appr, k, ((0, 1),), g.bit_cap),
+         lambda k=k: [([f"k={k}"], [check_appr2_bound(k, g.bit_cap)])])
+        for k in map(rule, g.k_values)), True, "odd"),
     (lambda g, rule: _tv_rows(g, rule, 1), True, "odd"),  # tv
     (lambda g, rule: _tv_rows(g, rule, 3), True, "odd"),  # tv2
     (_sl3_rows, True, None),
@@ -953,10 +963,6 @@ _LEMMAS = dict(zip(LEMMA_TAGS, (
     (lambda g, rule: _bound_rows(g, rule, 3), False, "odd"),  # v3
     (_trichotomy_rows, False, "prime"),
 ), strict=True))
-
-# Grids of a row, or a few, per k: lemma_blocks decides them whole, before
-# any row is written, and yields them as one block.
-_WHOLE_GRIDS = frozenset({"vs1", "appr", "appr2"})
 
 
 def _stream(walk: Callable) -> Iterator[_Rows]:
@@ -984,28 +990,22 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[_Rows]]:
     values are bools for a proved tag, outcome strings otherwise.
 
     Every refusal comes before the first block: grids past the limits in
-    _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max and
-    beta_max), before any sieving; a repeated exponent in k_values; then,
-    in one pass over the grid's blocks in row order, a k refused by its
-    tag's k rule, which runs once, at k's first block, and the first row
-    past the operand cap, the refusal a row-by-row check would raise first.
-    The grids of _WHOLE_GRIDS are decided here, whole. A grid with no rows
-    is refused at the stream's end, having yielded no row.
+    _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max,
+    beta_max, u_max and alpha1_max), before any sieving; a repeated
+    exponent in k_values; then, in one pass over the grid's blocks in row
+    order, a k refused by its tag's k rule, which runs once, at k's first
+    block, and the first row past the operand cap, the refusal a row-by-row
+    check would raise first. A grid with no rows is refused at the stream's
+    end, having yielded no row.
     Only a cross-check failure can stop a stream midway.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
     _refuse_repeated(grid.k_values, "the grid's k values")
-    limited = ("alpha_max", "p_max", "beta_max", "beta1_max", "lambda_max", "p1_max")
-    _refuse_oversized("lemma grid", **{name: getattr(grid, name) for name in limited})
+    _refuse_oversized("lemma grid", **{n: getattr(grid, n) for n in _GRID_LIMITS if n in grid._fields})
     make, proved, kind = _LEMMAS[tag]
     rule = cache(partial(_require_k, kind=kind))
-    if tag in _WHOLE_GRIDS:
-        rows = list(make(grid, rule))
-        blocks = iter([([label for label, _ in rows], [value for _, value in rows])])
-    else:
-        blocks = _stream(make(grid, rule))
-    return proved, _with_rows(tag, blocks)
+    return proved, _with_rows(tag, _stream(make(grid, rule)))
 
 
 def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:

@@ -9,19 +9,20 @@ any check_* is an implementation bug, never new mathematics; the bound_*
 and trichotomy functions evaluate inequalities whose truth legitimately
 depends on the parameters and are used to prune searches.
 
-check-lemma decides its cando, tv, tv2 and sl3 grids one block of rows
-at a time (_exact_flags): every row of a block claims a power of 2
+check-lemma decides its vs1, cando, tv, tv2 and sl3 grids one block of
+rows at a time (_exact_flags): every row of a block claims a power of 2
 dividing the same base raised to c * 2**v * beta1, so one modulus and one
 pow serve the block, each further residue is one multiplication and each
-row is a bit test. Its u1 and v3 grids go through _bound_row and its
-trichotomy grid through _scenarios. Before a grid is decided, each k
-passes exactint._require_k, and each block is admitted against the
-operand cap by _guard_flags, _guard_bound or _guard_scenarios, each beside
-the function whose powers it lists. They read a base by its bit length
-alone, so 2**k - 1 and 2**k are refused without being built. The public
-check_*, bound_* and trichotomy functions keep their input validation
-and, through exactly_divides, one pow per row; they are the per-row
-reference those grids are tested against.
+row is a bit test. Before a grid is decided, each k passes
+exactint._require_k, and each block is admitted against the operand cap
+by _guard_flags, _guard_bound (u1, v3), _guard_scenarios (trichotomy) or
+_guard_appr, each beside the function whose powers it lists; _exact_flags,
+_bound_row and _scenarios check no cap again, and the search's pruners
+call the last two unguarded, as at its limits no power passes 64,000 bits.
+The guards read a base by its bit length alone, so 2**k - 1 and 2**k are
+refused without being built. The public check_*, bound_* and trichotomy
+functions keep their input validation and, through exactly_divides, one
+pow per row: they are the per-row reference those grids are tested against.
 
 Where 2**k - 1 itself is the divisor (check_appr), "exactly divides" is
 decided from the residue modulo a power of 2**k - 1, not via prime
@@ -33,10 +34,9 @@ from __future__ import annotations
 
 from enum import Enum
 from math import gcd
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .exactint import _guard_bits, _guard_pow, _guard_widest, _refuse, _require_k
-from .exactint import checked_pow, geometric_sum, v_exact
+from .exactint import _guard_bits, _guard_pow, _guard_widest, _refuse, _require_k, v_exact
 from .primality import is_prime
 
 __all__ = [
@@ -100,22 +100,18 @@ def _guard_flags(
         _guard_widest(((bits, (c << v_max) * beta1s[-1]),), rows, bit_cap)
 
 
-def _exact_flags(
-    e: int, base: int, c: int, v_max: int, beta1_max: int, bit_cap: int | None = None
-) -> list[bool]:
-    """exactly_divides(2, e + v, base, c * 2**v * beta1, bit_cap) for each
-    row of a block, v-major over v = 1 .. v_max and odd beta1 <= beta1_max
-    (e >= 0, c >= 1).
+def _exact_flags(e: int, base: int, c: int, v_max: int, beta1_max: int) -> list[bool]:
+    """exactly_divides(2, e + v, base, c * 2**v * beta1) for each row of a
+    block, v-major over v = 1 .. v_max and odd beta1 <= beta1_max (e >= 0,
+    c >= 1), once _guard_flags has admitted the block.
 
     One modulus 2**(e + v_max + 1) and one pow serve the block: a row's
     residue is the one before times the square of its v's first power, and
-    that square is the next v's first power. A row is then a bit test. The
-    operand cap is checked first, by _guard_flags.
+    that square is the next v's first power. A row is then a bit test.
     """
     beta1s = range(1, beta1_max + 1, 2)
     if v_max < 1 or not beta1s:
         return []
-    _guard_flags(base.bit_length(), c, v_max, beta1_max, bit_cap)
     modulus = 2 << (e + v_max)
     flags = []
     first = pow(base, 2 * c, modulus)
@@ -130,9 +126,8 @@ def _exact_flags(
 
 
 def check_vs1(k: int, bit_cap: int | None = None) -> bool:
-    """The exact power of 2 dividing (2**k - 1)**(2k) - 1 is 2**(k+1), k odd >= 3."""
-    _guard_bits(_require_k(k, "odd"), 2 * k, bit_cap)  # 2**k - 1, k bits wide, before it is built
-    return exactly_divides(2, k + 1, (1 << k) - 1, 2 * k, bit_cap)
+    """2**(k+1) || (2**k - 1)**(2k) - 1 for odd k >= 3: check_cando at beta = 2."""
+    return check_cando(k, 2, bit_cap)
 
 
 def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
@@ -141,23 +136,32 @@ def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
     Odd beta is rejected; the search context always forces 2 | beta.
     """
     _require_k(k, "odd")
-    return exactly_divides(2, v2(beta) + k, (1 << k) - 1, beta * k, bit_cap)
+    v = v2(beta)
+    _guard_bits(k, beta * k, bit_cap)  # 2**k - 1, k bits wide, before it is built
+    return exactly_divides(2, v + k, (1 << k) - 1, beta * k, bit_cap)
 
 
 def appr_exponent(k: int, bit_cap: int | None = None) -> int:
-    """The exact m with (2**k - 1)**m || 2**((2**k - 1) * k) - 1.
-
-    For k past 64 and the cap's bit length, k alone refuses that power: its
-    exponent has k + bit_length(k) bits (k is odd) and twice it passes the
-    cap. 2**k - 1 is then never built."""
-    if _require_k(k, "odd") > max(64, (bit_cap or 0).bit_length()):
-        _refuse(2, f"a {k + k.bit_length()}-bit exponent", bit_cap)
+    """The exact m with (2**k - 1)**m || 2**((2**k - 1) * k) - 1, the power
+    check_appr takes at u = 0, alpha1 = 1."""
+    _guard_appr(_require_k(k, "odd"), ((0, 1),), bit_cap)
     d = (1 << k) - 1
-    _guard_pow(2, d * k, bit_cap)
     m = 0
     while pow(2, d * k, d ** (m + 1)) == 1:
         m += 1
     return m
+
+
+def _guard_appr(k: int, rows: Iterable[tuple[int, int]], bit_cap: int | None = None) -> None:
+    """_guard_bits on check_appr(k, u, alpha1)'s power of 2 for each (u,
+    alpha1) of rows in order. For k past 64 and the cap's bit length, k
+    alone refuses, as (2**k - 1) * k has k + bit_length(k) bits (k is odd)
+    and twice it passes the cap, so 2**k - 1 is never built."""
+    if k > max(64, (bit_cap or 0).bit_length()):
+        _refuse(2, f"a {k + k.bit_length()}-bit exponent", bit_cap)
+    d = (1 << k) - 1
+    for u, alpha1 in rows:
+        _guard_bits(2, d ** (u + 1) * k * alpha1, bit_cap)
 
 
 def check_appr(k: int, u: int, alpha1: int, bit_cap: int | None = None) -> bool:
@@ -233,7 +237,8 @@ def bound_u1(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     _require_prime_mod4(p, 1)
     _require_k(k, "odd")
     _require_positive("v", v)
-    return _bound_holds(p, k, v, bit_cap)
+    _guard_bound(p, k, range(v, v + 1), bit_cap)
+    return _bound_row(p, k, v)
 
 
 def bound_v3(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
@@ -247,17 +252,13 @@ def bound_v3(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     _require_prime_mod4(p, 3)
     _require_k(k, "odd")
     _require_positive("v", v)
-    return _bound_holds(p, k, v, bit_cap)
-
-
-def _bound_holds(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
-    """bound_u1 for p = 1 (mod 4), else bound_v3, on arguments known valid."""
     _guard_bound(p, k, range(v, v + 1), bit_cap)
     return _bound_row(p, k, v)
 
 
 def _bound_row(p: int, k: int, v: int) -> bool:
-    """_bound_holds once _guard_bound has passed its powers."""
+    """bound_u1 for p = 1 (mod 4), else bound_v3, on arguments known valid,
+    once _guard_bound has passed its powers."""
     if p % 4 == 1:
         return p ** ((1 << v) - 1) <= ((1 << (k * (v + 1))) - 1) // ((1 << k) - 1)
     e = (1 << v) - 2 * k - 1
@@ -278,9 +279,8 @@ def _guard_bound(p: int, k: int, vs: range, bit_cap: int | None = None) -> None:
             return (p.bit_length(), (1 << v) - 1), (k + 1, v + 1)
         return ((p.bit_length(), abs((1 << v) - 2 * k - 1)),)
 
-    if vs:
-        rows = (power for v in vs for power in powers(v))
-        _guard_widest((*powers(vs[0]), *powers(vs[-1])), rows, bit_cap)
+    rows = (power for v in vs for power in powers(v))
+    _guard_widest((*powers(vs[0]), *powers(vs[-1])), rows, bit_cap)
 
 
 class Scenario(Enum):
@@ -305,37 +305,37 @@ def trichotomy_3mod4(
     """
     _require_k(k, "prime")
     _require_prime_mod4(p, 3)
-    return _scenarios(v_exact(2, p + 1), k, beta, p == k, bit_cap)
+    lam = v_exact(2, p + 1)
+    _guard_scenarios(lam, k, (beta,), bit_cap)
+    return _scenarios(lam, k, beta, p == k)
 
 
-def _scenarios(
-    lam: int, k: int, beta: int, p_is_k: bool, bit_cap: int | None = None
-) -> frozenset[Scenario]:
+def _scenarios(lam: int, k: int, beta: int, p_is_k: bool) -> frozenset[Scenario]:
     """trichotomy_3mod4 from all it reads of p, lam = v2(p + 1) and whether
-    p = k; beta is validated here, the rest is known valid."""
+    p = k, on arguments known valid, once _guard_scenarios has passed beta."""
     v = v2(beta)
     out = set()
     if p_is_k:
         out.add(Scenario.P_EQUALS_K)
-    lhs = checked_pow((1 << lam) - 1, beta - 1, bit_cap)
+    lhs = ((1 << lam) - 1) ** (beta - 1)
     if lhs <= (1 << (lam + v)) - 1:
         out.add(Scenario.SCENARIO_2)
-    if lhs <= geometric_sum(1 << (lam + v), k, bit_cap):
+    if lhs <= ((1 << ((lam + v) * k)) - 1) // ((1 << (lam + v)) - 1):
         out.add(Scenario.SCENARIO_3)
     return frozenset(out)
 
 
-def _guard_scenarios(lam: int, k: int, vs: range, bit_cap: int | None = None) -> None:
-    """_guard_bits on the powers _scenarios(lam, k, 2**v, ...) builds, v
-    over vs in order: (2**lam - 1)**(2**v - 1), then (2**(lam + v))**k. Both
-    are widest at the end of vs, so the rows are tried only if it is
+def _guard_scenarios(lam: int, k: int, betas: Sequence[int], bit_cap: int | None = None) -> None:
+    """_guard_bits on the powers _scenarios(lam, k, beta, ...) builds, beta
+    over betas in order, v2 validating each: (2**lam - 1)**(beta - 1), then
+    (2**(lam + v2(beta)))**k. Both are widest at the end of betas, one beta
+    or the grid's ascending powers of 2, so the rows are tried only if it is
     refused, and the refusal names the first refused row."""
 
-    def powers(v: int) -> tuple[tuple[int, int], ...]:
-        return (lam, (1 << v) - 1), (lam + v + 1, k)
+    def powers(beta: int) -> tuple[tuple[int, int], ...]:
+        return (lam, beta - 1), (lam + v2(beta) + 1, k)
 
-    if vs:
-        _guard_widest(powers(vs[-1]), (power for v in vs for power in powers(v)), bit_cap)
+    _guard_widest(powers(betas[-1]), (power for b in betas for power in powers(b)), bit_cap)
 
 
 # check-lemma's tags, in the parser's order; classify pairs each with its rows.

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sigmaperfect.classify as classify
 import sigmaperfect.primality as primality
+import sigmaperfect.valuations as valuations
 from sigmaperfect.classify import (
     PRUNE_ORDER,
     CrossCheckError,
@@ -29,7 +30,7 @@ from sigmaperfect.classify import (
     verify_lemma410,
 )
 from sigmaperfect.cli import main
-from sigmaperfect.exactint import OperandSizeError, checked_pow, geometric_sum
+from sigmaperfect.exactint import DEFAULT_BIT_CAP, OperandSizeError, checked_pow, geometric_sum
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.sigma import SpecialForm, divides_sigma, is_even_perfect, sigma_k
 from sigmaperfect.valuations import (
@@ -782,6 +783,26 @@ def test_scan_verdict_equals_pruned_by_at_every_point(k, alpha_max, beta_max, ba
         assert verdicts[p, beta] == classify._pruned_by(SpecialForm(alpha, p, beta, k)), (
             alpha, p, beta, k
         )
+
+
+def test_search_pruners_pass_the_default_cap_at_the_search_limits():
+    # _prime_verdicts runs _bound_row and _scenarios with no cap check: at
+    # k = 1279, the widest prime of each residue class under the alpha = 24
+    # p-bound and the largest v2(p + 1) there, every power they build at
+    # every v and even beta <= 64 passes the default cap
+    k, bound = primality.MAX_MERSENNE_BOUND, 3 * (1 << (classify.MAX_SCAN_ALPHA - 1)) - 1
+    betas = range(2, classify.MAX_SCAN_BETA + 1, 2)
+    for residue in (1, 3):
+        p = next(q for q in range(bound - 1, 2, -1) if q % 4 == residue and primality.is_prime(q))
+        for v in range(1, classify.MAX_SCAN_BETA.bit_length()):
+            valuations._guard_bound(p, k, range(v, v + 1), DEFAULT_BIT_CAP)
+    lam = next(
+        lam for lam in range(bound.bit_length(), 1, -1)
+        if any(primality.is_prime(p) for p in range((1 << lam) - 1, bound, 2 << lam))
+    )
+    assert lam == 21
+    for beta in betas:
+        valuations._guard_scenarios(lam, k, (beta,), DEFAULT_BIT_CAP)
 
 
 def _refuses(scan, *args) -> bool:

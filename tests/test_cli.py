@@ -644,7 +644,10 @@ def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "check-lemma", "f", "--k", "3", "--alpha-max", "2",
                          "--beta-max", at_limit)
     assert code == 0
-    for name in ("primes_upto", "_scan_rows", "check_lemma_f", "_exact_flags"):
+    code, _, _ = run_cli(capsys, "check-lemma", "appr", "--k", "3", "--u-max", "0",
+                         "--alpha1-max", at_limit)
+    assert code == 0
+    for name in ("primes_upto", "_scan_rows", "check_lemma_f", "_exact_flags", "check_appr"):
         monkeypatch.setattr(classify, name, _refuse(name))
     past_limit = str(classify.MAX_SCAN_BETA + 1)
     for argv in (
@@ -655,6 +658,8 @@ def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
         ("check-lemma", "sl3", "--lambda-max", past_limit),
         ("check-lemma", "sl3", "--p1-max", past_limit),
         ("check-lemma", "tv", "--beta1-max", past_limit),
+        ("check-lemma", "appr", "--u-max", past_limit),
+        ("check-lemma", "appr", "--k", "3", "--u-max", "0", "--alpha1-max", "1000"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv
@@ -718,9 +723,9 @@ def _block_rows(e, c, v_max, beta1_max):
 def test_check_lemma_fails_on_a_failing_proved_row(monkeypatch, capsys):
     exact_flags = classify._exact_flags
 
-    def lying(e, base, c, v_max, beta1_max, bit_cap=None):
+    def lying(e, base, c, v_max, beta1_max):
         # the tv row p=13 k=3 v=2 beta1=1 claims 2**4 || 13**12 - 1
-        flags = exact_flags(e, base, c, v_max, beta1_max, bit_cap)
+        flags = exact_flags(e, base, c, v_max, beta1_max)
         rows = _block_rows(e, c, v_max, beta1_max)
         return [ok and (base, *row) != (13, 4, 12) for row, ok in zip(rows, flags)]
 
@@ -753,8 +758,8 @@ def test_check_lemma_fails_on_a_lying_block_kernel(argv, row, failed, summary, m
     # cando, tv2 and sl3 decide every row through classify._exact_flags, as tv does
     exact_flags = classify._exact_flags
 
-    def lying(e, base, c, v_max, beta1_max, bit_cap=None):
-        flags = exact_flags(e, base, c, v_max, beta1_max, bit_cap)
+    def lying(e, base, c, v_max, beta1_max):
+        flags = exact_flags(e, base, c, v_max, beta1_max)
         rows = _block_rows(e, c, v_max, beta1_max)
         return [ok and (base, *claim) != row for claim, ok in zip(rows, flags)]
 
@@ -849,6 +854,29 @@ def test_check_lemma_vs1_u1_and_v3_honour_the_bit_cap(argv, expected, capsys):
 
 
 @pytest.mark.parametrize("kernel, argv, refused", [
+    # in each grid below a first block passes and a later one is refused
+    ("_exact_flags", ("vs1", "--k", "3,13", "--bit-cap", "30"),
+     "13-bit base raised to 26 exceeds the 30-bit cap"),
+    ("_exact_flags", ("cando", "--k", "3,13", "--v-max", "1", "--beta1-max", "1", "--bit-cap", "100"),
+     "13-bit base raised to 26 exceeds the 100-bit cap"),
+    # appr and appr2 decided k = 3 whole before refusing k = 13 and 61
+    ("check_appr", ("appr", "--k", "3,13"),
+     "2-bit base raised to 872202253 exceeds the 1000000-bit cap"),
+    ("check_appr2_bound", ("appr2", "--k", "3,61"),
+     "2-bit base raised to a 67-bit exponent exceeds the 1000000-bit cap"),
+    ("_exact_flags",
+     ("tv2", "--k", "3,13", "--p-max", "4", "--v-max", "1", "--beta1-max", "1", "--bit-cap", "40"),
+     "2-bit base raised to 26 exceeds the 40-bit cap"),
+    ("_exact_flags",
+     ("sl3", "--lambda-max", "2", "--p1-max", "5", "--v-max", "1", "--beta1-max", "1",
+      "--bit-cap", "8"),
+     "5-bit base raised to 2 exceeds the 8-bit cap"),
+    ("_bound_row", ("u1", "--k", "3,13", "--p-max", "6", "--v-max", "1", "--bit-cap", "20"),
+     "14-bit base raised to 2 exceeds the 20-bit cap"),
+    ("_bound_row", ("v3", "--k", "3,13", "--p-max", "4", "--v-max", "1", "--bit-cap", "20"),
+     "2-bit base raised to 25 exceeds the 20-bit cap"),
+    ("_scenarios", ("trichotomy", "--k", "3,13", "--p-max", "4", "--v-max", "1", "--bit-cap", "40"),
+     "4-bit base raised to 13 exceeds the 40-bit cap"),
     # a stream deciding before it guards would print p=5 to p=2377 first
     ("_exact_flags",
      ("tv", "--k", "3,5", "--p-max", "3000", "--v-max", "6", "--beta1-max", "11",

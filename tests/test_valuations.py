@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -9,8 +10,9 @@ from sigmaperfect.exactint import OperandSizeError, checked_pow, v_exact
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
     Scenario,
-    _bound_holds,
+    _bound_row,
     _exact_flags,
+    _guard_flags,
     appr_exponent,
     bound_u1,
     bound_v3,
@@ -461,7 +463,7 @@ def test_bound_holds_flips_at_most_once_toward_its_later_value():
         for v in range(1, 7):
             for residue in (1, 3):
                 later = residue == 3 and (1 << v) < 2 * k + 1
-                values = [_bound_holds(p, k, v) for p in primes if p % 4 == residue]
+                values = [_bound_row(p, k, v) for p in primes if p % 4 == residue]
                 first = values.index(later) if later in values else len(values)
                 assert set(values[first:]) <= {later}, (residue, k, v)
 
@@ -475,7 +477,7 @@ def test_trusted_bounds_and_trichotomy_key_match_public_functions():
         for v in range(1, 7):
             for p in primes:
                 bound = bound_u1 if p % 4 == 1 else bound_v3
-                assert _bound_holds(p, k, v) == bound(p, k, v), (p, k, v)
+                assert _bound_row(p, k, v) == bound(p, k, v), (p, k, v)
         for beta in range(2, 17, 2):
             by_key = {}
             for p in primes:
@@ -490,6 +492,18 @@ def test_trusted_bounds_and_trichotomy_key_match_public_functions():
     ):
         with pytest.raises(ValueError):
             bound(p, k, v)
+
+
+def test_check_cando_refuses_a_huge_k_before_building_2k_minus_1():
+    # 2**200000001 - 1 would take 25 MB; the guard reads it by its bit length
+    tracemalloc.start()
+    try:
+        with pytest.raises(OperandSizeError, match="200000001-bit base raised to 400000002 "):
+            check_cando(200000001, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_exactly_divides_does_not_go_through_the_block_kernel(monkeypatch):
@@ -530,6 +544,10 @@ def test_exact_flags_match_exactly_divides_one_by_one(e, base, c, v_max, beta1_m
         except ValueError as exc:  # OperandSizeError included
             return type(exc), str(exc)
 
-    assert outcome(lambda: _exact_flags(e, base, c, v_max, beta1_max, bit_cap)) == outcome(
+    def admitted_flags():
+        _guard_flags(base.bit_length(), c, v_max, beta1_max, bit_cap)
+        return _exact_flags(e, base, c, v_max, beta1_max)
+
+    assert outcome(admitted_flags) == outcome(
         lambda: [exactly_divides(2, ev, base, x, bit_cap) for ev, x in rows]
     )
