@@ -495,8 +495,8 @@ def _check_task(task: tuple[int, list[_Spec]]) -> tuple[list[_Block], list[bool]
     """The kernel runner: one block per spec of a task (k, specs), checked as
     one batch by _check_block; return the blocks and their divides flags."""
     k, specs = task
-    top = max(alphas[-1] for alphas, _, _ in specs)
-    two_parts = [0, 0] + [geometric_sum(1 << k, a) for a in range(2, top + 1)]
+    lo, top = min(a[0] for a, _, _ in specs), max(a[-1] for a, _, _ in specs)
+    two_parts = [0] * lo + [geometric_sum(1 << k, a) for a in range(lo, top + 1)]
     blocks = [_block(k, *spec) for spec in specs]
     return blocks, _check_block(k, two_parts, blocks)
 
@@ -819,18 +819,24 @@ def _kernel_block(label, k: int, table: Sequence[int], spec: _Spec, g: LemmaGrid
     return partial(_guard, k, table, [spec], g.bit_cap), decide
 
 
-def _cando_rows(g: LemmaGrid, rule):
-    # check_cando: 2**(v+k) || (2**k - 1)**(beta * k) - 1 at beta = 2**v * beta1
-    tails = [f" beta={b << v}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
+def _cando_rows(g: LemmaGrid, rule, tails: list[str] | None = None):
+    # check_cando: 2**(v+k) || (2**k - 1)**(beta * k) - 1 at beta = 2**v * beta1;
+    # vs1, its beta = 2 row, passes its label tails
+    if tails is None:
+        tails = [f" beta={b << v}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
     ks = g.k_values if tails else ()
     return lambda: (_flag_block(f"k={k}", tails, k, None, k, g) for k in map(rule, ks))
 
 
-def _appr_rows(g: LemmaGrid, rule):
-    # check_appr at each u and each alpha1 coprime to 2**k - 1, one k block each
-    us, alpha1s = range(g.u_max + 1), range(1, g.alpha1_max + 1)
+def _appr_rows(g: LemmaGrid, rule, appr2: bool = False):
+    # check_appr at each u and each alpha1 coprime to 2**k - 1, one k block
+    # each; appr2's check_appr2_bound is one row per k, admitted as check_appr's
+    # row u = 0, alpha1 = 1
+    us, alpha1s = (range(1), range(1, 2)) if appr2 else (range(g.u_max + 1), range(1, g.alpha1_max + 1))
 
     def decide(k: int, rows: list[tuple[int, int]]) -> list[_Rows]:
+        if appr2:
+            return [([f"k={k}"], [check_appr2_bound(k, g.bit_cap)])]
         labels = [f"k={k} u={u} alpha1={alpha1}" for u, alpha1 in rows]
         return [(labels, [check_appr(k, u, alpha1, g.bit_cap) for u, alpha1 in rows])]
 
@@ -941,19 +947,13 @@ def _trichotomy_rows(g: LemmaGrid, rule):
 
 
 # tag -> (walk, proved, the _require_k kind of its k rule), in LEMMA_TAGS
-# order; sl3 and v10 take no k; vs1 is cando's beta = 2 row. The lambdas
-# look walks and checkers up at call time, so rebinding a global reaches them.
+# order; sl3 and v10 take no k; vs1 is cando's beta = 2 row, labelled by k
+# alone. Walks look checkers up at call time, so rebinding a global reaches them.
 _LEMMAS = dict(zip(LEMMA_TAGS, (
-    (lambda g, rule: lambda: (
-        _flag_block(f"k={k}", [""], k, None, k, g._replace(v_max=1, beta1_max=1))
-        for k in map(rule, g.k_values)), True, "odd"),
+    (lambda g, rule: _cando_rows(g._replace(v_max=1, beta1_max=1), rule, [""]), True, "odd"),  # vs1
     (_cando_rows, True, "odd"),
     (_appr_rows, True, "odd"),
-    # appr2's one row per k takes check_appr's power at u = 0, alpha1 = 1
-    (lambda g, rule: lambda: (
-        (partial(_guard_appr, k, ((0, 1),), g.bit_cap),
-         lambda k=k: [([f"k={k}"], [check_appr2_bound(k, g.bit_cap)])])
-        for k in map(rule, g.k_values)), True, "odd"),
+    (lambda g, rule: _appr_rows(g, rule, appr2=True), True, "odd"),  # appr2
     (lambda g, rule: _tv_rows(g, rule, 1), True, "odd"),  # tv
     (lambda g, rule: _tv_rows(g, rule, 3), True, "odd"),  # tv2
     (_sl3_rows, True, None),

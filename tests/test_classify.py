@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -371,6 +372,17 @@ def test_check_lemma_f_grid():
         for alpha in range(2, 7):
             for beta in range(2, 5):
                 assert check_lemma_f(k, alpha, beta), (k, alpha, beta)
+
+
+def test_check_lemma_f_builds_only_its_own_alphas_two_part():
+    # one 300,000-bit sum; every alpha from 2 up would hold about 1.9 GB
+    tracemalloc.start()
+    try:
+        assert check_lemma_f(3, 100000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_expected_even_perfect():
