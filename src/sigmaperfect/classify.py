@@ -18,14 +18,14 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache, partial
-from itertools import chain, compress, product, repeat
-from operator import and_, not_
+from itertools import chain, compress, product, repeat, takewhile
+from operator import and_, floordiv, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactint import CrossCheckError, OperandSizeError, _guard_pow, _require_k
 from .exactint import checked_pow, geometric_sum
 from .primality import mersenne_exponents_upto, primes_upto
-from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect
+from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect, sigma_k
 from .valuations import (
     LEMMA_TAGS,
     LemmaGrid,
@@ -262,45 +262,48 @@ def _point(alpha: int, p: int, beta: int, k: int) -> str:
 
 class _Block(NamedTuple):
     """Rows that share one alpha range, held column-wise, as _block builds
-    them: row i is ps[i] at betas[i]. With q = p**k and top the last alpha,
-    the direct route reads p_powers[i] = p**(beta-1) and p_parts[i] = 1 + q +
-    ... + q**(beta-1) modulo M_p = p**(last beta - 1) * 2**(top-1), which each
-    n of the prime's rows divides; condition 1 reads m1s[i] = q - 1 and xs[i]
-    = q**beta modulo m1 * 2**(top-1), which each point's modulus divides. The
-    routes flag a block's points alpha-major: every row at alphas[0], ..."""
+    them: row i is ps[i] at betas[i]. With q = p**k, v = v2(q - 1) and top
+    the last alpha, the direct route reads p_powers[i] = p**(beta-1) and
+    p_parts[i] = 1 + q + ... + q**(beta-1) modulo the row's own M_p =
+    p**(beta-1) * 2**(top-1), which each n of the row divides; condition 1
+    reads vs[i] = v and xs[i] = q**beta modulo 2**(top-1+v), which each
+    point's modulus divides. The routes flag a block's points alpha-major:
+    every row at alphas[0], ..."""
 
     alphas: range
     ps: Sequence[int]
     betas: Sequence[int]
     p_parts: Sequence[int]
     p_powers: Sequence[int]
-    m1s: Sequence[int]
+    vs: Sequence[int]
     xs: Sequence[int]
 
 
 def _block(k: int, alphas: range, ps: Sequence[int], betas: range) -> _Block:
     """Every prime of ps at every beta of betas, over alphas, beta-major:
     each prime at betas[0], then at betas[1], ... Each column is stepped
-    from beta = 2 by Horner's rule, one comprehension per beta."""
+    from beta = 2 by Horner's rule, one comprehension per beta. A p-part
+    known modulo p**(beta-2) * 2**s fixes q times it modulo p**(beta-1) *
+    2**s, so each beta's parts are reduced by that beta's own modulus."""
     ps = list(ps)  # ints made once, in C: the columns walk the primes several times
-    s, e = alphas[-1] - 1, betas[-1] - 1
+    s = alphas[-1] - 1
     qs = [p**k for p in ps]
-    m1s = [q - 1 for q in qs]
-    widest = [m1 << s for m1 in m1s]
-    moduli = [p << s for p in ps] if e == 1 else [p**e << s for p in ps]  # pow is slow at e = 1
-    parts = [(q + 1) % m for q, m in zip(qs, moduli)]
+    vs = [((q - 1) & (1 - q)).bit_length() - 1 for q in qs]
+    masks = [(1 << s + v) - 1 for v in vs]
+    rs = [q & m for q, m in zip(qs, masks)]  # q modulo 2**(s+v), a small int
     powers = ps
-    xs = [q * q % w for q, w in zip(qs, widest)]
+    parts = [(q + 1) % (p << s) for q, p in zip(qs, ps)]
+    xs = [r * r & m for r, m in zip(rs, masks)]
     columns: tuple[list[int], ...] = ([], [], [], [])
     for beta in range(2, betas[-1] + 1):
         if beta > 2:
-            parts = [(part * q + 1) % m for part, q, m in zip(parts, qs, moduli)]
             powers = [power * p for power, p in zip(powers, ps)]
-            xs = [x * q % w for x, q, w in zip(xs, qs, widest)]
+            parts = [(part * q + 1) % (w << s) for part, q, w in zip(parts, qs, powers)]
+            xs = [x * r & m for x, r, m in zip(xs, rs, masks)]
         if beta >= betas[0]:
             for column, values in zip(columns, ([beta] * len(ps), parts, powers, xs)):
                 column += values
-    return _Block(alphas, ps * len(betas), *columns[:3], m1s * len(betas), columns[3])
+    return _Block(alphas, ps * len(betas), *columns[:3], vs * len(betas), columns[3])
 
 
 def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
@@ -315,26 +318,54 @@ def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
 
 
 def _conditions_block(k: int, blocks: list[_Block]) -> tuple[list[bool], list[bool]]:
-    """Condition route over one batch, by modular arithmetic only. Condition
-    1 is p**(beta*k) = 1 (mod m1 * 2**(alpha-1)), read off each row's
-    residue x. Condition 2 is 2**(alpha*k) = 1 (mod m2 * p**(beta-1)) with
-    m2 = 2**k - 1; a block's residues advance from one alpha to the next by
-    one multiplication by 2**k each."""
+    """Condition route over one batch, by modular arithmetic only, from each
+    row's p and beta and its condition-1 residues. Condition 1 is 2**(alpha-1)
+    | (q**beta - 1)/(q - 1), which with v = v2(q - 1) is q**beta = 1 (mod
+    2**(alpha-1+v)): alpha - 1 <= v2(x - 1) - v for the row's residue x, and
+    every alpha when x = 1. Condition 2 is 2**(alpha*k) = 1 (mod m2 *
+    p**(beta-1)) with m2 = 2**k - 1, the moduli stepped by Horner's rule over
+    the block's betas; a block's residues advance from one alpha to the next
+    by one multiplication by 2**k each."""
     # Every modulus exceeds 1, so a residue of 1 is exact divisibility.
     t = 1 << k
     m2 = t - 1
     cond1: list[bool] = []
     cond2: list[bool] = []
     for b in blocks:
-        moduli = [m2 * power for power in b.p_powers]
+        # per row, the largest alpha - 1 at which condition 1 holds, capped at the block's top
+        s_top = b.alphas[-1] - 1
+        reach = [
+            ((x - 1) & (1 - x)).bit_length() - 1 - v if x != 1 else s_top
+            for x, v in zip(b.xs, b.vs)
+        ]
+        moduli = _condition2_moduli(m2, b.ps, b.betas)
         # 2**((alpha-1)*k) at the first alpha, reduced by the first step
         ys = [1 << (b.alphas[0] - 1) * k] * len(moduli)
         for a in b.alphas:
             s = a - 1
-            cond1 += [x % (m1 << s) == 1 for x, m1 in zip(b.xs, b.m1s)]
+            cond1 += [s <= c for c in reach]
             ys = [y * t % m for y, m in zip(ys, moduli)]
             cond2 += [y == 1 for y in ys]
     return cond1, cond2
+
+
+def _condition2_moduli(m2: int, ps: Sequence[int], betas: Sequence[int]) -> list[int]:
+    """m2 * p**(beta-1) at each beta-major row (p, beta) of a block: the
+    first beta's from its own primes, each later beta's by one more factor
+    of its own row's prime."""
+    # primes per beta; a block holds none only when a faulty split empties its spec
+    n = len(ps) // (betas[-1] - betas[0] + 1) if ps else 1
+    moduli: list[int] = []
+    for i in range(0, len(ps), n):
+        chunk = ps[i : i + n]
+        if i:
+            row = [m * p for m, p in zip(row, chunk)]
+        elif betas[0] == 2:
+            row = [m2 * p for p in chunk]
+        else:
+            row = [m2 * p ** (betas[0] - 1) for p in chunk]
+        moduli += row
+    return moduli
 
 
 def _verdict_row(k: int, beta: int, key: tuple) -> str | None:
@@ -424,6 +455,33 @@ def _block_points(blocks: list[_Block]) -> Iterator[tuple[int, int, int]]:
                 yield p, beta, a
 
 
+def _found(blocks: list[_Block], divides: list[bool]) -> list[tuple[int, int, int]]:
+    """(p, beta, alpha) of each point of a batch that the direct route finds
+    dividing, sorted. Most batches hold none, and need no second pass."""
+    return sorted(compress(_block_points(blocks), divides)) if True in divides else []
+
+
+def _recheck_solution(alpha: int, p: int, beta: int, k: int) -> None:
+    """Raise unless n, rebuilt from a found solution's labels, divides
+    sigma_k(n) on sigma's own route, which factors n and shares nothing with
+    the kernel."""
+    n = p ** (beta - 1) << (alpha - 1)
+    if r := sigma_k(n, k) % n:
+        raise CrossCheckError(
+            f"sigma_k rejects a found solution at {_point(alpha, p, beta, k)}: "
+            f"sigma_k(n) % n = {r} for n = {n}"
+        )
+
+
+def _check_coverage(scope: str, points: int, expected: int) -> None:
+    """Raise unless a scan's kernel checked exactly the points its grid
+    holds, counted another way."""
+    if points != expected:
+        raise CrossCheckError(
+            f"the kernel checked {points} points, but the {scope} has {expected}"
+        )
+
+
 def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[bool]:
     """Run the direct and condition routes over one batch and cross-check
     them at every point; return the direct route's divides flags. A failure
@@ -502,7 +560,12 @@ def _check_task(task: tuple[int, list[_Spec]]) -> tuple[list[_Block], list[bool]
 
 
 def _task_points(task: tuple[int, list[_Spec]]) -> int:
-    return len(_check_task(task)[1])  # a count: the caller keeps every task's result
+    """Run one equivalence task and re-check each point found dividing;
+    return a count, since the caller keeps every task's result."""
+    blocks, divides = _check_task(task)
+    for p, beta, alpha in _found(blocks, divides):
+        _recheck_solution(alpha, p, beta, task[0])
+    return len(divides)
 
 
 def _task_flags(
@@ -518,7 +581,8 @@ def _task_flags(
 def _scan_rows(task: tuple[int, list[_Spec]]):
     """Run one scan task (see _check_task) and add the pruners: its primes
     ascend, so _prime_verdicts gives every row its verdict, counted over
-    the row's alphas, and each solution is checked against its row's."""
+    the row's alphas, and each solution is checked against its row's
+    verdict, then against sigma_k."""
     k, specs = task
     blocks, divides = _check_task(task)
     beta_max = specs[0][2][-1]
@@ -528,14 +592,14 @@ def _scan_rows(task: tuple[int, list[_Spec]]):
     scenario1 = (beta_max // 2) * sum(len(a) for a, ps, _ in specs if k in ps and k % 4 == 3)
     excluded = (1 << (k - 1)) * ((1 << k) - 1)
     solutions: list[ClassificationReport] = []
-    if True in divides:  # most batches hold no solution, and their points need no second pass
-        for p, beta, alpha in sorted(compress(_block_points(blocks), divides)):
-            verdict = verdicts_of[p][0][beta - 2]
-            if verdict is not None:
-                raise _pruned_solution(verdict, alpha, p, beta, k)
-            f = SpecialForm(alpha, p, beta, k)
-            n = f.n()
-            solutions.append(ClassificationReport(f, True, is_even_perfect(n), n == excluded))
+    for p, beta, alpha in _found(blocks, divides):
+        verdict = verdicts_of[p][0][beta - 2]
+        if verdict is not None:
+            raise _pruned_solution(verdict, alpha, p, beta, k)
+        _recheck_solution(alpha, p, beta, k)
+        f = SpecialForm(alpha, p, beta, k)
+        n = f.n()
+        solutions.append(ClassificationReport(f, True, is_even_perfect(n), n == excluded))
     return solutions, len(divides), pruned, scenario1
 
 
@@ -556,7 +620,8 @@ def scan_special_forms(
     first admits; _guard refuses a point past the operand cap before any
     kernel work, and each task of _split is one _scan_rows batch. The split
     ignores the worker count and the merge is a sort, so worker count never
-    changes the result.
+    changes the result. The kernel's point total is checked against the
+    grid's, counted alpha by alpha from the p-bound's primes.
     """
     _require_k(k, "mersenne")
     if alpha_max < 2 or beta_max < 2:
@@ -575,8 +640,11 @@ def scan_special_forms(
     _guard(k, primes, specs, bit_cap)
     tasks = [(k, task) for task in _split(primes, specs)]
     chunks = _pool_map(_scan_rows, tasks, workers)
+    stats = GridStats(*(sum(c[i] for c in chunks) for i in (1, 2, 3)))
+    under_bound = (bisect_left(primes, 3 * (1 << (a - 1)) - 1) for a in range(2, alpha_max + 1))
+    _check_coverage("search grid", stats.points_scanned, (beta_max - 1) * sum(under_bound))
     reports = sorted((r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n())
-    return reports, GridStats(*(sum(c[i] for c in chunks) for i in (1, 2, 3)))
+    return reports, stats
 
 
 def expected_even_perfect(k: int, alpha_max: int) -> list[int]:
@@ -707,6 +775,19 @@ def _equivalence_specs(n_limit: int, primes: Sequence[int]) -> Iterator[_Spec]:
         beta += 1
 
 
+def _form_count(n_limit: int, primes: Sequence[int]) -> int:
+    """How many special forms n <= n_limit the ascending primes make, each
+    prime's counted on its own: at each beta with m = n_limit // p**(beta-1)
+    >= 2, the alphas 2 .. bit_length(m). Every prime, at most n_limit // 2,
+    has beta = 2, counted as a stream; m shrinks as p grows, so each later
+    beta's primes are a prefix of the last beta's."""
+    count = sum(map(int.bit_length, map(n_limit.__floordiv__, primes))) - len(primes)
+    ms = map(n_limit.__floordiv__, primes)
+    while ms := list(takewhile((1).__lt__, map(floordiv, ms, primes))):
+        count += sum(map(int.bit_length, ms)) - len(ms)
+    return count
+
+
 def equivalence_scan(
     n_limit: int, ks: Iterable[int] = (3, 5, 7), workers: int = 1
 ) -> int:
@@ -714,10 +795,11 @@ def equivalence_scan(
     special form with n <= n_limit, once per exponent in ks, on the search's
     batch kernel without pruners. derive_conditions and divides_sigma are
     its tested reference. Returns the number of (form, k) pairs checked;
-    raises CrossCheckError on any disagreement. The specs of
-    _equivalence_specs and their split are made once, for every exponent,
-    and _guard refuses a point past the default operand cap before any
-    kernel work.
+    raises CrossCheckError on any disagreement, on a found solution that
+    sigma_k rejects, and when the kernel's point total is not the forms'
+    total, counted prime by prime. The specs of _equivalence_specs and their
+    split are made once, for every exponent, and _guard refuses a point past
+    the default operand cap before any kernel work.
 
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.
@@ -741,7 +823,9 @@ def equivalence_scan(
     for k in ks:
         _guard(k, primes, specs, None)
         tasks += [(k, task) for task in split]
-    return sum(_pool_map(_task_points, tasks, workers))
+    points = sum(_pool_map(_task_points, tasks, workers))
+    _check_coverage("equivalence scan", points, len(ks) * _form_count(n_limit, primes))
+    return points
 
 
 # ---------------------------------------------------------------------------

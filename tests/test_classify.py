@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,6 +44,7 @@ from sigmaperfect.valuations import (
     check_tv,
     check_tv2,
     trichotomy_3mod4,
+    v2,
 )
 
 SRC = str(Path(classify.__file__).resolve().parents[1])
@@ -124,7 +126,7 @@ def test_block_builder_matches_the_reference_at_every_point(
     assert block.alphas == alphas
     assert list(zip(block.ps, block.betas)) == [(p, beta) for beta in betas for p in ps]
     for p, beta, part, power in zip(block.ps, block.betas, block.p_parts, block.p_powers):
-        reduced_by = p ** (betas[-1] - 1) << (alphas[-1] - 1)  # M_p
+        reduced_by = p ** (beta - 1) << (alphas[-1] - 1)  # the row's own M_p
         assert part == geometric_sum(p**k, beta) % reduced_by and part < reduced_by
         assert power == p ** (beta - 1)
     two_parts = [0] * first + [geometric_sum(1 << k, a) for a in alphas]
@@ -137,6 +139,89 @@ def test_block_builder_matches_the_reference_at_every_point(
         assert (d, c1, c2) == (
             divides_sigma(f), reference.cond_k1_holds, reference.cond_k2_holds
         ), f
+
+
+# primes with a large v2(p - 1), where condition 1's 2-adic modulus is
+# widest, and Mersenne primes, where v2(p + 1) is
+_TWO_ADIC_PRIMES = (17, 257, 65537, 40961, 3, 7, 31, 127, 8191, 131071, 524287)
+
+
+@settings(max_examples=80, deadline=None)
+@example(k=1, p=65537, beta=64, top=7)  # q**64 = 1 modulo 2**(6 + 16): the residue is 1
+@example(k=1, p=65537, beta=64, top=8)  # and 1 + 2**22 modulo 2**(7 + 16)
+@example(k=4, p=40961, beta=32, top=24)
+@example(k=13, p=524287, beta=64, top=24)
+@given(
+    k=st.sampled_from((1, 2, 3, 4, 5, 7, 13)),
+    p=st.sampled_from(_SMALL_PRIMES) | st.sampled_from(_TWO_ADIC_PRIMES),
+    beta=st.integers(2, 64),
+    top=st.integers(2, 24),
+)
+def test_condition1_on_two_adic_residues_matches_the_full_modulus(k, p, beta, top):
+    # one row over alpha = 2 .. top; SpecialForm refuses k = 1 and even k,
+    # which equivalence_scan accepts, and derive_conditions reads only the
+    # four fields
+    alphas = range(2, top + 1)
+    block = classify._block(k, alphas, [p], range(beta, beta + 1))
+    cond1, _ = classify._conditions_block(k, [block])
+    for alpha, c1 in zip(alphas, cond1, strict=True):
+        full = pow(p, beta * k, (p**k - 1) << (alpha - 1)) == 1
+        reference = derive_conditions(SimpleNamespace(alpha=alpha, p=p, beta=beta, k=k))
+        assert c1 == full == reference.cond_k1_holds, (alpha, p, beta, k)
+
+
+def test_condition1_residues_are_two_adic():
+    # q = 65537 has v = v2(q - 1) = 16, so q**beta is kept modulo 2**(top - 1 + 16)
+    block = classify._block(1, range(2, 8), [65537], range(64, 65))
+    assert block.vs == [16] and block.xs == [1]
+    block = classify._block(1, range(2, 9), [65537], range(64, 65))
+    assert block.xs == [1 + (1 << 22)]
+    block = classify._block(5, range(2, 16), [3, 5, 7], range(2, 17))
+    for p, beta, v, x in zip(block.ps, block.betas, block.vs, block.xs):
+        assert v == v2(p**5 - 1) and x == p ** (5 * beta) % (1 << 14 + v)
+
+
+@pytest.mark.parametrize(
+    "scan, point, message",
+    [
+        (
+            lambda: scan_special_forms(5, 4, 2),
+            (3, 5, 2),
+            "(3, 5, 2, 5): sigma_k(n) % n = 2 for n = 20",
+        ),
+        (
+            lambda: equivalence_scan(1000, ks=(5,)),
+            (2, 3, 4),
+            "(2, 3, 4, 5): sigma_k(n) % n = 6 for n = 54",
+        ),
+    ],
+    ids=["search", "equivalence"],
+)
+def test_scans_recheck_each_found_solution_with_sigma_k(scan, point, message):
+    # both routes claim a point divides, so they agree, and no pruner
+    # fires there; sigma_k, from the point's labels, rejects it
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", point, [True])
+        _lie_at(m, "_conditions_block", point, [True, True])
+        with pytest.raises(CrossCheckError) as exc:
+            scan()
+    assert str(exc.value) == "sigma_k rejects a found solution at (alpha, p, beta, k) = " + message
+
+
+@pytest.mark.parametrize(
+    "scan, message",
+    [
+        (lambda: scan_special_forms(5, 12, 8), "10206 points, but the search grid has 12418"),
+        (lambda: equivalence_scan(20_000), "7680 points, but the equivalence scan has 8610"),
+    ],
+    ids=["search", "equivalence"],
+)
+def test_scans_check_their_point_total(scan, message, monkeypatch):
+    real = classify._split
+    monkeypatch.setattr(classify, "_split", lambda table, specs: real(table, specs)[:-1])
+    with pytest.raises(CrossCheckError) as exc:
+        scan()
+    assert str(exc.value) == "the kernel checked " + message
 
 
 def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
@@ -502,6 +587,11 @@ def test_scan_matches_classify_point_reference(k, alpha_max, beta_max, batch_poi
     assert scanned == reference_scan(k, alpha_max, beta_max)
 
 
+class _Captured(Exception):
+    """Stops a scan at its pool, once its tasks are taken: a scan whose
+    kernel checks no point fails its coverage check."""
+
+
 def _task_specs(scan, *args):
     """The block specs (alphas, primes, betas) of every task a scan hands
     its pool, taken without running any of them."""
@@ -509,11 +599,12 @@ def _task_specs(scan, *args):
 
     def capture(fn, scan_tasks, workers):
         tasks.extend(scan_tasks)
-        return []
+        raise _Captured
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(classify, "_pool_map", capture)
-        scan(*args)
+        with pytest.raises(_Captured):
+            scan(*args)
     return [task[-1] for task in tasks]
 
 
@@ -840,12 +931,17 @@ def test_bit_cap_preflight_refuses_exactly_when_reference_does(k, alpha_max, bet
 
 def test_bit_cap_preflight_on_the_k5_benchmark_grid(monkeypatch):
     # refused without scanning at 1000 and 1200; accepted at 1300, where
-    # the scan itself is stubbed out
+    # the scan itself is stubbed out, counting its points so that the
+    # coverage check passes
     for cap in (1000, 1200):
         with pytest.raises(OperandSizeError):
             scan_special_forms(5, 15, 16, bit_cap=cap)
-    monkeypatch.setattr(classify, "_scan_rows", lambda task: ([], 0, 0, 0))
-    assert scan_special_forms(5, 15, 16, bit_cap=1300) == ([], GridStats(0, 0, 0))
+    monkeypatch.setattr(
+        classify,
+        "_scan_rows",
+        lambda task: ([], sum(len(a) * len(ps) * len(b) for a, ps, b in task[1]), 0, 0),
+    )
+    assert scan_special_forms(5, 15, 16, bit_cap=1300) == ([], GridStats(165_240, 0, 0))
 
 
 def test_equivalence_scan_refuses_past_the_operand_cap_before_the_kernel(monkeypatch):
@@ -884,15 +980,19 @@ def test_operand_guard_costs_per_spec_not_per_point(monkeypatch):
         assert calls <= bound
         _real(base, exp, bit_cap)
 
+    def no_pool(fn, tasks, workers):
+        raise _Captured
+
     monkeypatch.setattr(classify, "_guard_pow", counting)
-    monkeypatch.setattr(classify, "_pool_map", lambda fn, tasks, workers: [])
+    monkeypatch.setattr(classify, "_pool_map", no_pool)
     widest = (primes[-1] ** 5).bit_length() * beta_max  # (p**5)**64 at the largest prime
     for cap in (100, widest - 1):  # refused in the first spec, then in the last
         calls = 0
         with pytest.raises(OperandSizeError):
             scan_special_forms(5, alpha_max, beta_max, bit_cap=cap)
     calls = 0
-    scan_special_forms(5, alpha_max, beta_max, bit_cap=widest)
+    with pytest.raises(_Captured):  # admitted: the scan reaches its pool
+        scan_special_forms(5, alpha_max, beta_max, bit_cap=widest)
     assert calls == 3 * (alpha_max - 1)  # each spec's corner
 
 
