@@ -261,111 +261,89 @@ def _point(alpha: int, p: int, beta: int, k: int) -> str:
 
 
 class _Block(NamedTuple):
-    """Rows that share one alpha range, held column-wise, as _block builds
-    them: row i is ps[i] at betas[i]. With q = p**k, v = v2(q - 1) and top
-    the last alpha, the direct route reads p_powers[i] = p**(beta-1) and
-    p_parts[i] = 1 + q + ... + q**(beta-1) modulo the row's own M_p =
-    p**(beta-1) * 2**(top-1), which each n of the row divides; condition 1
-    reads vs[i] = v and xs[i] = q**beta modulo 2**(top-1+v), which each
-    point's modulus divides. The routes flag a block's points alpha-major:
-    every row at alphas[0], ..."""
+    """A block spec with q = p**k: every prime of ps, each held once, at
+    every beta of betas, over alphas, and qs[i] = ps[i]**k, the one value
+    both routes read. Each route builds its own columns from these, rows
+    beta-major (every prime at betas[0], then at betas[1], ...), and flags
+    a block's points alpha-major: every row at alphas[0], ..."""
 
     alphas: range
     ps: Sequence[int]
-    betas: Sequence[int]
-    p_parts: Sequence[int]
-    p_powers: Sequence[int]
-    vs: Sequence[int]
-    xs: Sequence[int]
+    betas: range
+    qs: Sequence[int]
 
 
 def _block(k: int, alphas: range, ps: Sequence[int], betas: range) -> _Block:
-    """Every prime of ps at every beta of betas, over alphas, beta-major:
-    each prime at betas[0], then at betas[1], ... Each column is stepped
-    from beta = 2 by Horner's rule, one comprehension per beta. A p-part
-    known modulo p**(beta-2) * 2**s fixes q times it modulo p**(beta-1) *
-    2**s, so each beta's parts are reduced by that beta's own modulus."""
-    ps = list(ps)  # ints made once, in C: the columns walk the primes several times
-    s = alphas[-1] - 1
-    qs = [p**k for p in ps]
-    vs = [((q - 1) & (1 - q)).bit_length() - 1 for q in qs]
-    masks = [(1 << s + v) - 1 for v in vs]
-    rs = [q & m for q, m in zip(qs, masks)]  # q modulo 2**(s+v), a small int
-    powers = ps
-    parts = [(q + 1) % (p << s) for q, p in zip(qs, ps)]
-    xs = [r * r & m for r, m in zip(rs, masks)]
-    columns: tuple[list[int], ...] = ([], [], [], [])
-    for beta in range(2, betas[-1] + 1):
-        if beta > 2:
-            powers = [power * p for power, p in zip(powers, ps)]
-            parts = [(part * q + 1) % (w << s) for part, q, w in zip(parts, qs, powers)]
-            xs = [x * r & m for x, r, m in zip(xs, rs, masks)]
-        if beta >= betas[0]:
-            for column, values in zip(columns, ([beta] * len(ps), parts, powers, xs)):
-                column += values
-    return _Block(alphas, ps * len(betas), *columns[:3], vs * len(betas), columns[3])
+    ps = list(ps)  # ints made once, in C: both routes walk the primes several times
+    return _Block(alphas, ps, betas, [p**k for p in ps])
 
 
 def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
     """Direct route over one batch: n | sigma_k(n) at each point, where
-    sigma_k(n) = two_parts[alpha] * p_part and n = p_power * 2**(alpha-1)."""
+    sigma_k(n) = two_parts[alpha] * p_part and n = p**(beta-1) * 2**(alpha-1).
+    The p-parts 1 + q + ... + q**(beta-1) and the powers p**(beta-1) are
+    stepped from beta = 2 by Horner's rule, one comprehension per beta. Each
+    p-part is kept modulo its row's own M_p = p**(beta-1) * 2**(top-1), which
+    each n of the row divides: a p-part known modulo p**(beta-2) * 2**s
+    fixes q times it modulo p**(beta-1) * 2**s."""
     divides: list[bool] = []
     for b in blocks:
+        s = b.alphas[-1] - 1
+        powers, parts = b.ps, [(q + 1) % (p << s) for q, p in zip(b.qs, b.ps)]
+        row_parts: list[int] = []
+        row_powers: list[int] = []
+        for beta in range(2, b.betas[-1] + 1):
+            if beta > 2:
+                powers = [power * p for power, p in zip(powers, b.ps)]
+                parts = [(part * q + 1) % (w << s) for part, q, w in zip(parts, b.qs, powers)]
+            if beta >= b.betas[0]:
+                row_parts += parts
+                row_powers += powers
         for a in b.alphas:
             t, s = two_parts[a], a - 1
-            divides += [t * part % (power << s) == 0 for part, power in zip(b.p_parts, b.p_powers)]
+            divides += [t * part % (power << s) == 0 for part, power in zip(row_parts, row_powers)]
     return divides
 
 
 def _conditions_block(k: int, blocks: list[_Block]) -> tuple[list[bool], list[bool]]:
     """Condition route over one batch, by modular arithmetic only, from each
-    row's p and beta and its condition-1 residues. Condition 1 is 2**(alpha-1)
-    | (q**beta - 1)/(q - 1), which with v = v2(q - 1) is q**beta = 1 (mod
-    2**(alpha-1+v)): alpha - 1 <= v2(x - 1) - v for the row's residue x, and
-    every alpha when x = 1. Condition 2 is 2**(alpha*k) = 1 (mod m2 *
-    p**(beta-1)) with m2 = 2**k - 1, the moduli stepped by Horner's rule over
-    the block's betas; a block's residues advance from one alpha to the next
-    by one multiplication by 2**k each."""
+    prime's p and q, its residues stepped across the block's betas by
+    Horner's rule. Condition 1 is 2**(alpha-1) | (q**beta - 1)/(q - 1),
+    which with v = v2(q - 1) is q**beta = 1 (mod 2**(alpha-1+v)): a row
+    keeps x = q**beta modulo 2**(top-1+v) and holds for alpha - 1 <= v2(x -
+    1) - v, every alpha when x = 1. Condition 2 is 2**(alpha*k) = 1 (mod m2
+    * p**(beta-1)) with m2 = 2**k - 1; a block's residues advance from one
+    alpha to the next by one multiplication by 2**k each."""
     # Every modulus exceeds 1, so a residue of 1 is exact divisibility.
     t = 1 << k
     m2 = t - 1
     cond1: list[bool] = []
     cond2: list[bool] = []
     for b in blocks:
-        # per row, the largest alpha - 1 at which condition 1 holds, capped at the block's top
         s_top = b.alphas[-1] - 1
-        reach = [
-            ((x - 1) & (1 - x)).bit_length() - 1 - v if x != 1 else s_top
-            for x, v in zip(b.xs, b.vs)
-        ]
-        moduli = _condition2_moduli(m2, b.ps, b.betas)
+        vs = [((q - 1) & (1 - q)).bit_length() - 1 for q in b.qs]
+        masks = [(1 << s_top + v) - 1 for v in vs]
+        xs = rs = [q & m for q, m in zip(b.qs, masks)]  # q modulo 2**(s_top+v), a small int
+        moduli = [m2] * len(b.ps)
+        reach: list[int] = []  # per row, the largest alpha - 1 where condition 1 holds, to s_top
+        row_moduli: list[int] = []
+        for beta in range(2, b.betas[-1] + 1):
+            xs = [x * r & m for x, r, m in zip(xs, rs, masks)]
+            moduli = [m * p for m, p in zip(moduli, b.ps)]
+            if beta >= b.betas[0]:
+                reach += [
+                    ((x - 1) & (1 - x)).bit_length() - 1 - v if x != 1 else s_top
+                    for x, v in zip(xs, vs)
+                ]
+                row_moduli += moduli
         # 2**((alpha-1)*k) at the first alpha, reduced by the first step
-        ys = [1 << (b.alphas[0] - 1) * k] * len(moduli)
+        ys = [1 << (b.alphas[0] - 1) * k] * len(row_moduli)
         for a in b.alphas:
             s = a - 1
             cond1 += [s <= c for c in reach]
-            ys = [y * t % m for y, m in zip(ys, moduli)]
+            ys = [y * t % m for y, m in zip(ys, row_moduli)]
             cond2 += [y == 1 for y in ys]
     return cond1, cond2
-
-
-def _condition2_moduli(m2: int, ps: Sequence[int], betas: Sequence[int]) -> list[int]:
-    """m2 * p**(beta-1) at each beta-major row (p, beta) of a block: the
-    first beta's from its own primes, each later beta's by one more factor
-    of its own row's prime."""
-    # primes per beta; a block holds none only when a faulty split empties its spec
-    n = len(ps) // (betas[-1] - betas[0] + 1) if ps else 1
-    moduli: list[int] = []
-    for i in range(0, len(ps), n):
-        chunk = ps[i : i + n]
-        if i:
-            row = [m * p for m, p in zip(row, chunk)]
-        elif betas[0] == 2:
-            row = [m2 * p for p in chunk]
-        else:
-            row = [m2 * p ** (betas[0] - 1) for p in chunk]
-        moduli += row
-    return moduli
 
 
 def _verdict_row(k: int, beta: int, key: tuple) -> str | None:
@@ -450,9 +428,8 @@ def _pruned_solution(verdict: str, alpha: int, p: int, beta: int, k: int) -> Cro
 def _block_points(blocks: list[_Block]) -> Iterator[tuple[int, int, int]]:
     """(p, beta, alpha) of every point of a batch, in the routes' flag order."""
     for b in blocks:
-        for a in b.alphas:
-            for p, beta in zip(b.ps, b.betas):
-                yield p, beta, a
+        for a, beta, p in product(b.alphas, b.betas, b.ps):
+            yield p, beta, a
 
 
 def _found(blocks: list[_Block], divides: list[bool]) -> list[tuple[int, int, int]]:
@@ -473,12 +450,21 @@ def _recheck_solution(alpha: int, p: int, beta: int, k: int) -> None:
         )
 
 
-def _check_coverage(scope: str, points: int, expected: int) -> None:
+def _beta_total(blocks: list[_Block]) -> int:
+    """The sum of beta over every point of a batch, from its blocks' shape."""
+    return sum(len(b.alphas) * len(b.ps) * sum(b.betas) for b in blocks)
+
+
+def _check_coverage(scope: str, totals: Sequence[int], expected: Sequence[int]) -> None:
     """Raise unless a scan's kernel checked exactly the points its grid
-    holds, counted another way."""
-    if points != expected:
+    holds, and the sum of their betas is the grid's: totals and expected are
+    (points, beta total), the second counted another way."""
+    (points, betas), (want, want_betas) = totals, expected
+    if points != want:
+        raise CrossCheckError(f"the kernel checked {points} points, but the {scope} has {want}")
+    if betas != want_betas:
         raise CrossCheckError(
-            f"the kernel checked {points} points, but the {scope} has {expected}"
+            f"the kernel's points sum to beta = {betas}, but the {scope}'s to {want_betas}"
         )
 
 
@@ -489,10 +475,11 @@ def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[boo
     divides = _direct_block(two_parts, blocks)
     cond1, cond2 = _conditions_block(k, blocks)
     failed = divides != list(map(and_, cond1, cond2))
-    if any(beta % 2 for b in blocks for beta in set(b.betas)):  # most equivalence batches have none
+    # any odd beta: a range of two or more holds one; most equivalence batches have none
+    if any(len(b.betas) > 1 or b.betas[0] % 2 for b in blocks):
         odd: list[bool] = []
         for b in blocks:
-            odd += [beta % 2 == 1 for beta in b.betas] * len(b.alphas)
+            odd += [beta % 2 == 1 for beta in b.betas for _ in b.ps] * len(b.alphas)
         failed = failed or True in map(and_, cond1, odd)
     if failed:
         checks = zip(_block_points(blocks), divides, cond1, cond2)
@@ -559,23 +546,23 @@ def _check_task(task: tuple[int, list[_Spec]]) -> tuple[list[_Block], list[bool]
     return blocks, _check_block(k, two_parts, blocks)
 
 
-def _task_points(task: tuple[int, list[_Spec]]) -> int:
+def _task_points(task: tuple[int, list[_Spec]]) -> tuple[int, int]:
     """Run one equivalence task and re-check each point found dividing;
-    return a count, since the caller keeps every task's result."""
+    return its point count and beta total, since the caller keeps every
+    task's result."""
     blocks, divides = _check_task(task)
     for p, beta, alpha in _found(blocks, divides):
         _recheck_solution(alpha, p, beta, task[0])
-    return len(divides)
+    return len(divides), _beta_total(blocks)
 
 
 def _task_flags(
     k: int, table: Sequence[int], spec: _Spec
-) -> Iterator[tuple[list[_Spec], list[bool]]]:
-    """Each task _split cuts from one spec over table, with its divides
-    flags, run one task at a time. The spec holds one alpha or one prime,
-    so its flags run in (alpha, beta, p) order as one block's."""
+) -> Iterator[tuple[list[_Block], list[bool]]]:
+    """Each task _split cuts from one spec over table, run one task at a
+    time: its blocks and their divides flags."""
     for task in _split(table, [spec]):
-        yield task, _check_task((k, task))[1]
+        yield _check_task((k, task))
 
 
 def _scan_rows(task: tuple[int, list[_Spec]]):
@@ -600,7 +587,7 @@ def _scan_rows(task: tuple[int, list[_Spec]]):
         f = SpecialForm(alpha, p, beta, k)
         n = f.n()
         solutions.append(ClassificationReport(f, True, is_even_perfect(n), n == excluded))
-    return solutions, len(divides), pruned, scenario1
+    return solutions, len(divides), pruned, scenario1, _beta_total(blocks)
 
 
 def scan_special_forms(
@@ -641,8 +628,9 @@ def scan_special_forms(
     tasks = [(k, task) for task in _split(primes, specs)]
     chunks = _pool_map(_scan_rows, tasks, workers)
     stats = GridStats(*(sum(c[i] for c in chunks) for i in (1, 2, 3)))
-    under_bound = (bisect_left(primes, 3 * (1 << (a - 1)) - 1) for a in range(2, alpha_max + 1))
-    _check_coverage("search grid", stats.points_scanned, (beta_max - 1) * sum(under_bound))
+    under_bound = sum(bisect_left(primes, 3 * (1 << (a - 1)) - 1) for a in range(2, alpha_max + 1))
+    totals = stats.points_scanned, sum(c[4] for c in chunks)
+    _check_coverage("search grid", totals, (len(betas) * under_bound, sum(betas) * under_bound))
     reports = sorted((r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n())
     return reports, stats
 
@@ -775,17 +763,20 @@ def _equivalence_specs(n_limit: int, primes: Sequence[int]) -> Iterator[_Spec]:
         beta += 1
 
 
-def _form_count(n_limit: int, primes: Sequence[int]) -> int:
-    """How many special forms n <= n_limit the ascending primes make, each
-    prime's counted on its own: at each beta with m = n_limit // p**(beta-1)
-    >= 2, the alphas 2 .. bit_length(m). Every prime, at most n_limit // 2,
-    has beta = 2, counted as a stream; m shrinks as p grows, so each later
-    beta's primes are a prefix of the last beta's."""
-    count = sum(map(int.bit_length, map(n_limit.__floordiv__, primes))) - len(primes)
+def _form_count(n_limit: int, primes: Sequence[int]) -> tuple[int, int]:
+    """How many special forms n <= n_limit the ascending primes make, and
+    the sum of their betas, each prime's counted on its own: at each beta
+    with m = n_limit // p**(beta-1) >= 2, the alphas 2 .. bit_length(m).
+    Every prime, at most n_limit // 2, has beta = 2, counted as a stream; m
+    shrinks as p grows, so each later beta's primes are a prefix of the
+    last beta's."""
+    width = sum(map(int.bit_length, map(n_limit.__floordiv__, primes))) - len(primes)
+    count, betas, beta = width, 2 * width, 2
     ms = map(n_limit.__floordiv__, primes)
     while ms := list(takewhile((1).__lt__, map(floordiv, ms, primes))):
-        count += sum(map(int.bit_length, ms)) - len(ms)
-    return count
+        width, beta = sum(map(int.bit_length, ms)) - len(ms), beta + 1
+        count, betas = count + width, betas + beta * width
+    return count, betas
 
 
 def equivalence_scan(
@@ -823,8 +814,10 @@ def equivalence_scan(
     for k in ks:
         _guard(k, primes, specs, None)
         tasks += [(k, task) for task in split]
-    points = sum(_pool_map(_task_points, tasks, workers))
-    _check_coverage("equivalence scan", points, len(ks) * _form_count(n_limit, primes))
+    totals = _pool_map(_task_points, tasks, workers)
+    points = sum(t[0] for t in totals)
+    expected = [len(ks) * c for c in _form_count(n_limit, primes)]
+    _check_coverage("equivalence scan", (points, sum(t[1] for t in totals)), expected)
     return points
 
 
@@ -893,11 +886,8 @@ def _kernel_block(label, k: int, table: Sequence[int], spec: _Spec, g: LemmaGrid
     label(k, alpha, p, beta) labels it."""
 
     def decide() -> Iterator[_Rows]:
-        for task, flags in _task_flags(k, table, spec):
-            labels = [
-                label(k, alpha, p, beta)
-                for alphas, ps, betas in task for alpha in alphas for beta in betas for p in ps
-            ]
+        for blocks, flags in _task_flags(k, table, spec):
+            labels = [label(k, alpha, p, beta) for p, beta, alpha in _block_points(blocks)]
             yield labels, list(map(not_, flags))
 
     return partial(_guard, k, table, [spec], g.bit_cap), decide

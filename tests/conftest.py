@@ -30,7 +30,7 @@ def odd_beta_first_condition_row(monkeypatch):
     def lying(k, blocks):
         cond1, cond2 = real(k, blocks)
         # flags run alpha-major within each block
-        odd = [beta % 2 == 1 for b in blocks for _ in b.alphas for beta in b.betas]
+        odd = [beta % 2 == 1 for b in blocks for _ in b.alphas for beta in b.betas for _ in b.ps]
         return (
             [o or c for o, c in zip(odd, cond1)],
             [not o and c for o, c in zip(odd, cond2)],

@@ -44,7 +44,6 @@ from sigmaperfect.valuations import (
     check_tv,
     check_tv2,
     trichotomy_3mod4,
-    v2,
 )
 
 SRC = str(Path(classify.__file__).resolve().parents[1])
@@ -99,7 +98,7 @@ def _block_points(blocks):
     """(alpha, p, beta) of every point of a kernel batch, in its flag order:
     block by block, and alpha-major within a block."""
     return [
-        (alpha, p, beta) for b in blocks for alpha in b.alphas for p, beta in zip(b.ps, b.betas)
+        (alpha, p, beta) for b in blocks for alpha in b.alphas for beta in b.betas for p in b.ps
     ]
 
 
@@ -123,12 +122,7 @@ def test_block_builder_matches_the_reference_at_every_point(
 ):
     alphas, betas = range(first, first + width), range(beta_lo, beta_lo + beta_count)
     block = classify._block(k, alphas, ps, betas)
-    assert block.alphas == alphas
-    assert list(zip(block.ps, block.betas)) == [(p, beta) for beta in betas for p in ps]
-    for p, beta, part, power in zip(block.ps, block.betas, block.p_parts, block.p_powers):
-        reduced_by = p ** (beta - 1) << (alphas[-1] - 1)  # the row's own M_p
-        assert part == geometric_sum(p**k, beta) % reduced_by and part < reduced_by
-        assert power == p ** (beta - 1)
+    assert block == (alphas, ps, betas, [p**k for p in ps])
     two_parts = [0] * first + [geometric_sum(1 << k, a) for a in alphas]
     divides = classify._direct_block(two_parts, [block])
     cond1, cond2 = classify._conditions_block(k, [block])
@@ -168,17 +162,6 @@ def test_condition1_on_two_adic_residues_matches_the_full_modulus(k, p, beta, to
         full = pow(p, beta * k, (p**k - 1) << (alpha - 1)) == 1
         reference = derive_conditions(SimpleNamespace(alpha=alpha, p=p, beta=beta, k=k))
         assert c1 == full == reference.cond_k1_holds, (alpha, p, beta, k)
-
-
-def test_condition1_residues_are_two_adic():
-    # q = 65537 has v = v2(q - 1) = 16, so q**beta is kept modulo 2**(top - 1 + 16)
-    block = classify._block(1, range(2, 8), [65537], range(64, 65))
-    assert block.vs == [16] and block.xs == [1]
-    block = classify._block(1, range(2, 9), [65537], range(64, 65))
-    assert block.xs == [1 + (1 << 22)]
-    block = classify._block(5, range(2, 16), [3, 5, 7], range(2, 17))
-    for p, beta, v, x in zip(block.ps, block.betas, block.vs, block.xs):
-        assert v == v2(p**5 - 1) and x == p ** (5 * beta) % (1 << 14 + v)
 
 
 @pytest.mark.parametrize(
@@ -222,6 +205,29 @@ def test_scans_check_their_point_total(scan, message, monkeypatch):
     with pytest.raises(CrossCheckError) as exc:
         scan()
     assert str(exc.value) == "the kernel checked " + message
+
+
+@pytest.mark.parametrize(
+    "scan, message",
+    [
+        (lambda: scan_special_forms(5, 12, 8), "74508, but the search grid's to 62090"),
+        (lambda: equivalence_scan(20_000), "26649, but the equivalence scan's to 18039"),
+    ],
+    ids=["search", "equivalence"],
+)
+def test_scans_check_their_beta_total(scan, message, monkeypatch):
+    # every spec one beta up: the point totals hold, and each point is labelled
+    # as the routes decide it, so only the beta total can catch it
+    real = classify._split
+
+    def shifted(table, specs):
+        tasks = real(table, specs)
+        return [[(a, ps, range(b.start + 1, b.stop + 1)) for a, ps, b in t] for t in tasks]
+
+    monkeypatch.setattr(classify, "_split", shifted)
+    with pytest.raises(CrossCheckError) as exc:
+        scan()
+    assert str(exc.value) == "the kernel's points sum to beta = " + message
 
 
 def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
@@ -802,12 +808,6 @@ def _verdicts_of(log):
     return verdicts
 
 
-def _spec_rows(spec):
-    """A block spec's rows (p, beta) as its block holds them, beta-major."""
-    _, ps, betas = spec
-    return [(p, beta) for beta in betas for p in ps]
-
-
 # The kernel's callers: the search, the equivalence scan and the f and v10
 # lemma grids, each with the exponents it runs.
 _KERNEL_CALLERS = {
@@ -836,8 +836,9 @@ def test_kernel_routes_once_per_task_and_verdicts_equal_pruned_by():
             calls["_conditions_block"], calls["_direct_block"], tasks, strict=True
         ):
             assert k in ks and d_blocks is blocks
-            assert [b.alphas for b in blocks] == [alphas for alphas, _, _ in specs]
-            assert [list(zip(b.ps, b.betas)) for b in blocks] == [_spec_rows(s) for s in specs]
+            assert blocks == [
+                (alphas, list(ps), betas, [p**k for p in ps]) for alphas, ps, betas in specs
+            ]
             assert len(divides) == len(_block_points(blocks))
         called = [k for (k, _), _ in calls["_conditions_block"]]
         assert called == sorted(called), caller
@@ -931,16 +932,18 @@ def test_bit_cap_preflight_refuses_exactly_when_reference_does(k, alpha_max, bet
 
 def test_bit_cap_preflight_on_the_k5_benchmark_grid(monkeypatch):
     # refused without scanning at 1000 and 1200; accepted at 1300, where
-    # the scan itself is stubbed out, counting its points so that the
-    # coverage check passes
+    # the scan itself is stubbed out, counting its points and their betas
+    # so that the coverage check passes
     for cap in (1000, 1200):
         with pytest.raises(OperandSizeError):
             scan_special_forms(5, 15, 16, bit_cap=cap)
-    monkeypatch.setattr(
-        classify,
-        "_scan_rows",
-        lambda task: ([], sum(len(a) * len(ps) * len(b) for a, ps, b in task[1]), 0, 0),
-    )
+
+    def counting(task):
+        specs = task[1]
+        points = sum(len(a) * len(ps) * len(b) for a, ps, b in specs)
+        return [], points, 0, 0, sum(len(a) * len(ps) * sum(b) for a, ps, b in specs)
+
+    monkeypatch.setattr(classify, "_scan_rows", counting)
     assert scan_special_forms(5, 15, 16, bit_cap=1300) == ([], GridStats(165_240, 0, 0))
 
 

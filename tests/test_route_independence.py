@@ -1,12 +1,12 @@
 """Every fault in one step of the kernel pipeline fails both scans.
 
 Each fault breaks one step that the routes, the point labels or the point
-count read: a column of the row builder _block, the 2-parts, the labels of
-_block_points, or the split into tasks. The routes then disagree, a found
-solution fails its sigma_k re-check, or the point total misses the grid's,
-so each scan must raise CrossCheckError. Without a fault the scans give
-their known answers: the even perfect numbers [6, 28, 8128] and 8,610
-pairs.
+count read: a field of the blocks that _block builds, the 2-parts, the
+labels of _block_points, or the split into tasks. The routes then disagree,
+a found solution fails its sigma_k re-check, or the point or beta total
+misses the grid's, so each scan must raise CrossCheckError. Without a
+fault the scans give their known answers: the even perfect numbers [6, 28,
+8128] and 8,610 pairs.
 """
 
 import pytest
@@ -27,9 +27,13 @@ def test_the_scans_give_their_known_answers_without_a_fault():
 
 
 def _drop_prime(b, dropped):
-    """Block b without the rows of one prime, in every column."""
-    rows = [i for i, p in enumerate(b.ps) if p != dropped]
-    return b._replace(**{name: [getattr(b, name)[i] for i in rows] for name in b._fields[1:]})
+    """Block b without one prime, in ps and in qs."""
+    kept = [i for i, p in enumerate(b.ps) if p != dropped]
+    return b._replace(ps=[b.ps[i] for i in kept], qs=[b.qs[i] for i in kept])
+
+
+def _shifted(betas):
+    return range(betas.start + 1, betas.stop + 1)
 
 
 def _in_blocks(fault):
@@ -46,15 +50,15 @@ def _last_task_twice(tasks):
     return tasks + tasks[-1:]
 
 
+def _betas_shifted(tasks):
+    return [[(a, ps, _shifted(b)) for a, ps, b in task] for task in tasks]
+
+
 # fault name -> (the name in classify it replaces, real -> faulty stand-in)
 _FAULTS = {
-    "p_powers = p**beta": _in_blocks(
-        lambda b: b._replace(p_powers=[w * p for w, p in zip(b.p_powers, b.ps)])
-    ),
     "ps rotated by one": _in_blocks(lambda b: b._replace(ps=b.ps[1:] + b.ps[:1])),
     "prime 7 dropped": _in_blocks(lambda b: _drop_prime(b, 7)),
-    "condition-1 residues = 1": _in_blocks(lambda b: b._replace(xs=[1] * len(b.xs))),
-    "betas + 1": _in_blocks(lambda b: b._replace(betas=[beta + 1 for beta in b.betas])),
+    "betas + 1": _in_blocks(lambda b: b._replace(betas=_shifted(b.betas))),
     "two_parts one alpha late": (
         "geometric_sum", lambda real: lambda base, n, *cap: real(base, n + 1, *cap)
     ),
@@ -68,7 +72,7 @@ _FAULTS = {
     "labels beta-major": (
         "_block_points",
         lambda real: lambda blocks: (
-            (p, beta, a) for b in blocks for p, beta in zip(b.ps, b.betas) for a in b.alphas
+            (p, beta, a) for b in blocks for beta in b.betas for p in b.ps for a in b.alphas
         ),
     ),
     "last task dropped": ("_split", lambda real: lambda table, specs: real(table, specs)[:-1]),
@@ -78,13 +82,16 @@ _FAULTS = {
     "last task twice": (
         "_split", lambda real: lambda table, specs: _last_task_twice(real(table, specs))
     ),
+    "split betas + 1": (
+        "_split", lambda real: lambda table, specs: _betas_shifted(real(table, specs))
+    ),
 }
 
 _PARAMS = [pytest.param(*fault, id=name) for name, fault in _FAULTS.items()] + [
-    # q = p**(k+1) in every column that reads q moves the direct route and
-    # condition 1 together, and condition 2 never reads q, so the routes still
-    # agree: the search loses 28 and 8128 and the equivalence scan still
-    # counts 8,610 pairs
+    # q = p**(k+1) in the blocks' qs moves the direct route and condition 1
+    # together, and condition 2 never reads q, so the routes still agree: the
+    # search loses 28 and 8128 and the equivalence scan still counts 8,610
+    # pairs
     pytest.param(
         "_block",
         lambda real: lambda k, *spec: real(k + 1, *spec),
