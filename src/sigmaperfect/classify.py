@@ -607,8 +607,9 @@ def scan_special_forms(
     first admits; _guard refuses a point past the operand cap before any
     kernel work, and each task of _split is one _scan_rows batch. The split
     ignores the worker count and the merge is a sort, so worker count never
-    changes the result. The kernel's point total is checked against the
-    grid's, counted alpha by alpha from the p-bound's primes.
+    changes the result. The kernel's point total and the sum of beta over
+    its points are checked against the grid's, counted alpha by alpha from
+    the p-bound's primes.
     """
     _require_k(k, "mersenne")
     if alpha_max < 2 or beta_max < 2:
@@ -787,8 +788,8 @@ def equivalence_scan(
     batch kernel without pruners. derive_conditions and divides_sigma are
     its tested reference. Returns the number of (form, k) pairs checked;
     raises CrossCheckError on any disagreement, on a found solution that
-    sigma_k rejects, and when the kernel's point total is not the forms'
-    total, counted prime by prime. The specs of _equivalence_specs and their
+    sigma_k rejects, and when the kernel's point total or the sum of beta
+    over its points is not the forms', counted prime by prime. The specs of _equivalence_specs and their
     split are made once, for every exponent, and _guard refuses a point past
     the default operand cap before any kernel work.
 
