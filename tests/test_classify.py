@@ -44,6 +44,7 @@ from sigmaperfect.valuations import (
     check_tv,
     check_tv2,
     trichotomy_3mod4,
+    v2,
 )
 
 SRC = str(Path(classify.__file__).resolve().parents[1])
@@ -162,6 +163,27 @@ def test_condition1_on_two_adic_residues_matches_the_full_modulus(k, p, beta, to
         full = pow(p, beta * k, (p**k - 1) << (alpha - 1)) == 1
         reference = derive_conditions(SimpleNamespace(alpha=alpha, p=p, beta=beta, k=k))
         assert c1 == full == reference.cond_k1_holds, (alpha, p, beta, k)
+
+
+def test_condition1_residues_are_two_adic():
+    # q = 65537 has v = v2(q - 1) = 16, so q**beta is kept modulo 2**(top - 1 + 16):
+    # q**64 is 1 modulo 2**22, and condition 1 holds at every alpha to 7 ...
+    block = classify._block(1, range(2, 8), [65537], range(64, 65))
+    assert classify._conditions_block(1, [block])[0] == [True] * 6
+    # ... but 1 + 2**22 modulo 2**23, and it fails at alpha = 8 alone
+    block = classify._block(1, range(2, 9), [65537], range(64, 65))
+    assert classify._conditions_block(1, [block])[0] == [True] * 6 + [False]
+    # at k = 5, condition 1 holds exactly where alpha - 1 <= v2(x - 1) - v,
+    # with x = q**beta modulo 2**(14 + v), from beta 2 and from beta 9 on
+    blocks = [
+        classify._block(5, range(2, 16), [3, 5, 7], range(2, 17)),
+        classify._block(5, range(2, 16), [3, 5, 7], range(9, 17)),
+    ]
+    cond1, _ = classify._conditions_block(5, blocks)
+    for (alpha, p, beta), c1 in zip(_block_points(blocks), cond1, strict=True):
+        v = v2(p**5 - 1)
+        x = p ** (5 * beta) % (1 << 14 + v)
+        assert c1 == (x == 1 or alpha - 1 <= v2(x - 1) - v), (alpha, p, beta)
 
 
 @pytest.mark.parametrize(
