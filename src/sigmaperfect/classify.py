@@ -18,7 +18,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache, partial
-from itertools import chain, compress, product, repeat, takewhile
+from itertools import chain, compress, product, repeat, starmap, takewhile
 from operator import and_, floordiv, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -469,11 +469,17 @@ def _check_coverage(scope: str, totals: Sequence[int], expected: Sequence[int]) 
 
 
 def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[bool]:
-    """Run the direct and condition routes over one batch and cross-check
-    them at every point; return the direct route's divides flags. A failure
+    """Run both routes over one batch, check that each flags every point and
+    that they agree at each; return the direct route's flags. A disagreement
     names the first failing point in (p, beta, alpha) order."""
     divides = _direct_block(two_parts, blocks)
     cond1, cond2 = _conditions_block(k, blocks)
+    points = sum(len(b.alphas) * len(b.ps) * len(b.betas) for b in blocks)
+    if not len(divides) == len(cond1) == len(cond2) == points:
+        raise CrossCheckError(
+            f"the routes flag {len(divides)}, {len(cond1)} and {len(cond2)} points "
+            f"(direct, condition 1, condition 2) of a batch of {points}"
+        )
     failed = divides != list(map(and_, cond1, cond2))
     # any odd beta: a range of two or more holds one; most equivalence batches have none
     if any(len(b.betas) > 1 or b.betas[0] % 2 for b in blocks):
@@ -736,12 +742,11 @@ def lemma41_candidates() -> list[SpecialForm]:
     return out
 
 
-def verify_lemma410(alpha_max: int, bit_cap: int | None = None) -> bool:
+def verify_lemma410(alpha_max: int) -> bool:
     """No n = 2**(alpha-1) * p**3 with p = 3 (mod 4) under the p-bound
     divides sigma_5(n), over 2 <= alpha <= alpha_max; the remainder-table
     candidates are re-checked explicitly as well."""
-    g = LemmaGrid(alpha_max=alpha_max, bit_cap=bit_cap)
-    return all(all(values) for _, values in _stream(_v10_rows(g, None)))
+    return all(all(values) for _, values in _stream(_v10_rows(LemmaGrid(alpha_max=alpha_max), None)))
 
 
 # ---------------------------------------------------------------------------
@@ -881,17 +886,27 @@ def _flag_block(head: str, tails: list[str], e: int, base: int | None, c: int, g
     return admit, decide
 
 
-def _kernel_block(label, k: int, table: Sequence[int], spec: _Spec, g: LemmaGrid):
+def _kernel_block(template: str, k: int, table: Sequence[int], spec: _Spec, g: LemmaGrid):
     """One spec of f or v10 over table on the batch kernel as (admit,
-    decide): a row passes when its point does not divide, and
-    label(k, alpha, p, beta) labels it."""
+    decide): a row passes when its point does not divide, and template,
+    formatted with its k, alpha, p and beta, labels it. The fields become
+    positional, in _block_points' order: formatting by keyword cost v10
+    about a tenth of its time."""
+    label = template.format(k=k, p="{0}", beta="{1}", alpha="{2}")
 
     def decide() -> Iterator[_Rows]:
         for blocks, flags in _task_flags(k, table, spec):
-            labels = [label(k, alpha, p, beta) for p, beta, alpha in _block_points(blocks)]
-            yield labels, list(map(not_, flags))
+            yield list(starmap(label.format, _block_points(blocks))), list(map(not_, flags))
 
     return partial(_guard, k, table, [spec], g.bit_cap), decide
+
+
+def _prime_walk(g: LemmaGrid, rule, residue: int, rows: Sequence, blocks_of: Callable):
+    """The walk of tv, tv2, u1, v3 or trichotomy: the primes below p_max
+    that are residue mod 4, sieved once unless a block has no rows, p-major;
+    blocks_of(p) does p's own work once and gives its (p, k) block at each k."""
+    primes = _residue_primes(primes_upto(g.p_max - 1), residue) if rows else ()
+    return lambda: (block(k) for block in map(blocks_of, primes) for k in map(rule, g.k_values))
 
 
 def _cando_rows(g: LemmaGrid, rule, tails: list[str] | None = None):
@@ -926,15 +941,12 @@ def _tv_rows(g: LemmaGrid, rule, residue: int):
     # check_tv (residue 1): 2**(t+v) || p**(2**v * beta1 * k) - 1, t = v2(p - 1);
     # check_tv2 (residue 3): 2**(v+s-1) || the same, s = v2(p**2 - 1)
     tails = _block_tails(g)
-    primes = _residue_primes(primes_upto(g.p_max - 1), residue) if tails else ()
 
-    def walk():
-        for p in primes:
-            e = v2(p - 1) if residue == 1 else v2(p * p - 1) - 1
-            for k in map(rule, g.k_values):
-                yield _flag_block(f"p={p} k={k}", tails, e, p, k, g)
+    def blocks_of(p: int):
+        e = v2(p - 1) if residue == 1 else v2(p * p - 1) - 1
+        return lambda k: _flag_block(f"p={p} k={k}", tails, e, p, k, g)
 
-    return walk
+    return _prime_walk(g, rule, residue, tails, blocks_of)
 
 
 def _sl3_rows(g: LemmaGrid, rule):
@@ -946,22 +958,11 @@ def _sl3_rows(g: LemmaGrid, rule):
     )
 
 
-def _f_label(k: int, alpha: int, p: int, beta: int) -> str:
-    return f"k={k} alpha={alpha} beta={beta}"
-
-
-def _candidate_label(k: int, alpha: int, p: int, beta: int) -> str:
-    return f"candidate alpha={alpha} p={p}"
-
-
-def _v10_label(k: int, alpha: int, p: int, beta: int) -> str:
-    return f"alpha={alpha} p={p}"
-
-
 def _f_rows(g: LemmaGrid, rule):
     alphas, betas = range(2, g.alpha_max + 1), range(2, g.beta_max + 1)
     ks, spec = g.k_values if alphas and betas else (), (alphas, range(1), betas)
-    return lambda: (_kernel_block(_f_label, k, [(1 << k) - 1], spec, g) for k in map(rule, ks))
+    label = "k={k} alpha={alpha} beta={beta}"
+    return lambda: (_kernel_block(label, k, [(1 << k) - 1], spec, g) for k in map(rule, ks))
 
 
 def _v10_rows(g: LemmaGrid, rule):
@@ -974,51 +975,46 @@ def _v10_rows(g: LemmaGrid, rule):
     def walk():
         for f in candidates:
             spec = (range(f.alpha, f.alpha + 1), range(1), beta4)
-            yield _kernel_block(_candidate_label, 5, [f.p], spec, g)
+            yield _kernel_block("candidate alpha={alpha} p={p}", 5, [f.p], spec, g)
         for alpha in range(2, g.alpha_max + 1):  # none, and no sieve, below alpha_max 2
             table = residue3()
-            n = bisect_right(table, 3 * (1 << (alpha - 1)) - 2)
-            yield _kernel_block(_v10_label, 5, table, (range(alpha, alpha + 1), range(n), beta4), g)
+            spec = (range(alpha, alpha + 1), range(bisect_right(table, (3 << alpha - 1) - 2)), beta4)
+            yield _kernel_block("alpha={alpha} p={p}", 5, table, spec, g)
 
     return walk
-
-
-def _bound_block(p: int, k: int, vs: range, tails: list[str]) -> list[_Rows]:
-    head = f"p={p} k={k}"
-    return [([head + tail for tail in tails], ["holds" if _bound_row(p, k, v) else "fails" for v in vs])]
 
 
 def _bound_rows(g: LemmaGrid, rule, residue: int):
     # bound_u1 (residue 1) or bound_v3 (residue 3), one (p, k) block of v's each
     vs, tails = _vs(g), [f" v={v}" for v in _vs(g)]
-    primes = _residue_primes(primes_upto(g.p_max - 1), residue) if vs else ()
-    return lambda: (
-        (partial(_guard_bound, p, k, vs, g.bit_cap), partial(_bound_block, p, k, vs, tails))
-        for p in primes for k in map(rule, g.k_values)
-    )
+
+    def decide(p: int, k: int) -> list[_Rows]:
+        head, values = f"p={p} k={k}", ["holds" if _bound_row(p, k, v) else "fails" for v in vs]
+        return [([head + tail for tail in tails], values)]
+
+    return _prime_walk(g, rule, residue, vs, lambda p: lambda k: (
+        partial(_guard_bound, p, k, vs, g.bit_cap), partial(decide, p, k)
+    ))
 
 
 def _trichotomy_rows(g: LemmaGrid, rule):
     # trichotomy_3mod4 at beta = 2**v, one (p, k) block of v's each; a
     # block's scenarios depend only on (v2(p + 1), k, p == k)
     betas, tails = [1 << v for v in _vs(g)], [f" beta={1 << v}" for v in _vs(g)]
-    primes = _residue_primes(primes_upto(g.p_max - 1), 3) if betas else ()
-    outcomes: dict[tuple[int, int, bool], list[str]] = {}
 
-    def decide(p: int, lam: int, k: int) -> list[_Rows]:
-        key = (lam, k, p == k)
-        if key not in outcomes:
-            sets = (_scenarios(lam, k, beta, p == k) for beta in betas)
-            outcomes[key] = [",".join(sorted(s.value for s in ss)) or "NONE" for ss in sets]
-        return [([f"p={p} k={k}" + tail for tail in tails], outcomes[key])]
+    @cache
+    def outcomes(lam: int, k: int, p_is_k: bool) -> list[str]:
+        sets = (_scenarios(lam, k, beta, p_is_k) for beta in betas)
+        return [",".join(sorted(s.value for s in ss)) or "NONE" for ss in sets]
 
-    def walk():
-        for p in primes:
-            lam = v2(p + 1)
-            for k in map(rule, g.k_values):
-                yield partial(_guard_scenarios, lam, k, betas, g.bit_cap), partial(decide, p, lam, k)
+    def blocks_of(p: int):
+        lam = v2(p + 1)
+        return lambda k: (
+            partial(_guard_scenarios, lam, k, betas, g.bit_cap),
+            lambda: [([f"p={p} k={k}" + tail for tail in tails], outcomes(lam, k, p == k))],
+        )
 
-    return walk
+    return _prime_walk(g, rule, 3, betas, blocks_of)
 
 
 # tag -> (walk, proved, the _require_k kind of its k rule), in LEMMA_TAGS
@@ -1048,21 +1044,25 @@ def _stream(walk: Callable) -> Iterator[_Rows]:
     return chain.from_iterable(decide() for _, decide in walk())
 
 
-def _with_rows(tag: str, blocks: Iterator[_Rows]) -> Iterator[_Rows]:
-    """blocks, refusing at their end a grid that had no rows: nothing has
-    been written then."""
+def _outcomes(tag: str, proved: bool, blocks: Iterator[_Rows]) -> Iterator[tuple]:
+    """blocks with their outcomes, refusing at their end a grid that had no
+    rows: nothing has been written then."""
     empty = True
     for labels, values in blocks:
         empty = empty and not values
-        yield labels, values
+        if proved:
+            yield labels, ["pass" if ok else "FAIL" for ok in values], values
+        else:
+            yield labels, values, [None] * len(values)
     if empty:
         raise ValueError(f"the {tag} grid has no rows; widen its parameters")
 
 
-def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[_Rows]]:
+def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple]]:
     """Whether tag is a proved statement, and its grid as a stream of
-    blocks (labels, values) in row order, the rows of one kernel call each:
-    values are bools for a proved tag, outcome strings otherwise.
+    blocks (labels, outcomes, oks) in row order, the rows of one kernel call
+    each: a proved tag's rows pass or FAIL, with oks their bools; an
+    informational tag's outcome is its value, with oks None.
 
     Every refusal comes before the first block: grids past the limits in
     _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max,
@@ -1080,7 +1080,7 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[_Rows]]:
     _refuse_oversized("lemma grid", **{n: getattr(grid, n) for n in _GRID_LIMITS if n in grid._fields})
     make, proved, kind = _LEMMAS[tag]
     rule = cache(partial(_require_k, kind=kind))
-    return proved, _with_rows(tag, _stream(make(grid, rule)))
+    return proved, _outcomes(tag, proved, _stream(make(grid, rule)))
 
 
 def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
@@ -1091,14 +1091,5 @@ def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:
     statements: every row must pass. Tags u1, v3 and trichotomy evaluate
     parameter-dependent bounds and are informational.
     """
-    proved, blocks = lemma_blocks(tag, grid)
-    rows: list[GridRow] = []
-    for labels, values in blocks:
-        if proved:
-            fields = zip(labels, ["pass" if ok else "FAIL" for ok in values], values)
-        else:
-            fields = zip(labels, values, repeat(None))
-        # tuple.__new__ builds each row in C; GridRow() and GridRow._make run
-        # Python code per row, 9 ms against 6 ms on 17,000 rows (2-vCPU x86-64 VM)
-        rows += map(tuple.__new__, repeat(GridRow), fields)
-    return rows
+    _, blocks = lemma_blocks(tag, grid)
+    return [row for block in blocks for row in map(GridRow, *block)]

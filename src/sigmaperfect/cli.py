@@ -338,19 +338,13 @@ def cmd_check_lemma(args: argparse.Namespace) -> int:
     its passes as it goes; lemma_blocks refuses a grid before any row."""
     from .classify import lemma_blocks  # commands that scan nothing start without it
 
-    grid = LemmaGrid(**{name: getattr(args, name) for name in LemmaGrid._fields})
     tag = args.tag
-    proved, blocks = lemma_blocks(tag, grid)
+    proved, blocks = lemma_blocks(tag, LemmaGrid(**{n: getattr(args, n) for n in LemmaGrid._fields}))
     write = sys.stdout.write
     rows = passed = 0
-    for labels, values in blocks:
-        if proved:
-            outcomes = ["pass" if ok else "FAIL" for ok in values]
-            passed += outcomes.count("pass")
-        else:
-            outcomes = values
+    for labels, outcomes, oks in blocks:
         write("".join([f"{tag}  {label}: {outcome}\n" for label, outcome in zip(labels, outcomes)]))
-        rows += len(values)
+        rows, passed = rows + len(oks), passed + oks.count(True)
     if proved:
         print(f"{tag}: {passed}/{rows} pass")
         return 0 if passed == rows else 2

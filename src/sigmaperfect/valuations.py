@@ -125,9 +125,9 @@ def _exact_flags(e: int, base: int, c: int, v_max: int, beta1_max: int) -> list[
     return flags
 
 
-def check_vs1(k: int, bit_cap: int | None = None) -> bool:
+def check_vs1(k: int) -> bool:
     """2**(k+1) || (2**k - 1)**(2k) - 1 for odd k >= 3: check_cando at beta = 2."""
-    return check_cando(k, 2, bit_cap)
+    return check_cando(k, 2)
 
 
 def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:

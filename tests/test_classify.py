@@ -656,8 +656,11 @@ def test_scans_and_the_v10_grid_sieve_once(monkeypatch):
         return _real(n)
 
     monkeypatch.setattr(classify, "primes_upto", counting)
+    # each grid is walked twice, to admit and then to decide, on one sieve
+    per_prime = ("tv", "tv2", "u1", "v3", "trichotomy")
     for run in (
         lambda: run_lemma_grid("v10", LemmaGrid(alpha_max=13)),
+        *(lambda tag=tag: run_lemma_grid(tag, LemmaGrid()) for tag in per_prime),
         lambda: search(5, 13, 4),
         lambda: equivalence_scan(10**5),
     ):
@@ -683,9 +686,9 @@ def test_v10_streams_one_kernel_task_at_a_time(monkeypatch):
     proved, blocks = classify.lemma_blocks("v10", LemmaGrid(alpha_max=16))
     assert proved and tasks == []  # the guard pass runs no kernel
     sizes = []
-    for labels, values in blocks:
-        sizes.append(len(values))
-        assert len(tasks) == len(sizes) and len(labels) == len(values)
+    for labels, outcomes, oks in blocks:
+        sizes.append(len(oks))
+        assert len(tasks) == len(sizes) and len(labels) == len(outcomes) == len(oks)
     assert max(sizes) == classify._BATCH_POINTS and len(sizes) > 4 + 15
 
 

@@ -2,8 +2,9 @@
 
 Each fault breaks one step that the routes, the point labels or the point
 count read: a field of the blocks that _block builds, the 2-parts, the
-labels of _block_points, or the split into tasks. The routes then disagree,
-a found solution fails its sigma_k re-check, or the point or beta total
+labels of _block_points, the split into tasks, or how many flags the
+condition route returns. The routes then disagree or flag too few points, a
+found solution fails its sigma_k re-check, or the point or beta total
 misses the grid's, so each scan must raise CrossCheckError. Without a
 fault the scans give their known answers: the even perfect numbers [6, 28,
 8128] and 8,610 pairs.
@@ -85,6 +86,11 @@ _FAULTS = {
     "split betas + 1": (
         "_split", lambda real: lambda table, specs: _betas_shifted(real(table, specs))
     ),
+    "no condition flags": ("_conditions_block", lambda real: lambda k, blocks: ([], [])),
+    "each condition one flag short": (
+        "_conditions_block",
+        lambda real: lambda k, blocks: tuple(flags[:-1] for flags in real(k, blocks)),
+    ),
 }
 
 _PARAMS = [pytest.param(*fault, id=name) for name, fault in _FAULTS.items()] + [
@@ -116,3 +122,13 @@ def test_every_fault_fails_both_scans(target, make, scan):
         except CrossCheckError:
             return
     raise AssertionError("the scan passed with the fault in place")
+
+
+def test_a_route_that_flags_too_few_points_names_every_count():
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_conditions_block", lambda k, blocks: ([], []))
+        with pytest.raises(CrossCheckError) as caught:
+            equivalence_scan(20_000)
+    assert str(caught.value) == (
+        "the routes flag 2560, 0 and 0 points (direct, condition 1, condition 2) of a batch of 2560"
+    )
