@@ -18,23 +18,23 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache, partial
-from itertools import chain, compress, product, repeat, starmap, takewhile
+from itertools import compress, product, repeat, starmap, takewhile
 from operator import and_, floordiv, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exactint import CrossCheckError, OperandSizeError, _guard_pow, _require_k
-from .exactint import checked_pow, geometric_sum
+from .exactint import DEFAULT_BIT_CAP, CrossCheckError, OperandSizeError, _guard_all, _guard_pow
+from .exactint import _require_k, checked_pow, geometric_sum
 from .primality import mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect, sigma_k
 from .valuations import (
     LEMMA_TAGS,
     LemmaGrid,
+    _appr_powers,
+    _bound_powers,
     _bound_row,
     _exact_flags,
-    _guard_appr,
-    _guard_bound,
-    _guard_flags,
-    _guard_scenarios,
+    _flag_powers,
+    _scenario_powers,
     _scenarios,
     bound_u1,
     bound_v3,
@@ -562,15 +562,6 @@ def _task_points(task: tuple[int, list[_Spec]]) -> tuple[int, int]:
     return len(divides), _beta_total(blocks)
 
 
-def _task_flags(
-    k: int, table: Sequence[int], spec: _Spec
-) -> Iterator[tuple[list[_Block], list[bool]]]:
-    """Each task _split cuts from one spec over table, run one task at a
-    time: its blocks and their divides flags."""
-    for task in _split(table, [spec]):
-        yield _check_task((k, task))
-
-
 def _scan_rows(task: tuple[int, list[_Spec]]):
     """Run one scan task (see _check_task) and add the pruners: its primes
     ascend, so _prime_verdicts gives every row its verdict, counted over
@@ -709,9 +700,9 @@ def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> 
     _require_k(k, "mersenne")
     if alpha < 2 or beta < 2:
         raise ValueError(f"alpha and beta must be >= 2, got {alpha} and {beta}")
-    ps, spec = [(1 << k) - 1], (range(alpha, alpha + 1), range(1), range(beta, beta + 1))
-    _guard(k, ps, [spec], bit_cap)
-    return not next(_task_flags(k, ps, spec))[1][0]
+    ps, alphas, betas = [(1 << k) - 1], range(alpha, alpha + 1), range(beta, beta + 1)
+    _guard(k, ps, [(alphas, range(1), betas)], bit_cap)
+    return not _check_task((k, [(alphas, ps, betas)]))[1][0]
 
 
 def lemma41_candidates() -> list[SpecialForm]:
@@ -746,7 +737,7 @@ def verify_lemma410(alpha_max: int) -> bool:
     """No n = 2**(alpha-1) * p**3 with p = 3 (mod 4) under the p-bound
     divides sigma_5(n), over 2 <= alpha <= alpha_max; the remainder-table
     candidates are re-checked explicitly as well."""
-    return all(all(values) for _, values in _stream(_v10_rows(LemmaGrid(alpha_max=alpha_max), None)))
+    return all(all(oks) for _, _, oks in lemma_blocks("v10", LemmaGrid(alpha_max=alpha_max))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -850,15 +841,13 @@ def _residue_primes(table: array, residue: int) -> array:
     return array(table.typecode, compress(table, map(residue.__eq__, map(and_, table, repeat(3)))))
 
 
-# A lemma grid runs as blocks of rows, one kernel call each. Each walk of
-# _LEMMAS takes a grid and rule, its tag's k rule, makes any sieve once, and
-# returns walk(), a generator over the grid's blocks in row order as (admit,
-# decide) pairs. It passes each k through rule before k's first block, so
-# before any number is built from k. admit() refuses the block's first row
-# past the operand cap, with no power and no kernel call; decide() returns
-# the block's rows as a list of (labels, values), values bools for a proved
-# tag and outcome strings for an informational one, or, for f and v10,
-# yields them a _split task at a time.
+# A lemma grid runs as blocks of rows, one kernel call each. Each tag's maker
+# takes a grid and rule, its tag's k rule, makes any sieve once and returns,
+# lazily: the corner, (bits, exp) powers worked out from the grid's
+# parameters that bound every row's; the k values of its blocks; its rows'
+# powers in row order, each k through rule at its first block, read only
+# under a refused corner; and its one walk, the blocks in row order as
+# (labels, values), values bools for a proved tag, else outcome strings.
 _Rows = tuple[list[str], list]
 
 
@@ -871,135 +860,160 @@ def _block_tails(g: LemmaGrid) -> list[str]:
     return [f" v={v} beta1={b}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
 
 
-def _flag_block(head: str, tails: list[str], e: int, base: int | None, c: int, g: LemmaGrid):
-    """An _exact_flags block of vs1, cando, tv, tv2 or sl3 as (admit,
-    decide); row i is labelled head + tails[i]. A base of None is 2**e - 1,
-    which decide alone builds."""
-
-    def admit() -> None:
-        _guard_flags(e if base is None else base.bit_length(), c, g.v_max, g.beta1_max, g.bit_cap)
-
-    def decide() -> list[_Rows]:
-        b = (1 << e) - 1 if base is None else base
-        return [([head + tail for tail in tails], _exact_flags(e, b, c, g.v_max, g.beta1_max))]
-
-    return admit, decide
+def _flag_block(head: str, tails: list[str], e: int, base: int, c: int, g: LemmaGrid) -> _Rows:
+    """An _exact_flags block of vs1, cando, tv, tv2 or sl3; row i is
+    labelled head + tails[i]."""
+    return [head + tail for tail in tails], _exact_flags(e, base, c, g.v_max, g.beta1_max)
 
 
-def _kernel_block(template: str, k: int, table: Sequence[int], spec: _Spec, g: LemmaGrid):
-    """One spec of f or v10 over table on the batch kernel as (admit,
-    decide): a row passes when its point does not divide, and template,
-    formatted with its k, alpha, p and beta, labels it. The fields become
-    positional, in _block_points' order: formatting by keyword cost v10
-    about a tenth of its time."""
-    label = template.format(k=k, p="{0}", beta="{1}", alpha="{2}")
+def _kernel_walk(specs: Callable[[], Iterable[tuple]], bit_cap: int | None) -> tuple:
+    """The rows and blocks of f or v10 over specs(), (template, k, table,
+    spec) in row order, on the batch kernel a _split task at a time: a row
+    passes when its point does not divide, labelled by template with its k,
+    alpha, p and beta filled in by position (by keyword, they cost v10 about
+    a tenth of its time). The rows list no power, as _guard refuses a spec's
+    first refused point itself."""
 
-    def decide() -> Iterator[_Rows]:
-        for blocks, flags in _task_flags(k, table, spec):
-            yield list(starmap(label.format, _block_points(blocks))), list(map(not_, flags))
+    def rows() -> Iterator[tuple[int, int]]:
+        for _, k, table, spec in specs():
+            _guard(k, table, [spec], bit_cap)
+        yield from ()
 
-    return partial(_guard, k, table, [spec], g.bit_cap), decide
+    def blocks() -> Iterator[_Rows]:
+        for template, k, table, spec in specs():
+            label = template.format(k=k, p="{0}", beta="{1}", alpha="{2}")
+            for task in _split(table, [spec]):
+                points, flags = _check_task((k, task))
+                yield list(starmap(label.format, _block_points(points))), list(map(not_, flags))
+
+    return rows(), blocks()
 
 
-def _prime_walk(g: LemmaGrid, rule, residue: int, rows: Sequence, blocks_of: Callable):
-    """The walk of tv, tv2, u1, v3 or trichotomy: the primes below p_max
-    that are residue mod 4, sieved once unless a block has no rows, p-major;
-    blocks_of(p) does p's own work once and gives its (p, k) block at each k."""
-    primes = _residue_primes(primes_upto(g.p_max - 1), residue) if rows else ()
-    return lambda: (block(k) for block in map(blocks_of, primes) for k in map(rule, g.k_values))
+def _prime_walk(g: LemmaGrid, rule, residue: int, has_rows, powers, blocks_of, wide=None) -> tuple:
+    """tv, tv2, u1, v3 or trichotomy over the primes below p_max that are
+    residue mod 4, sieved once unless a block has no rows, p-major; p's own
+    work is done once, in blocks_of(p), which gives its block at each k. The
+    powers(p, k) grow with p and are widest at an end of k, so the corner is
+    the largest prime's at both ends, or what wide(p, k) bounds them by."""
+    primes = _residue_primes(primes_upto(g.p_max - 1), residue) if has_rows else ()
+    ks = g.k_values if primes else ()
+    corner = (pw for k in (min(ks), max(ks)) for pw in (wide or powers)(primes[-1], k)) if ks else ()
+    rows = (pw for p in primes for k in map(rule, ks) for pw in powers(p, k))
+    return corner, ks, rows, (block(k) for block in map(blocks_of, primes) for k in ks)
 
 
-def _cando_rows(g: LemmaGrid, rule, tails: list[str] | None = None):
-    # check_cando: 2**(v+k) || (2**k - 1)**(beta * k) - 1 at beta = 2**v * beta1;
-    # vs1, its beta = 2 row, passes its label tails
+def _cando_rows(g: LemmaGrid, rule, tails: list[str] | None = None) -> tuple:
+    # check_cando: 2**(v+k) || (2**k - 1)**(beta * k) - 1 at beta = 2**v * beta1,
+    # the base k bits wide; vs1, its beta = 2 row, passes its label tails
+    vs, beta1s = _vs(g), _odd_values(g.beta1_max)
     if tails is None:
-        tails = [f" beta={b << v}" for v in _vs(g) for b in _odd_values(g.beta1_max)]
+        tails = [f" beta={b << v}" for v in vs for b in beta1s]
     ks = g.k_values if tails else ()
-    return lambda: (_flag_block(f"k={k}", tails, k, None, k, g) for k in map(rule, ks))
+    corner = _flag_powers(max(ks), max(ks), vs[-1:], beta1s[-1:]) if ks else ()
+    rows = (pw for k in map(rule, ks) for pw in _flag_powers(k, k, vs, beta1s))
+    return corner, ks, rows, (_flag_block(f"k={k}", tails, k, (1 << k) - 1, k, g) for k in ks)
 
 
-def _appr_rows(g: LemmaGrid, rule, appr2: bool = False):
+def _appr_rows(g: LemmaGrid, rule, appr2: bool = False) -> tuple:
     # check_appr at each u and each alpha1 coprime to 2**k - 1, one k block
-    # each; appr2's check_appr2_bound is one row per k, admitted as check_appr's
-    # row u = 0, alpha1 = 1
+    # each; appr2's check_appr2_bound, one row per k, is check_appr's u = 0, alpha1 = 1
     us, alpha1s = (range(1), range(1, 2)) if appr2 else (range(g.u_max + 1), range(1, g.alpha1_max + 1))
+    ks = g.k_values if us and alpha1s else ()
 
-    def decide(k: int, rows: list[tuple[int, int]]) -> list[_Rows]:
+    def pairs(k: int) -> list[tuple[int, int]]:
+        return list(product(us, [a for a in alpha1s if _coprime_to_2k_minus_1(a, k)]))
+
+    def block(k: int) -> _Rows:
         if appr2:
-            return [([f"k={k}"], [check_appr2_bound(k, g.bit_cap)])]
-        labels = [f"k={k} u={u} alpha1={alpha1}" for u, alpha1 in rows]
-        return [(labels, [check_appr(k, u, alpha1, g.bit_cap) for u, alpha1 in rows])]
+            return [f"k={k}"], [check_appr2_bound(k, g.bit_cap)]
+        cells = pairs(k)
+        labels = [f"k={k} u={u} alpha1={alpha1}" for u, alpha1 in cells]
+        return labels, [check_appr(k, u, alpha1, g.bit_cap) for u, alpha1 in cells]
 
-    def block(k: int):
-        rows = list(product(us, [a for a in alpha1s if _coprime_to_2k_minus_1(a, k)]))
-        return partial(_guard_appr, k, rows, g.bit_cap), partial(decide, k, rows)
+    # the tower's exponent (2**k - 1)**(u+1) * k * alpha1 is below k * alpha1
+    # << (u+1) * k, which passes the cap once k passes the cap's bit length
+    cap_bits = (DEFAULT_BIT_CAP if g.bit_cap is None else g.bit_cap).bit_length()
+    top = min(max(ks, default=0), cap_bits + 1)
+    corner = ((2, top * alpha1s[-1] << (us[-1] + 1) * top),) if top > 0 else ()
+    rows = (pw for k in map(rule, ks) for pw in _appr_powers(k, pairs(k), g.bit_cap))
+    return corner, ks, rows, map(block, ks)
 
-    return lambda: map(block, map(rule, g.k_values if us and alpha1s else ()))
 
-
-def _tv_rows(g: LemmaGrid, rule, residue: int):
+def _tv_rows(g: LemmaGrid, rule, residue: int) -> tuple:
     # check_tv (residue 1): 2**(t+v) || p**(2**v * beta1 * k) - 1, t = v2(p - 1);
     # check_tv2 (residue 3): 2**(v+s-1) || the same, s = v2(p**2 - 1)
-    tails = _block_tails(g)
+    tails, vs, beta1s = _block_tails(g), _vs(g), _odd_values(g.beta1_max)
 
     def blocks_of(p: int):
         e = v2(p - 1) if residue == 1 else v2(p * p - 1) - 1
         return lambda k: _flag_block(f"p={p} k={k}", tails, e, p, k, g)
 
-    return _prime_walk(g, rule, residue, tails, blocks_of)
+    powers = lambda p, k: _flag_powers(p.bit_length(), k, vs, beta1s)
+    return _prime_walk(g, rule, residue, tails, powers, blocks_of)
 
 
-def _sl3_rows(g: LemmaGrid, rule):
+def _sl3_rows(g: LemmaGrid, rule) -> tuple:
     # check_sl3: 2**(lam+v) || (2**lam * p1 - 1)**(2**v * beta1) - 1
-    tails = _block_tails(g)
-    return lambda: (
-        _flag_block(f"lam={lam} p1={p1}", tails, lam, (p1 << lam) - 1, 1, g)
-        for lam in range(2, g.lambda_max + 1) for p1 in _odd_values(g.p1_max)
-    )
+    tails, vs, beta1s = _block_tails(g), _vs(g), _odd_values(g.beta1_max)
+    heads = list(product(range(2, g.lambda_max + 1), _odd_values(g.p1_max)))
+    bits = [((p1 << lam) - 1).bit_length() for lam, p1 in heads]
+    corner = _flag_powers(max(bits), 1, vs[-1:], beta1s[-1:]) if bits else ()
+    rows = (pw for b in bits for pw in _flag_powers(b, 1, vs, beta1s))
+    blocks = (_flag_block(f"lam={lam} p1={p1}", tails, lam, (p1 << lam) - 1, 1, g) for lam, p1 in heads)
+    return corner, (), rows, blocks
 
 
-def _f_rows(g: LemmaGrid, rule):
+def _f_rows(g: LemmaGrid, rule) -> tuple:
+    # each k's p = 2**k - 1 is k bits wide, and its k-th power k * k bits:
+    # the corner holds _guard's operands p**k, (p**k)**beta, (2**k)**alpha
     alphas, betas = range(2, g.alpha_max + 1), range(2, g.beta_max + 1)
     ks, spec = g.k_values if alphas and betas else (), (alphas, range(1), betas)
+    corner = ((max(ks), max(ks)), (max(ks) ** 2, betas[-1]), (max(ks) + 1, alphas[-1])) if ks else ()
     label = "k={k} alpha={alpha} beta={beta}"
-    return lambda: (_kernel_block(label, k, [(1 << k) - 1], spec, g) for k in map(rule, ks))
+    specs = lambda: ((label, k, [(1 << k) - 1], spec) for k in map(rule, ks))
+    return (corner, ks, *_kernel_walk(specs, g.bit_cap))
 
 
-def _v10_rows(g: LemmaGrid, rule):
+def _v10_rows(g: LemmaGrid, rule) -> tuple:
+    # one sieve at alpha_max, made once the remainder-table candidates are
+    # past; each alpha's p-bound primes are a prefix
     candidates = lemma41_candidates()
-    # one sieve at alpha_max, made on the first walk once its candidates are
-    # past, where the rows reach it; each alpha's p-bound primes are a prefix
     residue3 = cache(lambda: _residue_primes(_p_bound_primes(g.alpha_max), 3))
-    beta4 = range(4, 5)
+    alphas, beta4 = range(2, g.alpha_max + 1), range(4, 5)
 
-    def walk():
+    def specs() -> Iterator[tuple]:
         for f in candidates:
             spec = (range(f.alpha, f.alpha + 1), range(1), beta4)
-            yield _kernel_block("candidate alpha={alpha} p={p}", 5, [f.p], spec, g)
-        for alpha in range(2, g.alpha_max + 1):  # none, and no sieve, below alpha_max 2
+            yield "candidate alpha={alpha} p={p}", 5, [f.p], spec
+        for alpha in alphas:  # none, and no sieve, below alpha_max 2
             table = residue3()
-            spec = (range(alpha, alpha + 1), range(bisect_right(table, (3 << alpha - 1) - 2)), beta4)
-            yield _kernel_block("alpha={alpha} p={p}", 5, table, spec, g)
+            cut = bisect_right(table, (3 << alpha - 1) - 2)
+            yield "alpha={alpha} p={p}", 5, table, (range(alpha, alpha + 1), range(cut), beta4)
 
-    return walk
+    # every row, a candidate's too, is at k = 5 and beta = 4 and under the
+    # p-bound of its alpha: the corner is _guard's operands p**5, (p**5)**4
+    # and (2**5)**alpha there at the largest alpha, p**5 read as 5 * bits wide
+    top = max(g.alpha_max, *(f.alpha for f in candidates))
+    bits = ((3 << top - 1) - 2).bit_length()
+    return ((bits, 5), (5 * bits, 4), (6, top)), (), *_kernel_walk(specs, g.bit_cap)
 
 
-def _bound_rows(g: LemmaGrid, rule, residue: int):
+def _bound_rows(g: LemmaGrid, rule, residue: int) -> tuple:
     # bound_u1 (residue 1) or bound_v3 (residue 3), one (p, k) block of v's each
     vs, tails = _vs(g), [f" v={v}" for v in _vs(g)]
 
-    def decide(p: int, k: int) -> list[_Rows]:
-        head, values = f"p={p} k={k}", ["holds" if _bound_row(p, k, v) else "fails" for v in vs]
-        return [([head + tail for tail in tails], values)]
+    def block(p: int, k: int) -> _Rows:
+        values = ["holds" if _bound_row(p, k, v) else "fails" for v in vs]
+        return [f"p={p} k={k}" + tail for tail in tails], values
 
-    return _prime_walk(g, rule, residue, vs, lambda p: lambda k: (
-        partial(_guard_bound, p, k, vs, g.bit_cap), partial(decide, p, k)
-    ))
+    powers = lambda p, k: _bound_powers(p, k, vs)
+    return _prime_walk(g, rule, residue, vs, powers, lambda p: partial(block, p))
 
 
-def _trichotomy_rows(g: LemmaGrid, rule):
+def _trichotomy_rows(g: LemmaGrid, rule) -> tuple:
     # trichotomy_3mod4 at beta = 2**v, one (p, k) block of v's each; a
-    # block's scenarios depend only on (v2(p + 1), k, p == k)
+    # block's scenarios depend only on (v2(p + 1), k, p == k), and v2(p + 1)
+    # is at most p's bit length, reached at a Mersenne p
     betas, tails = [1 << v for v in _vs(g)], [f" beta={1 << v}" for v in _vs(g)]
 
     @cache
@@ -1009,17 +1023,16 @@ def _trichotomy_rows(g: LemmaGrid, rule):
 
     def blocks_of(p: int):
         lam = v2(p + 1)
-        return lambda k: (
-            partial(_guard_scenarios, lam, k, betas, g.bit_cap),
-            lambda: [([f"p={p} k={k}" + tail for tail in tails], outcomes(lam, k, p == k))],
-        )
+        return lambda k: ([f"p={p} k={k}" + tail for tail in tails], outcomes(lam, k, p == k))
 
-    return _prime_walk(g, rule, 3, betas, blocks_of)
+    powers = lambda p, k: _scenario_powers(v2(p + 1), k, betas)
+    wide = lambda p, k: _scenario_powers(p.bit_length(), k, betas)
+    return _prime_walk(g, rule, 3, betas, powers, blocks_of, wide)
 
 
-# tag -> (walk, proved, the _require_k kind of its k rule), in LEMMA_TAGS
+# tag -> (maker, proved, the _require_k kind of its k rule), in LEMMA_TAGS
 # order; sl3 and v10 take no k; vs1 is cando's beta = 2 row, labelled by k
-# alone. Walks look checkers up at call time, so rebinding a global reaches them.
+# alone. Makers look checkers up at call time, so rebinding a global reaches them.
 _LEMMAS = dict(zip(LEMMA_TAGS, (
     (lambda g, rule: _cando_rows(g._replace(v_max=1, beta1_max=1), rule, [""]), True, "odd"),  # vs1
     (_cando_rows, True, "odd"),
@@ -1034,14 +1047,6 @@ _LEMMAS = dict(zip(LEMMA_TAGS, (
     (lambda g, rule: _bound_rows(g, rule, 3), False, "odd"),  # v3
     (_trichotomy_rows, False, "prime"),
 ), strict=True))
-
-
-def _stream(walk: Callable) -> Iterator[_Rows]:
-    """Admit every block of walk in row order, then return the generator
-    that decides them one at a time."""
-    for admit, _ in walk():
-        admit()
-    return chain.from_iterable(decide() for _, decide in walk())
 
 
 def _outcomes(tag: str, proved: bool, blocks: Iterator[_Rows]) -> Iterator[tuple]:
@@ -1067,12 +1072,13 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple]]:
     Every refusal comes before the first block: grids past the limits in
     _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max,
     beta_max, u_max and alpha1_max), before any sieving; a repeated
-    exponent in k_values; then, in one pass over the grid's blocks in row
-    order, a k refused by its tag's k rule, which runs once, at k's first
-    block, and the first row past the operand cap, the refusal a row-by-row
-    check would raise first. A grid with no rows is refused at the stream's
-    end, having yielded no row.
-    Only a cross-check failure can stop a stream midway.
+    exponent in k_values; then admission from the grid's corner, its widest
+    powers: past a passing corner only each k's tag rule runs, once, in
+    k_values order, and only a refused one has the rows checked, in row
+    order, each k's rule at its first block, for the refusal a row-by-row
+    check would raise first. The stream is the grid's one walk; a grid with
+    no rows is refused at its end, and only a cross-check failure can stop
+    it midway.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
@@ -1080,7 +1086,15 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple]]:
     _refuse_oversized("lemma grid", **{n: getattr(grid, n) for n in _GRID_LIMITS if n in grid._fields})
     make, proved, kind = _LEMMAS[tag]
     rule = cache(partial(_require_k, kind=kind))
-    return proved, _outcomes(tag, proved, _stream(make(grid, rule)))
+    corner, ks, rows, blocks = make(grid, rule)
+    try:
+        _guard_all(corner, grid.bit_cap)
+    except OperandSizeError:  # the first refused row raises; none may, as the corner only bounds them
+        _guard_all(rows, grid.bit_cap)
+    else:
+        for k in ks:
+            rule(k)
+    return proved, _outcomes(tag, proved, blocks)
 
 
 def run_lemma_grid(tag: str, grid: LemmaGrid) -> list[GridRow]:

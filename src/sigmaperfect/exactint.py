@@ -70,17 +70,12 @@ def _refuse(bits: int, exp, bit_cap: int | None) -> None:
     raise OperandSizeError(f"{bits}-bit base raised to {exp} exceeds the {cap}-bit cap")
 
 
-def _guard_widest(widest, rows, bit_cap: int | None) -> None:
-    """_guard_bits on rows, a block's (bits, exp) powers in row order, so
-    that a refusal names its first refused row. widest holds rows' widest
-    powers, which pass only if every row's does, and is tried first: rows,
-    which callers pass lazily, are walked only when one of widest is refused."""
-    try:
-        for bits, exp in widest:
-            _guard_bits(bits, exp, bit_cap)
-    except OperandSizeError:  # some row raises it again
-        for bits, exp in rows:
-            _guard_bits(bits, exp, bit_cap)
+def _guard_all(powers, bit_cap: int | None) -> None:
+    """_guard_bits on each (bits, exp) of powers in order, so that a refusal
+    names the first refused one; a lazy powers builds each only once the
+    one before has passed."""
+    for bits, exp in powers:
+        _guard_bits(bits, exp, bit_cap)
 
 
 # Kind -> (whether k is of it, the refusal if not): the scans and f take a

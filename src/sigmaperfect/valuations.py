@@ -13,16 +13,17 @@ check-lemma decides its vs1, cando, tv, tv2 and sl3 grids one block of
 rows at a time (_exact_flags): every row of a block claims a power of 2
 dividing the same base raised to c * 2**v * beta1, so one modulus and one
 pow serve the block, each further residue is one multiplication and each
-row is a bit test. Before a grid is decided, each k passes
-exactint._require_k, and each block is admitted against the operand cap
-by _guard_flags, _guard_bound (u1, v3), _guard_scenarios (trichotomy) or
-_guard_appr, each beside the function whose powers it lists; _exact_flags,
+row is a bit test. Beside each function whose powers a grid row builds
+is its row lister (_flag_powers, _bound_powers, _scenario_powers and
+_appr_powers), which reads a base by its bit length alone, so 2**k - 1 and
+2**k are refused without being built. A grid is admitted from its corner,
+its widest powers, and the listers are walked row by row only under a
+refused corner; the grid is then walked once, to decide it. _exact_flags,
 _bound_row and _scenarios check no cap again, and the search's pruners
 call the last two unguarded, as at its limits no power passes 64,000 bits.
-The guards read a base by its bit length alone, so 2**k - 1 and 2**k are
-refused without being built. The public check_*, bound_* and trichotomy
-functions keep their input validation and, through exactly_divides, one
-pow per row: they are the per-row reference those grids are tested against.
+The public check_*, bound_* and trichotomy functions keep their own guards
+and input validation and, through exactly_divides, one pow per row: they
+are the per-row reference those grids are tested against.
 
 Where 2**k - 1 itself is the divisor (check_appr), "exactly divides" is
 decided from the residue modulo a power of 2**k - 1, not via prime
@@ -34,9 +35,9 @@ from __future__ import annotations
 
 from enum import Enum
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
-from .exactint import _guard_bits, _guard_pow, _guard_widest, _refuse, _require_k, v_exact
+from .exactint import _guard_all, _guard_bits, _guard_pow, _refuse, _require_k, v_exact
 from .primality import is_prime
 
 __all__ = [
@@ -86,24 +87,17 @@ def exactly_divides(d: int, e: int, base: int, exp: int, bit_cap: int | None = N
     return y != 0 and y % q == 0
 
 
-def _guard_flags(
-    bits: int, c: int, v_max: int, beta1_max: int, bit_cap: int | None = None
-) -> None:
-    """_guard_bits on every power of an _exact_flags block, a bits-wide base
-    raised to c * 2**v * beta1, v-major. The guard is monotone in the
-    exponent, so the largest one is tried first; only if it is refused are
-    the rows tried in order, so the refusal names the first refused row, as
-    exactly_divides called row by row would."""
-    beta1s = range(1, beta1_max + 1, 2)
-    if v_max >= 1 and beta1s:
-        rows = ((bits, (c << v) * beta1) for v in range(1, v_max + 1) for beta1 in beta1s)
-        _guard_widest(((bits, (c << v_max) * beta1s[-1]),), rows, bit_cap)
+def _flag_powers(bits: int, c: int, vs: range, beta1s: range) -> Iterator[tuple[int, int]]:
+    """The (bits, exp) power of each row of an _exact_flags block, in row
+    order: a bits-wide base raised to c * 2**v * beta1, v over vs, beta1
+    over beta1s. Every exponent grows with bits, c, v and beta1."""
+    return ((bits, (c << v) * beta1) for v in vs for beta1 in beta1s)
 
 
 def _exact_flags(e: int, base: int, c: int, v_max: int, beta1_max: int) -> list[bool]:
     """exactly_divides(2, e + v, base, c * 2**v * beta1) for each row of a
     block, v-major over v = 1 .. v_max and odd beta1 <= beta1_max (e >= 0,
-    c >= 1), once _guard_flags has admitted the block.
+    c >= 1), once the block's powers (_flag_powers) are admitted.
 
     One modulus 2**(e + v_max + 1) and one pow serve the block: a row's
     residue is the one before times the square of its v's first power, and
@@ -144,7 +138,7 @@ def check_cando(k: int, beta: int, bit_cap: int | None = None) -> bool:
 def appr_exponent(k: int, bit_cap: int | None = None) -> int:
     """The exact m with (2**k - 1)**m || 2**((2**k - 1) * k) - 1, the power
     check_appr takes at u = 0, alpha1 = 1."""
-    _guard_appr(_require_k(k, "odd"), ((0, 1),), bit_cap)
+    _guard_all(_appr_powers(_require_k(k, "odd"), ((0, 1),), bit_cap), bit_cap)
     d = (1 << k) - 1
     m = 0
     while pow(2, d * k, d ** (m + 1)) == 1:
@@ -152,16 +146,16 @@ def appr_exponent(k: int, bit_cap: int | None = None) -> int:
     return m
 
 
-def _guard_appr(k: int, rows: Iterable[tuple[int, int]], bit_cap: int | None = None) -> None:
-    """_guard_bits on check_appr(k, u, alpha1)'s power of 2 for each (u,
-    alpha1) of rows in order. For k past 64 and the cap's bit length, k
-    alone refuses, as (2**k - 1) * k has k + bit_length(k) bits (k is odd)
-    and twice it passes the cap, so 2**k - 1 is never built."""
+def _appr_powers(k: int, rows: Iterable[tuple[int, int]], bit_cap: int | None) -> Iterator[tuple]:
+    """The power of 2 check_appr(k, u, alpha1) builds for each (u, alpha1)
+    of rows in order. For k past 64 and the cap's bit length, k alone
+    refuses, as (2**k - 1) * k has k + bit_length(k) bits (k is odd) and
+    twice it passes the cap, so 2**k - 1 is never built."""
     if k > max(64, (bit_cap or 0).bit_length()):
         _refuse(2, f"a {k + k.bit_length()}-bit exponent", bit_cap)
     d = (1 << k) - 1
     for u, alpha1 in rows:
-        _guard_bits(2, d ** (u + 1) * k * alpha1, bit_cap)
+        yield 2, d ** (u + 1) * k * alpha1
 
 
 def check_appr(k: int, u: int, alpha1: int, bit_cap: int | None = None) -> bool:
@@ -237,7 +231,7 @@ def bound_u1(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     _require_prime_mod4(p, 1)
     _require_k(k, "odd")
     _require_positive("v", v)
-    _guard_bound(p, k, range(v, v + 1), bit_cap)
+    _guard_all(_bound_powers(p, k, (v,)), bit_cap)
     return _bound_row(p, k, v)
 
 
@@ -252,13 +246,13 @@ def bound_v3(p: int, k: int, v: int, bit_cap: int | None = None) -> bool:
     _require_prime_mod4(p, 3)
     _require_k(k, "odd")
     _require_positive("v", v)
-    _guard_bound(p, k, range(v, v + 1), bit_cap)
+    _guard_all(_bound_powers(p, k, (v,)), bit_cap)
     return _bound_row(p, k, v)
 
 
 def _bound_row(p: int, k: int, v: int) -> bool:
     """bound_u1 for p = 1 (mod 4), else bound_v3, on arguments known valid,
-    once _guard_bound has passed its powers."""
+    once its powers (_bound_powers) are admitted."""
     if p % 4 == 1:
         return p ** ((1 << v) - 1) <= ((1 << (k * (v + 1))) - 1) // ((1 << k) - 1)
     e = (1 << v) - 2 * k - 1
@@ -267,20 +261,17 @@ def _bound_row(p: int, k: int, v: int) -> bool:
     return (1 << k) - 1 < p**-e << (k * (v - 1))
 
 
-def _guard_bound(p: int, k: int, vs: range, bit_cap: int | None = None) -> None:
-    """_guard_bits on the powers _bound_row(p, k, v) builds, v over vs in
-    order: p**(2**v - 1), then (2**k)**(v + 1) for p = 1 (mod 4), else
-    p**|2**v - 2k - 1|. Each exponent is widest at an end of vs, so the
-    rows are tried only if an end is refused, and the refusal names the
-    first refused row."""
-
-    def powers(v: int) -> tuple[tuple[int, int], ...]:
+def _bound_powers(p: int, k: int, vs: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The powers _bound_row(p, k, v) builds, v over vs in order:
+    p**(2**v - 1), then (2**k)**(v + 1) for p = 1 (mod 4), else
+    p**|2**v - 2k - 1|. The u1 pair grows with p, k and v; the v3 exponent
+    only with p, and it is widest at an end of v and an end of k."""
+    for v in vs:
         if p % 4 == 1:
-            return (p.bit_length(), (1 << v) - 1), (k + 1, v + 1)
-        return ((p.bit_length(), abs((1 << v) - 2 * k - 1)),)
-
-    rows = (power for v in vs for power in powers(v))
-    _guard_widest((*powers(vs[0]), *powers(vs[-1])), rows, bit_cap)
+            yield p.bit_length(), (1 << v) - 1
+            yield k + 1, v + 1
+        else:
+            yield p.bit_length(), abs((1 << v) - 2 * k - 1)
 
 
 class Scenario(Enum):
@@ -306,13 +297,14 @@ def trichotomy_3mod4(
     _require_k(k, "prime")
     _require_prime_mod4(p, 3)
     lam = v_exact(2, p + 1)
-    _guard_scenarios(lam, k, (beta,), bit_cap)
+    _guard_all(_scenario_powers(lam, k, (beta,)), bit_cap)
     return _scenarios(lam, k, beta, p == k)
 
 
 def _scenarios(lam: int, k: int, beta: int, p_is_k: bool) -> frozenset[Scenario]:
     """trichotomy_3mod4 from all it reads of p, lam = v2(p + 1) and whether
-    p = k, on arguments known valid, once _guard_scenarios has passed beta."""
+    p = k, on arguments known valid, once its powers (_scenario_powers) are
+    admitted."""
     v = v2(beta)
     out = set()
     if p_is_k:
@@ -325,17 +317,15 @@ def _scenarios(lam: int, k: int, beta: int, p_is_k: bool) -> frozenset[Scenario]
     return frozenset(out)
 
 
-def _guard_scenarios(lam: int, k: int, betas: Sequence[int], bit_cap: int | None = None) -> None:
-    """_guard_bits on the powers _scenarios(lam, k, beta, ...) builds, beta
-    over betas in order, v2 validating each: (2**lam - 1)**(beta - 1), then
-    (2**(lam + v2(beta)))**k. Both are widest at the end of betas, one beta
-    or the grid's ascending powers of 2, so the rows are tried only if it is
-    refused, and the refusal names the first refused row."""
-
-    def powers(beta: int) -> tuple[tuple[int, int], ...]:
-        return (lam, beta - 1), (lam + v2(beta) + 1, k)
-
-    _guard_widest(powers(betas[-1]), (power for b in betas for power in powers(b)), bit_cap)
+def _scenario_powers(lam: int, k: int, betas: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The powers _scenarios(lam, k, beta, ...) builds, beta over betas in
+    order, v2 validating each first: (2**lam - 1)**(beta - 1), then
+    (2**(lam + v2(beta)))**k. Both grow with lam, k and beta, for betas
+    that are powers of 2."""
+    for beta in betas:
+        v = v2(beta)
+        yield lam, beta - 1
+        yield lam + v + 1, k
 
 
 # check-lemma's tags, in the parser's order; classify pairs each with its rows.

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,13 +33,15 @@ from sigmaperfect.classify import (
     verify_lemma410,
 )
 from sigmaperfect.cli import main
-from sigmaperfect.exactint import DEFAULT_BIT_CAP, OperandSizeError, checked_pow, geometric_sum
+from sigmaperfect.exactint import DEFAULT_BIT_CAP, OperandSizeError, _guard_all, checked_pow, geometric_sum
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.sigma import SpecialForm, divides_sigma, is_even_perfect, sigma_k
 from sigmaperfect.valuations import (
     LemmaGrid,
     bound_u1,
     bound_v3,
+    check_appr,
+    check_appr2_bound,
     check_cando,
     check_sl3,
     check_tv,
@@ -656,7 +659,7 @@ def test_scans_and_the_v10_grid_sieve_once(monkeypatch):
         return _real(n)
 
     monkeypatch.setattr(classify, "primes_upto", counting)
-    # each grid is walked twice, to admit and then to decide, on one sieve
+    # each grid is admitted from its corner and walked once, on one sieve
     per_prime = ("tv", "tv2", "u1", "v3", "trichotomy")
     for run in (
         lambda: run_lemma_grid("v10", LemmaGrid(alpha_max=13)),
@@ -667,6 +670,49 @@ def test_scans_and_the_v10_grid_sieve_once(monkeypatch):
         bounds.clear()
         run()
         assert len(bounds) == 1, bounds
+
+
+def test_each_lemma_grid_is_walked_once(monkeypatch):
+    # a prime's own work, tv's t, tv2's s and trichotomy's lam, is one v2
+    # call; admitting the grid from its corner walks none of its primes
+    calls = []
+
+    def counting(x, _real=classify.v2):
+        calls.append(x)
+        return _real(x)
+
+    monkeypatch.setattr(classify, "v2", counting)
+    g = LemmaGrid(k_values=(3, 5), p_max=200)
+    assert len([p for p in primes_upto(g.p_max - 1) if p % 4 == 1]) == 21  # 42 calls when walked twice
+    for tag, residue in (("tv", 1), ("tv2", 3), ("trichotomy", 3)):
+        calls.clear()
+        primes = [p for p in primes_upto(g.p_max - 1) if p % 4 == residue]
+        _, blocks = classify.lemma_blocks(tag, g)
+        assert sum(len(oks) for _, _, oks in blocks) > 0
+        assert len(calls) == len(primes), (tag, len(calls), len(primes))
+
+
+def test_verify_lemma410_refuses_past_the_grid_limits_before_sieving(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"primes_upto({n}) before the grid limits were checked")
+
+    monkeypatch.setattr(classify, "primes_upto", no_sieve)
+    refused = "alpha_max=30 exceeds the lemma grid's limit of 24: its p-bound sieve would cover"
+    with pytest.raises(ValueError, match=refused):
+        verify_lemma410(30)
+    with pytest.raises(ValueError, match=refused):
+        run_lemma_grid("v10", LemmaGrid(alpha_max=30))
+
+
+def test_wieferich_point_keeps_condition_two_exact():
+    # v_1093(2**364 - 1) = 2, as 1093 is a Wieferich prime: condition 2 holds
+    # at beta = 3 and fails at beta = 4, so no route may assume that
+    # p**2 never divides 2**(alpha * k) - 1
+    assert pow(2, 364, 1093**2) == 1 and pow(2, 364, 1093**3) != 1
+    assert derive_conditions(SpecialForm(alpha=28, p=1093, beta=3, k=13)).cond_k2_holds
+    assert not derive_conditions(SpecialForm(alpha=28, p=1093, beta=4, k=13)).cond_k2_holds
+    blocks = [classify._block(13, range(28, 29), [1093], range(3, 5))]
+    assert classify._conditions_block(13, blocks)[1] == [True, False]
 
 
 def test_v10_streams_one_kernel_task_at_a_time(monkeypatch):
@@ -924,14 +970,14 @@ def test_search_pruners_pass_the_default_cap_at_the_search_limits():
     for residue in (1, 3):
         p = next(q for q in range(bound - 1, 2, -1) if q % 4 == residue and primality.is_prime(q))
         for v in range(1, classify.MAX_SCAN_BETA.bit_length()):
-            valuations._guard_bound(p, k, range(v, v + 1), DEFAULT_BIT_CAP)
+            _guard_all(valuations._bound_powers(p, k, (v,)), DEFAULT_BIT_CAP)
     lam = next(
         lam for lam in range(bound.bit_length(), 1, -1)
         if any(primality.is_prime(p) for p in range((1 << lam) - 1, bound, 2 << lam))
     )
     assert lam == 21
     for beta in betas:
-        valuations._guard_scenarios(lam, k, (beta,), DEFAULT_BIT_CAP)
+        _guard_all(valuations._scenario_powers(lam, k, (beta,)), DEFAULT_BIT_CAP)
 
 
 def _refuses(scan, *args) -> bool:
@@ -1344,7 +1390,22 @@ def test_run_lemma_grid_smoke_and_unknown_tag():
 def _reference_rows(tag, g):
     """The grid of tag, one public check_* or bound_* call per row, in row order."""
     vs, beta1s = range(1, g.v_max + 1), range(1, g.beta1_max + 1, 2)
-    if tag == "cando":
+    if tag in ("vs1", "appr2"):
+        check = check_appr2_bound if tag == "appr2" else lambda k, bit_cap: check_cando(k, 2, bit_cap)
+        for k in g.k_values:
+            yield f"k={k}", check(k, g.bit_cap)
+    elif tag == "appr":
+        for k in g.k_values:
+            for u in range(g.u_max + 1):
+                for alpha1 in range(1, g.alpha1_max + 1):
+                    # the row u = 0, alpha1 = 1 comes first and validates k
+                    if alpha1 == 1 or gcd(alpha1, (1 << k) - 1) == 1:
+                        yield f"k={k} u={u} alpha1={alpha1}", check_appr(k, u, alpha1, g.bit_cap)
+    elif tag == "f":
+        yield from _per_row_f(g)
+    elif tag == "v10":
+        yield from _per_row_v10(g)
+    elif tag == "cando":
         for k in g.k_values:
             for v in vs:
                 for beta1 in beta1s:
@@ -1410,6 +1471,60 @@ def test_lemma_grid_bulk_rows_match_the_per_row_oracles(
             (r.label, r.outcome if r.ok is None else r.ok) for r in run_lemma_grid(tag, g)
         ))
         assert bulk == _rows_or_refusal(lambda: _reference_rows(tag, g)), tag
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k_values=st.lists(st.sampled_from((3, 4, 5, 7, 13)), min_size=1, max_size=3, unique=True),
+    p_max=st.integers(1, 140),
+    v_max=st.integers(0, 6),
+    beta1_max=st.integers(0, 7),
+    u_max=st.integers(0, 2),
+    alpha1_max=st.integers(0, 4),
+    lambda_max=st.integers(1, 4),
+    p1_max=st.integers(0, 7),
+    alpha_max=st.integers(0, 7),
+    beta_max=st.integers(0, 5),
+    bit_cap=st.one_of(st.none(), st.integers(4, 3000)),
+)
+# v3 at k = 13 has 2**v < 2k + 1 up to v = 4, so its exponent is widest at v = 1
+@example(k_values=[13, 3], p_max=20, v_max=5, beta1_max=1, u_max=0, alpha1_max=1, lambda_max=2,
+         p1_max=1, alpha_max=2, beta_max=2, bit_cap=100)
+# trichotomy at the Mersenne p = 7, 31 and 127, where lam = v2(p + 1) is p's bit length
+@example(k_values=[3, 5], p_max=128, v_max=3, beta1_max=1, u_max=1, alpha1_max=4, lambda_max=3,
+         p1_max=3, alpha_max=4, beta_max=3, bit_cap=120)
+@example(k_values=[13], p_max=128, v_max=2, beta1_max=1, u_max=0, alpha1_max=1, lambda_max=2,
+         p1_max=1, alpha_max=2, beta_max=2, bit_cap=125)
+# no prime below 100 has v2(p + 1) = 7, so trichotomy's corner over-estimates
+# every row's powers, and at this cap is refused while every row passes
+@example(k_values=[13], p_max=100, v_max=2, beta1_max=1, u_max=0, alpha1_max=1, lambda_max=2,
+         p1_max=1, alpha_max=2, beta_max=2, bit_cap=120)
+# sl3's base 2**lam * p1 - 1 is widest at the largest lam, f's p**k at k = 13
+@example(k_values=[13], p_max=6, v_max=1, beta1_max=1, u_max=0, alpha1_max=1, lambda_max=4,
+         p1_max=7, alpha_max=2, beta_max=3, bit_cap=12)
+@example(k_values=[3, 13], p_max=6, v_max=1, beta1_max=1, u_max=0, alpha1_max=1, lambda_max=2,
+         p1_max=1, alpha_max=2, beta_max=3, bit_cap=400)
+# appr's corner passes no k past 64 and the cap's bit length, yet k = 3's rows pass
+@example(k_values=[3, 5], p_max=6, v_max=1, beta1_max=1, u_max=2, alpha1_max=4, lambda_max=2,
+         p1_max=1, alpha_max=2, beta_max=2, bit_cap=3000)
+def test_lemma_grids_refuse_exactly_where_the_per_row_oracles_do(
+    k_values, p_max, v_max, beta1_max, u_max, alpha1_max, lambda_max, p1_max, alpha_max, beta_max,
+    bit_cap,
+):
+    # every tag admits its grid from its corner and walks its rows only under
+    # a refused corner; the public oracles, one call per row in row order
+    # with the same cap, must give the same rows, or the same first refusal
+    g = LemmaGrid(k_values=tuple(k_values), p_max=p_max, v_max=v_max, beta1_max=beta1_max,
+                  u_max=u_max, alpha1_max=alpha1_max, lambda_max=lambda_max, p1_max=p1_max,
+                  alpha_max=alpha_max, beta_max=beta_max, bit_cap=bit_cap)
+    for tag in classify.LEMMA_TAGS:
+        expected = _rows_or_refusal(lambda: _reference_rows(tag, g))
+        if expected == []:
+            expected = (ValueError, f"the {tag} grid has no rows; widen its parameters")
+        bulk = _rows_or_refusal(lambda: (
+            (r.label, r.outcome if r.ok is None else r.ok) for r in run_lemma_grid(tag, g)
+        ))
+        assert bulk == expected, tag
 
 
 def test_check_lemma_trichotomy_proves_each_k_once_and_no_sieved_prime(monkeypatch, capsys):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import sigmaperfect.valuations as valuations
-from sigmaperfect.exactint import OperandSizeError, checked_pow, v_exact
+from sigmaperfect.exactint import OperandSizeError, _guard_all, checked_pow, v_exact
 from sigmaperfect.primality import primes_upto
 from sigmaperfect.valuations import (
     Scenario,
     _bound_row,
     _exact_flags,
-    _guard_flags,
+    _flag_powers,
     appr_exponent,
     bound_u1,
     bound_v3,
@@ -545,7 +545,8 @@ def test_exact_flags_match_exactly_divides_one_by_one(e, base, c, v_max, beta1_m
             return type(exc), str(exc)
 
     def admitted_flags():
-        _guard_flags(base.bit_length(), c, v_max, beta1_max, bit_cap)
+        vs, beta1s = range(1, v_max + 1), range(1, beta1_max + 1, 2)
+        _guard_all(_flag_powers(base.bit_length(), c, vs, beta1s), bit_cap)
         return _exact_flags(e, base, c, v_max, beta1_max)
 
     assert outcome(admitted_flags) == outcome(
