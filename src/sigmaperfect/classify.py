@@ -175,7 +175,7 @@ MAX_SCAN_ALPHA = 24
 # search --k 5 --alpha-max 13 takes about 0.7 s, and check-lemma sl3 with
 # --beta1-max, --lambda-max and --p1-max at 64 (322,560 rows, written a
 # (lam, p1) block of 160 rows at a time) 0.2-0.3 s and 17.0 MiB RSS, compiling
-# the package from source, on a 2-vCPU x86-64 VM.
+# the package from source, on a 2-vCPU x86-64 VM. check-lemma's v_max shares it.
 MAX_SCAN_BETA = 64
 
 # _pool_map's pool forks min(workers, tasks) processes as it starts, so on a
@@ -201,6 +201,8 @@ _GRID_LIMITS = {
     "p1_max": (MAX_SCAN_BETA, lambda _: _ROW_WORK),
     "u_max": (MAX_SCAN_BETA, lambda _: _ROW_COUNT),
     "alpha1_max": (MAX_SCAN_BETA, lambda _: _ROW_COUNT),
+    "v_max": (MAX_SCAN_BETA, lambda _: "each v doubles its rows' exponents, and the grid's "
+              "per-v labels and powers of 2 are made before the operand cap can refuse a row"),
     "workers": (MAX_WORKERS, lambda w: f"its pool would fork {w} processes at once"),
 }
 
@@ -305,44 +307,49 @@ def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
     return divides
 
 
-def _conditions_block(k: int, blocks: list[_Block]) -> tuple[list[bool], list[bool]]:
+# _PLANES[j] maps a row's condition-1 count c to its flag at its block's alphas[j]: c > j
+_PLANES = [bytes(j + 1) + b"\x01" * (255 - j) for j in range(256)]
+
+
+def _conditions_block(k: int, blocks: list[_Block]) -> tuple[bytearray, bytearray]:
     """Condition route over one batch, by modular arithmetic only, from each
     prime's p and q, its residues stepped across the block's betas by
-    Horner's rule. Condition 1 is 2**(alpha-1) | (q**beta - 1)/(q - 1),
-    which with v = v2(q - 1) is q**beta = 1 (mod 2**(alpha-1+v)): a row
-    keeps x = q**beta modulo 2**(top-1+v) and holds for alpha - 1 <= v2(x -
-    1) - v, every alpha when x = 1. Condition 2 is 2**(alpha*k) = 1 (mod m2
-    * p**(beta-1)) with m2 = 2**k - 1; a block's residues advance from one
-    alpha to the next by one multiplication by 2**k each."""
+    Horner's rule; its flags are byte planes, a byte per point, alpha-major.
+    Condition 1 is 2**(alpha-1) | (q**beta - 1)/(q - 1), or with v = v2(q -
+    1), q**beta = 1 (mod 2**(alpha-1+v)): a row keeps x = q**beta modulo h,
+    a multiple of 2**(top-1+v), holds for alpha - 1 <= v2(x - 1) - v (every
+    alpha when x = 1) and keeps the count of those alphas, a byte while the
+    block's alphas and spread of v add up to under 256. Condition 2 is
+    2**(alpha*k) = 1 (mod m2 * p**(beta-1)) with m2 = 2**k - 1; a block's
+    residues advance from one alpha to the next by one multiplication by
+    2**k each, and an alpha where none is 1 gets a zero plane."""
     # Every modulus exceeds 1, so a residue of 1 is exact divisibility.
     t = 1 << k
     m2 = t - 1
-    cond1: list[bool] = []
-    cond2: list[bool] = []
+    cond1, cond2 = bytearray(), bytearray()
     for b in blocks:
-        s_top = b.alphas[-1] - 1
-        vs = [((q - 1) & (1 - q)).bit_length() - 1 for q in b.qs]
-        masks = [(1 << s_top + v) - 1 for v in vs]
-        xs = rs = [q & m for q, m in zip(b.qs, masks)]  # q modulo 2**(s_top+v), a small int
+        s_top, s0 = b.alphas[-1] - 1, b.alphas[0] - 1
+        # per row, w = v2(q - 1) + s0: q ^ (q - 2) is 2**(v+1) - 2 for odd q
+        ws = [(q ^ q - 2).bit_length() + s0 - 1 for q in b.qs]
+        h = 1 << s_top + max(ws, default=s0) - s0  # every row's 2**(top-1+v) divides h
+        xs, mask = b.qs, h - 1
         moduli = [m2] * len(b.ps)
-        reach: list[int] = []  # per row, the largest alpha - 1 where condition 1 holds, to s_top
+        counts: list[int] = []
         row_moduli: list[int] = []
         for beta in range(2, b.betas[-1] + 1):
-            xs = [x * r & m for x, r, m in zip(xs, rs, masks)]
+            xs = [x * q & mask for x, q in zip(xs, b.qs)]  # q**beta modulo h, a small int
             moduli = [m * p for m, p in zip(moduli, b.ps)]
             if beta >= b.betas[0]:
-                reach += [
-                    ((x - 1) & (1 - x)).bit_length() - 1 - v if x != 1 else s_top
-                    for x, v in zip(xs, vs)
-                ]
+                # (x - 1) & (1 - x) is 2**v2(x - 1), or h at x = 1; past w, the count
+                counts += [((x - 1 & 1 - x or h) >> w).bit_length() for x, w in zip(xs, ws)]
                 row_moduli += moduli
+        counts = bytes(counts)
         # 2**((alpha-1)*k) at the first alpha, reduced by the first step
-        ys = [1 << (b.alphas[0] - 1) * k] * len(row_moduli)
-        for a in b.alphas:
-            s = a - 1
-            cond1 += [s <= c for c in reach]
+        ys = [1 << s0 * k] * len(row_moduli)
+        for plane in _PLANES[: len(b.alphas)]:
+            cond1 += counts.translate(plane)
             ys = [y * t % m for y, m in zip(ys, row_moduli)]
-            cond2 += [y == 1 for y in ys]
+            cond2 += bytes([y == 1 for y in ys]) if 1 in ys else bytes(len(ys))
     return cond1, cond2
 
 
@@ -470,8 +477,9 @@ def _check_coverage(scope: str, totals: Sequence[int], expected: Sequence[int]) 
 
 def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[bool]:
     """Run both routes over one batch, check that each flags every point and
-    that they agree at each; return the direct route's flags. A disagreement
-    names the first failing point in (p, beta, alpha) order."""
+    that they agree at each, reading each flag list as one int, a flag to a
+    byte; return the direct route's flags. Only a failed check builds the
+    points: it names the first failing one in (p, beta, alpha) order."""
     divides = _direct_block(two_parts, blocks)
     cond1, cond2 = _conditions_block(k, blocks)
     points = sum(len(b.alphas) * len(b.ps) * len(b.betas) for b in blocks)
@@ -480,16 +488,15 @@ def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[boo
             f"the routes flag {len(divides)}, {len(cond1)} and {len(cond2)} points "
             f"(direct, condition 1, condition 2) of a batch of {points}"
         )
-    failed = divides != list(map(and_, cond1, cond2))
+    bits1 = int.from_bytes(cond1, "big")
+    failed = int.from_bytes(divides, "big") != bits1 & int.from_bytes(cond2, "big")
     # any odd beta: a range of two or more holds one; most equivalence batches have none
-    if any(len(b.betas) > 1 or b.betas[0] % 2 for b in blocks):
-        odd: list[bool] = []
-        for b in blocks:
-            odd += [beta % 2 == 1 for beta in b.betas for _ in b.ps] * len(b.alphas)
-        failed = failed or True in map(and_, cond1, odd)
+    if not failed and any(len(b.betas) > 1 or b.betas[0] % 2 for b in blocks):
+        odd = b"".join(bytes(beta % 2 for beta in b.betas for _ in b.ps) * len(b.alphas) for b in blocks)
+        failed = bits1 & int.from_bytes(odd, "big") != 0
     if failed:
         checks = zip(_block_points(blocks), divides, cond1, cond2)
-        _raise_route_failure(k, sorted((*point, d, c1, c2) for point, d, c1, c2 in checks))
+        _raise_route_failure(k, sorted((*point, *map(bool, flags)) for point, *flags in checks))
     return divides
 
 

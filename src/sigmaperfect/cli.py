@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .exactint import DEFAULT_BIT_CAP, CrossCheckError, OperandSizeError
+from .exactint import DEFAULT_BIT_CAP, CrossCheckError, OperandSizeError, _guard_pow
 from .primality import MAX_MERSENNE_BOUND, is_mersenne_prime_exponent, mersenne_exponents_upto
 from .sigma import SpecialForm, sigma_k
 from .valuations import LEMMA_TAGS, LemmaGrid
@@ -223,9 +223,17 @@ def cmd_sigma(args: argparse.Namespace) -> int:
         raise ValueError(f"n must be >= 1, got {args.n}")
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
+    # sigma_k(n) is a few bits wider than n**k at most: an n**k past the operand
+    # cap is refused before factoring, and any value it admits is printed whole
+    _guard_pow(args.n, args.k, None)
     value = sigma_k(args.n, args.k)
     residue = value % args.n
-    print(f"sigma_{args.k}({args.n}) = {value}")
+    try:
+        text = str(value)
+    except ValueError:  # past Python's int-to-str digit limit, which Decimal has not
+        from decimal import Decimal
+        text = str(Decimal(value))
+    print(f"sigma_{args.k}({args.n}) = {text}")
     print(f"sigma_{args.k}({args.n}) mod {args.n} = {residue}")
     print(f"{args.n} divides sigma_{args.k}({args.n}): {_yn(residue == 0)}")
     return 0

@@ -172,10 +172,10 @@ def test_condition1_residues_are_two_adic():
     # q = 65537 has v = v2(q - 1) = 16, so q**beta is kept modulo 2**(top - 1 + 16):
     # q**64 is 1 modulo 2**22, and condition 1 holds at every alpha to 7 ...
     block = classify._block(1, range(2, 8), [65537], range(64, 65))
-    assert classify._conditions_block(1, [block])[0] == [True] * 6
+    assert list(map(bool, classify._conditions_block(1, [block])[0])) == [True] * 6
     # ... but 1 + 2**22 modulo 2**23, and it fails at alpha = 8 alone
     block = classify._block(1, range(2, 9), [65537], range(64, 65))
-    assert classify._conditions_block(1, [block])[0] == [True] * 6 + [False]
+    assert list(map(bool, classify._conditions_block(1, [block])[0])) == [True] * 6 + [False]
     # at k = 5, condition 1 holds exactly where alpha - 1 <= v2(x - 1) - v,
     # with x = q**beta modulo 2**(14 + v), from beta 2 and from beta 9 on
     blocks = [
@@ -187,6 +187,34 @@ def test_condition1_residues_are_two_adic():
         v = v2(p**5 - 1)
         x = p ** (5 * beta) % (1 << 14 + v)
         assert c1 == (x == 1 or alpha - 1 <= v2(x - 1) - v), (alpha, p, beta)
+
+
+# Mersenne primes keep condition 1 past alpha 255 at even beta: 2**(alpha-1)
+# divides (q**beta - 1)/(q - 1) up to alpha = 521 + v2(beta) for odd k
+_WIDE_PRIMES = [*_SMALL_PRIMES[:20], 257, 65537, (1 << 127) - 1, (1 << 521) - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@example(k=5, first=250, width=12, ps=[3, 17, (1 << 521) - 1], beta_lo=2, beta_count=3)
+@example(k=4, first=2, width=8, ps=[3, 65537, (1 << 127) - 1], beta_lo=2, beta_count=4)
+@given(
+    k=st.sampled_from((1, 2, 3, 4, 5, 7, 13)),
+    first=st.integers(2, 300),
+    width=st.integers(2, 12),
+    ps=st.lists(st.sampled_from(_WIDE_PRIMES), min_size=1, max_size=4, unique=True).map(sorted),
+    beta_lo=st.integers(2, 9),
+    beta_count=st.integers(2, 4),
+)
+def test_condition_planes_match_the_reference_at_wide_alphas(k, first, width, ps, beta_lo, beta_count):
+    # a block's condition-1 counts are measured from its first alpha, so they
+    # stay bytes wherever it starts; every flag is a 0 or 1 byte
+    alphas, betas = range(first, first + width), range(beta_lo, beta_lo + beta_count)
+    blocks = [classify._block(k, alphas, ps, betas)]
+    cond1, cond2 = classify._conditions_block(k, blocks)
+    assert type(cond1) is type(cond2) is bytearray and set(cond1 + cond2) <= {0, 1}
+    for (alpha, p, beta), c1, c2 in zip(_block_points(blocks), cond1, cond2, strict=True):
+        reference = derive_conditions(SimpleNamespace(alpha=alpha, p=p, beta=beta, k=k))
+        assert (c1, c2) == (reference.cond_k1_holds, reference.cond_k2_holds), (alpha, p, beta, k)
 
 
 @pytest.mark.parametrize(
@@ -712,7 +740,7 @@ def test_wieferich_point_keeps_condition_two_exact():
     assert derive_conditions(SpecialForm(alpha=28, p=1093, beta=3, k=13)).cond_k2_holds
     assert not derive_conditions(SpecialForm(alpha=28, p=1093, beta=4, k=13)).cond_k2_holds
     blocks = [classify._block(13, range(28, 29), [1093], range(3, 5))]
-    assert classify._conditions_block(13, blocks)[1] == [True, False]
+    assert list(map(bool, classify._conditions_block(13, blocks)[1])) == [True, False]
 
 
 def test_v10_streams_one_kernel_task_at_a_time(monkeypatch):

@@ -88,6 +88,32 @@ def test_sigma_command_refuses_a_wide_power_before_building_it(capsys):
     assert "2-bit base raised to 10000000 exceeds the 1000000-bit cap" in err
 
 
+def test_sigma_command_prints_a_value_past_the_int_to_str_limit(capsys):
+    # 10**9 + 7 is prime, so sigma_480 of it is 1 + p**480: 4,321 digits,
+    # past the interpreter's 4,300-digit int-to-str limit
+    p = 10**9 + 7
+    code, out, err = run_cli(capsys, "sigma", str(p), "480")
+    assert code == 0 and err == ""
+    first, *rest = out.splitlines()
+    digits = first.removeprefix(f"sigma_480({p}) = ")
+    assert len(digits) == 4321 and digits.isdigit()
+    # compared digit block by digit block, each under the limit
+    value, blocks = 1 + p**480, []
+    while value:
+        value, block = divmod(value, 10**1000)
+        blocks.append(str(block).zfill(1000))
+    assert digits == "".join(reversed(blocks)).lstrip("0")
+    assert rest == [f"sigma_480({p}) mod {p} = 1", f"{p} divides sigma_480({p}): no"]
+
+
+def test_sigma_command_refuses_a_wide_value_before_factoring(monkeypatch, capsys):
+    # sigma_k(n) is at least n**k, and 6**400000 is 3 bits wide per factor of 6
+    monkeypatch.setattr(sigma, "factorize", _refuse("factorize"))
+    code, out, err = run_cli(capsys, "sigma", "6", "400000")
+    assert (code, out) == (2, "")
+    assert err == "operand size cap exceeded: 3-bit base raised to 400000 exceeds the 1000000-bit cap\n"
+
+
 def test_sigma_command_refuses_once_rho_budget_runs_out(monkeypatch, capsys):
     monkeypatch.setattr(sigma, "_RHO_BUDGET", 64)
     n = (2**32 - 5) * (2**32 - 17)
@@ -613,6 +639,24 @@ def test_check_lemma_refuses_oversized_grid_before_sieving(monkeypatch, capsys):
         code, out, err = run_cli(capsys, "check-lemma", tag, "--p-max", p_max)
         assert code == 2 and out == ""
         assert f"limit of {3 << classify.MAX_SCAN_ALPHA}" in err
+
+
+def test_check_lemma_refuses_a_wide_v_max_before_any_maker_runs(monkeypatch, capsys):
+    # every maker builds per-v labels (trichotomy also each 2**v) before the
+    # operand cap is checked: at --v-max 20000 trichotomy took over a second
+    # and 71 MiB before it failed on an int-to-str conversion
+    for tag, (_, proved, kind) in classify._LEMMAS.items():
+        monkeypatch.setitem(classify._LEMMAS, tag, (_refuse(f"the {tag} maker"), proved, kind))
+    limit = classify.MAX_SCAN_BETA
+    for tag in classify.LEMMA_TAGS:
+        for v_max in (limit + 1, 20000):
+            code, out, err = run_cli(capsys, "check-lemma", tag, "--v-max", str(v_max))
+            assert (code, out) == (2, ""), tag
+            assert err == (
+                f"error: v_max={v_max} exceeds the lemma grid's limit of {limit}: each v doubles "
+                "its rows' exponents, and the grid's per-v labels and powers of 2 are made "
+                "before the operand cap can refuse a row\n"
+            )
 
 
 def test_sieve_refusals_name_the_largest_number_covered(monkeypatch, capsys):
@@ -1175,3 +1219,62 @@ def test_check_lemma_parser_text_matches_golden(name, argv, code, monkeypatch, c
     golden = Path(__file__).parent / "golden" / f"{name}.txt"
     assert exc.value.code == code
     assert captured.out + captured.err == golden.read_text(encoding="utf-8")
+
+
+# The benchmark's self-test faults, applied in process at the benchmark's own
+# grids: each must fail its run. The direct route lies at (p, beta, alpha) =
+# (7, 2, 3), n = 28, and the tv block of (base, c) = (5, 3) at its first row.
+_BENCH_SEARCH = ("search", "--k", "5", "--alpha-max", "15", "--beta-max", "16")
+_BENCH_LEMMA_FLAGS = (
+    "--p-max", "1500", "--v-max", "6", "--beta1-max", "11", "--lambda-max", "8",
+    "--p1-max", "31", "--alpha-max", "12", "--beta-max", "10",
+)
+
+
+def _flip_direct_route_at(m, point):
+    real = classify._direct_block
+
+    def lying(two_parts, blocks):
+        divides = real(two_parts, blocks)
+        for i, at in enumerate(classify._block_points(blocks)):
+            if at == point:
+                divides[i] = not divides[i]
+        return divides
+
+    m.setattr(classify, "_direct_block", lying)
+
+
+def test_a_lying_direct_route_fails_the_benchmark_scans(capsys):
+    with pytest.MonkeyPatch.context() as m:
+        _flip_direct_route_at(m, (7, 2, 3))
+        code, _, err = run_cli(capsys, *_BENCH_SEARCH)
+        assert code == 2
+        assert err == (
+            "cross-check failure: conditions disagree with direct divisibility at "
+            "(alpha, p, beta, k) = (3, 7, 2, 5): divides=False, cond1=True, cond2=True\n"
+        )
+        with pytest.raises(exactint.CrossCheckError) as caught:
+            classify.equivalence_scan(3 * 10**6)
+    assert str(caught.value) == (
+        "conditions disagree with direct divisibility at "
+        "(alpha, p, beta, k) = (3, 7, 2, 3): divides=True, cond1=True, cond2=False"
+    )
+
+
+def test_a_lying_tv_row_fails_the_benchmark_lemma_grid(capsys):
+    real = classify._exact_flags
+
+    def lying(e, base, c, v_max, beta1_max):
+        flags = real(e, base, c, v_max, beta1_max)
+        if (base, c) == (5, 3):
+            flags[0] = not flags[0]
+        return flags
+
+    argv = ("check-lemma", "tv", "--k", "3,5,7,13", *_BENCH_LEMMA_FLAGS)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.endswith("tv: 16704/16704 pass\n")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_exact_flags", lying)
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 2 and out.endswith("tv: 16703/16704 pass\n")
+    assert [line for line in out.splitlines() if "FAIL" in line] == ["tv  p=5 k=3 v=1 beta1=1: FAIL"]
