@@ -22,7 +22,7 @@ from itertools import compress, product, repeat, starmap, takewhile
 from operator import and_, floordiv, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .exactint import DEFAULT_BIT_CAP, CrossCheckError, OperandSizeError, _guard_all, _guard_pow
+from .exactint import CrossCheckError, OperandSizeError, _guard_all, _guard_pow
 from .exactint import _require_k, checked_pow, geometric_sum
 from .primality import mersenne_exponents_upto, primes_upto
 from .sigma import SpecialForm, divides_sigma, factorize, is_even_perfect, sigma_k
@@ -221,9 +221,9 @@ def _refuse_oversized(scope: str, **values: int) -> None:
 def _refuse_repeated(ks: Sequence[int], where: str) -> None:
     """Raise ValueError for the smallest exponent that is repeated in ks:
     each copy would be checked again and counted again."""
-    repeated = sorted({k for k in ks if ks.count(k) > 1})
-    if repeated:
-        raise ValueError(f"exponent k={repeated[0]} is repeated in {where}")
+    seen: set[int] = set()  # seen.add returns None: a k's first copy only joins seen
+    if repeated := {k for k in ks if k in seen or seen.add(k)}:
+        raise ValueError(f"exponent k={min(repeated)} is repeated in {where}")
 
 
 # The most points a task holds (_split); a task is one
@@ -701,15 +701,17 @@ def search(
 def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> bool:
     """n = 2**(alpha-1) * (2**k - 1)**(beta-1) never divides sigma_k(n).
 
-    Always true when 2**k - 1 is prime; a False return is an
-    implementation bug.
+    Always true when 2**k - 1 is prime; a False return, like the
+    CrossCheckError of a solution sigma_k rejects, is an implementation bug.
     """
     _require_k(k, "mersenne")
     if alpha < 2 or beta < 2:
         raise ValueError(f"alpha and beta must be >= 2, got {alpha} and {beta}")
     ps, alphas, betas = [(1 << k) - 1], range(alpha, alpha + 1), range(beta, beta + 1)
     _guard(k, ps, [(alphas, range(1), betas)], bit_cap)
-    return not _check_task((k, [(alphas, ps, betas)]))[1][0]
+    if divides := _check_task((k, [(alphas, ps, betas)]))[1][0]:
+        _recheck_solution(alpha, ps[0], beta, k)
+    return not divides
 
 
 def lemma41_candidates() -> list[SpecialForm]:
@@ -850,10 +852,10 @@ def _residue_primes(table: array, residue: int) -> array:
 
 # A lemma grid runs as blocks of rows, one kernel call each. Each tag's maker
 # takes a grid and rule, its tag's k rule, makes any sieve once and returns,
-# lazily: the corner, (bits, exp) powers worked out from the grid's
-# parameters that bound every row's; the k values of its blocks; its rows'
-# powers in row order, each k through rule at its first block, read only
-# under a refused corner; and its one walk, the blocks in row order as
+# lazily: the corner, its row lister's powers at the grid's extremes, or for f
+# and v10 a _guard walk; the k values whose rules run past a passing corner;
+# its rows' powers in row order, each k through rule at its first block, read
+# only under a refused corner; and its one walk, the blocks in row order as
 # (labels, values), values bools for a proved tag, else outcome strings.
 _Rows = tuple[list[str], list]
 
@@ -874,14 +876,15 @@ def _flag_block(head: str, tails: list[str], e: int, base: int, c: int, g: Lemma
 
 
 def _kernel_walk(specs: Callable[[], Iterable[tuple]], bit_cap: int | None) -> tuple:
-    """The rows and blocks of f or v10 over specs(), (template, k, table,
-    spec) in row order, on the batch kernel a _split task at a time: a row
-    passes when its point does not divide, labelled by template with its k,
-    alpha, p and beta filled in by position (by keyword, they cost v10 about
-    a tenth of its time). The rows list no power, as _guard refuses a spec's
-    first refused point itself."""
+    """f or v10 over specs(), (template, k, table, spec) in row order, which
+    takes each k through its rule: its corner and rows are each a fresh walk
+    of _guard, which lists no power and refuses a spec's first refused point
+    itself; its blocks run the batch kernel a _split task at a time. A row
+    passes when its point does not divide, and sigma_k re-checks each point
+    found dividing; its label is template with k, alpha, p and beta filled
+    in by position (by keyword, they cost v10 about a tenth of its time)."""
 
-    def rows() -> Iterator[tuple[int, int]]:
+    def guarded() -> Iterator[tuple[int, int]]:
         for _, k, table, spec in specs():
             _guard(k, table, [spec], bit_cap)
         yield from ()
@@ -891,9 +894,11 @@ def _kernel_walk(specs: Callable[[], Iterable[tuple]], bit_cap: int | None) -> t
             label = template.format(k=k, p="{0}", beta="{1}", alpha="{2}")
             for task in _split(table, [spec]):
                 points, flags = _check_task((k, task))
+                for p, beta, alpha in _found(points, flags):
+                    _recheck_solution(alpha, p, beta, k)
                 yield list(starmap(label.format, _block_points(points))), list(map(not_, flags))
 
-    return rows(), blocks()
+    return guarded(), (), guarded(), blocks()
 
 
 def _prime_walk(g: LemmaGrid, rule, residue: int, has_rows, powers, blocks_of, wide=None) -> tuple:
@@ -937,11 +942,7 @@ def _appr_rows(g: LemmaGrid, rule, appr2: bool = False) -> tuple:
         labels = [f"k={k} u={u} alpha1={alpha1}" for u, alpha1 in cells]
         return labels, [check_appr(k, u, alpha1, g.bit_cap) for u, alpha1 in cells]
 
-    # the tower's exponent (2**k - 1)**(u+1) * k * alpha1 is below k * alpha1
-    # << (u+1) * k, which passes the cap once k passes the cap's bit length
-    cap_bits = (DEFAULT_BIT_CAP if g.bit_cap is None else g.bit_cap).bit_length()
-    top = min(max(ks, default=0), cap_bits + 1)
-    corner = ((2, top * alpha1s[-1] << (us[-1] + 1) * top),) if top > 0 else ()
+    corner = _appr_powers(max(ks), [(us[-1], alpha1s[-1])], g.bit_cap) if ks else ()
     rows = (pw for k in map(rule, ks) for pw in _appr_powers(k, pairs(k), g.bit_cap))
     return corner, ks, rows, map(block, ks)
 
@@ -971,14 +972,11 @@ def _sl3_rows(g: LemmaGrid, rule) -> tuple:
 
 
 def _f_rows(g: LemmaGrid, rule) -> tuple:
-    # each k's p = 2**k - 1 is k bits wide, and its k-th power k * k bits:
-    # the corner holds _guard's operands p**k, (p**k)**beta, (2**k)**alpha
+    # one spec per k, at its one prime p = 2**k - 1
     alphas, betas = range(2, g.alpha_max + 1), range(2, g.beta_max + 1)
     ks, spec = g.k_values if alphas and betas else (), (alphas, range(1), betas)
-    corner = ((max(ks), max(ks)), (max(ks) ** 2, betas[-1]), (max(ks) + 1, alphas[-1])) if ks else ()
     label = "k={k} alpha={alpha} beta={beta}"
-    specs = lambda: ((label, k, [(1 << k) - 1], spec) for k in map(rule, ks))
-    return (corner, ks, *_kernel_walk(specs, g.bit_cap))
+    return _kernel_walk(lambda: ((label, k, [(1 << k) - 1], spec) for k in map(rule, ks)), g.bit_cap)
 
 
 def _v10_rows(g: LemmaGrid, rule) -> tuple:
@@ -997,12 +995,7 @@ def _v10_rows(g: LemmaGrid, rule) -> tuple:
             cut = bisect_right(table, (3 << alpha - 1) - 2)
             yield "alpha={alpha} p={p}", 5, table, (range(alpha, alpha + 1), range(cut), beta4)
 
-    # every row, a candidate's too, is at k = 5 and beta = 4 and under the
-    # p-bound of its alpha: the corner is _guard's operands p**5, (p**5)**4
-    # and (2**5)**alpha there at the largest alpha, p**5 read as 5 * bits wide
-    top = max(g.alpha_max, *(f.alpha for f in candidates))
-    bits = ((3 << top - 1) - 2).bit_length()
-    return ((bits, 5), (5 * bits, 4), (6, top)), (), *_kernel_walk(specs, g.bit_cap)
+    return _kernel_walk(specs, g.bit_cap)
 
 
 def _bound_rows(g: LemmaGrid, rule, residue: int) -> tuple:
@@ -1076,22 +1069,23 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple]]:
     each: a proved tag's rows pass or FAIL, with oks their bools; an
     informational tag's outcome is its value, with oks None.
 
-    Every refusal comes before the first block: grids past the limits in
-    _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max,
-    beta_max, u_max and alpha1_max), before any sieving; a repeated
-    exponent in k_values; then admission from the grid's corner, its widest
-    powers: past a passing corner only each k's tag rule runs, once, in
-    k_values order, and only a refused one has the rows checked, in row
-    order, each k's rule at its first block, for the refusal a row-by-row
-    check would raise first. The stream is the grid's one walk; a grid with
-    no rows is refused at its end, and only a cross-check failure can stop
-    it midway.
+    Every refusal comes before the first block: a repeated exponent in
+    k_values, unless the tag takes no k; grids past the limits in
+    _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max, beta_max,
+    u_max, alpha1_max and v_max), before any sieving; then admission from
+    the grid's corner (for f and v10, the scans' _guard over each spec):
+    past a passing corner only each k's tag rule runs, once, in k_values
+    order, and only a refused one has the rows checked, in row order, each
+    k's rule at its first block, for the refusal a row-by-row check would
+    raise first. The stream is the grid's one walk; a grid with no rows is
+    refused at its end, and only a cross-check failure can stop it midway.
     """
     if tag not in _LEMMAS:
         raise ValueError(f"unknown lemma tag {tag!r}; expected one of {', '.join(LEMMA_TAGS)}")
-    _refuse_repeated(grid.k_values, "the grid's k values")
-    _refuse_oversized("lemma grid", **{n: getattr(grid, n) for n in _GRID_LIMITS if n in grid._fields})
     make, proved, kind = _LEMMAS[tag]
+    if kind:
+        _refuse_repeated(grid.k_values, "the grid's k values")
+    _refuse_oversized("lemma grid", **{n: getattr(grid, n) for n in _GRID_LIMITS if n in grid._fields})
     rule = cache(partial(_require_k, kind=kind))
     corner, ks, rows, blocks = make(grid, rule)
     try:

@@ -17,10 +17,11 @@ row is a bit test. Beside each function whose powers a grid row builds
 is its row lister (_flag_powers, _bound_powers, _scenario_powers and
 _appr_powers), which reads a base by its bit length alone, so 2**k - 1 and
 2**k are refused without being built. A grid is admitted from its corner,
-its widest powers, and the listers are walked row by row only under a
-refused corner; the grid is then walked once, to decide it. _exact_flags,
-_bound_row and _scenarios check no cap again, and the search's pruners
-call the last two unguarded, as at its limits no power passes 64,000 bits.
+its lister's powers at the grid's extremes, and the listers are walked row
+by row only under a refused corner; the grid is then walked once, to decide
+it. _exact_flags, _bound_row and _scenarios check no cap again, and the
+search's pruners call the last two unguarded, as at its limits no power
+passes 64,000 bits.
 The public check_*, bound_* and trichotomy functions keep their own guards
 and input validation and, through exactly_divides, one pow per row: they
 are the per-row reference those grids are tested against.
@@ -148,9 +149,12 @@ def appr_exponent(k: int, bit_cap: int | None = None) -> int:
 
 def _appr_powers(k: int, rows: Iterable[tuple[int, int]], bit_cap: int | None) -> Iterator[tuple]:
     """The power of 2 check_appr(k, u, alpha1) builds for each (u, alpha1)
-    of rows in order. For k past 64 and the cap's bit length, k alone
-    refuses, as (2**k - 1) * k has k + bit_length(k) bits (k is odd) and
-    twice it passes the cap, so 2**k - 1 is never built."""
+    of rows in order; none for k < 1, which its rule refuses. For k past 64
+    and the cap's bit length, k alone refuses, as (2**k - 1) * k has k +
+    bit_length(k) bits (k is odd) and twice it passes the cap, so 2**k - 1
+    is never built."""
+    if k < 1:
+        return
     if k > max(64, (bit_cap or 0).bit_length()):
         _refuse(2, f"a {k + k.bit_length()}-bit exponent", bit_cap)
     d = (1 << k) - 1

@@ -5,6 +5,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from array import array
 from math import gcd
@@ -333,6 +334,21 @@ def test_equivalence_scan_refuses_repeated_and_nonpositive_exponents_before_siev
         with pytest.raises(ValueError) as exc:
             equivalence_scan(100, ks)
         assert str(exc.value) == message, ks
+
+
+def test_a_repeated_exponent_is_found_in_linear_time():
+    # counting each k in the list took 3.0 s at 16,000 exponents and 13.5 s
+    # at 32,000, all before check-lemma's operand-cap refusal
+    ks = tuple(range(3, 40_003, 2))  # 20,000 distinct odd exponents
+    start = time.perf_counter()
+    with pytest.raises(OperandSizeError, match="3-bit base raised to 6 exceeds the 1-bit cap"):
+        classify.lemma_blocks("vs1", LemmaGrid(k_values=ks, bit_cap=1))
+    repeated = (*ks, 39_999, 17)
+    with pytest.raises(ValueError, match="^exponent k=17 is repeated in the grid's k values$"):
+        classify.lemma_blocks("vs1", LemmaGrid(k_values=repeated, bit_cap=1))
+    with pytest.raises(ValueError, match="^exponent k=17 is repeated in the scan's exponents$"):
+        equivalence_scan(100, repeated)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_scans_refuse_bad_grids_and_worker_counts_before_sieving(monkeypatch):
@@ -1183,6 +1199,47 @@ def test_kernel_names_a_pruned_solution_in_a_later_row_of_a_block():
             scan_special_forms(5, 4, 6)
 
 
+@pytest.mark.parametrize("point, k, grid", [
+    ((2, 7, 2), 3, lambda: check_lemma_f(3, 2, 2)),
+    ((2, 7, 2), 3, lambda: run_lemma_grid("f", LemmaGrid(k_values=(3,), alpha_max=3, beta_max=2))),
+    ((2, 3, 4), 5, lambda: run_lemma_grid("v10", LemmaGrid(alpha_max=4))),
+], ids=["check_lemma_f", "f", "v10"])
+def test_kernel_grids_recheck_a_found_solution_on_sigma(point, k, grid):
+    # both routes claim the point divides, so they agree; f once printed a
+    # FAIL row and check_lemma_f returned False, while sigma_k(n) % n != 0
+    alpha, p, beta = point
+    n = p ** (beta - 1) << (alpha - 1)
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", point, [True])
+        _lie_at(m, "_conditions_block", point, [True, True])
+        with pytest.raises(CrossCheckError) as exc:
+            grid()
+    assert str(exc.value) == (
+        f"sigma_k rejects a found solution at (alpha, p, beta, k) = ({alpha}, {p}, {beta}, {k}): "
+        f"sigma_k(n) % n = {sigma_k(n, k) % n} for n = {n}"
+    )
+
+
+@pytest.mark.parametrize("tag, specs", [("f", 3), ("v10", len(lemma41_candidates()) + 7)])
+def test_kernel_grids_admit_through_one_guard_per_spec(tag, specs, monkeypatch):
+    # f and v10 take no corner of their own: the scans' guard, once per spec
+    # (a k for f; a candidate or an alpha for v10), is their admission
+    calls = []
+    real = classify._guard
+
+    def counting(k, table, specs, bit_cap):
+        calls.extend(specs)
+        real(k, table, specs, bit_cap)
+
+    def no_kernel(task):
+        raise AssertionError("the kernel ran during admission")
+
+    monkeypatch.setattr(classify, "_guard", counting)
+    monkeypatch.setattr(classify, "_check_task", no_kernel)
+    classify.lemma_blocks(tag, LemmaGrid())  # k_values (3, 5, 7), alpha_max 8
+    assert len(calls) == specs
+
+
 # p = 7 is the third prime of a batch of more in both scans: the first
 # prime range of each.
 _LATER_PRIME_SCANS = {
@@ -1535,6 +1592,15 @@ def test_lemma_grid_bulk_rows_match_the_per_row_oracles(
 # appr's corner passes no k past 64 and the cap's bit length, yet k = 3's rows pass
 @example(k_values=[3, 5], p_max=6, v_max=1, beta1_max=1, u_max=2, alpha1_max=4, lambda_max=2,
          p1_max=1, alpha_max=2, beta_max=2, bit_cap=3000)
+# appr's corner at k = 67 under caps wider than 2**64, which admit a k up to
+# their bit length: at 2**70 the grid is refused at k = 67; at 2**140 a grid
+# up to u = 0 passes whole, and one up to u = 1 is refused at k = 67, u = 1
+@example(k_values=[3, 67], p_max=6, v_max=1, beta1_max=1, u_max=0, alpha1_max=2, lambda_max=2,
+         p1_max=1, alpha_max=2, beta_max=2, bit_cap=2**70)
+@example(k_values=[3, 67], p_max=6, v_max=1, beta1_max=1, u_max=1, alpha1_max=2, lambda_max=2,
+         p1_max=1, alpha_max=2, beta_max=2, bit_cap=2**140)
+@example(k_values=[67, 3], p_max=6, v_max=1, beta1_max=1, u_max=0, alpha1_max=2, lambda_max=2,
+         p1_max=1, alpha_max=2, beta_max=2, bit_cap=2**140)
 def test_lemma_grids_refuse_exactly_where_the_per_row_oracles_do(
     k_values, p_max, v_max, beta1_max, u_max, alpha1_max, lambda_max, p1_max, alpha_max, beta_max,
     bit_cap,

@@ -1133,6 +1133,12 @@ def test_check_lemma_refuses_a_repeated_exponent(capsys):
     assert err == "error: exponent k=3 is repeated in the grid's k values\n"
 
 
+@pytest.mark.parametrize("tag", ["sl3", "v10"])
+def test_check_lemma_tags_without_k_ignore_a_repeated_one(tag, capsys):
+    # neither tag reads --k, so a repeated one changes nothing
+    assert run_cli(capsys, "check-lemma", tag, "--k", "3,3") == run_cli(capsys, "check-lemma", tag)
+
+
 # Modules only some commands need: the scan engine and the quartic remainder
 # table, the worker pool, exact fractions and the run record's clock.
 _ENGINE_POOL_FRACTION_CLOCK = {
