@@ -280,14 +280,19 @@ def _block(k: int, alphas: range, ps: Sequence[int], betas: range) -> _Block:
     return _Block(alphas, ps, betas, [p**k for p in ps])
 
 
-def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
+def _two_part(k: int, alpha: int) -> int:  # G(alpha) = (2**(alpha*k) - 1)/(2**k - 1)
+    return ((1 << k * alpha) - 1) // ((1 << k) - 1)
+
+
+def _direct_block(k: int, blocks: list[_Block]) -> list[bool]:
     """Direct route over one batch: n | sigma_k(n) at each point, where
-    sigma_k(n) = two_parts[alpha] * p_part and n = p**(beta-1) * 2**(alpha-1).
-    The p-parts 1 + q + ... + q**(beta-1) and the powers p**(beta-1) are
-    stepped from beta = 2 by Horner's rule, one comprehension per beta. Each
-    p-part is kept modulo its row's own M_p = p**(beta-1) * 2**(top-1), which
-    each n of the row divides: a p-part known modulo p**(beta-2) * 2**s
-    fixes q times it modulo p**(beta-1) * 2**s."""
+    sigma_k(n) = G(alpha) * p_part and n = p**(beta-1) * 2**(alpha-1); a
+    block's 2-part is built at its first alpha and stepped by G(alpha + 1) =
+    G(alpha) * 2**k + 1. The p-parts 1 + q + ... + q**(beta-1) and the powers
+    p**(beta-1) are stepped from beta = 2 by Horner's rule, one comprehension
+    per beta. Each p-part is kept modulo its row's own M_p = p**(beta-1) *
+    2**(top-1), which each n of the row divides: a p-part known modulo
+    p**(beta-2) * 2**s fixes q times it modulo p**(beta-1) * 2**s."""
     divides: list[bool] = []
     for b in blocks:
         s = b.alphas[-1] - 1
@@ -301,9 +306,10 @@ def _direct_block(two_parts: list[int], blocks: list[_Block]) -> list[bool]:
             if beta >= b.betas[0]:
                 row_parts += parts
                 row_powers += powers
-        for a in b.alphas:
-            t, s = two_parts[a], a - 1
+        t = _two_part(k, b.alphas[0])  # uncapped: _guard has admitted (2**k)**alpha
+        for s in range(b.alphas[0] - 1, b.alphas[-1]):  # s = alpha - 1
             divides += [t * part % (power << s) == 0 for part, power in zip(row_parts, row_powers)]
+            t = (t << k) + 1
     return divides
 
 
@@ -475,12 +481,13 @@ def _check_coverage(scope: str, totals: Sequence[int], expected: Sequence[int]) 
         )
 
 
-def _check_block(k: int, two_parts: list[int], blocks: list[_Block]) -> list[bool]:
-    """Run both routes over one batch, check that each flags every point and
-    that they agree at each, reading each flag list as one int, a flag to a
-    byte; return the direct route's flags. Only a failed check builds the
-    points: it names the first failing one in (p, beta, alpha) order."""
-    divides = _direct_block(two_parts, blocks)
+def _check_block(k: int, blocks: list[_Block]) -> list[bool]:
+    """Run both routes over one batch, each building what it reads from k
+    and the blocks; check that each flags every point and that they agree
+    at each, reading each flag list as one int, a flag to a byte; return the
+    direct route's flags. Only a failed check builds the points: it names
+    the first failing one in (p, beta, alpha) order."""
+    divides = _direct_block(k, blocks)
     cond1, cond2 = _conditions_block(k, blocks)
     points = sum(len(b.alphas) * len(b.ps) * len(b.betas) for b in blocks)
     if not len(divides) == len(cond1) == len(cond2) == points:
@@ -549,33 +556,31 @@ def _split(table: Sequence[int], specs: Iterable[_Spec]) -> list[list[_Spec]]:
     return tasks + [task] if task else tasks
 
 
-def _check_task(task: tuple[int, list[_Spec]]) -> tuple[list[_Block], list[bool]]:
-    """The kernel runner: one block per spec of a task (k, specs), checked as
-    one batch by _check_block; return the blocks and their divides flags."""
+def _check_task(task: tuple[int, list[_Spec]]) -> tuple[list[_Block], list[bool], list[tuple]]:
+    """The kernel runner and the one place its checks run: _check_block over
+    a task (k, specs), a block per spec, then sigma_k on each point found
+    dividing; return the blocks, their flags and the found (p, beta, alpha)."""
     k, specs = task
-    lo, top = min(a[0] for a, _, _ in specs), max(a[-1] for a, _, _ in specs)
-    two_parts = [0] * lo + [geometric_sum(1 << k, a) for a in range(lo, top + 1)]
     blocks = [_block(k, *spec) for spec in specs]
-    return blocks, _check_block(k, two_parts, blocks)
+    divides = _check_block(k, blocks)
+    found = _found(blocks, divides)
+    for p, beta, alpha in found:
+        _recheck_solution(alpha, p, beta, k)
+    return blocks, divides, found
 
 
 def _task_points(task: tuple[int, list[_Spec]]) -> tuple[int, int]:
-    """Run one equivalence task and re-check each point found dividing;
-    return its point count and beta total, since the caller keeps every
-    task's result."""
-    blocks, divides = _check_task(task)
-    for p, beta, alpha in _found(blocks, divides):
-        _recheck_solution(alpha, p, beta, task[0])
+    """One equivalence task's point count and beta total, all the caller keeps of it."""
+    blocks, divides, _ = _check_task(task)
     return len(divides), _beta_total(blocks)
 
 
 def _scan_rows(task: tuple[int, list[_Spec]]):
     """Run one scan task (see _check_task) and add the pruners: its primes
-    ascend, so _prime_verdicts gives every row its verdict, counted over
-    the row's alphas, and each solution is checked against its row's
-    verdict, then against sigma_k."""
+    ascend, so _prime_verdicts gives every row its verdict, counted over the
+    row's alphas, and each solution sigma_k accepted meets its row's verdict."""
     k, specs = task
-    blocks, divides = _check_task(task)
+    blocks, divides, found = _check_task(task)
     beta_max = specs[0][2][-1]
     primes = [p for _, ps, _ in specs for p in ps]
     verdicts_of = dict(zip(primes, _prime_verdicts(k, beta_max, primes)))
@@ -583,11 +588,9 @@ def _scan_rows(task: tuple[int, list[_Spec]]):
     scenario1 = (beta_max // 2) * sum(len(a) for a, ps, _ in specs if k in ps and k % 4 == 3)
     excluded = (1 << (k - 1)) * ((1 << k) - 1)
     solutions: list[ClassificationReport] = []
-    for p, beta, alpha in _found(blocks, divides):
-        verdict = verdicts_of[p][0][beta - 2]
-        if verdict is not None:
+    for p, beta, alpha in found:
+        if verdict := verdicts_of[p][0][beta - 2]:
             raise _pruned_solution(verdict, alpha, p, beta, k)
-        _recheck_solution(alpha, p, beta, k)
         f = SpecialForm(alpha, p, beta, k)
         n = f.n()
         solutions.append(ClassificationReport(f, True, is_even_perfect(n), n == excluded))
@@ -633,7 +636,7 @@ def scan_special_forms(
     tasks = [(k, task) for task in _split(primes, specs)]
     chunks = _pool_map(_scan_rows, tasks, workers)
     stats = GridStats(*(sum(c[i] for c in chunks) for i in (1, 2, 3)))
-    under_bound = sum(bisect_left(primes, 3 * (1 << (a - 1)) - 1) for a in range(2, alpha_max + 1))
+    under_bound = sum(cuts[1:])
     totals = stats.points_scanned, sum(c[4] for c in chunks)
     _check_coverage("search grid", totals, (len(betas) * under_bound, sum(betas) * under_bound))
     reports = sorted((r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n())
@@ -709,9 +712,7 @@ def check_lemma_f(k: int, alpha: int, beta: int, bit_cap: int | None = None) -> 
         raise ValueError(f"alpha and beta must be >= 2, got {alpha} and {beta}")
     ps, alphas, betas = [(1 << k) - 1], range(alpha, alpha + 1), range(beta, beta + 1)
     _guard(k, ps, [(alphas, range(1), betas)], bit_cap)
-    if divides := _check_task((k, [(alphas, ps, betas)]))[1][0]:
-        _recheck_solution(alpha, ps[0], beta, k)
-    return not divides
+    return not _check_task((k, [(alphas, ps, betas)]))[1][0]
 
 
 def lemma41_candidates() -> list[SpecialForm]:
@@ -879,10 +880,10 @@ def _kernel_walk(specs: Callable[[], Iterable[tuple]], bit_cap: int | None) -> t
     """f or v10 over specs(), (template, k, table, spec) in row order, which
     takes each k through its rule: its corner and rows are each a fresh walk
     of _guard, which lists no power and refuses a spec's first refused point
-    itself; its blocks run the batch kernel a _split task at a time. A row
-    passes when its point does not divide, and sigma_k re-checks each point
-    found dividing; its label is template with k, alpha, p and beta filled
-    in by position (by keyword, they cost v10 about a tenth of its time)."""
+    itself; its blocks run the batch kernel, which re-checks what it finds,
+    a _split task at a time. A row passes when its point does not divide;
+    its label is template with k, alpha, p and beta filled in by position
+    (by keyword, they cost v10 about a tenth of its time)."""
 
     def guarded() -> Iterator[tuple[int, int]]:
         for _, k, table, spec in specs():
@@ -893,9 +894,7 @@ def _kernel_walk(specs: Callable[[], Iterable[tuple]], bit_cap: int | None) -> t
         for template, k, table, spec in specs():
             label = template.format(k=k, p="{0}", beta="{1}", alpha="{2}")
             for task in _split(table, [spec]):
-                points, flags = _check_task((k, task))
-                for p, beta, alpha in _found(points, flags):
-                    _recheck_solution(alpha, p, beta, k)
+                points, flags, _ = _check_task((k, task))
                 yield list(starmap(label.format, _block_points(points))), list(map(not_, flags))
 
     return guarded(), (), guarded(), blocks()

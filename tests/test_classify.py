@@ -128,8 +128,7 @@ def test_block_builder_matches_the_reference_at_every_point(
     alphas, betas = range(first, first + width), range(beta_lo, beta_lo + beta_count)
     block = classify._block(k, alphas, ps, betas)
     assert block == (alphas, ps, betas, [p**k for p in ps])
-    two_parts = [0] * first + [geometric_sum(1 << k, a) for a in alphas]
-    divides = classify._direct_block(two_parts, [block])
+    divides = classify._direct_block(k, [block])
     cond1, cond2 = classify._conditions_block(k, [block])
     flags = zip(_block_points([block]), divides, cond1, cond2, strict=True)
     for (alpha, p, beta), d, c1, c2 in flags:
@@ -231,12 +230,22 @@ def test_condition_planes_match_the_reference_at_wide_alphas(k, first, width, ps
             (2, 3, 4),
             "(2, 3, 4, 5): sigma_k(n) % n = 6 for n = 54",
         ),
+        (  # the quartic pruner rules this point out, but sigma_k runs first
+            lambda: scan_special_forms(5, 4, 6),
+            (2, 3, 4),
+            "(2, 3, 4, 5): sigma_k(n) % n = 6 for n = 54",
+        ),
+        (  # a caller that runs one task itself gets the re-check for free
+            lambda: classify._check_task((5, [(range(2, 3), [3], range(4, 5))])),
+            (2, 3, 4),
+            "(2, 3, 4, 5): sigma_k(n) % n = 6 for n = 54",
+        ),
     ],
-    ids=["search", "equivalence"],
+    ids=["search", "equivalence", "search-pruned-point", "kernel-runner"],
 )
 def test_scans_recheck_each_found_solution_with_sigma_k(scan, point, message):
-    # both routes claim a point divides, so they agree, and no pruner
-    # fires there; sigma_k, from the point's labels, rejects it
+    # both routes claim a point divides, so they agree; sigma_k, from the
+    # point's labels, rejects it before any pruner verdict is read
     with pytest.MonkeyPatch.context() as m:
         _lie_at(m, "_direct_block", point, [True])
         _lie_at(m, "_conditions_block", point, [True, True])
@@ -286,7 +295,7 @@ def test_scans_check_their_beta_total(scan, message, monkeypatch):
 
 def test_equivalence_scan_trips_on_lying_direct_route(monkeypatch):
     monkeypatch.setattr(
-        classify, "_direct_block", lambda two_parts, blocks: [True] * len(_block_points(blocks))
+        classify, "_direct_block", lambda k, blocks: [True] * len(_block_points(blocks))
     )
     with pytest.raises(
         CrossCheckError,
@@ -398,8 +407,8 @@ def test_equivalence_rows_match_reference(n_limit, ks, batch_points):
     batches = []
     real_direct, real_conditions = classify._direct_block, classify._conditions_block
 
-    def direct(two_parts, blocks):
-        divides = real_direct(two_parts, blocks)
+    def direct(k, blocks):
+        divides = real_direct(k, blocks)
         batches.append([divides])
         return divides
 
@@ -543,6 +552,19 @@ def test_check_lemma_f_builds_only_its_own_alphas_two_part():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
+
+
+def test_check_lemma_f_builds_its_2_part_at_the_runs_cap(monkeypatch):
+    # (2**3)**400000 is 1,200,000 bits: admitted at a 10**7-bit cap, and the
+    # kernel builds its 2-part under that cap, not under the default one
+    assert check_lemma_f(3, 400000, 2, bit_cap=10**7)
+
+    def no_kernel(task):
+        raise AssertionError("the kernel ran past the default cap")
+
+    monkeypatch.setattr(classify, "_check_task", no_kernel)
+    with pytest.raises(OperandSizeError, match="4-bit base raised to 400000 exceeds the 1000000-bit cap"):
+        check_lemma_f(3, 400000, 2)
 
 
 def test_expected_even_perfect():
@@ -1117,7 +1139,7 @@ def test_operand_guard_costs_per_spec_not_per_point(monkeypatch):
 def test_kernel_cross_checks_name_point_and_values(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(
-            classify, "_direct_block", lambda two_parts, blocks: [False] * len(_block_points(blocks))
+            classify, "_direct_block", lambda k, blocks: [False] * len(_block_points(blocks))
         )
         with pytest.raises(
             CrossCheckError,
@@ -1185,12 +1207,19 @@ def test_kernel_names_a_fault_in_a_later_row_of_a_block(scan):
             scan()
 
 
+def _sigma_k_accepts_everything(m):
+    """The kernel's sigma_k re-check, which runs before any pruner verdict, made
+    a no-op, so that a point both routes lie at reaches its row's verdict."""
+    m.setattr(classify, "_recheck_solution", lambda *point: None)
+
+
 def test_kernel_names_a_pruned_solution_in_a_later_row_of_a_block():
     # both routes claim (alpha, p, beta) = (2, 3, 4) divides, so they agree,
     # and the row's real verdict, the quartic pruner, contradicts them
     with pytest.MonkeyPatch.context() as m:
         _lie_at(m, "_direct_block", (2, 3, 4), [True])
         _lie_at(m, "_conditions_block", (2, 3, 4), [True, True])
+        _sigma_k_accepts_everything(m)
         with pytest.raises(
             CrossCheckError,
             match=r"pruner 'v10' contradicts .* \(alpha, p, beta, k\) = \(2, 3, 4, 5\): "
@@ -1300,6 +1329,7 @@ def test_kernel_names_a_pruned_solution_at_a_later_prime_of_a_batch():
     with pytest.MonkeyPatch.context() as m:
         _lie_at(m, "_direct_block", (4, 13, 4), [True])
         _lie_at(m, "_conditions_block", (4, 13, 4), [True, True])
+        _sigma_k_accepts_everything(m)
         with pytest.raises(
             CrossCheckError,
             match=r"pruner 'u1' contradicts .* \(alpha, p, beta, k\) = \(4, 13, 4, 5\): "

@@ -270,7 +270,7 @@ def test_search_exits_nonzero_on_route_disagreement(monkeypatch, capsys):
     monkeypatch.setattr(
         classify,
         "_direct_block",
-        lambda two_parts, blocks: [False] * sum(len(b.alphas) * len(b.ps) for b in blocks),
+        lambda k, blocks: [False] * sum(len(b.alphas) * len(b.ps) for b in blocks),
     )
     code, _, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "6", "--beta-max", "2"
@@ -1240,8 +1240,8 @@ _BENCH_LEMMA_FLAGS = (
 def _flip_direct_route_at(m, point):
     real = classify._direct_block
 
-    def lying(two_parts, blocks):
-        divides = real(two_parts, blocks)
+    def lying(k, blocks):
+        divides = real(k, blocks)
         for i, at in enumerate(classify._block_points(blocks)):
             if at == point:
                 divides[i] = not divides[i]

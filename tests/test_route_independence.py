@@ -1,8 +1,8 @@
 """Every fault in one step of the kernel pipeline fails both scans.
 
 Each fault breaks one step that the routes, the point labels or the point
-count read: a field of the blocks that _block builds, the 2-parts, the
-labels of _block_points, the split into tasks, or how many flags the
+count read: a field of the blocks that _block builds, the direct route's
+first 2-part of a block, the labels of _block_points, the split into tasks, or how many flags the
 condition route returns. The routes then disagree or flag too few points, a
 found solution fails its sigma_k re-check, or the point or beta total
 misses the grid's, so each scan must raise CrossCheckError. Without a
@@ -60,12 +60,9 @@ _FAULTS = {
     "ps rotated by one": _in_blocks(lambda b: b._replace(ps=b.ps[1:] + b.ps[:1])),
     "prime 7 dropped": _in_blocks(lambda b: _drop_prime(b, 7)),
     "betas + 1": _in_blocks(lambda b: b._replace(betas=_shifted(b.betas))),
-    "two_parts one alpha late": (
-        "geometric_sum", lambda real: lambda base, n, *cap: real(base, n + 1, *cap)
-    ),
-    "two_parts of 2**(k+1)": (
-        "geometric_sum", lambda real: lambda base, n, *cap: real(2 * base, n, *cap)
-    ),
+    # the direct route steps each block's first 2-part across its alphas
+    "2-part one alpha late": ("_two_part", lambda real: lambda k, alpha: real(k, alpha + 1)),
+    "2-part of 2**(k+1)": ("_two_part", lambda real: lambda k, alpha: real(k + 1, alpha)),
     "labels one beta up": (
         "_block_points",
         lambda real: lambda blocks: ((p, beta + 1, a) for p, beta, a in real(blocks)),
