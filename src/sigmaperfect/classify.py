@@ -18,7 +18,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cache, partial
-from itertools import compress, product, repeat, starmap, takewhile
+from itertools import chain, compress, product, repeat, starmap, takewhile
 from operator import and_, floordiv, not_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -382,36 +382,36 @@ def _verdict_row(k: int, beta: int, key: tuple) -> str | None:
 
 def _prime_verdicts(
     k: int, beta_max: int, primes: Sequence[int]
-) -> list[tuple[list[str | None], int]]:
-    """For each of a task's ascending primes, the verdicts of its rows beta =
-    2 .. beta_max and how many of them prune, taken once per key (see
-    _verdict_row) and shared by every prime with that key.
+) -> Iterator[tuple[list[str | None], int]]:
+    """For each of the search's ascending primes, in turn, the verdicts of
+    its rows beta = 2 .. beta_max and how many of them prune, taken once per
+    key (see _verdict_row) and shared by every prime with that key.
 
     Within a residue class mod 4 the bound at v is monotone in p: u1, and v3
     with 2**v > 2k + 1, can only go from holding to failing as p grows, and
     v3 below that only from failing to holding. Once a class reaches that
-    later value at v, the task's later primes take it unevaluated; once all
-    its v have, they take the class's settled tuple whole."""
+    later value at v, its later primes take it unevaluated; once all its v
+    have, they take the class's settled tuple whole."""
     betas = range(2, beta_max + 1)
     vs = range(1, beta_max.bit_length())  # v2 of every even beta up to beta_max
     later = {(1, v): False for v in vs} | {(3, v): 1 << v < 2 * k + 1 for v in vs}
     final = {residue: tuple(later[residue, v] for v in vs) for residue in (1, 3)}
     settled: dict[int, set[int]] = {1: set(), 3: set()}  # per class, its settled vs
     table: dict[tuple, tuple[list[str | None], int]] = {}
-    out = []
+    mersenne = (1 << k) - 1
     for p in primes:
-        residue = p % 4
+        residue = p & 3
         bounds, done = final[residue], settled[residue]
         if len(done) < len(vs):
             bounds = tuple(later[residue, v] if v in done else _bound_row(p, k, v) for v in vs)
             done.update(v for v, holds in zip(vs, bounds) if holds == later[residue, v])
-        lam = v2(p + 1) if residue == 3 else 0
-        key = (residue, p == (1 << k) - 1, p == k, lam, bounds)
-        if key not in table:
+        lam = (p + 1 & ~p).bit_length() - 1 if residue == 3 else 0  # v2(p + 1)
+        key = (residue, p == mersenne, p == k, lam, bounds)
+        entry = table.get(key)
+        if entry is None:
             verdicts = [_verdict_row(k, beta, key) for beta in betas]
-            table[key] = verdicts, len(verdicts) - verdicts.count(None)
-        out.append(table[key])
-    return out
+            table[key] = entry = verdicts, len(verdicts) - verdicts.count(None)
+        yield entry
 
 
 def _raise_route_failure(k: int, checks: Iterable[tuple[int, int, int, bool, bool, bool]]) -> None:
@@ -460,24 +460,6 @@ def _recheck_solution(alpha: int, p: int, beta: int, k: int) -> None:
         raise CrossCheckError(
             f"sigma_k rejects a found solution at {_point(alpha, p, beta, k)}: "
             f"sigma_k(n) % n = {r} for n = {n}"
-        )
-
-
-def _beta_total(blocks: list[_Block]) -> int:
-    """The sum of beta over every point of a batch, from its blocks' shape."""
-    return sum(len(b.alphas) * len(b.ps) * sum(b.betas) for b in blocks)
-
-
-def _check_coverage(scope: str, totals: Sequence[int], expected: Sequence[int]) -> None:
-    """Raise unless a scan's kernel checked exactly the points its grid
-    holds, and the sum of their betas is the grid's: totals and expected are
-    (points, beta total), the second counted another way."""
-    (points, betas), (want, want_betas) = totals, expected
-    if points != want:
-        raise CrossCheckError(f"the kernel checked {points} points, but the {scope} has {want}")
-    if betas != want_betas:
-        raise CrossCheckError(
-            f"the kernel's points sum to beta = {betas}, but the {scope}'s to {want_betas}"
         )
 
 
@@ -569,40 +551,58 @@ def _check_task(task: tuple[int, list[_Spec]]) -> tuple[list[_Block], list[bool]
     return blocks, divides, found
 
 
-def _task_points(task: tuple[int, list[_Spec]]) -> tuple[int, int]:
-    """One equivalence task's point count and beta total, all the caller keeps of it."""
-    blocks, divides, _ = _check_task(task)
-    return len(divides), _beta_total(blocks)
-
-
-def _scan_rows(task: tuple[int, list[_Spec]]):
-    """Run one scan task (see _check_task) and add the pruners: its primes
-    ascend, so _prime_verdicts gives every row its verdict, counted over the
-    row's alphas, and each solution sigma_k accepted meets its row's verdict."""
-    k, specs = task
+def _scan_task(task: tuple[int, list[_Spec]]) -> tuple[list[tuple[int, int, int]], int, int]:
+    """One task of either scan, run by _check_task, as much as the scan keeps
+    of it: the found (p, beta, alpha), the point count and the sum of beta
+    over the points, from the blocks' shape."""
     blocks, divides, found = _check_task(task)
-    beta_max = specs[0][2][-1]
-    primes = [p for _, ps, _ in specs for p in ps]
-    verdicts_of = dict(zip(primes, _prime_verdicts(k, beta_max, primes)))
-    pruned = sum(len(alphas) * verdicts_of[p][1] for alphas, ps, _ in specs for p in ps)
-    scenario1 = (beta_max // 2) * sum(len(a) for a, ps, _ in specs if k in ps and k % 4 == 3)
-    excluded = (1 << (k - 1)) * ((1 << k) - 1)
-    solutions: list[ClassificationReport] = []
+    return found, len(divides), sum(len(b.alphas) * len(b.ps) * sum(b.betas) for b in blocks)
+
+
+def _run_scan(scope: str, tasks: list, workers: int, expected: Sequence[int]) -> tuple[list, int]:
+    """The kernel stage of both scans: every task (k, specs) through
+    _scan_task on _pool_map, then a check that the kernel checked exactly the
+    points the grid holds and that their betas sum to the grid's, expected
+    being (points, beta total) counted another way. Returns every found (p,
+    beta, alpha), sorted, and the point count."""
+    results = _pool_map(_scan_task, tasks, workers)
+    points, betas = (sum(r[i] for r in results) for i in (1, 2))
+    want, want_betas = expected
+    if points != want:
+        raise CrossCheckError(f"the kernel checked {points} points, but the {scope} has {want}")
+    if betas != want_betas:
+        raise CrossCheckError(
+            f"the kernel's points sum to beta = {betas}, but the {scope}'s to {want_betas}"
+        )
+    return sorted(point for r in results for point in r[0]), points
+
+
+def _pruner_stage(
+    k: int, beta_max: int, primes: Sequence[int], specs: list[_Spec], found: list[tuple]
+) -> tuple[int, int]:
+    """The search's pruners, run once over its grid after the kernel stage:
+    one walk of _prime_verdicts over the ascending p-bound primes counts the
+    pruned rows times each prime's alphas and the scenario-1 points (p = k =
+    3 mod 4 at even beta), and holds each found solution, which _check_task
+    has had sigma_k accept, against its row's verdict. Returns (pruned,
+    scenario-1) points."""
+    widths = chain.from_iterable(repeat(len(alphas), len(ps)) for alphas, ps, _ in specs)
+    rows = dict.fromkeys(p for p, _, _ in found)  # each found prime's verdicts
+    pruned = scenario1 = 0
+    for p, width, (verdicts, count) in zip(primes, widths, _prime_verdicts(k, beta_max, primes)):
+        pruned += width * count
+        if p == k and k % 4 == 3:
+            scenario1 = beta_max // 2 * width
+        if p in rows:
+            rows[p] = verdicts
     for p, beta, alpha in found:
-        if verdict := verdicts_of[p][0][beta - 2]:
+        if verdict := rows[p][beta - 2]:
             raise _pruned_solution(verdict, alpha, p, beta, k)
-        f = SpecialForm(alpha, p, beta, k)
-        n = f.n()
-        solutions.append(ClassificationReport(f, True, is_even_perfect(n), n == excluded))
-    return solutions, len(divides), pruned, scenario1, _beta_total(blocks)
+    return pruned, scenario1
 
 
 def scan_special_forms(
-    k: int,
-    alpha_max: int,
-    beta_max: int = 2,
-    workers: int = 1,
-    bit_cap: int | None = None,
+    k: int, alpha_max: int, beta_max: int = 2, workers: int = 1, bit_cap: int | None = None
 ) -> tuple[list[ClassificationReport], GridStats]:
     """Scan every (alpha, p, beta) with 2 <= alpha <= alpha_max, p an odd
     prime under the p-bound, 2 <= beta <= beta_max; return the solutions
@@ -612,11 +612,11 @@ def scan_special_forms(
     the pruners, with the same cross-checks as classify_point, the tested
     reference. The grid is one spec per least alpha, the primes its p-bound
     first admits; _guard refuses a point past the operand cap before any
-    kernel work, and each task of _split is one _scan_rows batch. The split
-    ignores the worker count and the merge is a sort, so worker count never
-    changes the result. The kernel's point total and the sum of beta over
-    its points are checked against the grid's, counted alpha by alpha from
-    the p-bound's primes.
+    kernel work. The kernel stage (_run_scan) runs each task of _split and
+    checks its coverage against counts made alpha by alpha from the
+    p-bound's primes; the pruner stage (_pruner_stage) then runs once, in
+    this process. The split ignores the worker count and the merge is a
+    sort, so worker count never changes the result.
     """
     _require_k(k, "mersenne")
     if alpha_max < 2 or beta_max < 2:
@@ -628,19 +628,18 @@ def scan_special_forms(
     # cuts[i]: how many primes the p-bound of alpha = i + 1 admits
     cuts = [bisect_left(primes, 3 * (1 << (a - 1)) - 1) for a in range(1, alpha_max + 1)]
     betas = range(2, beta_max + 1)
-    specs = [
-        (range(a, alpha_max + 1), range(i, j), betas)
-        for a, i, j in zip(range(2, alpha_max + 1), cuts, cuts[1:])
-    ]
+    alphas = range(2, alpha_max + 1)
+    specs = [(range(a, alpha_max + 1), range(i, j), betas) for a, i, j in zip(alphas, cuts, cuts[1:])]
     _guard(k, primes, specs, bit_cap)
     tasks = [(k, task) for task in _split(primes, specs)]
-    chunks = _pool_map(_scan_rows, tasks, workers)
-    stats = GridStats(*(sum(c[i] for c in chunks) for i in (1, 2, 3)))
     under_bound = sum(cuts[1:])
-    totals = stats.points_scanned, sum(c[4] for c in chunks)
-    _check_coverage("search grid", totals, (len(betas) * under_bound, sum(betas) * under_bound))
-    reports = sorted((r for chunk in chunks for r in chunk[0]), key=lambda r: r.form.n())
-    return reports, stats
+    expected = len(betas) * under_bound, sum(betas) * under_bound
+    found, points = _run_scan("search grid", tasks, workers, expected)
+    stats = GridStats(points, *_pruner_stage(k, beta_max, primes, specs, found))
+    excluded = (1 << (k - 1)) * ((1 << k) - 1)
+    forms = [SpecialForm(alpha, p, beta, k) for p, beta, alpha in found]
+    reports = [ClassificationReport(f, True, is_even_perfect(f.n()), f.n() == excluded) for f in forms]
+    return sorted(reports, key=lambda r: r.form.n()), stats
 
 
 def expected_even_perfect(k: int, alpha_max: int) -> list[int]:
@@ -786,18 +785,17 @@ def _form_count(n_limit: int, primes: Sequence[int]) -> tuple[int, int]:
     return count, betas
 
 
-def equivalence_scan(
-    n_limit: int, ks: Iterable[int] = (3, 5, 7), workers: int = 1
-) -> int:
+def equivalence_scan(n_limit: int, ks: Iterable[int] = (3, 5, 7), workers: int = 1) -> int:
     """Check n | sigma_k(n) against the pair of derived conditions on every
-    special form with n <= n_limit, once per exponent in ks, on the search's
-    batch kernel without pruners. derive_conditions and divides_sigma are
-    its tested reference. Returns the number of (form, k) pairs checked;
-    raises CrossCheckError on any disagreement, on a found solution that
-    sigma_k rejects, and when the kernel's point total or the sum of beta
-    over its points is not the forms', counted prime by prime. The specs of _equivalence_specs and their
-    split are made once, for every exponent, and _guard refuses a point past
-    the default operand cap before any kernel work.
+    special form with n <= n_limit, once per exponent in ks, through the
+    search's kernel stage (_run_scan) and no pruner stage. derive_conditions
+    and divides_sigma are its tested reference. Returns the number of (form,
+    k) pairs checked; raises CrossCheckError on any disagreement, on a found
+    solution that sigma_k rejects, and when the kernel's point total or the
+    sum of beta over its points is not the forms', counted prime by prime.
+    The specs of _equivalence_specs and their split are made once, for every
+    exponent, and _guard refuses a point past the default operand cap before
+    any kernel work.
 
     The p-bound is deliberately not applied here: the equivalence is an
     identity about the factored shape, not about the bounded search grid.
@@ -821,11 +819,8 @@ def equivalence_scan(
     for k in ks:
         _guard(k, primes, specs, None)
         tasks += [(k, task) for task in split]
-    totals = _pool_map(_task_points, tasks, workers)
-    points = sum(t[0] for t in totals)
     expected = [len(ks) * c for c in _form_count(n_limit, primes)]
-    _check_coverage("equivalence scan", (points, sum(t[1] for t in totals)), expected)
-    return points
+    return _run_scan("equivalence scan", tasks, workers, expected)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -853,11 +848,11 @@ def _residue_primes(table: array, residue: int) -> array:
 
 # A lemma grid runs as blocks of rows, one kernel call each. Each tag's maker
 # takes a grid and rule, its tag's k rule, makes any sieve once and returns,
-# lazily: the corner, its row lister's powers at the grid's extremes, or for f
-# and v10 a _guard walk; the k values whose rules run past a passing corner;
-# its rows' powers in row order, each k through rule at its first block, read
-# only under a refused corner; and its one walk, the blocks in row order as
-# (labels, values), values bools for a proved tag, else outcome strings.
+# lazily: the corner, its row lister's powers at the grid's extremes; the k
+# values whose rules run past a passing corner, or for f and v10 their _guard
+# walk; its rows' powers in row order, each k through rule at its first block,
+# read only under a refused corner; and its one walk, the blocks in row order
+# as (labels, values), values bools for a proved tag, else outcome strings.
 _Rows = tuple[list[str], list]
 
 
@@ -878,14 +873,15 @@ def _flag_block(head: str, tails: list[str], e: int, base: int, c: int, g: Lemma
 
 def _kernel_walk(specs: Callable[[], Iterable[tuple]], bit_cap: int | None) -> tuple:
     """f or v10 over specs(), (template, k, table, spec) in row order, which
-    takes each k through its rule: its corner and rows are each a fresh walk
-    of _guard, which lists no power and refuses a spec's first refused point
-    itself; its blocks run the batch kernel, which re-checks what it finds,
-    a _split task at a time. A row passes when its point does not divide;
-    its label is template with k, alpha, p and beta filled in by position
-    (by keyword, they cost v10 about a tenth of its time)."""
+    takes each k through its rule. Its corner and rows are empty: its
+    admission is one walk of _guard, which lists no power and refuses a
+    spec's first refused point itself, run in place of the k rules and
+    yielding no k. Its blocks run the batch kernel, which re-checks what it
+    finds, a _split task at a time. A row passes when its point does not
+    divide; its label is template with k, alpha, p and beta filled in by
+    position (by keyword, they cost v10 about a tenth of its time)."""
 
-    def guarded() -> Iterator[tuple[int, int]]:
+    def guarded() -> Iterator[int]:
         for _, k, table, spec in specs():
             _guard(k, table, [spec], bit_cap)
         yield from ()
@@ -897,7 +893,7 @@ def _kernel_walk(specs: Callable[[], Iterable[tuple]], bit_cap: int | None) -> t
                 points, flags, _ = _check_task((k, task))
                 yield list(starmap(label.format, _block_points(points))), list(map(not_, flags))
 
-    return guarded(), (), guarded(), blocks()
+    return (), guarded(), (), blocks()
 
 
 def _prime_walk(g: LemmaGrid, rule, residue: int, has_rows, powers, blocks_of, wide=None) -> tuple:
@@ -1072,9 +1068,9 @@ def lemma_blocks(tag: str, grid: LemmaGrid) -> tuple[bool, Iterator[tuple]]:
     k_values, unless the tag takes no k; grids past the limits in
     _GRID_LIMITS (prime sieves, and beta1_max, lambda_max, p1_max, beta_max,
     u_max, alpha1_max and v_max), before any sieving; then admission from
-    the grid's corner (for f and v10, the scans' _guard over each spec):
-    past a passing corner only each k's tag rule runs, once, in k_values
-    order, and only a refused one has the rows checked, in row order, each
+    the grid's corner: past a passing corner only each k's tag rule runs,
+    once, in k_values order (for f and v10, the scans' _guard over each
+    spec), and only a refused one has the rows checked, in row order, each
     k's rule at its first block, for the refusal a row-by-row check would
     raise first. The stream is the grid's one walk; a grid with no rows is
     refused at its end, and only a cross-check failure can stop it midway.

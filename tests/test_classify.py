@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from array import array
+from collections.abc import Iterator
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -917,11 +918,14 @@ def test_equivalence_batches_stay_near_the_point_cap():
 
 
 def _recording(m, name):
-    """Patch classify's name to log (args, result) of every call; return the log."""
+    """Patch classify's name to log (args, result) of every call; return the
+    log. A generator's stream is logged, and handed on, as a list."""
     log = []
 
     def recording(*args, _real=getattr(classify, name)):
         result = _real(*args)
+        if isinstance(result, Iterator):
+            result = list(result)
         log.append((args, result))
         return result
 
@@ -1008,8 +1012,8 @@ def test_kernel_routes_once_per_task_and_verdicts_equal_pruned_by():
     k=st.sampled_from((3, 5, 7, 13)),
     alpha_max=st.integers(min_value=2, max_value=12),
     beta_max=st.integers(min_value=2, max_value=16),
-    # a cap as low as 1 point starts a task, and with it the settled
-    # bounds, at almost every prime, in the middle of its residue class
+    # a cap as low as 1 point puts a task edge at almost every prime: the
+    # kernel's split varies while the pruner stage walks the whole table
     batch_points=st.integers(min_value=1, max_value=200) | st.just(classify._BATCH_POINTS),
 )
 def test_scan_verdict_equals_pruned_by_at_every_point(k, alpha_max, beta_max, batch_points):
@@ -1024,6 +1028,27 @@ def test_scan_verdict_equals_pruned_by_at_every_point(k, alpha_max, beta_max, ba
         assert verdicts[p, beta] == classify._pruned_by(SpecialForm(alpha, p, beta, k)), (
             alpha, p, beta, k
         )
+
+
+@pytest.mark.parametrize("batch_points, workers", [(100, 1), (100, 2), (1, 1)])
+def test_search_runs_its_pruners_once_in_the_calling_process(batch_points, workers, monkeypatch):
+    # 144 tasks at 100 points, one per prime (799) at 1: the pruner stage
+    # walks the whole p-bound table once, after the kernel stage, whatever
+    # the split and the worker count; a call in a forked worker would not
+    # reach calls
+    calls = []
+    real = classify._prime_verdicts
+
+    def once(k, beta_max, primes):
+        calls.append((os.getpid(), k, beta_max, list(primes)))
+        return real(k, beta_max, primes)
+
+    monkeypatch.setattr(classify, "_BATCH_POINTS", batch_points)
+    monkeypatch.setattr(classify, "_prime_verdicts", once)
+    splits = _recording(monkeypatch, "_split")
+    assert scan_special_forms(5, 12, 8, workers) == reference_scan(5, 12, 8)
+    assert len(splits[0][1]) == (144 if batch_points == 100 else 799)
+    assert calls == [(os.getpid(), 5, 8, list(classify._p_bound_primes(12)))]
 
 
 def test_search_pruners_pass_the_default_cap_at_the_search_limits():
@@ -1078,10 +1103,11 @@ def test_bit_cap_preflight_on_the_k5_benchmark_grid(monkeypatch):
     def counting(task):
         specs = task[1]
         points = sum(len(a) * len(ps) * len(b) for a, ps, b in specs)
-        return [], points, 0, 0, sum(len(a) * len(ps) * sum(b) for a, ps, b in specs)
+        return [], points, sum(len(a) * len(ps) * sum(b) for a, ps, b in specs)
 
-    monkeypatch.setattr(classify, "_scan_rows", counting)
-    assert scan_special_forms(5, 15, 16, bit_cap=1300) == ([], GridStats(165_240, 0, 0))
+    monkeypatch.setattr(classify, "_scan_task", counting)
+    # the pruner stage runs after the stubbed kernel stage, in this process
+    assert scan_special_forms(5, 15, 16, bit_cap=1300) == ([], GridStats(165_240, 149_664, 0))
 
 
 def test_equivalence_scan_refuses_past_the_operand_cap_before_the_kernel(monkeypatch):
@@ -1266,6 +1292,34 @@ def test_kernel_grids_admit_through_one_guard_per_spec(tag, specs, monkeypatch):
     monkeypatch.setattr(classify, "_guard", counting)
     monkeypatch.setattr(classify, "_check_task", no_kernel)
     classify.lemma_blocks(tag, LemmaGrid())  # k_values (3, 5, 7), alpha_max 8
+    assert len(calls) == specs
+
+
+@pytest.mark.parametrize(
+    "tag, grid, specs, refused",
+    [
+        # the four candidates, then alpha = 2 .. 15, whose p**5 is 76 bits wide
+        ("v10", LemmaGrid(alpha_max=20, bit_cap=300), 18, "76-bit base raised to 4"),
+        # k = 3's spec: 7**3 is 9 bits wide, and (7**3)**34 passes 300 bits
+        ("f", LemmaGrid(k_values=(3, 5), alpha_max=20, beta_max=40, bit_cap=300), 1,
+         "9-bit base raised to 34"),
+    ],
+    ids=["v10", "f"],
+)
+def test_a_refused_kernel_grid_walks_its_guard_once(tag, grid, specs, refused, monkeypatch):
+    # the guard walk that admits f and v10 is also the one that refuses:
+    # it stops at the first refused spec, and no second walk raises again
+    calls = []
+    real = classify._guard
+
+    def counting(k, table, specs, bit_cap):
+        calls.extend(specs)
+        real(k, table, specs, bit_cap)
+
+    monkeypatch.setattr(classify, "_guard", counting)
+    with pytest.raises(OperandSizeError) as exc:
+        classify.lemma_blocks(tag, grid)
+    assert str(exc.value) == refused + " exceeds the 300-bit cap"
     assert len(calls) == specs
 
 

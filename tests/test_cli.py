@@ -166,17 +166,22 @@ def test_search_output_is_deterministic_after_header(capsys):
     assert runs[0] == runs[1]
 
 
-def test_search_worker_count_keeps_output_identical(capsys):
+@pytest.mark.parametrize("k, scenario1", [("5", 0), ("7", 20)])
+def test_search_worker_count_keeps_output_identical(k, scenario1, capsys):
+    # k = 7 also has scenario-1 points: p = k at alpha 3 .. 12 and beta 2, 4
     outs = []
     for workers in ("1", "2"):
         _, out, _ = run_cli(
             capsys,
             # three tasks, so that two workers fork a pool
-            "search", "--k", "5", "--alpha-max", "12", "--beta-max", "4",
+            "search", "--k", k, "--alpha-max", "12", "--beta-max", "4",
             "--workers", workers,
         )
         outs.append(out.splitlines()[1:])
     assert outs[0] == outs[1]
+    summary = json.loads(outs[0][-1])
+    assert int(summary["pruned_points"]) > 0
+    assert int(summary["scenario1_points"]) == scenario1
 
 
 def test_search_k3_includes_496_excludes_28(capsys):
@@ -293,6 +298,17 @@ def test_search_exits_nonzero_on_pruned_solution(monkeypatch, capsys):
     assert code == 2 and "cross-check failure" in err and "contradicts" in err
 
 
+def test_pooled_search_exits_nonzero_on_pruned_solution(monkeypatch, capsys):
+    # three tasks on two workers: the pruners run after the pool, in the
+    # calling process, and name the first solution they contradict
+    monkeypatch.setattr(classify, "_verdict_row", lambda *args: "parity")
+    code, out, err = run_cli(
+        capsys, "search", "--k", "5", "--alpha-max", "12", "--beta-max", "4", "--workers", "2"
+    )
+    assert code == 2 and "cross-check failure" in err and "contradicts" in err
+    assert "(alpha, p, beta, k) = (2, 3, 2, 5)" in err
+
+
 def test_search_rejects_empty_exponent_selection(tmp_path, capsys):
     code, out, err = run_cli(capsys, "search", "--k", "all-mersenne-upto-2")
     assert code == 2 and out == "" and "error:" in err
@@ -318,7 +334,7 @@ def test_search_bit_cap_refused_before_scanning(monkeypatch, capsys):
     # the first point past the cap in flag order is (alpha, p, beta) =
     # (15, 32771, 16), where (p**5)**16 is 16 * 76 = 1216 bits wide; the
     # grid's widest, at p = 49139, is 16 * 78 = 1248
-    monkeypatch.setattr(classify, "_scan_rows", _refuse_scan)
+    monkeypatch.setattr(classify, "_scan_task", _refuse_scan)
     code, out, err = run_cli(
         capsys, "search", "--k", "5", "--alpha-max", "15", "--beta-max", "16", "--bit-cap", "1200"
     )
@@ -691,7 +707,7 @@ def test_beta_bounds_refused_before_scanning(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "check-lemma", "appr", "--k", "3", "--u-max", "0",
                          "--alpha1-max", at_limit)
     assert code == 0
-    for name in ("primes_upto", "_scan_rows", "check_lemma_f", "_exact_flags", "check_appr"):
+    for name in ("primes_upto", "_scan_task", "check_lemma_f", "_exact_flags", "check_appr"):
         monkeypatch.setattr(classify, name, _refuse(name))
     past_limit = str(classify.MAX_SCAN_BETA + 1)
     for argv in (
