@@ -267,7 +267,8 @@ class _Block(NamedTuple):
     every beta of betas, over alphas, and qs[i] = ps[i]**k, the one value
     both routes read. Each route builds its own columns from these, rows
     beta-major (every prime at betas[0], then at betas[1], ...), and flags
-    a block's points alpha-major: every row at alphas[0], ..."""
+    a block's points alpha-major: every row at alphas[0], ... The primes
+    ascend, which condition 2's size cut relies on."""
 
     alphas: range
     ps: Sequence[int]
@@ -323,39 +324,67 @@ def _conditions_block(k: int, blocks: list[_Block]) -> tuple[bytearray, bytearra
     Horner's rule; its flags are byte planes, a byte per point, alpha-major.
     Condition 1 is 2**(alpha-1) | (q**beta - 1)/(q - 1), or with v = v2(q -
     1), q**beta = 1 (mod 2**(alpha-1+v)): a row keeps x = q**beta modulo h,
-    a multiple of 2**(top-1+v), holds for alpha - 1 <= v2(x - 1) - v (every
-    alpha when x = 1) and keeps the count of those alphas, a byte while the
-    block's alphas and spread of v add up to under 256. Condition 2 is
-    2**(alpha*k) = 1 (mod m2 * p**(beta-1)) with m2 = 2**k - 1; a block's
+    a multiple of 2**(top-1+v), stepped by r = q modulo h, so no factor is
+    wider than h; it holds for alpha - 1 <= v2(x - 1) - v (every alpha when
+    x = 1) and keeps the count of those alphas, a byte while the block's
+    alphas and spread of v add up to under 256. Condition 2 is 2**(alpha*k)
+    = 1 (mod m) with m = m2 * p**(beta-1), m2 = 2**k - 1. An odd m above
+    2**(top*k) - 1 exceeds 2**(alpha*k) > 1 at every alpha of the block, so
+    its row fails by size alone; at each beta the moduli ascend with p (a
+    block's ps ascend), the rows left are a prefix, found by bisection on
+    p, k and beta alone, and only they get moduli and residues. Those
     residues advance from one alpha to the next by one multiplication by
-    2**k each, and an alpha where none is 1 gets a zero plane."""
+    2**k each; an alpha where none is 1 gets a zero plane, and one where
+    some are sets their rows' bytes."""
     # Every modulus exceeds 1, so a residue of 1 is exact divisibility.
     t = 1 << k
     m2 = t - 1
     cond1, cond2 = bytearray(), bytearray()
     for b in blocks:
+        n, first, last = len(b.ps), b.betas[0], b.betas[-1]
         s_top, s0 = b.alphas[-1] - 1, b.alphas[0] - 1
         # per row, w = v2(q - 1) + s0: q ^ (q - 2) is 2**(v+1) - 2 for odd q
         ws = [(q ^ q - 2).bit_length() + s0 - 1 for q in b.qs]
         h = 1 << s_top + max(ws, default=s0) - s0  # every row's 2**(top-1+v) divides h
-        xs, mask = b.qs, h - 1
-        moduli = [m2] * len(b.ps)
+        mask = h - 1
+        xs = rs = [q & mask for q in b.qs]
+        limit = (1 << (s_top + 1) * k) - 1  # 2**(top*k) - 1: a larger m fails at every alpha
+        cut, moduli = n, [m2] * n
         counts: list[int] = []
         row_moduli: list[int] = []
-        for beta in range(2, b.betas[-1] + 1):
-            xs = [x * q & mask for x, q in zip(xs, b.qs)]  # q**beta modulo h, a small int
-            moduli = [m * p for m, p in zip(moduli, b.ps)]
-            if beta >= b.betas[0]:
-                # (x - 1) & (1 - x) is 2**v2(x - 1), or h at x = 1; past w, the count
-                counts += [((x - 1 & 1 - x or h) >> w).bit_length() for x, w in zip(xs, ws)]
+        offsets: list[int] = []  # each live row's index in the block's beta-major rows
+        for beta in range(2, last + 1):
+            # (x - 1) & (1 - x) is 2**v2(x - 1), or h at x = 1; past w, the count
+            if beta == last:  # the step and the count in one pass: xs is not needed again
+                counts += [
+                    (((x := y * r & mask) - 1 & 1 - x or h) >> w).bit_length()
+                    for y, r, w in zip(xs, rs, ws)
+                ]
+            else:
+                xs = [x * r & mask for x, r in zip(xs, rs)]  # q**beta modulo h
+                if beta >= first:
+                    counts += [((x - 1 & 1 - x or h) >> w).bit_length() for x, w in zip(xs, ws)]
+            cut = bisect_right(b.ps, limit, 0, cut, key=lambda p: m2 * p ** (beta - 1))
+            moduli = [m * p for m, p in zip(moduli, b.ps[:cut])]
+            if beta >= first:
+                row = (beta - first) * n
                 row_moduli += moduli
+                offsets += range(row, row + cut)
         counts = bytes(counts)
+        zeros = bytes(n * len(b.betas))
         # 2**((alpha-1)*k) at the first alpha, reduced by the first step
         ys = [1 << s0 * k] * len(row_moduli)
         for plane in _PLANES[: len(b.alphas)]:
             cond1 += counts.translate(plane)
             ys = [y * t % m for y, m in zip(ys, row_moduli)]
-            cond2 += bytes([y == 1 for y in ys]) if 1 in ys else bytes(len(ys))
+            if 1 in ys:
+                flags = bytearray(zeros)
+                for row, y in zip(offsets, ys):
+                    if y == 1:
+                        flags[row] = 1
+                cond2 += flags
+            else:
+                cond2 += zeros
     return cond1, cond2
 
 
@@ -448,7 +477,7 @@ def _block_points(blocks: list[_Block]) -> Iterator[tuple[int, int, int]]:
 def _found(blocks: list[_Block], divides: list[bool]) -> list[tuple[int, int, int]]:
     """(p, beta, alpha) of each point of a batch that the direct route finds
     dividing, sorted. Most batches hold none, and need no second pass."""
-    return sorted(compress(_block_points(blocks), divides)) if True in divides else []
+    return sorted(compress(_block_points(blocks), divides)) if any(divides) else []
 
 
 def _recheck_solution(alpha: int, p: int, beta: int, k: int) -> None:
@@ -481,7 +510,9 @@ def _check_block(k: int, blocks: list[_Block]) -> list[bool]:
     failed = int.from_bytes(divides, "big") != bits1 & int.from_bytes(cond2, "big")
     # any odd beta: a range of two or more holds one; most equivalence batches have none
     if not failed and any(len(b.betas) > 1 or b.betas[0] % 2 for b in blocks):
-        odd = b"".join(bytes(beta % 2 for beta in b.betas for _ in b.ps) * len(b.alphas) for b in blocks)
+        odd = b"".join(
+            b"".join(bytes([beta % 2]) * len(b.ps) for beta in b.betas) * len(b.alphas) for b in blocks
+        )
         failed = bits1 & int.from_bytes(odd, "big") != 0
     if failed:
         checks = zip(_block_points(blocks), divides, cond1, cond2)

@@ -14,7 +14,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sigmaperfect.classify as classify
 import sigmaperfect.primality as primality
@@ -210,12 +210,76 @@ def test_condition_planes_match_the_reference_at_wide_alphas(k, first, width, ps
     # a block's condition-1 counts are measured from its first alpha, so they
     # stay bytes wherever it starts; every flag is a 0 or 1 byte
     alphas, betas = range(first, first + width), range(beta_lo, beta_lo + beta_count)
-    blocks = [classify._block(k, alphas, ps, betas)]
-    cond1, cond2 = classify._conditions_block(k, blocks)
+    cond1, cond2 = _assert_conditions_match_the_reference(k, [classify._block(k, alphas, ps, betas)])
     assert type(cond1) is type(cond2) is bytearray and set(cond1 + cond2) <= {0, 1}
+
+
+def _assert_conditions_match_the_reference(k, blocks):
+    """The condition route's flags over blocks, checked against
+    derive_conditions at every point."""
+    cond1, cond2 = classify._conditions_block(k, blocks)
     for (alpha, p, beta), c1, c2 in zip(_block_points(blocks), cond1, cond2, strict=True):
         reference = derive_conditions(SimpleNamespace(alpha=alpha, p=p, beta=beta, k=k))
         assert (c1, c2) == (reference.cond_k1_holds, reference.cond_k2_holds), (alpha, p, beta, k)
+    return cond1, cond2
+
+
+# Condition 2's size cut at its edge: at each (k, p, alpha), m = (2**k - 1) * p
+# equals 2**(alpha*k) - 1, so 2**(alpha*k) = 1 (mod m), and a block up to
+# alpha keeps p's row while the prime after it falls past the cut; a block
+# that stops below alpha cuts p's row too.
+@pytest.mark.parametrize(
+    "k, p, alpha, alphas, ps",
+    [
+        (4, 17, 2, range(2, 3), [3, 17, 19]),  # m = 255, and 34 | sigma_4(34)
+        (2, 5, 2, range(2, 3), [3, 5, 7]),  # m = 15
+        (1, 7, 3, range(2, 4), [3, 5, 7, 11]),  # m = 7
+        (3, 73, 3, range(2, 3), [71, 73, 79]),  # m = 511: cut at top 2 ...
+        (3, 73, 3, range(2, 4), [71, 73, 79]),  # ... and kept at top 3
+    ],
+)
+def test_condition2_holds_where_its_modulus_equals_the_size_limit(k, p, alpha, alphas, ps):
+    assert ((1 << k) - 1) * p == (1 << alpha * k) - 1
+    blocks = [classify._block(k, alphas, ps, range(2, 3))]
+    _, cond2 = _assert_conditions_match_the_reference(k, blocks)
+    points = _block_points(blocks)
+    assert cond2[points.index((alphas[-1], p, 2))] == (alpha in alphas)
+    for (a, q, beta), d in zip(points, classify._check_block(k, blocks), strict=True):
+        n = q ** (beta - 1) << (a - 1)
+        assert d == (sigma_k(n, k) % n == 0), (a, q, beta, k)
+
+
+# primes whose moduli (2**k - 1) * p**(beta-1) sit at or beside 2**(alpha*k) - 1
+_FERMAT_MERSENNE = (3, 5, 7, 17, 31, 127, 257, 8191, 65537)
+
+
+@settings(max_examples=80, deadline=None)
+@example(k=4, first=2, width=1, ps=[3, 17, 19], beta_lo=2, beta_count=3)
+@example(k=1, first=2, width=5, ps=[3, 5, 7, 31], beta_lo=2, beta_count=4)
+@example(k=13, first=2, width=2, ps=[3, 8191, 65537], beta_lo=2, beta_count=3)
+@given(
+    k=st.sampled_from((1, 2, 3, 4, 5, 7, 13)),
+    first=st.integers(2, 8),
+    width=st.integers(1, 4),
+    ps=st.lists(
+        st.sampled_from(_SMALL_PRIMES[:40]) | st.sampled_from(_FERMAT_MERSENNE),
+        min_size=2, max_size=6, unique=True,
+    ).map(sorted),
+    beta_lo=st.integers(2, 4),
+    beta_count=st.integers(2, 4),
+)
+def test_condition2_size_cut_matches_the_reference_across_betas(
+    k, first, width, ps, beta_lo, beta_count
+):
+    # multi-beta blocks whose moduli straddle 2**(top*k) - 1: the cut keeps a
+    # shrinking prefix of the primes from one beta to the next
+    alphas, betas = range(first, first + width), range(beta_lo, beta_lo + beta_count)
+    limit = (1 << alphas[-1] * k) - 1
+    moduli = [((1 << k) - 1) * p ** (beta - 1) for beta in betas for p in ps]
+    assume(min(moduli) <= limit < max(moduli))
+    blocks = [classify._block(k, alphas, ps, betas)]
+    _assert_conditions_match_the_reference(k, blocks)
+    classify._check_block(k, blocks)  # and the direct route agrees at every point
 
 
 @pytest.mark.parametrize(
@@ -1004,6 +1068,21 @@ def test_kernel_routes_once_per_task_and_verdicts_equal_pruned_by():
             assert verdicts[p, beta] == classify._pruned_by(SpecialForm(alpha, p, beta, k))
         tags |= set(verdicts.values())
     assert tags == {None, *PRUNE_ORDER}
+
+
+def test_every_kernel_block_holds_ascending_primes():
+    # condition 2's size cut keeps a prefix of a block's rows at each beta,
+    # found by bisection over its primes, so they must ascend in every block
+    runs = {caller: run for caller, (_, run) in _KERNEL_CALLERS.items()}
+    runs["check_lemma_f"] = lambda: check_lemma_f(5, 3, 4)
+    for caller, run in runs.items():
+        with pytest.MonkeyPatch.context() as m:
+            calls = _recording(m, "_block")
+            run()
+        # f and check_lemma_f hold one prime per block, 2**k - 1
+        assert calls and any(len(ps) > 1 for (_, _, ps, _), _ in calls) != ("f" in caller)
+        for (_, _, ps, _), _ in calls:
+            assert all(p < q for p, q in zip(ps, ps[1:])), caller
 
 
 @settings(max_examples=40, deadline=None)
