@@ -27,8 +27,8 @@ def odd_beta_first_condition_row(monkeypatch):
     and only the odd-beta check can fire."""
     real = classify._conditions_block
 
-    def lying(k, blocks):
-        cond1, cond2 = real(k, blocks)
+    def lying(k, blocks, **kwargs):
+        cond1, cond2 = real(k, blocks, **kwargs)
         # flags run alpha-major within each block
         odd = [beta % 2 == 1 for b in blocks for _ in b.alphas for beta in b.betas for _ in b.ps]
         return (

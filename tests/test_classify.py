@@ -130,7 +130,7 @@ def test_block_builder_matches_the_reference_at_every_point(
     block = classify._block(k, alphas, ps, betas)
     assert block == (alphas, ps, betas, [p**k for p in ps])
     divides = classify._direct_block(k, [block])
-    cond1, cond2 = classify._conditions_block(k, [block])
+    cond1, cond2 = classify._conditions_block(k, [block], every_row=True)
     flags = zip(_block_points([block]), divides, cond1, cond2, strict=True)
     for (alpha, p, beta), d, c1, c2 in flags:
         f = SpecialForm(alpha=alpha, p=p, beta=beta, k=k)
@@ -138,6 +138,7 @@ def test_block_builder_matches_the_reference_at_every_point(
         assert (d, c1, c2) == (
             divides_sigma(f), reference.cond_k1_holds, reference.cond_k2_holds
         ), f
+    _assert_default_planes(k, [block], classify._conditions_block(k, [block]), (cond1, cond2))
 
 
 # primes with a large v2(p - 1), where condition 1's 2-adic modulus is
@@ -162,32 +163,40 @@ def test_condition1_on_two_adic_residues_matches_the_full_modulus(k, p, beta, to
     # four fields
     alphas = range(2, top + 1)
     block = classify._block(k, alphas, [p], range(beta, beta + 1))
-    cond1, _ = classify._conditions_block(k, [block])
-    for alpha, c1 in zip(alphas, cond1, strict=True):
+    planes = classify._conditions_block(k, [block], every_row=True)
+    for alpha, c1 in zip(alphas, planes[0], strict=True):
         full = pow(p, beta * k, (p**k - 1) << (alpha - 1)) == 1
         reference = derive_conditions(SimpleNamespace(alpha=alpha, p=p, beta=beta, k=k))
         assert c1 == full == reference.cond_k1_holds, (alpha, p, beta, k)
+    _assert_default_planes(k, [block], classify._conditions_block(k, [block]), planes)
 
 
 def test_condition1_residues_are_two_adic():
     # q = 65537 has v = v2(q - 1) = 16, so q**beta is kept modulo 2**(top - 1 + 16):
     # q**64 is 1 modulo 2**22, and condition 1 holds at every alpha to 7 ...
     block = classify._block(1, range(2, 8), [65537], range(64, 65))
-    assert list(map(bool, classify._conditions_block(1, [block])[0])) == [True] * 6
+    planes = classify._conditions_block(1, [block], every_row=True)
+    assert list(map(bool, planes[0])) == [True] * 6
+    # ... where condition 2's modulus 65537**63 is past its size cut, so the
+    # default run, whose checks read no condition 1 there, leaves it 0
+    _assert_default_planes(1, [block], classify._conditions_block(1, [block]), planes)
     # ... but 1 + 2**22 modulo 2**23, and it fails at alpha = 8 alone
     block = classify._block(1, range(2, 9), [65537], range(64, 65))
-    assert list(map(bool, classify._conditions_block(1, [block])[0])) == [True] * 6 + [False]
+    planes = classify._conditions_block(1, [block], every_row=True)
+    assert list(map(bool, planes[0])) == [True] * 6 + [False]
+    _assert_default_planes(1, [block], classify._conditions_block(1, [block]), planes)
     # at k = 5, condition 1 holds exactly where alpha - 1 <= v2(x - 1) - v,
     # with x = q**beta modulo 2**(14 + v), from beta 2 and from beta 9 on
     blocks = [
         classify._block(5, range(2, 16), [3, 5, 7], range(2, 17)),
         classify._block(5, range(2, 16), [3, 5, 7], range(9, 17)),
     ]
-    cond1, _ = classify._conditions_block(5, blocks)
-    for (alpha, p, beta), c1 in zip(_block_points(blocks), cond1, strict=True):
+    planes = classify._conditions_block(5, blocks, every_row=True)
+    for (alpha, p, beta), c1 in zip(_block_points(blocks), planes[0], strict=True):
         v = v2(p**5 - 1)
         x = p ** (5 * beta) % (1 << 14 + v)
         assert c1 == (x == 1 or alpha - 1 <= v2(x - 1) - v), (alpha, p, beta)
+    _assert_default_planes(5, blocks, classify._conditions_block(5, blocks), planes)
 
 
 # Mersenne primes keep condition 1 past alpha 255 at even beta: 2**(alpha-1)
@@ -215,13 +224,30 @@ def test_condition_planes_match_the_reference_at_wide_alphas(k, first, width, ps
 
 
 def _assert_conditions_match_the_reference(k, blocks):
-    """The condition route's flags over blocks, checked against
-    derive_conditions at every point."""
-    cond1, cond2 = classify._conditions_block(k, blocks)
+    """The condition route's flags over blocks on every row, checked
+    against derive_conditions at every point; the default run's planes are
+    checked against them by _assert_default_planes."""
+    cond1, cond2 = classify._conditions_block(k, blocks, every_row=True)
     for (alpha, p, beta), c1, c2 in zip(_block_points(blocks), cond1, cond2, strict=True):
         reference = derive_conditions(SimpleNamespace(alpha=alpha, p=p, beta=beta, k=k))
         assert (c1, c2) == (reference.cond_k1_holds, reference.cond_k2_holds), (alpha, p, beta, k)
+    _assert_default_planes(k, blocks, classify._conditions_block(k, blocks), (cond1, cond2))
     return cond1, cond2
+
+
+def _assert_default_planes(k, blocks, planes, every_row_planes):
+    """The default run's planes against the every-row run's over the same
+    blocks: condition 2 equal at every point; condition 1 equal at odd beta,
+    for the parity check, and on a row whose modulus (2**k - 1) * p**(beta-1)
+    is at most 2**(top*k) - 1, which condition 2's size cut keeps; 0 on
+    every other row, where condition 2 is 0 and no check reads condition 1."""
+    (cond1, cond2), (all1, all2) = planes, every_row_planes
+    assert type(cond1) is type(cond2) is bytearray and cond2 == all2
+    tops = [b.alphas[-1] for b in blocks for _ in b.alphas for _ in b.betas for _ in b.ps]
+    points = zip(_block_points(blocks), tops, cond1, all1, strict=True)
+    for (alpha, p, beta), top, c1, c1_all in points:
+        read = beta % 2 or ((1 << k) - 1) * p ** (beta - 1) <= (1 << top * k) - 1
+        assert c1 == (c1_all if read else 0), (alpha, p, beta, k)
 
 
 # Condition 2's size cut at its edge: at each (k, p, alpha), m = (2**k - 1) * p
@@ -478,9 +504,9 @@ def test_equivalence_rows_match_reference(n_limit, ks, batch_points):
         return divides
 
     def conditions(k, blocks):
-        cond1, cond2 = real_conditions(k, blocks)
-        batches[-1] += [k, blocks, cond1, cond2]
-        return cond1, cond2
+        planes = real_conditions(k, blocks)
+        batches[-1] += [k, blocks, planes, real_conditions(k, blocks, every_row=True)]
+        return planes
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(classify, "_direct_block", direct)
@@ -488,9 +514,10 @@ def test_equivalence_rows_match_reference(n_limit, ks, batch_points):
         m.setattr(classify, "_BATCH_POINTS", batch_points)
         count = equivalence_scan(n_limit, ks)
     visited = []
-    for divides, k, blocks, cond1, cond2 in batches:
+    for divides, k, blocks, planes, every_row_planes in batches:
+        _assert_default_planes(k, blocks, planes, every_row_planes)
         points = _block_points(blocks)
-        for (alpha, p, beta), d, c1, c2 in zip(points, divides, cond1, cond2, strict=True):
+        for (alpha, p, beta), d, c1, c2 in zip(points, divides, *every_row_planes, strict=True):
             f = SpecialForm(alpha=alpha, p=p, beta=beta, k=k)
             reference = derive_conditions(f)
             assert (d, c1, c2) == (
@@ -705,6 +732,15 @@ def test_worker_count_does_not_change_results(monkeypatch):
         assert dump(solo) == dump(many)
         assert solo == many
         assert stats_solo == stats_many
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_large_k_search_finds_the_even_perfect_numbers(workers):
+    # at k = 1279 condition 2's size cut keeps every row of this grid, so the
+    # condition route evaluates condition 1 on every row too
+    reports, stats = scan_special_forms(1279, 13, 2, workers=workers)
+    assert [r.form.n() for r in reports] == [6, 28, 496, 8128, 33550336]
+    assert stats == GridStats(3242, 0, 4)
 
 
 def _grid(alpha_max, beta_max):
@@ -1275,8 +1311,8 @@ def _lie_at(m, route, point, values):
     every other point as computed."""
     real = getattr(classify, route)
 
-    def lying(*args):
-        out = real(*args)
+    def lying(*args, **kwargs):
+        out = real(*args, **kwargs)
         points = _block_points(args[-1])
         if point in points:
             i = points.index(point)
@@ -1310,6 +1346,69 @@ def test_kernel_names_a_fault_in_a_later_row_of_a_block(scan):
             match=r"odd beta at \(alpha, p, beta, k\) = \(3, 3, 5, 5\): cond1=True, cond2=False",
         ):
             scan()
+
+
+def test_a_failed_batch_names_condition_one_from_an_every_row_run():
+    # n = 998 = 2 * 499: condition 2's modulus 31 * 499 is past its size cut,
+    # so the default run leaves condition 1 at 0 there; the message shows the
+    # condition route's value, from a second run over every row
+    assert 31 * 499 > (1 << 2 * 5) - 1
+    with pytest.MonkeyPatch.context() as m:
+        _lie_at(m, "_direct_block", (2, 499, 2), [True])
+        with pytest.raises(CrossCheckError) as exc:
+            equivalence_scan(1000, ks=(5,))
+    assert str(exc.value) == (
+        "conditions disagree with direct divisibility at (alpha, p, beta, k) = "
+        "(2, 499, 2, 5): divides=True, cond1=True, cond2=False"
+    )
+
+
+def test_a_failed_batch_falls_back_to_its_first_run_when_every_row_passes():
+    # a fault in the default run alone: the every-row run passes the batch,
+    # so the failure is named from the flags that failed it
+    real = classify._conditions_block
+
+    def lying(k, blocks, every_row=False):
+        planes = real(k, blocks, every_row)
+        points = _block_points(blocks)
+        if not every_row and (2, 499, 2) in points:
+            for plane in planes:
+                plane[points.index((2, 499, 2))] = 1
+        return planes
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_conditions_block", lying)
+        with pytest.raises(CrossCheckError) as exc:
+            equivalence_scan(1000, ks=(5,))
+    assert str(exc.value) == (
+        "conditions disagree with direct divisibility at (alpha, p, beta, k) = "
+        "(2, 499, 2, 5): divides=False, cond1=True, cond2=True"
+    )
+
+
+def test_a_condition_one_fault_at_odd_beta_past_the_size_cut_is_caught():
+    # 19**2 * 2 <= 1000 < 19**2 * 4: p = 19 has one point at beta = 3, alpha =
+    # 2, where condition 2's modulus 31 * 19**2 is past its size cut. q = 1 in
+    # its block makes q**beta = 1 and condition 1 hold there, while the direct
+    # route, reading the same q, still finds 2 * 19**2 not dividing; only the
+    # parity check, which needs condition 1 at every odd-beta row, can fire
+    assert 31 * 19**2 > (1 << 2 * 5) - 1
+    real = classify._block
+
+    def block(k, alphas, ps, betas):
+        b = real(k, alphas, ps, betas)
+        if betas == range(3, 4) and 19 in b.ps:
+            b.qs[b.ps.index(19)] = 1
+        return b
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(classify, "_block", block)
+        with pytest.raises(CrossCheckError) as exc:
+            equivalence_scan(1000, ks=(5,))
+    assert str(exc.value) == (
+        "first condition held with odd beta at (alpha, p, beta, k) = (2, 19, 3, 5): "
+        "cond1=True, cond2=False"
+    )
 
 
 def _sigma_k_accepts_everything(m):
